@@ -230,7 +230,8 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
   }
 
   // Multi-channel engine scaling at the acceptance cell: the mc event path
-  // with random hop sequences and a sweeping jammer, for C = 1/2/4/64.
+  // with random hop sequences and a sweeping jammer, for C = 1/2/4/64, then
+  // the uniform-split jammer's draw cost at C = 1/8.
   // Eventless runs are answered in bulk via jam_run_masks, so throughput
   // should be near-flat in C under sparse activity (C=64 pins the full-mask
   // group-resolution bound); C=1 doubles as a live measurement of the
@@ -239,8 +240,7 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
   // m2/channels/speedup for the bench_compare hard gate.
   {
     const auto actions = sparse_actions(accept_n, accept_slots);
-    double mc_event_at_accept = 0;
-    for (const std::uint32_t c : {1u, 2u, 4u, 64u}) {
+    const auto random_hops = [&](std::uint32_t c) {
       std::vector<ChannelHop> hops(accept_n);
       Rng hop_rng = Rng::stream(seed, 9000 + c);
       for (std::uint32_t u = 0; u < accept_n; ++u) {
@@ -248,6 +248,11 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
             ChannelHop{static_cast<std::uint32_t>(hop_rng.uniform_u64(c)),
                        static_cast<std::uint32_t>(hop_rng.uniform_u64(c))};
       }
+      return hops;
+    };
+    double mc_event_at_accept = 0;
+    for (const std::uint32_t c : {1u, 2u, 4u, 64u}) {
+      const std::vector<ChannelHop> hops = random_hops(c);
       const ChannelPlan plan{c, {hops.data(), hops.size()}};
       const auto m = measure(
           [&](int rep) {
@@ -275,18 +280,46 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
                      Table::num(m.events_per_sec)});
       if (c == 1) mc_event_at_accept = m.slots_per_sec;
     }
+    // The uniform split at rate 0.5 with a budget that never runs dry: C
+    // Bernoulli draws in every slot, so these rows time the adversary's
+    // draw kernel (per-slot and bulk prefix answers) rather than the
+    // engine's group resolution.
+    for (const std::uint32_t c : {1u, 8u}) {
+      const std::vector<ChannelHop> hops = random_hops(c);
+      const ChannelPlan plan{c, {hops.data(), hops.size()}};
+      const auto m = measure(
+          [&](int rep) {
+            Rng rng = Rng::stream(seed, 9500 + c * 100 +
+                                            static_cast<std::uint64_t>(rep));
+            McUniformSplitJammer adversary(
+                Budget::unlimited(), 0.5,
+                Rng::stream(seed, 9600 + static_cast<std::uint64_t>(rep)));
+            const auto r = run_repetition_slotwise_mc(accept_slots, actions,
+                                                      plan, adversary, rng);
+            return r.event_count;
+          },
+          0.2, 100, accept_slots);
+      bench::BenchEntry e;
+      e.name = "m2/channels/uniform";
+      e.config = {{"n", static_cast<double>(accept_n)},
+                  {"slots", static_cast<double>(accept_slots)},
+                  {"channels", static_cast<double>(c)}};
+      e.wall_ms = m.wall_ms;
+      e.slots_per_sec = m.slots_per_sec;
+      e.events_per_sec = m.events_per_sec;
+      report.add(std::move(e));
+      table.add_row({"mc_uniform", "C=" + std::to_string(c),
+                     Table::num(accept_n), Table::num(accept_slots),
+                     Table::num(m.reps), Table::num(m.wall_ms, 3),
+                     Table::num(m.slots_per_sec),
+                     Table::num(m.events_per_sec)});
+    }
     // mc event vs mc dense at the acceptance cell (C=1, same jammer and
     // streams).  The dense reference costs O(slots * nodes) — one ~2^30-work
     // rep is plenty for a ratio gate.
     {
       const std::uint32_t c = 1;
-      std::vector<ChannelHop> hops(accept_n);
-      Rng hop_rng = Rng::stream(seed, 9000 + c);
-      for (std::uint32_t u = 0; u < accept_n; ++u) {
-        hops[u] =
-            ChannelHop{static_cast<std::uint32_t>(hop_rng.uniform_u64(c)),
-                       static_cast<std::uint32_t>(hop_rng.uniform_u64(c))};
-      }
+      const std::vector<ChannelHop> hops = random_hops(c);
       const ChannelPlan plan{c, {hops.data(), hops.size()}};
       const auto m = measure(
           [&](int rep) {

@@ -1,5 +1,6 @@
 #include "rcb/adversary/mc_strategies.hpp"
 
+#include <array>
 #include <utility>
 
 #include "rcb/common/contracts.hpp"
@@ -18,54 +19,104 @@ bool McNoJam::jam_run_masks(SlotIndex begin, SlotIndex end, std::uint32_t,
   return true;
 }
 
+namespace {
+
+// The one draw kernel of the randomized splits, shared by jam_mask and
+// jam_run_masks: bit c of the mask is set iff draw c (in channel order)
+// falls below `threshold` (Rng::bernoulli_threshold), and the hits are
+// counted in the same loop — std::popcount would be a libgcc call in the
+// portable build.  The hits are charged to `budget` as take(1) calls in
+// channel order would be: when the budget runs out inside the slot the
+// grant covers the lowest set bits and the rest are cleared.
+inline std::uint64_t draw_paid(Rng& rng, Budget& budget,
+                               std::uint64_t threshold, std::uint32_t draws) {
+  std::uint64_t mask = 0;
+  Cost hits = 0;
+  for (std::uint32_t c = 0; c < draws; ++c) {
+    const std::uint64_t hit = rng.bernoulli_below(threshold);
+    mask |= hit << c;
+    hits += hit;
+  }
+  const Cost grant = budget.take(hits);
+  if (grant == hits) return mask;
+  std::uint64_t beyond = mask;
+  for (Cost g = 0; g < grant; ++g) beyond &= beyond - 1;
+  return mask ^ beyond;
+}
+
+// One per-slot consultation, shifted onto the target channel.  A dry
+// budget never refills, so every later mask is 0 whatever the private Rng
+// would draw: the draws are skipped.
+std::uint64_t draw_slot(Rng& rng, Budget& budget, std::uint64_t threshold,
+                        std::uint32_t draws, std::uint32_t shift) {
+  if (threshold == 0 || budget.exhausted()) return 0;
+  return draw_paid(rng, budget, threshold, draws) << shift;
+}
+
+// Bulk form of draw_slot over the `len` slots of an eventless run, on
+// register copies of the strategy state.  Answers slot by slot until the
+// segments are full — the slot that did not fit gives its draws and budget
+// back, and the prefix before it is the answer — or until the budget is
+// dry, when the rest of the run is one clear segment.  Segments are built
+// branch-free in the mask (at rate 1/2 a per-slot merge test mispredicts
+// every other slot) and handed to the sink, which the engine passes empty,
+// at the end.  The first slot always fits, so the answer is never empty.
+void answer_run(Rng& rng_state, Budget& budget_state, std::uint64_t threshold,
+                std::uint32_t draws, std::uint32_t shift, SlotCount len,
+                McJamRunSink& sink) {
+  RCB_REQUIRE(sink.total() == 0);
+  Rng rng = rng_state;
+  Budget budget = budget_state;
+  std::array<McJamRunSink::Segment, McJamRunSink::kMaxSegments> seg;
+  std::size_t used = 0;    // segments written; seg[used - 1] is still open
+  SlotCount run = 0;       // its length so far
+  std::uint64_t last = 0;  // its mask
+  SlotCount k = 0;
+  for (; k < len && threshold != 0 && !budget.exhausted(); ++k) {
+    const Budget budget_before = budget;
+    const std::uint64_t mask = draw_paid(rng, budget, threshold, draws)
+                               << shift;
+    const std::size_t fresh = (used == 0) | (mask != last);
+    if ((fresh & (used == seg.size())) != 0) {
+      rng.rewind(draws);
+      budget = budget_before;
+      break;
+    }
+    used += fresh;
+    run = (run & (fresh - 1)) + 1;  // 1 on a fresh segment, else run + 1
+    last = mask;
+    seg[used - 1] = McJamRunSink::Segment{run, mask};
+  }
+  for (std::size_t i = 0; i < used; ++i) {
+    sink.append(seg[i].length, seg[i].decision);
+  }
+  if (k < len && (threshold == 0 || budget.exhausted())) {
+    sink.append(len - k, 0);
+  }
+  rng_state = rng;
+  budget_state = budget;
+}
+
+}  // namespace
+
 McUniformSplitJammer::McUniformSplitJammer(Budget budget, double rate, Rng rng)
-    : budget_(budget), rate_(rate), rng_(rng) {
+    : budget_(budget),
+      threshold_(Rng::bernoulli_threshold(rate)),
+      rng_(rng) {
   RCB_REQUIRE(rate >= 0.0 && rate <= 1.0);
 }
 
 std::uint64_t McUniformSplitJammer::jam_mask(
     SlotIndex, std::uint32_t num_channels,
     std::span<const McSlotActivity>) {
-  // One Bernoulli per channel per slot, budget exhaustion or not, so the
-  // decision stream does not depend on when the budget ran dry.
-  std::uint64_t mask = 0;
-  for (std::uint32_t c = 0; c < num_channels; ++c) {
-    if (rng_.bernoulli(rate_) && budget_.take(1) == 1) {
-      mask |= std::uint64_t{1} << c;
-    }
-  }
-  return mask;
+  return draw_slot(rng_, budget_, threshold_, num_channels, 0);
 }
 
 bool McUniformSplitJammer::jam_run_masks(SlotIndex begin, SlotIndex end,
                                          std::uint32_t num_channels,
                                          std::span<const McSlotActivity>,
                                          McJamRunSink& sink) {
-  const SlotCount len = end - begin;
-  // rate <= 0: bernoulli(p <= 0) consumes no draws and takes no budget —
-  // the whole run is one clear segment with no state change.
-  if (rate_ <= 0.0) {
-    sink.append(len, 0);
-    return true;
-  }
-  // General case: replay the per-slot draws verbatim.  Rng and Budget are
-  // small value types, so snapshotting them lets an RLE overflow decline
-  // without a trace.
-  const Rng rng_snapshot = rng_;
-  const Budget budget_snapshot = budget_;
-  for (SlotCount k = 0; k < len; ++k) {
-    std::uint64_t mask = 0;
-    for (std::uint32_t c = 0; c < num_channels; ++c) {
-      if (rng_.bernoulli(rate_) && budget_.take(1) == 1) {
-        mask |= std::uint64_t{1} << c;
-      }
-    }
-    if (!sink.append(1, mask)) {
-      rng_ = rng_snapshot;
-      budget_ = budget_snapshot;
-      return false;
-    }
-  }
+  answer_run(rng_, budget_, threshold_, num_channels, 0, end - begin, sink);
   return true;
 }
 
@@ -77,10 +128,9 @@ McFocusJammer::McFocusJammer(Budget budget, double rate, std::uint32_t target,
 
 std::uint64_t McFocusJammer::jam_mask(SlotIndex, std::uint32_t num_channels,
                                       std::span<const McSlotActivity>) {
-  const double p = rate_ * static_cast<double>(num_channels);
-  if (!rng_.bernoulli(p < 1.0 ? p : 1.0)) return 0;
-  if (budget_.take(1) != 1) return 0;
-  return std::uint64_t{1} << (target_ % num_channels);
+  const std::uint64_t threshold =
+      Rng::bernoulli_threshold(rate_ * static_cast<double>(num_channels));
+  return draw_slot(rng_, budget_, threshold, 1, target_ % num_channels);
 }
 
 bool McFocusJammer::jam_run_masks(SlotIndex begin, SlotIndex end,
@@ -88,35 +138,20 @@ bool McFocusJammer::jam_run_masks(SlotIndex begin, SlotIndex end,
                                   std::span<const McSlotActivity>,
                                   McJamRunSink& sink) {
   const SlotCount len = end - begin;
-  const double p_raw = rate_ * static_cast<double>(num_channels);
-  const double p = p_raw < 1.0 ? p_raw : 1.0;
-  // bernoulli(p <= 0) consumes no draws and the take() is short-circuited
-  // away: the run is one clear segment, state untouched.
-  if (p <= 0.0) {
-    sink.append(len, 0);
-    return true;
-  }
-  const std::uint64_t bit = std::uint64_t{1} << (target_ % num_channels);
-  if (p >= 1.0) {
-    // bernoulli(p >= 1) consumes no draws either: the run jams the target
-    // until the budget dries, then stays clear — at most two segments, and
-    // take(len) is the same spend as len take(1) calls.
+  const std::uint64_t threshold =
+      Rng::bernoulli_threshold(rate_ * static_cast<double>(num_channels));
+  const std::uint32_t shift = target_ % num_channels;
+  if (threshold == std::uint64_t{1} << 53) {
+    // rate * C >= 1 jams every slot: the run jams the target until the
+    // budget dries, then stays clear — at most two segments, and take(len)
+    // is the same spend as len take(1) calls.  No draw decides anything,
+    // so none is made.
     const SlotCount jammed = budget_.take(len);
-    sink.append(jammed, bit);
+    sink.append(jammed, std::uint64_t{1} << shift);
     sink.append(len - jammed, 0);
     return true;
   }
-  const Rng rng_snapshot = rng_;
-  const Budget budget_snapshot = budget_;
-  for (SlotCount k = 0; k < len; ++k) {
-    std::uint64_t mask = 0;
-    if (rng_.bernoulli(p) && budget_.take(1) == 1) mask = bit;
-    if (!sink.append(1, mask)) {
-      rng_ = rng_snapshot;
-      budget_ = budget_snapshot;
-      return false;
-    }
-  }
+  answer_run(rng_, budget_, threshold, 1, shift, len, sink);
   return true;
 }
 
@@ -139,24 +174,27 @@ bool McSweepJammer::jam_run_masks(SlotIndex begin, SlotIndex end,
                                   McJamRunSink& sink) {
   // Deterministic: walk the run dwell segment by dwell segment, granting
   // each its budget slice up front — take(k) is the same spend as k take(1)
-  // calls, and once the budget dries the rest of the run is clear.
-  const Budget budget_snapshot = budget_;
+  // calls, and once the budget dries the rest of the run is clear.  A full
+  // sink ends the answer at the dwell segment that did not fit, which gives
+  // its grant back.
   SlotIndex s = begin;
   while (s < end) {
     const SlotIndex dwell_end = (s / dwell_ + 1) * dwell_;
     const SlotIndex seg_end = dwell_end < end ? dwell_end : end;
     const SlotCount want = seg_end - s;
+    const Budget budget_before = budget_;
     const SlotCount got = budget_.take(want);
     const std::uint64_t bit = std::uint64_t{1}
                               << ((s / dwell_) % num_channels);
-    if (!sink.append(got, bit) || !sink.append(want - got, 0)) {
-      budget_ = budget_snapshot;
-      return false;
+    if (!sink.append(got, bit)) {
+      budget_ = budget_before;
+      return true;
     }
-    if (got < want && seg_end < end) {
-      // Budget exhausted mid-run: every remaining slot is clear (and merges
-      // into the zero segment just appended).
-      sink.append(end - seg_end, 0);
+    if (got < want) {
+      // Budget exhausted inside this dwell segment: every remaining slot is
+      // clear.  If the sink cannot take that segment, the answer ends at
+      // the last jammed slot, which is where the budget ran dry.
+      sink.append(end - s - got, 0);
       return true;
     }
     s = seg_end;
@@ -188,8 +226,9 @@ bool McScheduleAdversary::jam_run_masks(SlotIndex begin, SlotIndex end,
                                         std::span<const McSlotActivity>,
                                         McJamRunSink& sink) {
   // Stateless: recompute each slot's mask and lean on the sink's RLE merge
-  // (schedules are interval-shaped, so runs compress well).  An overflow
-  // simply declines — there is nothing to roll back.
+  // (schedules are interval-shaped, so runs compress well).  A full sink
+  // ends the answer at the slot that did not fit — there is nothing to give
+  // back, and the first slot always fits.
   const std::uint32_t n =
       num_channels < per_channel_.size()
           ? num_channels
@@ -199,7 +238,7 @@ bool McScheduleAdversary::jam_run_masks(SlotIndex begin, SlotIndex end,
     for (std::uint32_t c = 0; c < n; ++c) {
       if (per_channel_[c].is_jammed(s)) mask |= std::uint64_t{1} << c;
     }
-    if (!sink.append(1, mask)) return false;
+    if (!sink.append(1, mask)) return true;
   }
   return true;
 }

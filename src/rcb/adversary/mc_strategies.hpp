@@ -10,7 +10,9 @@
 //
 // Strategies that randomize own a private Rng (seeded by the caller, e.g.
 // from (scenario seed, trial)) so a trial replays deterministically; the
-// engines' trial Rng stream is never touched by adversary decisions.
+// engines' trial Rng stream is never touched by adversary decisions.  No
+// output reads that Rng once the Budget is dry (a Budget never refills), so
+// a dry strategy stops drawing.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +56,7 @@ class McUniformSplitJammer final : public McSlotAdversary {
 
  private:
   Budget budget_;
-  double rate_;
+  std::uint64_t threshold_;  ///< Rng::bernoulli_threshold(rate)
   Rng rng_;
 };
 

@@ -53,9 +53,10 @@ struct SlotActivity {
 /// Run-length-encoded per-slot decisions for one eventless run, filled by
 /// the bulk consultation hooks (SlotAdversary::jam_run emits bools,
 /// McSlotAdversary::jam_run_masks emits 64-bit channel masks).  Capacity is
-/// deliberately small: a strategy whose decisions over an eventless run
-/// need more than kMaxSegments alternations should decline the call
-/// (append() returns false) and let the engine drive it slot by slot.
+/// deliberately small.  When append() returns false, a single-channel
+/// strategy declines the jam_run call and the engine drives it slot by
+/// slot; a multi-channel strategy answers the prefix the sink already holds
+/// and the engine offers it the rest of the run again.
 template <typename Decision>
 class RunSink {
  public:
@@ -175,17 +176,21 @@ class McSlotAdversary {
   virtual std::uint64_t jam_mask(SlotIndex slot, std::uint32_t num_channels,
                                  std::span<const McSlotActivity> history) = 0;
 
-  /// Optional bulk form of jam_mask() for a maximal eventless run
-  /// [begin, end): no node sends or listens in any slot of the run, so every
-  /// run slot's history record is {slot, 0, <own mask>, 0}.  `history` is
-  /// the state as of `begin` (the same view jam_mask(begin, ...) would
-  /// receive).  To answer, append masks for exactly end - begin slots (in
-  /// slot order) to `sink`, advance any internal state (rng, budget) exactly
-  /// as per-slot jam_mask() calls would have, and return true.  To decline —
-  /// the default — return false *without mutating any state*; the engine
-  /// then issues the per-slot jam_mask() calls itself.  Answering is a pure
-  /// optimization: masks must be identical to the per-slot path's, and the
-  /// engine enforces sink.total() == end - begin.
+  /// Optional bulk form of jam_mask() for an eventless run [begin, end):
+  /// no node sends or listens in any slot of the run, so every run slot's
+  /// history record is {slot, 0, <own mask>, 0}.  `history` is the state as
+  /// of `begin` (the same view jam_mask(begin, ...) would receive), and
+  /// `sink` arrives empty.  To answer, append masks (in slot order) for a
+  /// non-empty prefix [begin, begin + sink.total()) of the run to `sink`,
+  /// advance any internal state (rng, budget) exactly as per-slot
+  /// jam_mask() calls for that prefix would have, and return true; the
+  /// engine then offers the rest of the run in a new call.  A strategy
+  /// whose masks do not fit in the sink answers the prefix that does.  To
+  /// decline — the default — return false *without mutating any state*;
+  /// the engine then issues the per-slot jam_mask() calls for the whole run
+  /// itself.  Answering is a pure optimization: masks must be identical to
+  /// the per-slot path's, and the engine enforces
+  /// 1 <= sink.total() <= end - begin.
   virtual bool jam_run_masks(SlotIndex begin, SlotIndex end,
                              std::uint32_t num_channels,
                              std::span<const McSlotActivity> history,

@@ -34,6 +34,17 @@ inline std::uint64_t pow2(std::uint32_t i) {
   return std::uint64_t{1} << i;
 }
 
+/// Number of set bits, branch-free.  std::popcount compiles to a libgcc
+/// __popcountdi2 call unless the build targets a CPU with POPCNT (the
+/// portable build does not); this SWAR form stays inline everywhere and
+/// becomes the POPCNT instruction when the target has one.
+inline std::uint32_t popcount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+  return static_cast<std::uint32_t>((x * 0x0101010101010101ull) >> 56);
+}
+
 /// Clamp a computed probability into [0, 1].  The paper's per-slot
 /// probabilities (e.g. S_u * d * i^3 / 2^i) exceed 1 in early epochs for
 /// simulation-scale parameters; clamping corresponds to the node simply

@@ -9,10 +9,6 @@ namespace {
 
 constexpr std::uint64_t kGoldenGamma = 0x9E3779B97F4A7C15ull;
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 std::uint64_t rotr(std::uint64_t x, int k) {
   return (x >> k) | (x << (64 - k));
 }
@@ -37,18 +33,6 @@ Rng::Rng(std::uint64_t seed) {
 
 Rng Rng::stream(std::uint64_t master_seed, std::uint64_t stream_id) {
   return Rng(master_seed + kGoldenGamma * (stream_id + 1));
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::uniform_u64(std::uint64_t bound) {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 
 namespace rcb {
@@ -30,8 +31,20 @@ class Rng {
   /// trial or per node).  Streams with distinct ids never share state.
   static Rng stream(std::uint64_t master_seed, std::uint64_t stream_id);
 
-  /// Next raw 64-bit output.
-  std::uint64_t next_u64();
+  /// Next raw 64-bit output.  Inline: the hot draw loops (adversary mask
+  /// kernels, samplers) keep the state in registers instead of spilling it
+  /// around an out-of-line call.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound). bound must be > 0. Uses Lemire rejection.
   std::uint64_t uniform_u64(std::uint64_t bound);
@@ -44,6 +57,28 @@ class Rng {
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p);
+
+  /// Integer form of bernoulli(p) for loops that draw many trials with one
+  /// p: bernoulli_below(bernoulli_threshold(p)) has the same outcome as
+  /// bernoulli(p), and for p in (0, 1) it is also draw-for-draw identical —
+  /// uniform_double() < p is (next_u64() >> 11) * 2^-53 < p, and scaling
+  /// both sides by 2^53 is exact, so it holds iff the 53-bit integer is
+  /// below ceil(p * 2^53).  For p <= 0 the threshold is 0 and for p >= 1 it
+  /// is 2^53; unlike bernoulli() those still consume a draw, so callers
+  /// that must not draw there short-circuit them.
+  static std::uint64_t bernoulli_threshold(double p) {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return std::uint64_t{1} << 53;
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
+
+  /// One Bernoulli draw against a bernoulli_threshold() value: 1 iff the
+  /// 53-bit draw is below `threshold`, else 0.  Computed as the borrow of
+  /// the subtraction (both sides are below 2^54), so mask kernels can
+  /// shift and add the result without a compare-and-set per draw.
+  std::uint64_t bernoulli_below(std::uint64_t threshold) {
+    return ((next_u64() >> 11) - threshold) >> 63;
+  }
 
   /// Standard exponential variate (rate 1).
   double exponential();
@@ -59,6 +94,10 @@ class Rng {
   std::array<std::uint64_t, 4> state() const { return s_; }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_;
 };
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <vector>
 
 #include "rcb/common/contracts.hpp"
+#include "rcb/common/mathutil.hpp"
 #include "rcb/rng/sampling.hpp"
 #include "rcb/runtime/cancel.hpp"
 #include "rcb/sim/engine_kernels.hpp"
@@ -55,8 +55,8 @@ void record(NodeObservation& o, Reception heard, SlotIndex slot) {
 }
 
 // Materializes the history of an accepted jam_run_masks: `sink` covers the
-// eventless run starting at `first_slot`, with each segment's mask already
-// clipped to the valid-channel set by the caller.  Same tail-only
+// answered prefix of the eventless run starting at `first_slot`, with each
+// segment's mask clipped to the valid-channel set here.  Same tail-only
 // optimization as the single-channel append_run_history: a bounded buffer
 // can only ever expose its trailing `window` records, so a run at least
 // that long replaces the buffer with its own tail.
@@ -167,32 +167,35 @@ McSlotwiseResult run_repetition_slotwise_mc(
     const SlotIndex next_event_slot =
         i < num_events ? event_key::slot(keys[i]) : num_slots;
     if (slot < next_event_slot) {
-      // Maximal eventless run [slot, next_event_slot): every record is a
-      // zero-sender record, so the adversary may answer it in bulk.
+      // Eventless run [slot, next_event_slot): every record is a zero-sender
+      // record, so the adversary may answer it in bulk.  An answer covers a
+      // non-empty prefix of the run; the rest is offered again next round.
       sink.reset();
       if (adversary.jam_run_masks(slot, next_event_slot, channels.num_channels,
                                   history_view(), sink)) {
-        RCB_REQUIRE(sink.total() == next_event_slot - slot);
+        RCB_REQUIRE(sink.total() >= 1 &&
+                    sink.total() <= next_event_slot - slot);
         for (const McJamRunSink::Segment& seg : sink.segments()) {
           const std::uint64_t mask = seg.decision & valid;
           result.jam_charges +=
-              static_cast<Cost>(std::popcount(mask)) * seg.length;
+              static_cast<Cost>(popcount64(mask)) * seg.length;
           if (mask != 0) result.jammed_slots += seg.length;
         }
         append_run_history_mc(history, slot, sink, valid, window, bounded);
-      } else {
-        // Declined: per-slot consultation, bit-identical to the every-slot
-        // loop this fast path replaced.
-        for (SlotIndex s = slot; s < next_event_slot; ++s) {
-          const std::uint64_t mask =
-              adversary.jam_mask(s, channels.num_channels, history_view()) &
-              valid;
-          result.jam_charges += std::popcount(mask);
-          if (mask != 0) ++result.jammed_slots;
-          if (window > 0) {
-            engine_kernels::push_history_compacted(
-                history, McSlotActivity{s, 0, mask, 0}, window, bounded);
-          }
+        slot += sink.total();
+        continue;
+      }
+      // Declined: per-slot consultation, bit-identical to the every-slot
+      // loop this fast path replaced.
+      for (SlotIndex s = slot; s < next_event_slot; ++s) {
+        const std::uint64_t mask =
+            adversary.jam_mask(s, channels.num_channels, history_view()) &
+            valid;
+        result.jam_charges += popcount64(mask);
+        if (mask != 0) ++result.jammed_slots;
+        if (window > 0) {
+          engine_kernels::push_history_compacted(
+              history, McSlotActivity{s, 0, mask, 0}, window, bounded);
         }
       }
       slot = next_event_slot;
@@ -202,7 +205,7 @@ McSlotwiseResult run_repetition_slotwise_mc(
     // Event slot: consult the adversary, then settle the per-channel groups.
     const std::uint64_t mask =
         adversary.jam_mask(slot, channels.num_channels, history_view()) & valid;
-    result.jam_charges += std::popcount(mask);
+    result.jam_charges += popcount64(mask);
     if (mask != 0) ++result.jammed_slots;
 
     std::uint64_t sender_channels = 0;
@@ -307,7 +310,7 @@ McSlotwiseResult run_repetition_slotwise_mc_dense(
   for (SlotIndex slot = 0; slot < num_slots; ++slot) {
     const std::uint64_t mask =
         adversary.jam_mask(slot, channels.num_channels, history) & valid;
-    result.jam_charges += std::popcount(mask);
+    result.jam_charges += popcount64(mask);
     if (mask != 0) ++result.jammed_slots;
 
     std::uint64_t sender_channels = 0;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "rcb/adversary/budget.hpp"
@@ -335,8 +336,8 @@ std::vector<NodeAction> sparse_actions() {
 /// bulk, once forced onto the per-slot fallback via NoBulk — and requires
 /// the executions to be indistinguishable, down to the trial Rng position.
 template <typename Make>
-void expect_bulk_equals_fallback(Make make, std::uint32_t C,
-                                 std::uint64_t seed) {
+McSlotwiseResult expect_bulk_equals_fallback(Make make, std::uint32_t C,
+                                             std::uint64_t seed) {
   const SlotCount slots = 8192;
   const auto actions = sparse_actions();
   std::vector<ChannelHop> hops;
@@ -362,13 +363,20 @@ void expect_bulk_equals_fallback(Make make, std::uint32_t C,
   expect_identical_mc(a, b);
   EXPECT_EQ(rng_bulk.next_u64(), rng_scalar.next_u64())
       << "trial Rng position diverged: C=" << C << " seed=" << seed;
+  if constexpr (requires { bulk_adv.budget(); }) {
+    EXPECT_EQ(bulk_adv.budget().spent(), inner.budget().spent())
+        << "C=" << C << " seed=" << seed;
+    EXPECT_EQ(a.jam_charges, bulk_adv.budget().spent());
+  }
+  return a;
 }
 
 TEST(McJamRunMasksTest, BulkAnswerMatchesPerSlotPathForEveryStrategy) {
   for (const std::uint32_t C : {1u, 4u, 64u}) {
     expect_bulk_equals_fallback([] { return McNoJam{}; }, C, 51);
-    // rate in (0, 1): bulk declines by rollback while the budget lives
-    // (alternating masks overflow the sink) and answers once it dries.
+    // rate in (0, 1): bulk answers sink-sized prefixes while the budget
+    // lives (alternating masks overflow the sink) and whole runs once it
+    // dries.
     expect_bulk_equals_fallback(
         [&] {
           return McUniformSplitJammer(Budget(500), 0.4, Rng::stream(61, C));
@@ -393,6 +401,10 @@ TEST(McJamRunMasksTest, BulkAnswerMatchesPerSlotPathForEveryStrategy) {
         C, 55);
     expect_bulk_equals_fallback([] { return McSweepJammer(Budget(3000), 64); },
                                 C, 56);
+    // dwell 1: for C > 1 every slot changes channel, so runs overflow the
+    // sink while the budget lives and the answer ends at a dwell segment.
+    expect_bulk_equals_fallback([] { return McSweepJammer(Budget(3001), 1); },
+                                C, 61);
     expect_bulk_equals_fallback(
         [&] {
           std::vector<JamSchedule> per_channel;
@@ -406,11 +418,179 @@ TEST(McJamRunMasksTest, BulkAnswerMatchesPerSlotPathForEveryStrategy) {
   }
 }
 
+TEST(McJamRunMasksTest, RandomizedSplitsRunningDryMatchPerSlotPath) {
+  // Rate 0.5 with a budget that dries mid-phase (about slot 3000 of 8192)
+  // and is not a multiple of C, so for C > 1 it can run out inside a slot
+  // (the mid-slot clip): bulk answers prefixes while the budget lives, then
+  // one clear segment per run.
+  for (const std::uint32_t C : {1u, 8u, 64u}) {
+    const Cost limit = Cost{3} * 500 * C + 3;
+    const McSlotwiseResult r = expect_bulk_equals_fallback(
+        [&] {
+          return McUniformSplitJammer(Budget(limit), 0.5, Rng::stream(65, C));
+        },
+        C, 58);
+    EXPECT_EQ(r.jam_charges, limit) << "budget did not run dry: C=" << C;
+  }
+  // Focus with rate * C < 1 drawing one Bernoulli per slot until it dries.
+  for (const std::uint32_t C : {1u, 8u}) {
+    const McSlotwiseResult r = expect_bulk_equals_fallback(
+        [&] {
+          return McFocusJammer(Budget(150), 0.05, 3, Rng::stream(66, C));
+        },
+        C, 59);
+    EXPECT_EQ(r.jam_charges, 150u) << "budget did not run dry: C=" << C;
+  }
+}
+
+/// The per-channel loop the split strategies are defined by: one
+/// bernoulli(p) per channel in channel order, each hit paid by take(1).
+std::uint64_t reference_split_mask(Rng& rng, Budget& budget, double p,
+                                   std::uint32_t draws, std::uint32_t shift) {
+  std::uint64_t mask = 0;
+  for (std::uint32_t c = 0; c < draws; ++c) {
+    if (rng.bernoulli(p) && budget.take(1) == 1) {
+      mask |= std::uint64_t{1} << (c + shift);
+    }
+  }
+  return mask;
+}
+
+/// Drives `adv` over `slots` slots, alternating per-slot calls with bulk
+/// prefix answers over 1000-slot runs, and requires every mask to equal
+/// the reference loop's — across the slot where the budget runs dry.
+template <typename Adv>
+void expect_split_matches_reference(Adv& adv, Rng ref_rng, Budget ref_budget,
+                                    double p, std::uint32_t C,
+                                    std::uint32_t draws, std::uint32_t shift) {
+  const SlotCount slots = 12000;
+  SlotIndex s = 0;
+  bool bulk = false;
+  while (s < slots) {
+    if (!bulk) {
+      for (const SlotIndex stop = s + 7; s < stop && s < slots; ++s) {
+        ASSERT_EQ(adv.jam_mask(s, C, {}),
+                  reference_split_mask(ref_rng, ref_budget, p, draws, shift))
+            << "per-slot, slot " << s << " C=" << C;
+      }
+    } else {
+      const SlotIndex end = std::min<SlotIndex>(s + 1000, slots);
+      while (s < end) {
+        McJamRunSink sink;
+        ASSERT_TRUE(adv.jam_run_masks(s, end, C, {}, sink));
+        ASSERT_GE(sink.total(), 1u);
+        ASSERT_LE(sink.total(), end - s);
+        for (const McJamRunSink::Segment& seg : sink.segments()) {
+          for (SlotCount k = 0; k < seg.length; ++k, ++s) {
+            ASSERT_EQ(seg.decision, reference_split_mask(ref_rng, ref_budget,
+                                                         p, draws, shift))
+                << "bulk, slot " << s << " C=" << C;
+          }
+        }
+      }
+    }
+    bulk = !bulk;
+  }
+  EXPECT_EQ(adv.budget().spent(), ref_budget.spent()) << "C=" << C;
+  EXPECT_TRUE(ref_budget.exhausted()) << "budget never ran dry: C=" << C;
+}
+
+TEST(McStrategyTest, UniformSplitMatchesPerChannelReference) {
+  for (const std::uint32_t C : {1u, 3u, 8u, 64u}) {
+    for (const double rate : {0.3, 0.5, 1.0}) {
+      // Dries well inside the 12000 slots; at rate 1 it runs out inside
+      // slot 4000 for every C > 1, which pins the mid-slot clip order.
+      const Cost limit =
+          static_cast<Cost>(rate * C * 4000) + (C > 1 ? C / 2 + 1 : 0);
+      McUniformSplitJammer adv(Budget(limit), rate, Rng::stream(81, C));
+      expect_split_matches_reference(adv, Rng::stream(81, C), Budget(limit),
+                                     rate, C, C, 0);
+    }
+  }
+}
+
+TEST(McStrategyTest, FocusMatchesPerSlotReference) {
+  // C = 16 puts rate * C above 1: every slot jams until the budget dries.
+  for (const std::uint32_t C : {1u, 4u, 8u, 16u}) {
+    const double rate = 0.1;
+    McFocusJammer adv(Budget(500), rate, 5, Rng::stream(82, C));
+    expect_split_matches_reference(adv, Rng::stream(82, C), Budget(500),
+                                   rate * C, C, 1, 5 % C);
+  }
+}
+
+TEST(McJamRunMasksTest, OverflowAnswersPrefixOfRandomizedStrategy) {
+  // rate in (0, 1) keeps bulk masks alternating, so a long run cannot fit
+  // in kMaxSegments; the strategy answers the prefix that fits, with its
+  // rng and budget advanced for exactly that prefix (witnessed by a twin
+  // that makes the same number of per-slot calls).
+  McUniformSplitJammer probe(Budget(10000), 0.5, Rng::stream(71, 0));
+  McUniformSplitJammer twin(Budget(10000), 0.5, Rng::stream(71, 0));
+  McJamRunSink sink;
+  ASSERT_TRUE(probe.jam_run_masks(0, 4096, 4, {}, sink));
+  ASSERT_GE(sink.total(), 1u);
+  ASSERT_LT(sink.total(), 4096u) << "run fit the sink; no overflow tested";
+  SlotIndex s = 0;
+  for (const McJamRunSink::Segment& seg : sink.segments()) {
+    for (SlotCount k = 0; k < seg.length; ++k, ++s) {
+      ASSERT_EQ(twin.jam_mask(s, 4, {}), seg.decision) << "slot " << s;
+    }
+  }
+  EXPECT_EQ(probe.budget().spent(), twin.budget().spent());
+  for (SlotCount k = 0; k < 256; ++k, ++s) {
+    ASSERT_EQ(probe.jam_mask(s, 4, {}), twin.jam_mask(s, 4, {}))
+        << "slot " << s;
+  }
+}
+
+/// Single-channel random jammer whose jam_run replays its draws and, when
+/// the run overflows the sink, declines by restoring its snapshot.
+class RandomSlotJammer final : public SlotAdversary {
+ public:
+  explicit RandomSlotJammer(Rng rng) : rng_(rng) {}
+  bool jam(SlotIndex, std::span<const SlotActivity>) override {
+    return rng_.bernoulli(0.5);
+  }
+  bool jam_run(SlotIndex begin, SlotIndex end, std::span<const SlotActivity>,
+               JamRunSink& sink) override {
+    const Rng snapshot = rng_;
+    for (SlotIndex s = begin; s < end; ++s) {
+      if (!sink.append(1, rng_.bernoulli(0.5))) {
+        rng_ = snapshot;
+        return false;
+      }
+    }
+    return true;
+  }
+  SlotCount history_window() const override { return 0; }
+
+ private:
+  Rng rng_;
+};
+
+TEST(McJamRunMasksTest, DeclineLeavesStateUntouched) {
+  // A declining adversary (the bridge forwards its inner strategy's
+  // decline) must leave its state exactly as before the attempt.
+  RandomSlotJammer probe_inner(Rng::stream(72, 0));
+  RandomSlotJammer twin_inner(Rng::stream(72, 0));
+  McFromSlotAdversary probe(probe_inner);
+  McFromSlotAdversary twin(twin_inner);
+  McJamRunSink sink;
+  ASSERT_FALSE(probe.jam_run_masks(0, 4096, 1, {}, sink));
+  for (SlotIndex s = 0; s < 256; ++s) {
+    ASSERT_EQ(probe.jam_mask(s, 1, {}), twin.jam_mask(s, 1, {}))
+        << "slot " << s;
+  }
+}
+
 /// Alternates mask 1/0 by slot parity; its bulk answer appends slot by
-/// slot, so runs longer than kMaxSegments overflow the sink and decline
-/// mid-phase while short runs answer — both paths mix in one execution.
+/// slot, so runs longer than kMaxSegments overflow the sink mid-phase.
+/// With `prefix` it then answers the part that fit (the engine offers the
+/// rest again); without, it declines and the engine drives the run slot by
+/// slot — either way both outcomes mix with whole answers in one execution.
 class ParityMask final : public McSlotAdversary {
  public:
+  explicit ParityMask(bool prefix = false) : prefix_(prefix) {}
   std::uint64_t jam_mask(SlotIndex slot, std::uint32_t,
                          std::span<const McSlotActivity>) override {
     return slot & 1;
@@ -421,16 +601,17 @@ class ParityMask final : public McSlotAdversary {
     ++bulk_calls_;
     for (SlotIndex s = begin; s < end; ++s) {
       if (!sink.append(1, s & 1)) {
-        ++declines_;
-        return false;
+        ++overflows_;
+        return prefix_;
       }
     }
     return true;
   }
   SlotCount history_window() const override { return 0; }
 
+  bool prefix_;
   int bulk_calls_ = 0;
-  int declines_ = 0;
+  int overflows_ = 0;
 };
 
 TEST(McJamRunMasksTest, MidRunDeclineFallsBackBitIdentically) {
@@ -455,11 +636,65 @@ TEST(McJamRunMasksTest, MidRunDeclineFallsBackBitIdentically) {
   EXPECT_EQ(rng_bulk.next_u64(), rng_scalar.next_u64());
   // With mean run length ~250 against a 64-segment sink, both accepted and
   // declined bulk calls must occur in one phase.
-  EXPECT_GT(bulk_adv.declines_, 0);
-  EXPECT_GT(bulk_adv.bulk_calls_, bulk_adv.declines_);
+  EXPECT_GT(bulk_adv.overflows_, 0);
+  EXPECT_GT(bulk_adv.bulk_calls_, bulk_adv.overflows_);
   // Parity accounting holds regardless of which path decided each slot.
   EXPECT_EQ(a.jammed_slots, slots / 2);
   EXPECT_EQ(a.jam_charges, slots / 2);
+}
+
+/// Cycles its mask 1 -> 2 -> 3 -> 1 on channels 0-1 (C >= 2), reading the
+/// previous mask from a 1-slot history window.  Three distinct masks make
+/// 64 sink segments end mid-cycle, so a bulk answer overflows into a
+/// prefix, and the next offer of the same run only continues the cycle if
+/// the engine materialized that prefix's last record.
+class HistoryCycle final : public McSlotAdversary {
+ public:
+  static std::uint64_t next(std::uint64_t prev) {
+    return prev == 1 ? 2 : prev == 2 ? 3 : 1;
+  }
+  std::uint64_t jam_mask(SlotIndex, std::uint32_t,
+                         std::span<const McSlotActivity> history) override {
+    return next(history.empty() ? 0 : history.back().jam_mask);
+  }
+  bool jam_run_masks(SlotIndex begin, SlotIndex end, std::uint32_t,
+                     std::span<const McSlotActivity> history,
+                     McJamRunSink& sink) override {
+    std::uint64_t mask = next(history.empty() ? 0 : history.back().jam_mask);
+    for (SlotIndex s = begin; s < end && sink.append(1, mask); ++s) {
+      mask = next(mask);
+    }
+    return true;
+  }
+  SlotCount history_window() const override { return 1; }
+};
+
+TEST(McJamRunMasksTest, PrefixAnswersMatchPerSlotPath) {
+  // The parity strategy answering prefixes, and for C >= 2 one whose next
+  // mask reads the prefix's last history record: a run that overflows is
+  // answered in several calls, and every observable still matches NoBulk.
+  for (const std::uint32_t C : {1u, 2u, 64u}) {
+    const McSlotwiseResult r = expect_bulk_equals_fallback(
+        [&] { return ParityMask(true); }, C, 60);
+    EXPECT_EQ(r.jammed_slots, 8192u / 2) << "C=" << C;
+    EXPECT_EQ(r.jam_charges, 8192u / 2) << "C=" << C;
+    if (C >= 2) {
+      expect_bulk_equals_fallback([] { return HistoryCycle{}; }, C, 62);
+    }
+  }
+  // With events ~250 slots apart most runs overflow the 64-segment sink,
+  // so the engine must have come back for the rest of some run.
+  const SlotCount slots = 30000;
+  std::vector<NodeAction> actions = {NodeAction{0.002, Payload::kMessage, 0.0},
+                                     NodeAction{0.0, Payload::kNoise, 0.002}};
+  std::vector<ChannelHop> hops = {{0, 1}, {1, 1}};
+  const ChannelPlan plan{2, {hops.data(), hops.size()}};
+  ParityMask adv(true);
+  Rng rng = Rng::stream(43, 1);
+  const McSlotwiseResult r =
+      run_repetition_slotwise_mc(slots, actions, plan, adv, rng);
+  EXPECT_GT(adv.overflows_, 0);
+  EXPECT_EQ(r.jammed_slots, slots / 2);
 }
 
 /// 1-slot lookback: jams channel 0 iff the previous slot carried a
@@ -553,22 +788,6 @@ TEST(McJamRunMasksTest, UnboundedHistoryMaterializedAcrossBulkRuns) {
   // 0b101 clipped by valid 0xF keeps 2 channels per slot.
   EXPECT_EQ(r.jam_charges, 2 * slots);
   EXPECT_EQ(r.jammed_slots, slots);
-}
-
-TEST(McJamRunMasksTest, OverflowDeclineLeavesRandomizedStrategyUntouched) {
-  // rate in (0, 1) keeps bulk masks alternating, so a long run cannot fit
-  // in kMaxSegments; the strategy must decline with its rng and budget
-  // exactly as they were before the attempt (witnessed by a twin that
-  // never saw the bulk call).
-  McUniformSplitJammer probe(Budget(10000), 0.5, Rng::stream(71, 0));
-  McUniformSplitJammer witness(Budget(10000), 0.5, Rng::stream(71, 0));
-  McJamRunSink sink;
-  ASSERT_FALSE(probe.jam_run_masks(0, 4096, 4, {}, sink));
-  EXPECT_EQ(probe.budget().spent(), witness.budget().spent());
-  for (SlotIndex s = 0; s < 256; ++s) {
-    ASSERT_EQ(probe.jam_mask(s, 4, {}), witness.jam_mask(s, 4, {}))
-        << "slot " << s;
-  }
 }
 
 // The two mc engines are draw-for-draw deterministic: same stream, same

@@ -145,8 +145,11 @@ INSTANTIATE_TEST_SUITE_P(
 // Broadcast protocol invariants across n and jamming levels.
 // ---------------------------------------------------------------------------
 
+// n is 64-bit so the struct has no padding: gtest prints the param byte by
+// byte and ctest names each case after those bytes, so uninitialised padding
+// would give the cases a different name on every build.
 struct BroadcastConfig {
-  std::uint32_t n;
+  std::uint64_t n;
   double q;
   Cost budget;
   std::uint64_t seed;
@@ -160,7 +163,8 @@ TEST_P(BroadcastPropertyTest, InvariantsHold) {
   const BroadcastNParams params = BroadcastNParams::sim();
   SuffixBlockerAdversary adv(Budget(cfg.budget), cfg.q);
   Rng rng(cfg.seed);
-  const auto r = run_broadcast_n(cfg.n, params, adv, rng);
+  const auto r =
+      run_broadcast_n(static_cast<std::uint32_t>(cfg.n), params, adv, rng);
 
   EXPECT_EQ(r.adversary_cost, adv.budget().spent());
   EXPECT_GE(r.informed_count, 1u);
