@@ -10,6 +10,7 @@
 // against bench/baselines/BENCH_m1_baseline.json.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <string>
@@ -20,6 +21,7 @@
 #include "rcb/rng/rng.hpp"
 #include "rcb/rng/sampling.hpp"
 #include "rcb/runtime/thread_pool.hpp"
+#include "rcb/sim/engine_kernels.hpp"
 #include "rcb/sim/repetition_engine.hpp"
 #include "rcb/sim/slot_engine.hpp"
 
@@ -119,6 +121,40 @@ void BM_BatchEngine(benchmark::State& state) {
   set_engine_counters(state, slots, events);
 }
 BENCHMARK(BM_BatchEngine)->Range(1 << 10, 1 << 20);
+
+void BM_SortEventKeys(benchmark::State& state) {
+  // Presample-shaped input: 32 nodes, each one sorted send run then one
+  // sorted listen run, about range(0) keys over a sparse 2^24-slot phase.
+  const auto target = static_cast<double>(state.range(0));
+  const SlotCount slots = SlotCount{1} << 24;
+  const auto actions =
+      make_actions(32, target / (3.0 * static_cast<double>(slots)));
+  Rng rng(7);
+  std::vector<std::uint64_t> presampled;
+  std::vector<SlotIndex> fired;
+  for (NodeId u = 0; u < actions.size(); ++u) {
+    for (const bool listen : {false, true}) {
+      sample_bernoulli_slots(
+          slots, listen ? actions[u].listen_prob : actions[u].send_prob, rng,
+          fired);
+      for (SlotIndex s : fired) {
+        presampled.push_back(event_key::pack(s, 0, listen, u));
+      }
+    }
+  }
+  std::vector<std::uint64_t> keys(presampled.size());
+  Arena arena;
+  for (auto _ : state) {
+    std::copy(presampled.begin(), presampled.end(), keys.begin());
+    engine_kernels::sort_event_keys(keys, arena);
+    benchmark::DoNotOptimize(keys.data());
+  }
+  state.counters["events_per_sec"] =
+      benchmark::Counter(static_cast<double>(keys.size()) *
+                             static_cast<double>(state.iterations()),
+                         benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SortEventKeys)->Arg(1 << 11)->Arg(1 << 17);
 
 template <typename Adversary>
 void BM_SlotwiseEngine(benchmark::State& state) {

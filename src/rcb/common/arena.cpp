@@ -72,6 +72,7 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
       fresh->next = current_->next;
       current_->next = fresh;
     }
+    current_->used = offset_;
     current_ = current_->next;
     offset_ = 0;
   }
@@ -82,13 +83,36 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
   return p;
 }
 
-void Arena::reset() {
-  for (Chunk* c = head_; c != nullptr; c = c->next) {
-    RCB_ARENA_POISON(c->base, c->size);
+Arena::Mark Arena::mark() const {
+  Mark m;
+  m.chunk_ = current_;
+  m.offset_ = offset_;
+  m.bytes_used_ = bytes_used_;
+  return m;
+}
+
+void Arena::release(const Mark& m) {
+  RCB_ASSERT(m.chunk_ != nullptr && m.bytes_used_ <= bytes_used_);
+#ifdef RCB_ARENA_ASAN
+  // Everything past the cursor is already poisoned, and the chunks from the
+  // mark's to the current one were filled in chain order, so only the span
+  // handed out since the mark needs re-poisoning.
+  for (Chunk* c = m.chunk_;; c = c->next) {
+    const std::size_t begin = c == m.chunk_ ? m.offset_ : 0;
+    const std::size_t end = c == current_ ? offset_ : c->used;
+    RCB_ARENA_POISON(c->base + begin, end - begin);
+    if (c == current_) break;
   }
-  current_ = head_;
-  offset_ = 0;
-  bytes_used_ = 0;
+#endif
+  current_ = m.chunk_;
+  offset_ = m.offset_;
+  bytes_used_ = m.bytes_used_;
+}
+
+void Arena::reset() {
+  Mark start;
+  start.chunk_ = head_;
+  release(start);
 }
 
 }  // namespace rcb

@@ -12,9 +12,12 @@
 //   * reset() rewinds to the first chunk without releasing memory.  A reset
 //     arena replays the exact same addresses for the same allocation
 //     sequence — a determinism aid when diffing two runs of one trial;
-//   * under AddressSanitizer the unused tail of every chunk is poisoned, so
-//     use-after-reset and out-of-bounds reads into arena slack are caught
-//     like ordinary heap bugs.
+//   * mark()/release() scope a group of allocations: release() rewinds the
+//     cursor to the mark, so a caller that releases on return leaves the
+//     arena exactly as it found it;
+//   * under AddressSanitizer everything past the cursor is poisoned, so
+//     use-after-reset, use-after-release and out-of-bounds reads into arena
+//     slack are caught like ordinary heap bugs.
 //
 // ArenaVector<T> is the growable view the engines use: push_back/resize
 // semantics over arena storage for trivially copyable element types.
@@ -35,6 +38,8 @@
 namespace rcb {
 
 class Arena {
+  struct Chunk;
+
  public:
   /// Default allocation alignment: one cache line, enough for any SIMD
   /// vector width we dispatch to (AVX2 needs 32, AVX-512 would need 64).
@@ -61,9 +66,25 @@ class Arena {
     return static_cast<T*>(allocate(count * sizeof(T)));
   }
 
-  /// Rewinds to the start of the first chunk.  Chunks are retained, so an
-  /// identical allocation sequence afterwards returns identical addresses.
-  /// Under ASan the entire arena is re-poisoned.
+  /// Allocation cursor captured by mark() and restored by release().
+  class Mark {
+    friend class Arena;
+    Chunk* chunk_ = nullptr;
+    std::size_t offset_ = 0;
+    std::size_t bytes_used_ = 0;
+  };
+
+  /// The current cursor.
+  Mark mark() const;
+
+  /// Rewinds to `m`, reclaiming every allocation made since mark() returned
+  /// it.  `m` must come from this arena, with no reset() and no release() to
+  /// an earlier mark in between.  Chunks are retained; under ASan the
+  /// reclaimed span is re-poisoned.
+  void release(const Mark& m);
+
+  /// Rewinds to the start of the first chunk: release() to a mark taken at
+  /// construction.
   void reset();
 
   /// Bytes handed out since construction or the last reset() (including
@@ -77,6 +98,7 @@ class Arena {
   struct Chunk {
     std::byte* base = nullptr;
     std::size_t size = 0;
+    std::size_t used = 0;  ///< cursor when allocation last moved past it
     Chunk* next = nullptr;
   };
 

@@ -1,6 +1,14 @@
 #include "rcb/sim/engine_kernels.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstring>
+#include <limits>
+
+#include "rcb/common/contracts.hpp"
 #include "rcb/common/simd.hpp"
+#include "rcb/rng/sampling.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define RCB_ENGINE_AVX2 1
@@ -100,7 +108,111 @@ __attribute__((target("avx2"))) void fill_mc_history_avx2(
 
 #endif  // RCB_ENGINE_AVX2
 
+// One node's send and listen events, appended to ws.events as two sorted
+// runs.  Draw-for-draw identical to the pre-SoA per-node generators.
+void presample_node_events(NodeId u, const NodeAction& action,
+                           SlotCount num_slots, Rng& rng, EngineWorkspace& ws,
+                           FaultPlan* faults, detail::SkipBlockFn skip_block,
+                           const ChannelPlan* channels) {
+  auto& send_slots = ws.send_slots;
+  send_slots.clear();
+  for_each_bernoulli_slot(num_slots, action.send_prob, rng, skip_block,
+                          [&](SlotIndex s) { send_slots.push_back(s); });
+  for (SlotIndex s : send_slots) {
+    if (faults != nullptr && faults->node_down(u, s)) continue;
+    const std::uint32_t ch =
+        channels != nullptr ? channels->channel_of(u, s) : 0;
+    ws.events.push_back(event_key::pack(s, ch, false, u));
+  }
+
+  std::size_t si = 0;  // cursor into send_slots
+  for_each_bernoulli_slot(
+      num_slots, action.listen_prob, rng, skip_block, [&](SlotIndex s) {
+        while (si < send_slots.size() && send_slots[si] < s) ++si;
+        if (si < send_slots.size() && send_slots[si] == s) {
+          return;  // busy sending
+        }
+        if (faults != nullptr && faults->node_down(u, s)) return;
+        const std::uint32_t ch =
+            channels != nullptr ? channels->channel_of(u, s) : 0;
+        ws.events.push_back(event_key::pack(s, ch, true, u));
+      });
+}
+
 }  // namespace
+
+void presample_phase(SlotCount num_slots, std::span<const NodeAction> actions,
+                     Rng& rng, EngineWorkspace& ws, FaultPlan* faults,
+                     const ChannelPlan* channels) {
+  // The event count is a sum of per-slot Bernoullis, so its mean plus four
+  // standard deviations almost never has to grow.
+  double expected = 0.0;
+  for (const NodeAction& a : actions) expected += a.send_prob + a.listen_prob;
+  expected *= static_cast<double>(num_slots);
+  ws.events.reserve(static_cast<std::size_t>(
+      std::ceil(expected + 4.0 * std::sqrt(expected))));
+  const detail::SkipBlockFn skip_block = detail::skip_block_fn();
+  for (NodeId u = 0; u < actions.size(); ++u) {
+    presample_node_events(u, actions[u], num_slots, rng, ws, faults,
+                          skip_block, channels);
+  }
+  sort_event_keys({ws.events.data(), ws.events.size()}, ws.arena);
+
+  ws.payloads.reserve(actions.size());
+  for (NodeId u = 0; u < actions.size(); ++u) {
+    Payload p = actions[u].payload;
+    if (faults != nullptr && faults->node_skewed(u)) p = Payload::kNoise;
+    ws.payloads.push_back(static_cast<std::uint8_t>(p));
+  }
+}
+
+SortPath sort_event_keys(std::span<std::uint64_t> keys, Arena& scratch) {
+  const std::size_t n = keys.size();
+  if (n < kSortCutoff) {
+    std::sort(keys.begin(), keys.end());
+    return SortPath::kSmall;
+  }
+  RCB_REQUIRE(n <= std::numeric_limits<std::uint32_t>::max());
+  const auto [lo_it, hi_it] = std::minmax_element(keys.begin(), keys.end());
+  const std::uint64_t lo = *lo_it;
+  // Bucket b holds the keys with (key - lo) >> shift == b; the shift leaves
+  // at most 2n buckets.
+  const int shift =
+      std::max(0, static_cast<int>(std::bit_width(*hi_it - lo)) -
+                      static_cast<int>(std::bit_width(n)));
+  const std::size_t num_buckets =
+      static_cast<std::size_t>((*hi_it - lo) >> shift) + 1;
+
+  const Arena::Mark mark = scratch.mark();
+  auto* start = scratch.allocate_array<std::uint32_t>(num_buckets + 1);
+  auto* spread = scratch.allocate_array<std::uint64_t>(n);
+  std::memset(start, 0, (num_buckets + 1) * sizeof(std::uint32_t));
+  for (const std::uint64_t k : keys) ++start[((k - lo) >> shift) + 1];
+  for (std::size_t b = 1; b <= num_buckets; ++b) start[b] += start[b - 1];
+  for (const std::uint64_t k : keys) spread[start[(k - lo) >> shift]++] = k;
+
+  // Buckets are in order, and within one the scatter kept input order: node
+  // order inside each slot, so moves stay O(1) per key on engine inputs.
+  std::uint64_t* out = keys.data();
+  const std::size_t max_moves = kSortMovesPerKey * n;
+  std::size_t moves = 0;
+  SortPath path = SortPath::kBuckets;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t k = spread[i];
+    std::size_t j = i;
+    for (; j > 0 && out[j - 1] > k; --j) out[j] = out[j - 1];
+    out[j] = k;
+    moves += i - j;
+    if (moves > max_moves) {
+      std::memcpy(out + i + 1, spread + i + 1, (n - i - 1) * sizeof(k));
+      std::sort(out, out + n);
+      path = SortPath::kFallback;
+      break;
+    }
+  }
+  scratch.release(mark);
+  return path;
+}
 
 std::size_t count_keys_below(const std::uint64_t* keys, std::size_t count,
                              std::uint64_t bound) {

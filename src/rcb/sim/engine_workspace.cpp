@@ -4,6 +4,10 @@ namespace rcb {
 
 void EngineWorkspace::begin_trial() {
   arena.reset();
+  detach_buffers();
+}
+
+void EngineWorkspace::detach_buffers() {
   events.detach();
   send_slots.detach();
   history.detach();

@@ -1,20 +1,25 @@
 // Per-thread arena-backed scratch state for the channel engines.
 //
-// Both engines presample per-node schedules into flat arrays and sweep them;
-// the arrays live for one phase and their sizes repeat almost exactly from
-// phase to phase and trial to trial.  Each engine thread owns one
-// EngineWorkspace whose Arena backs every such array:
+// The engines presample per-node schedules into flat arrays, sort and sweep
+// them; the arrays live for one engine call.  Each engine thread owns one
+// EngineWorkspace whose Arena backs every such array, and every engine call
+// opens a PhaseScope on it:
 //
-//   * within a trial, buffers are clear()ed between phases (capacity kept);
-//   * between trials, the trial driver calls engine_workspace_begin_trial(),
-//     which resets the arena and detaches the buffers.  The next trial's
-//     allocation sequence replays the same addresses — per-trial state never
-//     touches the global heap, and two runs of one trial see identical
-//     memory layout (a determinism aid when diffing executions).
+//   * the scope marks the arena on entry; the call's buffers (and any kernel
+//     scratch, such as sort_event_keys') are bump-allocated past the mark;
+//   * on return the scope detaches the buffers and releases the arena to the
+//     mark, so a call leaves the arena exactly as it found it.  Every call of
+//     a trial starts from the same address, and per-trial state never
+//     touches the global heap;
+//   * the arena's first chunk is 16 MiB.  Calls of very different sizes then
+//     all reuse one chunk from its start, instead of landing in different
+//     doubling chunks, and the pages no call has reached are never touched,
+//     so they never become resident.  The thread's resident footprint is the
+//     largest single call's, not the sum over chunk sizes.
 //
-// Missing the begin_trial() call is safe: buffers then simply retain their
-// high-water capacity like ordinary vectors, growing only when a later
-// phase needs more than any phase before it.
+// The trial drivers also call engine_workspace_begin_trial() at each trial
+// boundary; with every call scoped it only rewinds an arena that is already
+// at its start.
 #pragma once
 
 #include <cstdint>
@@ -70,9 +75,9 @@ inline NodeId node(std::uint64_t key) {
 
 }  // namespace event_key
 
-/// The per-thread scratch arrays; engines clear() what they use per phase.
+/// The per-thread scratch arrays, valid inside one engine call's PhaseScope.
 struct EngineWorkspace {
-  Arena arena;
+  Arena arena{std::size_t{16} << 20};
   /// Sorted packed event keys for the current phase.
   ArenaVector<std::uint64_t> events{arena};
   /// One node's send slots (listen/send half-duplex collision filter).
@@ -85,8 +90,29 @@ struct EngineWorkspace {
   /// (parallel array indexed by node).
   ArenaVector<std::uint8_t> payloads{arena};
 
+  /// Scope of one engine call: buffers used inside it are released, and
+  /// detached, when it closes.  Scopes do not nest.
+  class PhaseScope {
+   public:
+    explicit PhaseScope(EngineWorkspace& ws)
+        : ws_(ws), mark_(ws.arena.mark()) {}
+    ~PhaseScope() {
+      ws_.detach_buffers();
+      ws_.arena.release(mark_);
+    }
+    PhaseScope(const PhaseScope&) = delete;
+    PhaseScope& operator=(const PhaseScope&) = delete;
+
+   private:
+    EngineWorkspace& ws_;
+    Arena::Mark mark_;
+  };
+
   /// Resets the arena and detaches every buffer.
   void begin_trial();
+
+ private:
+  void detach_buffers();
 };
 
 /// This thread's workspace (created on first use).

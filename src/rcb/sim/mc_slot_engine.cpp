@@ -119,35 +119,15 @@ McSlotwiseResult run_repetition_slotwise_mc(
   // the channel plan only stamps channel bits into the packed keys, it
   // never touches the Rng stream.
   EngineWorkspace& ws = engine_workspace();
-  const detail::SkipBlockFn skip_block = detail::skip_block_fn();
-  ws.events.clear();
-  double expected_rate = 0.0;
-  for (const NodeAction& a : actions) {
-    expected_rate += a.send_prob + a.listen_prob;
-  }
-  ws.events.reserve(static_cast<std::size_t>(
-                        expected_rate * static_cast<double>(num_slots)) +
-                    16);
-  for (NodeId u = 0; u < actions.size(); ++u) {
-    engine_kernels::presample_node_events(u, actions[u], num_slots, rng, ws,
-                                          faults, skip_block, &channels);
-  }
-  std::sort(ws.events.begin(), ws.events.end());
+  const EngineWorkspace::PhaseScope scope(ws);
+  engine_kernels::presample_phase(num_slots, actions, rng, ws, faults,
+                                  &channels);
   result.event_count = ws.events.size();
-
-  ws.payloads.clear();
-  ws.payloads.reserve(actions.size());
-  for (NodeId u = 0; u < actions.size(); ++u) {
-    Payload p = actions[u].payload;
-    if (faults != nullptr && faults->node_skewed(u)) p = Payload::kNoise;
-    ws.payloads.push_back(static_cast<std::uint8_t>(p));
-  }
 
   const SlotCount window = adversary.history_window();
   const bool bounded =
       window != McSlotAdversary::kUnboundedHistory && window < num_slots;
   ArenaVector<McSlotActivity>& history = ws.mc_history;
-  history.clear();
   if (!bounded && window > 0) history.reserve(num_slots);
 
   const auto history_view = [&]() -> std::span<const McSlotActivity> {
@@ -210,15 +190,8 @@ McSlotwiseResult run_repetition_slotwise_mc(
 
     std::uint64_t sender_channels = 0;
     std::uint32_t senders_total = 0;
-    // slot + 1 == kMaxSlots would overflow the 34-bit slot field of pack()
-    // (the key wraps to zero), so the last representable slot's group is
-    // bounded by the key array directly — every remaining key is its.
     const std::size_t slot_end =
-        slot + 1 < event_key::kMaxSlots
-            ? i + engine_kernels::count_keys_below(
-                      keys + i, num_events - i,
-                      event_key::pack(slot + 1, 0, false, 0))
-            : num_events;
+        engine_kernels::slot_group_end(keys, i, num_events, slot);
     // Per-channel groups: keys sort by (slot, channel, is_listen, node),
     // so each channel's senders and listeners are contiguous.
     while (i < slot_end) {

@@ -1,7 +1,5 @@
 #include "rcb/sim/repetition_engine.hpp"
 
-#include <algorithm>
-
 #include "rcb/common/contracts.hpp"
 #include "rcb/rng/sampling.hpp"
 #include "rcb/runtime/cancel.hpp"
@@ -54,32 +52,8 @@ RepetitionResult run_repetition_luniform(
   result.obs.resize(actions.size());
 
   EngineWorkspace& ws = engine_workspace();
-  const detail::SkipBlockFn skip_block = detail::skip_block_fn();
-  ws.events.clear();
-  // Size the event buffer from the expected activity: one event per success
-  // of each node's per-slot send/listen Bernoullis.
-  double expected_rate = 0.0;
-  for (const NodeAction& a : actions) {
-    expected_rate += a.send_prob + a.listen_prob;
-  }
-  ws.events.reserve(static_cast<std::size_t>(
-                        expected_rate * static_cast<double>(num_slots)) +
-                    16);
-  for (NodeId u = 0; u < actions.size(); ++u) {
-    engine_kernels::presample_node_events(u, actions[u], num_slots, rng, ws,
-                                          faults, skip_block);
-  }
-  std::sort(ws.events.begin(), ws.events.end());
-
-  // Per-node effective payload with sender-side clock skew applied (skew is
-  // fixed per phase).
-  ws.payloads.clear();
-  ws.payloads.reserve(actions.size());
-  for (NodeId u = 0; u < actions.size(); ++u) {
-    Payload p = actions[u].payload;
-    if (faults != nullptr && faults->node_skewed(u)) p = Payload::kNoise;
-    ws.payloads.push_back(static_cast<std::uint8_t>(p));
-  }
+  const EngineWorkspace::PhaseScope scope(ws);
+  engine_kernels::presample_phase(num_slots, actions, rng, ws, faults);
 
   // Sweep slot groups: count senders, then deliver receptions to listeners.
   const std::uint64_t* keys = ws.events.data();
@@ -88,8 +62,7 @@ RepetitionResult run_repetition_luniform(
   while (i < num_events) {
     const SlotIndex slot = event_key::slot(keys[i]);
     const std::size_t group_end =
-        i + engine_kernels::count_keys_below(
-                keys + i, num_events - i, event_key::pack(slot + 1, 0, false, 0));
+        engine_kernels::slot_group_end(keys, i, num_events, slot);
     const std::size_t senders_end =
         i + engine_kernels::count_keys_below(
                 keys + i, group_end - i, event_key::pack(slot, 0, true, 0));

@@ -110,32 +110,9 @@ SlotwiseResult run_repetition_slotwise(SlotCount num_slots,
   // the adversary's adaptivity intact: it still decides each slot knowing
   // everything it could have physically observed up to that slot.
   EngineWorkspace& ws = engine_workspace();
-  const detail::SkipBlockFn skip_block = detail::skip_block_fn();
-  ws.events.clear();
-  double expected_rate = 0.0;
-  for (const NodeAction& a : actions) {
-    expected_rate += a.send_prob + a.listen_prob;
-  }
-  ws.events.reserve(static_cast<std::size_t>(
-                        expected_rate * static_cast<double>(num_slots)) +
-                    16);
-  for (NodeId u = 0; u < actions.size(); ++u) {
-    engine_kernels::presample_node_events(u, actions[u], num_slots, rng, ws,
-                                          faults, skip_block);
-  }
-  std::sort(ws.events.begin(), ws.events.end());
+  const EngineWorkspace::PhaseScope scope(ws);
+  engine_kernels::presample_phase(num_slots, actions, rng, ws, faults);
   result.event_count = ws.events.size();
-
-  // Per-node effective payload, sender-side clock skew applied (skew is
-  // fixed per phase, so this flat array replaces a FaultPlan query per
-  // sender event).
-  ws.payloads.clear();
-  ws.payloads.reserve(actions.size());
-  for (NodeId u = 0; u < actions.size(); ++u) {
-    Payload p = actions[u].payload;
-    if (faults != nullptr && faults->node_skewed(u)) p = Payload::kNoise;
-    ws.payloads.push_back(static_cast<std::uint8_t>(p));
-  }
 
   // History buffer.  When the adversary declares a finite lookback window
   // we keep only a bounded suffix, compacting amortized-O(1); otherwise
@@ -147,7 +124,6 @@ SlotwiseResult run_repetition_slotwise(SlotCount num_slots,
   const bool bounded =
       window != SlotAdversary::kUnboundedHistory && window < num_slots;
   ArenaVector<SlotActivity>& history = ws.history;
-  history.clear();
   if (!bounded) history.reserve(num_slots);
 
   const auto history_view = [&]() -> std::span<const SlotActivity> {
@@ -196,15 +172,8 @@ SlotwiseResult run_repetition_slotwise(SlotCount num_slots,
     const bool jammed = adversary.jam(slot, history_view());
     if (jammed) ++result.jammed_slots;
 
-    // slot + 1 == kMaxSlots would overflow the 34-bit slot field of pack()
-    // (the key wraps to zero), so the last representable slot's group is
-    // bounded by the key array directly.
     const std::size_t group_end =
-        slot + 1 < event_key::kMaxSlots
-            ? i + engine_kernels::count_keys_below(
-                      keys + i, num_events - i,
-                      event_key::pack(slot + 1, 0, false, 0))
-            : num_events;
+        engine_kernels::slot_group_end(keys, i, num_events, slot);
     const std::size_t senders_end =
         i + engine_kernels::count_keys_below(
                 keys + i, group_end - i, event_key::pack(slot, 0, true, 0));

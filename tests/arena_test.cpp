@@ -87,6 +87,42 @@ TEST(ArenaTest, GrowsAcrossChunksAndRetainsThemOnReset) {
   EXPECT_EQ(arena.chunk_count(), chunks);  // replay allocated no new chunk
 }
 
+TEST(ArenaTest, ReleaseRewindsToTheMarkAcrossChunks) {
+  Arena arena(1024);
+  void* before = arena.allocate(100);
+  const std::size_t used = arena.bytes_used();
+  const Arena::Mark mark = arena.mark();
+  std::vector<void*> scoped;
+  for (int i = 0; i < 16; ++i) scoped.push_back(arena.allocate(512));
+  const std::size_t chunks = arena.chunk_count();
+  EXPECT_GT(chunks, 1u);
+
+  arena.release(mark);
+  EXPECT_EQ(arena.bytes_used(), used);
+  EXPECT_EQ(arena.chunk_count(), chunks);  // chunks retained, not freed
+  // Allocations after the release replay the scoped ones' addresses; the
+  // one before the mark is untouched.
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(arena.allocate(512), scoped[i]) << "allocation " << i;
+  }
+  EXPECT_EQ(arena.chunk_count(), chunks);
+  arena.reset();
+  EXPECT_EQ(arena.allocate(100), before);
+}
+
+TEST(ArenaTest, NestedMarksReleaseInnermostFirst) {
+  Arena arena;
+  const Arena::Mark outer = arena.mark();
+  arena.allocate(64);
+  const Arena::Mark inner = arena.mark();
+  void* a = arena.allocate(64);
+  arena.release(inner);
+  EXPECT_EQ(arena.bytes_used(), Arena::kSimdAlignment);
+  EXPECT_EQ(arena.allocate(64), a);
+  arena.release(outer);
+  EXPECT_EQ(arena.bytes_used(), 0u);
+}
+
 TEST(ArenaTest, OversizedAllocationGetsItsOwnChunk) {
   Arena arena(1024);
   void* big = arena.allocate(1 << 20);
@@ -186,6 +222,23 @@ TEST(ArenaAsanDeathTest, UseAfterResetIsPoisoned) {
         *p = 42;
         arena.reset();
         const int v = *p;  // reset re-poisoned the whole arena
+        (void)v;
+      },
+      "use-after-poison");
+}
+
+TEST(ArenaAsanDeathTest, UseAfterReleaseIsPoisoned) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Arena arena(1024);
+        arena.allocate(64);
+        const Arena::Mark mark = arena.mark();
+        arena.allocate(2048);  // spills into a second chunk
+        auto* p = static_cast<volatile int*>(arena.allocate(sizeof(int)));
+        *p = 42;
+        arena.release(mark);
+        const int v = *p;  // release re-poisoned everything past the mark
         (void)v;
       },
       "use-after-poison");

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "rcb/rng/rng.hpp"
+#include "rcb/sim/engine_workspace.hpp"
+#include "rcb/sim/trace.hpp"
 
 namespace rcb {
 namespace {
@@ -208,6 +210,26 @@ TEST(RepetitionEngineTest, DeterministicForSameSeed) {
     EXPECT_EQ(a.obs[u].clear, b.obs[u].clear);
     EXPECT_EQ(a.obs[u].messages, b.obs[u].messages);
   }
+}
+
+TEST(RepetitionEngineTest, SendOnTheLastRepresentableSlotIsSettled) {
+  // A phase spanning the full 2^34-slot key range whose only event lands on
+  // slot kMaxSlots - 1: the first geometric skip is floor(ln(u0) /
+  // ln(1 - p)), and this p puts it at 2^34 - 0.5 for the stream's first
+  // uniform u0.  pack(slot + 1, ...) wraps to zero there, so a group bound
+  // built from it would never advance the sweep.
+  const SlotCount slots = event_key::kMaxSlots;
+  const double u0 = Rng(7).uniform_double_open();
+  const double p =
+      -std::expm1(std::log(u0) / (static_cast<double>(slots) - 0.5));
+  const std::vector<NodeAction> actions = {
+      NodeAction{p, Payload::kMessage, 0.0}};
+  Rng rng(7);
+  Trace trace(4);
+  auto r = run_repetition(slots, actions, JamSchedule::none(), rng, &trace);
+  EXPECT_EQ(r.obs[0].sends, 1u);
+  ASSERT_EQ(trace.events().size(), 1u);
+  EXPECT_EQ(trace.events()[0].slot, slots - 1);
 }
 
 TEST(RepetitionEngineTest, EmptyActionsProduceEmptyResult) {

@@ -431,7 +431,8 @@ if [[ "$what" == "all" || "$what" == "perf" ]]; then
   # actually has the instructions; elsewhere skip cleanly so "all" stays
   # green on portable runners.  The suite is the digest-critical one: the
   # event engines against the dense oracle, kernel bit-equivalence, arena
-  # reuse, cross-seed determinism, and the pinned Rng stream with its
+  # reuse and per-call scoping, the event-key sort against std::sort,
+  # cross-seed determinism, and the pinned Rng stream with its
   # integer Bernoulli form — all with the wide path and native codegen.
   if grep -q avx2 /proc/cpuinfo 2>/dev/null &&
      grep -q fma /proc/cpuinfo 2>/dev/null; then
@@ -439,8 +440,8 @@ if [[ "$what" == "all" || "$what" == "perf" ]]; then
     (cd "$repo" && cmake --preset perf)
     echo "=== [perf] build engine crosscheck suite ==="
     perf_tests=(engine_crosscheck_test sampling_simd_test arena_test
-                slot_engine_test sampling_test determinism_test
-                mc_engine_test mc_degeneration_test rng_test)
+                engine_kernels_test slot_engine_test sampling_test
+                determinism_test mc_engine_test mc_degeneration_test rng_test)
     cmake --build "$repo/build-perf" -j "$jobs" --target "${perf_tests[@]}"
     echo "=== [perf] run engine crosscheck suite ==="
     for t in "${perf_tests[@]}"; do
