@@ -20,6 +20,8 @@
 #include "rcb/protocols/broadcast_n.hpp"
 #include "rcb/rng/rng.hpp"
 #include "rcb/rng/sampling.hpp"
+#include "rcb/runtime/checkpoint.hpp"
+#include "rcb/runtime/scenario.hpp"
 #include "rcb/runtime/thread_pool.hpp"
 #include "rcb/sim/engine_kernels.hpp"
 #include "rcb/sim/repetition_engine.hpp"
@@ -221,6 +223,55 @@ void BM_BroadcastNoJam(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BroadcastNoJam)->Arg(8)->Arg(32)->Arg(128);
+
+/// A one_to_one point with every fault knob set, so each double field of
+/// the scenario codec takes the full "%.17g" path.
+Scenario codec_scenario(std::uint64_t seed) {
+  Scenario s;
+  s.protocol = "one_to_one";
+  s.eps = 0.01;
+  s.trials = 50000;
+  s.seed = seed;
+  s.faults.seed = seed + 1;
+  s.faults.loss_rate = 0.05;
+  s.faults.corruption_rate = 0.01;
+  s.faults.clock_skew_rate = 0.001;
+  return s;
+}
+
+void BM_ScenarioToJson(benchmark::State& state) {
+  const Scenario s = codec_scenario(1);
+  for (auto _ : state) {
+    const std::string json = scenario_to_json(s);
+    benchmark::DoNotOptimize(json.data());
+  }
+}
+BENCHMARK(BM_ScenarioToJson);
+
+/// One journal record: the canonical payload of a real trial's outcome,
+/// encoded (journal_record_payload) or decoded (the strict reader).
+void BM_JournalRecordCodec(benchmark::State& state, bool decode) {
+  const Scenario s = codec_scenario(1);
+  CheckpointRecord rec;
+  rec.trial = 12345;
+  rec.outcome = run_scenario_trial(s, rec.trial);
+  const std::uint64_t dig = scenario_digest(s);
+  const std::string payload = journal_record_payload(rec, dig);
+  CheckpointRecord out;
+  std::uint64_t out_dig = 0;
+  for (auto _ : state) {
+    if (decode) {
+      const std::string err = parse_journal_record_payload(payload, out, out_dig);
+      benchmark::DoNotOptimize(err.data());
+      benchmark::DoNotOptimize(out.outcome.digest);
+    } else {
+      const std::string encoded = journal_record_payload(rec, dig);
+      benchmark::DoNotOptimize(encoded.data());
+    }
+  }
+}
+BENCHMARK_CAPTURE(BM_JournalRecordCodec, encode, false);
+BENCHMARK_CAPTURE(BM_JournalRecordCodec, decode, true);
 
 /// Console reporter that additionally captures per-iteration runs so main()
 /// can convert them into the bench_util.hpp JSON schema.

@@ -76,7 +76,8 @@ class BenchReport {
       std::fprintf(stderr, "cannot open '%s' for writing\n", path.c_str());
       return false;
     }
-    JsonWriter w(os);
+    std::string out;
+    JsonWriter w(out);
     w.begin_object();
     w.key("rcb_bench").value(std::int64_t{1});
     w.key("bench").value(bench_id_);
@@ -94,7 +95,7 @@ class BenchReport {
     }
     w.end_array();
     w.end_object();
-    os << "\n";
+    os << out << "\n";
     os.flush();
     if (!os) {
       std::fprintf(stderr, "write to '%s' failed\n", path.c_str());

@@ -1,20 +1,24 @@
-// Minimal streaming JSON writer for tool output.
+// Minimal streaming JSON writer for tool output and the on-disk codecs.
 //
 // Writes syntactically valid JSON with string escaping and nesting checks;
-// no DOM, no parsing.  Intended for piping rcb_sim results into external
-// analysis (jq, pandas, ...).
+// no DOM, no parsing.  The sink is a caller-owned std::string the writer
+// appends to; callers write the finished string wherever it goes (stdout,
+// a file, a journal frame).  Numbers are formatted with std::to_chars:
+// doubles as printf "%.17g" (chars_format::general, precision 17 -- the
+// standard defines it as that conversion), so every finite double
+// round-trips bit-exactly; non-finite doubles are written as null.
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace rcb {
 
 class JsonWriter {
  public:
-  explicit JsonWriter(std::ostream& os) : os_(&os) {}
+  /// Appends to `out`, which must outlive the writer.
+  explicit JsonWriter(std::string& out) : out_(&out) {}
 
   JsonWriter& begin_object();
   JsonWriter& end_object();
@@ -23,27 +27,35 @@ class JsonWriter {
 
   /// Emits a key inside an object; must be followed by a value or
   /// begin_object/begin_array.
-  JsonWriter& key(const std::string& k);
+  JsonWriter& key(std::string_view k);
 
-  JsonWriter& value(const std::string& v);
-  JsonWriter& value(const char* v);
+  JsonWriter& value(std::string_view v);
+  JsonWriter& value(const char* v) { return value(std::string_view(v)); }
   JsonWriter& value(double v);
   JsonWriter& value(std::int64_t v);
   JsonWriter& value(std::uint64_t v);
   JsonWriter& value(bool v);
 
   /// True when every container has been closed.
-  bool complete() const { return stack_.empty() && wrote_top_level_; }
+  bool complete() const { return depth_ == 0 && wrote_top_level_; }
 
  private:
-  enum class Ctx : std::uint8_t { kObject, kArray };
+  /// Deepest container nesting the writer supports (one bit per level).
+  static constexpr int kMaxDepth = 64;
 
+  void push(bool is_object);
   void pre_value();
-  void write_escaped(const std::string& s);
+  void separate();
+  /// Appends `s` quoted, copying each run that needs no escaping in bulk.
+  void write_escaped(std::string_view s);
+  bool in_object() const { return (object_bits_ >> (depth_ - 1)) & 1; }
 
-  std::ostream* os_;
-  std::vector<Ctx> stack_;
-  std::vector<bool> first_in_ctx_;
+  std::string* out_;
+  // One bit per open container, innermost at bit depth_ - 1: whether it is
+  // an object, and whether it has no member yet.
+  std::uint64_t object_bits_ = 0;
+  std::uint64_t empty_bits_ = 0;
+  int depth_ = 0;
   bool pending_key_ = false;
   bool wrote_top_level_ = false;
 };

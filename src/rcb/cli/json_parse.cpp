@@ -316,4 +316,13 @@ JsonParseResult json_parse(std::string_view text) {
   return Parser(text).run();
 }
 
+bool json_exact_u64(double d, std::uint64_t& out) {
+  if (!(d >= 0.0 && d <= static_cast<double>(kMaxExactJsonInt)) ||
+      d != std::floor(d)) {
+    return false;
+  }
+  out = static_cast<std::uint64_t>(d);
+  return true;
+}
+
 }  // namespace rcb

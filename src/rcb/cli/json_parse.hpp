@@ -72,4 +72,15 @@ struct JsonParseResult {
 /// trailing garbage is an error).
 JsonParseResult json_parse(std::string_view text);
 
+/// Largest integer a JSON number (an IEEE double) holds exactly: 2^53.
+/// Integer fields that matter for replay (seeds, budgets, trial indices)
+/// are bounded by it instead of silently losing precision.
+inline constexpr std::uint64_t kMaxExactJsonInt = std::uint64_t{1} << 53;
+
+/// Reads `d` as an exact non-negative integer no larger than
+/// kMaxExactJsonInt.  Returns false, leaving `out` untouched, for anything
+/// else (negative, fractional, too large, NaN); the range is checked before
+/// the conversion, so no input reaches an out-of-range cast.
+bool json_exact_u64(double d, std::uint64_t& out);
+
 }  // namespace rcb

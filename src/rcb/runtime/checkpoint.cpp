@@ -1,10 +1,10 @@
 #include "rcb/runtime/checkpoint.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -77,100 +77,120 @@ bool sync_directory(const std::string& dir) {
 #endif
 }
 
-/// 64-bit counts that can exceed 2^53 travel as hex strings; small counts
-/// (bounded by fleet size / attempt caps) stay JSON numbers.
-std::string record_payload(const CheckpointRecord& rec,
-                           std::uint64_t scenario_dig) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  w.key("trial").value(static_cast<std::uint64_t>(rec.trial));
-  w.key("status").value(rec.status);
-  w.key("attempts").value(static_cast<std::uint64_t>(rec.attempts));
-  w.key("scenario_digest").value(to_hex16(scenario_dig));
-  const TrialOutcome& o = rec.outcome;
-  w.key("outcome").begin_object();
-  w.key("max_cost").value(o.max_cost);
-  w.key("mean_cost").value(o.mean_cost);
-  w.key("adversary_cost").value(o.adversary_cost);
-  w.key("latency").value(o.latency);
-  w.key("success").value(o.success);
-  w.key("aborted").value(o.aborted);
-  w.key("dead_count").value(o.dead_count);
-  w.key("crashed_count").value(o.crashed_count);
-  w.key("digest").value(to_hex16(o.digest));
-  w.end_object();
-  w.end_object();
-  return os.str();
-}
+/// One-pass cursor over the exact byte layout journal_record_payload
+/// writes.  Each method consumes one token or fails; nothing is skipped,
+/// reordered or repaired.
+class PayloadCursor {
+ public:
+  explicit PayloadCursor(std::string_view text) : text_(text) {}
 
-bool exact_u64_field(const JsonValue* v, std::uint64_t& out) {
-  if (v == nullptr || !v->is_number()) return false;
-  const double d = v->as_number();
-  if (!(d >= 0.0) || d != std::floor(d) || d > 9007199254740992.0) {
+  bool at_end() const { return pos_ == text_.size(); }
+  std::size_t pos() const { return pos_; }
+
+  /// Keys, separators and braces, byte for byte.
+  bool lit(std::string_view expected) {
+    if (text_.substr(pos_, expected.size()) != expected) return false;
+    pos_ += expected.size();
+    return true;
+  }
+
+  /// An unsigned integer with no sign, fraction, exponent or leading zero,
+  /// no larger than kMaxExactJsonInt.
+  bool count(std::uint64_t& out) {
+    const char* first = text_.data() + pos_;
+    if (!int_digits()) return false;
+    const auto r = std::from_chars(first, text_.data() + pos_, out);
+    return r.ec == std::errc() && out <= kMaxExactJsonInt;
+  }
+
+  /// A finite JSON number (RFC 8259 grammar).  from_chars rounds
+  /// correctly, so it reads the value strtod would, and every "%.17g"
+  /// text back to the double it was printed from.
+  bool number(double& out) {
+    const char* first = text_.data() + pos_;
+    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+    if (!int_digits()) return false;
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      if (digits() == 0) return false;
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+        ++pos_;
+      }
+      if (digits() == 0) return false;
+    }
+    const char* last = text_.data() + pos_;
+    const auto r = std::from_chars(first, last, out);
+    return r.ec == std::errc() && r.ptr == last && std::isfinite(out);
+  }
+
+  bool flag(bool& out) {
+    if (lit("true")) {
+      out = true;
+      return true;
+    }
+    if (lit("false")) {
+      out = false;
+      return true;
+    }
     return false;
   }
-  out = static_cast<std::uint64_t>(d);
-  return true;
-}
 
-/// Decodes one journal payload.  Returns "" or an error description.
-std::string parse_payload(std::string_view payload, CheckpointRecord& rec,
-                          std::uint64_t& rec_scenario_digest) {
-  const JsonParseResult parsed = json_parse(payload);
-  if (!parsed.ok) return "payload is not valid JSON: " + parsed.error;
-  if (!parsed.value.is_object()) return "payload is not a JSON object";
-  const JsonValue& v = parsed.value;
-
-  if (!exact_u64_field(v.find("trial"), rec.trial)) return "bad trial field";
-  const JsonValue* status = v.find("status");
-  if (status == nullptr || !status->is_string()) return "bad status field";
-  rec.status = status->as_string();
-  std::uint64_t attempts = 0;
-  if (!exact_u64_field(v.find("attempts"), attempts) || attempts == 0 ||
-      attempts > UINT32_MAX) {
-    return "bad attempts field";
-  }
-  rec.attempts = static_cast<std::uint32_t>(attempts);
-  const JsonValue* sd = v.find("scenario_digest");
-  if (sd == nullptr || !sd->is_string() ||
-      !parse_hex_u64(sd->as_string(), rec_scenario_digest)) {
-    return "bad scenario_digest field";
-  }
-
-  const JsonValue* ov = v.find("outcome");
-  if (ov == nullptr || !ov->is_object()) return "bad outcome field";
-  TrialOutcome& o = rec.outcome;
-  auto num = [&](const char* key, double& out) {
-    const JsonValue* f = ov->find(key);
-    if (f == nullptr || !f->is_number()) return false;
-    out = f->as_number();
+  /// A quoted 16-digit lowercase hex u64 (to_hex16's output).
+  bool hex16(std::uint64_t& out) {
+    if (text_.size() - pos_ < 18 || text_[pos_] != '"' ||
+        text_[pos_ + 17] != '"') {
+      return false;
+    }
+    std::uint64_t v = 0;
+    for (std::size_t i = pos_ + 1; i < pos_ + 17; ++i) {
+      const char c = text_[i];
+      if (c >= '0' && c <= '9') {
+        v = (v << 4) | static_cast<std::uint64_t>(c - '0');
+      } else if (c >= 'a' && c <= 'f') {
+        v = (v << 4) | static_cast<std::uint64_t>(c - 'a' + 10);
+      } else {
+        return false;
+      }
+    }
+    pos_ += 18;
+    out = v;
     return true;
-  };
-  auto flag = [&](const char* key, bool& out) {
-    const JsonValue* f = ov->find(key);
-    if (f == nullptr || !f->is_bool()) return false;
-    out = f->as_bool();
-    return true;
-  };
-  if (!num("max_cost", o.max_cost) || !num("mean_cost", o.mean_cost) ||
-      !num("adversary_cost", o.adversary_cost) || !num("latency", o.latency)) {
-    return "bad outcome numeric field";
   }
-  if (!flag("success", o.success) || !flag("aborted", o.aborted)) {
-    return "bad outcome flag field";
+
+  /// One of the three statuses the supervisor journals.
+  bool status(std::string& out) {
+    for (const std::string_view quoted :
+         {"\"ok\"", "\"timed_out\"", "\"failed\""}) {
+      if (lit(quoted)) {
+        out = quoted.substr(1, quoted.size() - 2);
+        return true;
+      }
+    }
+    return false;
   }
-  if (!exact_u64_field(ov->find("dead_count"), o.dead_count) ||
-      !exact_u64_field(ov->find("crashed_count"), o.crashed_count)) {
-    return "bad outcome count field";
+
+ private:
+  std::size_t digits() {
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      ++pos_;
+    }
+    return pos_ - start;
   }
-  const JsonValue* dig = ov->find("digest");
-  if (dig == nullptr || !dig->is_string() ||
-      !parse_hex_u64(dig->as_string(), o.digest)) {
-    return "bad outcome digest field";
+
+  /// "0" or a digit run that does not start with '0'.
+  bool int_digits() {
+    const std::size_t start = pos_;
+    const std::size_t n = digits();
+    return n == 1 || (n > 1 && text_[start] != '0');
   }
-  return "";
-}
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
 
 std::string manifest_json(const Scenario& s) {
   // The scenario is the last key so loaders can slice its exact text out
@@ -231,6 +251,82 @@ std::string write_file_atomic(const std::string& path,
       std::filesystem::path(path).parent_path().string();
   if (!parent.empty() && !sync_directory(parent)) {
     return "cannot fsync directory '" + parent + "': " + errno_string();
+  }
+  return "";
+}
+
+// 64-bit digests travel as hex strings; counts stay JSON numbers (bounded
+// by fleet size and attempt caps, far below 2^53).
+std::string journal_record_payload(const CheckpointRecord& rec,
+                                   std::uint64_t scenario_digest) {
+  std::string out;
+  out.reserve(384);  // a record is ~250-320 bytes: no regrowth while writing
+  JsonWriter w(out);
+  w.begin_object();
+  w.key("trial").value(static_cast<std::uint64_t>(rec.trial));
+  w.key("status").value(rec.status);
+  w.key("attempts").value(static_cast<std::uint64_t>(rec.attempts));
+  w.key("scenario_digest").value(to_hex16(scenario_digest));
+  const TrialOutcome& o = rec.outcome;
+  w.key("outcome").begin_object();
+  w.key("max_cost").value(o.max_cost);
+  w.key("mean_cost").value(o.mean_cost);
+  w.key("adversary_cost").value(o.adversary_cost);
+  w.key("latency").value(o.latency);
+  w.key("success").value(o.success);
+  w.key("aborted").value(o.aborted);
+  w.key("dead_count").value(o.dead_count);
+  w.key("crashed_count").value(o.crashed_count);
+  w.key("digest").value(to_hex16(o.digest));
+  w.end_object();
+  w.end_object();
+  return out;
+}
+
+std::string parse_journal_record_payload(std::string_view payload,
+                                         CheckpointRecord& rec,
+                                         std::uint64_t& scenario_digest) {
+  PayloadCursor c(payload);
+  const auto bad = [&](const char* field) {
+    return std::string("bad ") + field + " field at byte " +
+           std::to_string(c.pos());
+  };
+  std::uint64_t attempts = 0;
+  TrialOutcome& o = rec.outcome;
+  if (!c.lit("{\"trial\":") || !c.count(rec.trial)) return bad("trial");
+  if (!c.lit(",\"status\":") || !c.status(rec.status)) {
+    return bad("status") + " (want \"ok\", \"timed_out\" or \"failed\")";
+  }
+  if (!c.lit(",\"attempts\":") || !c.count(attempts) || attempts == 0 ||
+      attempts > UINT32_MAX) {
+    return bad("attempts");
+  }
+  rec.attempts = static_cast<std::uint32_t>(attempts);
+  if (!c.lit(",\"scenario_digest\":") || !c.hex16(scenario_digest)) {
+    return bad("scenario_digest");
+  }
+  if (!c.lit(",\"outcome\":{\"max_cost\":") || !c.number(o.max_cost)) {
+    return bad("max_cost");
+  }
+  if (!c.lit(",\"mean_cost\":") || !c.number(o.mean_cost)) {
+    return bad("mean_cost");
+  }
+  if (!c.lit(",\"adversary_cost\":") || !c.number(o.adversary_cost)) {
+    return bad("adversary_cost");
+  }
+  if (!c.lit(",\"latency\":") || !c.number(o.latency)) return bad("latency");
+  if (!c.lit(",\"success\":") || !c.flag(o.success)) return bad("success");
+  if (!c.lit(",\"aborted\":") || !c.flag(o.aborted)) return bad("aborted");
+  if (!c.lit(",\"dead_count\":") || !c.count(o.dead_count)) {
+    return bad("dead_count");
+  }
+  if (!c.lit(",\"crashed_count\":") || !c.count(o.crashed_count)) {
+    return bad("crashed_count");
+  }
+  if (!c.lit(",\"digest\":") || !c.hex16(o.digest)) return bad("digest");
+  if (!c.lit("}}") || !c.at_end()) {
+    return "payload does not end after the outcome object (byte " +
+           std::to_string(c.pos()) + ")";
   }
   return "";
 }
@@ -364,7 +460,8 @@ CheckpointLoadResult load_checkpoint(const std::string& dir) {
 
     CheckpointRecord rec;
     std::uint64_t rec_digest = 0;
-    const std::string perr = parse_payload(payload, rec, rec_digest);
+    const std::string perr =
+        parse_journal_record_payload(payload, rec, rec_digest);
     if (!perr.empty()) {
       corrupt(perr);
       return r;
@@ -404,7 +501,7 @@ namespace {
 /// the two paths are byte-identical by construction).
 void append_frame(std::string& out, const CheckpointRecord& rec,
                   std::uint64_t scenario_dig) {
-  const std::string payload = record_payload(rec, scenario_dig);
+  const std::string payload = journal_record_payload(rec, scenario_dig);
   out.reserve(out.size() + payload.size() + 32);
   out += kFramePrefix;
   out += std::to_string(payload.size());

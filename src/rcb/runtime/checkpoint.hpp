@@ -22,10 +22,24 @@
 // refuses them, because silently resuming against the wrong data would
 // fabricate experiment results.
 //
-// The payload embeds every TrialOutcome field (doubles printed with %.17g
-// round-trip exactly; u64 digests travel as hex strings) so an aggregate
-// recomputed from the journal is bit-identical to the uninterrupted run —
-// the property the supervisor's kill/resume tests pin.
+// The payload has one canonical layout, written by one writer
+// (journal_record_payload) and read by one strict reader
+// (parse_journal_record_payload):
+//
+//   {"trial":N,"status":"ok|timed_out|failed","attempts":N,
+//    "scenario_digest":"<hex16>","outcome":{"max_cost":D,"mean_cost":D,
+//    "adversary_cost":D,"latency":D,"success":B,"aborted":B,
+//    "dead_count":N,"crashed_count":N,"digest":"<hex16>"}}
+//
+// on one line, keys in exactly this order, no whitespace.  Counts N are
+// plain integers no larger than 2^53; doubles D are printed as by printf
+// "%.17g" (std::to_chars, general, precision 17), so they round-trip
+// exactly; u64 digests travel as 16 lowercase hex digits.  An aggregate
+// recomputed from the journal is therefore bit-identical to the
+// uninterrupted run — the property the supervisor's kill/resume tests pin.
+// The reader accepts nothing but this layout: a payload that is valid JSON
+// but not canonical (reordered keys, whitespace, an unknown status, "1.0"
+// for a count) is corruption, refused like a flipped byte, never repaired.
 #pragma once
 
 #include <atomic>
@@ -36,6 +50,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -83,6 +98,18 @@ struct CheckpointLoadResult {
   bool truncated_tail = false;
   std::uint64_t journal_valid_bytes = 0;
 };
+
+/// The canonical journal payload of `rec` (the layout above), stamped with
+/// `scenario_digest`.  The frame around it is added by CheckpointWriter.
+std::string journal_record_payload(const CheckpointRecord& rec,
+                                   std::uint64_t scenario_digest);
+
+/// Decodes a payload in the canonical layout into `rec` and the stamped
+/// `scenario_digest`, in one pass.  Returns "" or a description of the
+/// first deviation from the layout (with its byte offset).
+std::string parse_journal_record_payload(std::string_view payload,
+                                         CheckpointRecord& rec,
+                                         std::uint64_t& scenario_digest);
 
 /// Reads and verifies a checkpoint directory.  ok=false means the
 /// checkpoint is unusable (missing/corrupt manifest, corrupt record,

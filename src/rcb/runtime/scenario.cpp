@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 #include "rcb/adversary/mc_strategies.hpp"
@@ -41,20 +40,6 @@ struct Digest {
   void mix(bool v) { mix(static_cast<std::uint64_t>(v)); }
 };
 
-/// JSON numbers are doubles; 64-bit integers round-trip exactly only up to
-/// 2^53.  Scenario fields that matter for replay (seed, budget, slots) are
-/// validated against this bound rather than silently losing precision.
-constexpr std::uint64_t kMaxExactJsonInt = 1ull << 53;
-
-bool exact_u64(double d, std::uint64_t& out) {
-  if (!(d >= 0.0) || d != std::floor(d) ||
-      d > static_cast<double>(kMaxExactJsonInt)) {
-    return false;
-  }
-  out = static_cast<std::uint64_t>(d);
-  return true;
-}
-
 /// brownout_slot uses kNoSlot as the "never" sentinel, which is not
 /// representable as a JSON double; it is encoded as -1.
 double encode_slot(SlotIndex s) {
@@ -64,8 +49,9 @@ double encode_slot(SlotIndex s) {
 }  // namespace
 
 std::string scenario_to_json(const Scenario& s) {
-  std::ostringstream os;
-  JsonWriter w(os);
+  std::string out;
+  out.reserve(640);  // a scenario is ~500 bytes: no regrowth while writing
+  JsonWriter w(out);
   w.begin_object();
   w.key("protocol").value(s.protocol);
   w.key("adversary").value(s.adversary);
@@ -102,7 +88,7 @@ std::string scenario_to_json(const Scenario& s) {
   w.key("cca_ramp_slots").value(static_cast<std::uint64_t>(f.cca_ramp_slots));
   w.end_object();
   w.end_object();
-  return os.str();
+  return out;
 }
 
 std::uint64_t scenario_digest(const Scenario& s) {
@@ -146,7 +132,7 @@ struct Decoder {
     if (v == nullptr || !ok) return;
     if (!v->is_number()) return fail(std::string(key) + ": expected number");
     std::uint64_t u = 0;
-    if (!exact_u64(v->as_number(), u)) {
+    if (!json_exact_u64(v->as_number(), u)) {
       return fail(std::string(key) + ": expected exact non-negative integer");
     }
     if (u > std::numeric_limits<U>::max()) {
@@ -522,17 +508,23 @@ ReproParseResult repro_record_from_json(std::string_view text) {
     rec.file = f->as_string();
   }
   if (const JsonValue* f = v.find("line"); f != nullptr && f->is_number()) {
-    rec.line = static_cast<int>(f->as_number());
+    std::uint64_t line = 0;
+    if (!json_exact_u64(f->as_number(), line) ||
+        line > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      r.error = "line: not an exact integer";
+      return r;
+    }
+    rec.line = static_cast<int>(line);
   }
   if (const JsonValue* f = v.find("master_seed");
       f != nullptr && f->is_number()) {
-    if (!exact_u64(f->as_number(), rec.master_seed)) {
+    if (!json_exact_u64(f->as_number(), rec.master_seed)) {
       r.error = "master_seed: not an exact integer";
       return r;
     }
   }
   if (const JsonValue* f = v.find("trial"); f != nullptr && f->is_number()) {
-    if (!exact_u64(f->as_number(), rec.trial)) {
+    if (!json_exact_u64(f->as_number(), rec.trial)) {
       r.error = "trial: not an exact integer";
       return r;
     }

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <optional>
-#include <sstream>
 
 #include "rcb/cli/json.hpp"
 #include "rcb/cli/json_parse.hpp"
@@ -22,12 +21,10 @@ std::string get_u64(const JsonValue& obj, const char* key,
   if (v == nullptr || !v->is_number()) {
     return std::string("shard spec: missing numeric \"") + key + "\"";
   }
-  const double d = v->as_number();
-  if (d < 0 || d != static_cast<double>(static_cast<std::uint64_t>(d))) {
+  if (!json_exact_u64(v->as_number(), out)) {
     return std::string("shard spec: \"") + key +
-           "\" must be a non-negative integer";
+           "\" must be a non-negative integer no larger than 2^53";
   }
-  out = static_cast<std::uint64_t>(d);
   return "";
 }
 
@@ -129,8 +126,8 @@ std::string write_shard_spec(const std::string& root, const ShardSpec& spec) {
   std::filesystem::create_directories(root, ec);
   if (ec) return "cannot create " + root + ": " + ec.message();
 
-  std::ostringstream os;
-  JsonWriter w(os);
+  std::string out;
+  JsonWriter w(out);
   w.begin_object();
   w.key("rcb_shard_sweep").value(std::int64_t{1});
   w.key("worker_threads").value(static_cast<std::int64_t>(spec.worker_threads));
@@ -155,7 +152,7 @@ std::string write_shard_spec(const std::string& root, const ShardSpec& spec) {
   }
   w.end_array();
   w.end_object();
-  return write_file_atomic(shard_spec_path(root), os.str());
+  return write_file_atomic(shard_spec_path(root), out);
 }
 
 ShardSpecLoadResult load_shard_spec(const std::string& root) {

@@ -16,7 +16,6 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
-#include <sstream>
 
 #include "rcb/cli/json.hpp"
 #include "rcb/cli/json_parse.hpp"
@@ -126,9 +125,7 @@ std::string decode_ctrl_payload(std::string_view payload, CtrlMessage& out) {
   const auto num_field = [&obj](const char* key, std::uint64_t& dst) {
     const JsonValue* v = obj.find(key);
     if (v == nullptr) return true;
-    if (!v->is_number() || v->as_number() < 0) return false;
-    dst = static_cast<std::uint64_t>(v->as_number());
-    return true;
+    return v->is_number() && json_exact_u64(v->as_number(), dst);
   };
   // 64-bit identities (uids, digests, trial-range shard ids) travel as
   // hex16 strings: JSON numbers are doubles and would shear their low bits.
@@ -152,8 +149,8 @@ std::string decode_ctrl_payload(std::string_view payload, CtrlMessage& out) {
 }  // namespace
 
 std::string encode_ctrl_frame(const CtrlMessage& m) {
-  std::ostringstream os;
-  JsonWriter w(os);
+  std::string payload;
+  JsonWriter w(payload);
   w.begin_object();
   w.key("t").value(ctrl_type_name(m.type));
   w.key("uid").value(to_hex16(m.uid));
@@ -166,7 +163,6 @@ std::string encode_ctrl_frame(const CtrlMessage& m) {
   if (!m.root.empty()) w.key("root").value(m.root);
   if (!m.error.empty()) w.key("err").value(m.error);
   w.end_object();
-  const std::string payload = os.str();
   std::string frame = "RCBC ";
   frame += std::to_string(payload.size());
   frame += ' ';

@@ -203,6 +203,35 @@ TEST(ShardSpecTest, RoundTripsThroughDisk) {
   fs::remove_all(root);
 }
 
+TEST(ShardSpecTest, RefusesIntegersNoDoubleHoldsExactly) {
+  // 1e30 overflows u64 (converting it was undefined behaviour) and
+  // 2^53 + 2 is past the largest integer a JSON number holds exactly.
+  const std::string root =
+      (fs::temp_directory_path() / "rcb_shard_spec_inexact").string();
+  for (const char* bad : {"1e30", "9007199254740994", "-1", "2.5"}) {
+    SCOPED_TRACE(bad);
+    fs::remove_all(root);
+    ASSERT_EQ(write_shard_spec(root, make_spec({fast_scenario(7, 9)}, 1)), "");
+    const std::string path = shard_spec_path(root);
+    std::string text;
+    {
+      std::ifstream in(path);
+      text.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+    }
+    const std::size_t at = text.find("\"end\":9");
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at + 6, 1, bad);
+    std::ofstream(path, std::ios::trunc) << text;
+    const ShardSpecLoadResult loaded = load_shard_spec(root);
+    EXPECT_FALSE(loaded.ok);
+    EXPECT_EQ(loaded.error,
+              "shard spec: \"end\" must be a non-negative integer no larger "
+              "than 2^53");
+  }
+  fs::remove_all(root);
+}
+
 TEST(ShardSpecTest, RejectsOverlapAndGap) {
   ShardSpec spec;
   spec.points = {fast_scenario(1, 10)};

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 
 #include "rcb/cli/json.hpp"
 
@@ -77,8 +77,8 @@ TEST(JsonParseTest, DeepNestingRejectedGracefully) {
 }
 
 TEST(JsonParseTest, RoundTripsWriterOutput) {
-  std::ostringstream os;
-  JsonWriter w(os);
+  std::string out;
+  JsonWriter w(out);
   w.begin_object();
   w.key("name").value("rcb \"sim\"\n");
   w.key("trials").value(std::int64_t{128});
@@ -88,7 +88,7 @@ TEST(JsonParseTest, RoundTripsWriterOutput) {
   w.end_array();
   w.end_object();
 
-  const JsonValue v = must_parse(os.str());
+  const JsonValue v = must_parse(out);
   EXPECT_EQ(v.find("name")->as_string(), "rcb \"sim\"\n");
   EXPECT_DOUBLE_EQ(v.find("trials")->as_number(), 128.0);
   EXPECT_DOUBLE_EQ(v.find("rate")->as_number(), 0.375);

@@ -167,6 +167,18 @@ TEST(ReproRecordTest, RejectsMalformedScenarioDigest) {
                    .ok);
 }
 
+TEST(ReproRecordTest, RejectsLineNoIntHolds) {
+  // Converting 1e30 to int was undefined behaviour.
+  for (const char* line : {"1e30", "-1", "2.5", "4294967296"}) {
+    SCOPED_TRACE(line);
+    const ReproParseResult r = repro_record_from_json(
+        std::string(R"({"rcb_repro":1,"kind":"a","expr":"x","file":"f",)") +
+        "\"line\":" + line + "}");
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error, "line: not an exact integer");
+  }
+}
+
 TEST(ReproRecordTest, FormattedRecordEmbedsScenarioDigest) {
   // format_repro_record with a scenario-bearing context stamps the digest,
   // and the record round-trips through the parser.

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "rcb/common/mathutil.hpp"
 #include "rcb/runtime/checkpoint.hpp"
 #include "rcb/runtime/coordinator.hpp"
 #include "rcb/runtime/retry_io.hpp"
@@ -73,6 +74,29 @@ TEST(CtrlFrameTest, RoundTripsEveryTypeAndField) {
     EXPECT_EQ(got.root, sent.root);
     EXPECT_EQ(got.error, sent.error);
     EXPECT_EQ(dec.next(got, err), 0);  // exactly one frame
+  }
+}
+
+TEST(CtrlFrameTest, RefusesCountsNoDoubleHoldsExactly) {
+  // The frame checksum is valid, so only the field check can refuse these;
+  // converting 1e30 to u64 was undefined behaviour.
+  for (const char* bad : {"1e30", "9007199254740994", "-1", "2.5"}) {
+    SCOPED_TRACE(bad);
+    const std::string frame = encode_ctrl_frame(full_message(CtrlType::kHello));
+    std::string payload = frame.substr(frame.find('{'));
+    payload.pop_back();  // the frame's '\n'
+    const std::size_t at = payload.find("\"pid\":12345");
+    ASSERT_NE(at, std::string::npos) << payload;
+    payload.replace(at + 6, 5, bad);
+    const std::string forged = "RCBC " + std::to_string(payload.size()) + " " +
+                               to_hex16(fnv1a64(payload)) + " " + payload +
+                               "\n";
+    CtrlFrameDecoder dec;
+    dec.feed(forged.data(), forged.size());
+    CtrlMessage got;
+    std::string err;
+    EXPECT_EQ(dec.next(got, err), -1);
+    EXPECT_NE(err.find("malformed field"), std::string::npos) << err;
   }
 }
 

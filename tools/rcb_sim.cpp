@@ -254,7 +254,8 @@ int run_tool(int argc, const char* const* argv) {
   };
 
   if (format == "json") {
-    JsonWriter json(std::cout);
+    std::string out;
+    JsonWriter json(out);
     json.begin_object();
     json.key("protocol").value(ran.protocol);
     json.key("adversary").value(ran.adversary);
@@ -291,7 +292,7 @@ int run_tool(int argc, const char* const* argv) {
     emit("adversary_cost", agg.adversary_cost);
     emit("latency", agg.latency);
     json.end_object();
-    std::cout << '\n';
+    std::cout << out << '\n';
     return finish();
   }
 
