@@ -12,9 +12,10 @@
 #include <memory>
 
 #include "bench_util.hpp"
+#include "rcb/adversary/mc_strategies.hpp"
 #include "rcb/protocols/broadcast_n.hpp"
 #include "rcb/runtime/montecarlo.hpp"
-#include "rcb/sim/slot_engine.hpp"
+#include "rcb/sim/mc_slot_engine.hpp"
 
 namespace rcb {
 namespace {
@@ -54,20 +55,21 @@ Outcome measure(MakeAdv make_adv, std::uint64_t seed) {
 /// Reactive adversary: starts jamming permanently the moment it first
 /// observes a transmission, until the budget runs out.  This is the most
 /// aggressive causal response available to a 1-uniform adversary.
-class TriggerHappy final : public SlotAdversary {
+class TriggerHappy final : public McSlotAdversary {
  public:
   explicit TriggerHappy(Cost budget) : budget_(budget) {}
-  bool jam(SlotIndex, std::span<const SlotActivity> history) override {
+  std::uint64_t jam_mask(SlotIndex, std::uint32_t,
+                         std::span<const McSlotActivity> history) override {
     if (!triggered_ && !history.empty() && history.back().senders > 0) {
       triggered_ = true;
     }
-    if (!triggered_ || budget_ == 0) return false;
+    if (!triggered_ || budget_ == 0) return 0;
     --budget_;
-    return true;
+    return 1;
   }
-  bool jam_run(SlotIndex begin, SlotIndex end,
-               std::span<const SlotActivity> history,
-               JamRunSink& sink) override {
+  bool jam_run_masks(SlotIndex begin, SlotIndex end, std::uint32_t,
+                     std::span<const McSlotActivity> history,
+                     McJamRunSink& sink) override {
     // The trigger can only fire on the run's first slot (later run slots
     // look back at silence); once triggered, jam until the budget is dry.
     if (!triggered_ && !history.empty() && history.back().senders > 0) {
@@ -75,8 +77,8 @@ class TriggerHappy final : public SlotAdversary {
     }
     const SlotCount len = end - begin;
     const SlotCount jams = triggered_ ? std::min<SlotCount>(budget_, len) : 0;
-    sink.append(jams, true);
-    sink.append(len - jams, false);
+    sink.append(jams, 1);
+    sink.append(len - jams, 0);
     budget_ -= jams;
     return true;
   }
@@ -87,35 +89,15 @@ class TriggerHappy final : public SlotAdversary {
   bool triggered_ = false;
 };
 
-/// Committed suffix of the same size at the end of the phase.
-class SuffixSlotAdversary final : public SlotAdversary {
- public:
-  SuffixSlotAdversary(SlotCount num_slots, Cost budget)
-      : start_(num_slots > budget ? num_slots - budget : 0) {}
-  bool jam(SlotIndex slot, std::span<const SlotActivity>) override {
-    return slot >= start_;
-  }
-  bool jam_run(SlotIndex begin, SlotIndex end, std::span<const SlotActivity>,
-               JamRunSink& sink) override {
-    const SlotIndex split = std::clamp(start_, begin, end);
-    sink.append(split - begin, false);
-    sink.append(end - split, true);
-    return true;
-  }
-  SlotCount history_window() const override { return 0; }
-
- private:
-  SlotIndex start_;
-};
-
 /// Uniform random jamming of the same expected size.
-class RandomSlotAdversary final : public SlotAdversary {
+class RandomSlotAdversary final : public McSlotAdversary {
  public:
   RandomSlotAdversary(SlotCount num_slots, Cost budget, Rng& rng)
       : rate_(static_cast<double>(budget) / static_cast<double>(num_slots)),
         rng_(&rng) {}
-  bool jam(SlotIndex, std::span<const SlotActivity>) override {
-    return rng_->bernoulli(rate_);
+  std::uint64_t jam_mask(SlotIndex, std::uint32_t,
+                         std::span<const McSlotActivity>) override {
+    return rng_->bernoulli(rate_) ? 1 : 0;
   }
   SlotCount history_window() const override { return 0; }
 
@@ -130,10 +112,12 @@ double blocked_fraction(int which, Cost jam_budget, std::uint64_t seed) {
   std::vector<NodeAction> actions = {NodeAction{p, Payload::kMessage, 0.0},
                                      NodeAction{0.0, Payload::kNoise, p}};
   auto samples = run_trials<bool>(600, seed, [&](std::size_t, Rng& rng) {
-    std::unique_ptr<SlotAdversary> adv;
+    std::unique_ptr<McSlotAdversary> adv;
     switch (which) {
-      case 0:
-        adv = std::make_unique<SuffixSlotAdversary>(slots, jam_budget);
+      case 0:  // committed suffix of the same size at the end of the phase
+        adv = std::make_unique<McScheduleAdversary>(std::vector{
+            JamSchedule::suffix(slots, slots > jam_budget ? slots - jam_budget
+                                                          : 0)});
         break;
       case 1:
         adv = std::make_unique<TriggerHappy>(jam_budget);
@@ -142,7 +126,8 @@ double blocked_fraction(int which, Cost jam_budget, std::uint64_t seed) {
         adv = std::make_unique<RandomSlotAdversary>(slots, jam_budget, rng);
         break;
     }
-    const auto r = run_repetition_slotwise(slots, actions, *adv, rng);
+    const auto r = run_repetition_slotwise_mc(slots, actions,
+                                              ChannelPlan{1, {}}, *adv, rng);
     return r.rep.obs[1].messages == 0;  // delivery blocked?
   });
   int blocked = 0;

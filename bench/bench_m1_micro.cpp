@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "rcb/adversary/mc_strategies.hpp"
 #include "rcb/protocols/broadcast_n.hpp"
 #include "rcb/rng/rng.hpp"
 #include "rcb/rng/sampling.hpp"
@@ -24,8 +25,8 @@
 #include "rcb/runtime/scenario.hpp"
 #include "rcb/runtime/thread_pool.hpp"
 #include "rcb/sim/engine_kernels.hpp"
+#include "rcb/sim/mc_slot_engine.hpp"
 #include "rcb/sim/repetition_engine.hpp"
-#include "rcb/sim/slot_engine.hpp"
 
 namespace rcb {
 namespace {
@@ -67,30 +68,22 @@ std::vector<NodeAction> make_actions(int n, double total_rate) {
 }
 
 /// Never jams, needs no history (the cheapest adaptive adversary).
-class Passive final : public SlotAdversary {
- public:
-  bool jam(SlotIndex, std::span<const SlotActivity>) override { return false; }
-  bool jam_run(SlotIndex begin, SlotIndex end,
-               std::span<const SlotActivity>, JamRunSink& sink) override {
-    sink.append(end - begin, false);
-    return true;
-  }
-  SlotCount history_window() const override { return 0; }
-};
+using Passive = McNoJam;
 
 /// Jams iff the previous slot carried a transmission (1-slot lookback).
-class Reactive final : public SlotAdversary {
+class Reactive final : public McSlotAdversary {
  public:
-  bool jam(SlotIndex, std::span<const SlotActivity> history) override {
-    return !history.empty() && history.back().senders > 0;
+  std::uint64_t jam_mask(SlotIndex, std::uint32_t,
+                         std::span<const McSlotActivity> history) override {
+    return !history.empty() && history.back().senders > 0 ? 1 : 0;
   }
-  bool jam_run(SlotIndex begin, SlotIndex end,
-               std::span<const SlotActivity> history,
-               JamRunSink& sink) override {
+  bool jam_run_masks(SlotIndex begin, SlotIndex end, std::uint32_t,
+                     std::span<const McSlotActivity> history,
+                     McJamRunSink& sink) override {
     // Only the run's first slot can see a transmission in its lookback.
     const bool first = !history.empty() && history.back().senders > 0;
-    sink.append(1, first);
-    sink.append(end - begin - 1, false);
+    sink.append(1, first ? 1 : 0);
+    sink.append(end - begin - 1, 0);
     return true;
   }
   SlotCount history_window() const override { return 1; }
@@ -167,7 +160,8 @@ void BM_SlotwiseEngine(benchmark::State& state) {
   Rng rng(5);
   double events = 0;
   for (auto _ : state) {
-    auto r = run_repetition_slotwise(slots, actions, adversary, rng);
+    auto r = run_repetition_slotwise_mc(slots, actions, ChannelPlan{1, {}},
+                                        adversary, rng);
     events += static_cast<double>(r.event_count);
     benchmark::DoNotOptimize(r.rep.obs.data());
   }
@@ -184,7 +178,9 @@ void BM_SlotwiseEngineDense(benchmark::State& state) {
   Rng rng(6);
   double events = 0;
   for (auto _ : state) {
-    auto r = run_repetition_slotwise_dense(slots, actions, adversary, rng);
+    auto r = run_repetition_slotwise_mc_dense(slots, actions,
+                                              ChannelPlan{1, {}}, adversary,
+                                              rng);
     events += static_cast<double>(r.event_count);
     benchmark::DoNotOptimize(r.rep.obs.data());
   }

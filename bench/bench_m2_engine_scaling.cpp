@@ -3,11 +3,13 @@
 // Sweeps fleet size n and phase length (slots) across the three channel
 // engines under sparse, protocol-like activity (O(1) expected events per
 // node per phase), with and without imperfect CCA and an active fault
-// plan.  The point: the batch engine and the rewritten slotwise engine are
-// O(slots + events), the dense reference is O(slots * nodes), so the
-// event-driven paths sustain orders of magnitude more simulated slots per
-// second at scale — this bench pins the number (the ISSUE-2 acceptance bar
-// is >= 5x slotwise-event over dense at n=1024, slots=2^20).
+// plan.  The slotwise rows run the slotwise engine at C = 1 (the
+// single-channel model).  The point: the batch engine and the event-driven
+// slotwise engine are O(slots + events), the dense reference is
+// O(slots * nodes), so the event-driven paths sustain orders of magnitude
+// more simulated slots per second at scale — this bench pins the number
+// (the acceptance bar is >= 5x slotwise-event over dense at n=1024,
+// slots=2^20).
 //
 // Emits BENCH_m2.json (bench_util.hpp schema) for tools/bench_compare.
 // Default grid runs in tens of seconds; --full expands to n=4096 and
@@ -33,30 +35,33 @@
 #include "rcb/sim/channel_plan.hpp"
 #include "rcb/sim/mc_slot_engine.hpp"
 #include "rcb/sim/repetition_engine.hpp"
-#include "rcb/sim/slot_engine.hpp"
 
 namespace rcb {
 namespace {
 
 /// Jams iff the previous slot carried a transmission — a representative
 /// reactive strategy with a 1-slot lookback window.
-class Reactive final : public SlotAdversary {
+class Reactive final : public McSlotAdversary {
  public:
-  bool jam(SlotIndex, std::span<const SlotActivity> history) override {
-    return !history.empty() && history.back().senders > 0;
+  std::uint64_t jam_mask(SlotIndex, std::uint32_t,
+                         std::span<const McSlotActivity> history) override {
+    return !history.empty() && history.back().senders > 0 ? 1 : 0;
   }
-  bool jam_run(SlotIndex begin, SlotIndex end,
-               std::span<const SlotActivity> history,
-               JamRunSink& sink) override {
+  bool jam_run_masks(SlotIndex begin, SlotIndex end, std::uint32_t,
+                     std::span<const McSlotActivity> history,
+                     McJamRunSink& sink) override {
     // Only the run's first slot can see a transmission in its lookback;
     // every later slot looks back at a silent run slot.
     const bool first = !history.empty() && history.back().senders > 0;
-    sink.append(1, first);
-    sink.append(end - begin - 1, false);
+    sink.append(1, first ? 1 : 0);
+    sink.append(end - begin - 1, 0);
     return true;
   }
   SlotCount history_window() const override { return 1; }
 };
+
+/// The single-channel model: the slotwise engine at C = 1.
+const ChannelPlan kSingle{1, {}};
 
 /// Sparse protocol-like activity: ~2 sends and ~2 listens expected per node
 /// per phase, independent of phase length.
@@ -191,8 +196,8 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
           const auto m = measure(
               [&](int rep) {
                 Rng rng = Rng::stream(seed, cell * 1000 + rep);
-                const auto r = run_repetition_slotwise(
-                    slots, actions, adversary, rng, v.cca,
+                const auto r = run_repetition_slotwise_mc(
+                    slots, actions, kSingle, adversary, rng, v.cca,
                     v.faults ? &faults : nullptr);
                 return r.event_count;
               },
@@ -215,8 +220,8 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
           const auto m = measure(
               [&](int rep) {
                 Rng rng = Rng::stream(seed, cell * 1000 + rep);
-                const auto r = run_repetition_slotwise_dense(
-                    slots, actions, adversary, rng, v.cca, nullptr);
+                const auto r = run_repetition_slotwise_mc_dense(
+                    slots, actions, kSingle, adversary, rng, v.cca, nullptr);
                 return r.event_count;
               },
               0.1, 4, slots);
@@ -234,10 +239,10 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
   // the uniform-split jammer's draw cost at C = 1/8.
   // Eventless runs are answered in bulk via jam_run_masks, so throughput
   // should be near-flat in C under sparse activity (C=64 pins the full-mask
-  // group-resolution bound); C=1 doubles as a live measurement of the
-  // degeneration path's overhead vs the single-channel slotwise_event rows
-  // above.  The mc event-vs-dense speedup at C=1 is emitted as
-  // m2/channels/speedup for the bench_compare hard gate.
+  // group-resolution bound); C=1 is the single-channel model under a
+  // different jammer than the slotwise_event rows above.  The event-vs-dense
+  // speedup at C=1 is emitted as m2/channels/speedup for the bench_compare
+  // hard gate.
   {
     const auto actions = sparse_actions(accept_n, accept_slots);
     const auto random_hops = [&](std::uint32_t c) {

@@ -243,38 +243,4 @@ bool McScheduleAdversary::jam_run_masks(SlotIndex begin, SlotIndex end,
   return true;
 }
 
-std::uint64_t McFromSlotAdversary::jam_mask(
-    SlotIndex slot, std::uint32_t,
-    std::span<const McSlotActivity> history) {
-  scratch_.clear();
-  scratch_.reserve(history.size());
-  for (const McSlotActivity& rec : history) {
-    scratch_.push_back(SlotActivity{rec.slot, rec.senders,
-                                    (rec.jam_mask & 1) != 0});
-  }
-  return inner_.jam(slot, scratch_) ? 1 : 0;
-}
-
-bool McFromSlotAdversary::jam_run_masks(
-    SlotIndex begin, SlotIndex end, std::uint32_t,
-    std::span<const McSlotActivity> history, McJamRunSink& sink) {
-  // Translate the history exactly as jam_mask() does, then let the inner
-  // adversary answer (or decline) the run; scratch_ is rebuilt on every
-  // call, so filling it before a decline mutates nothing observable.
-  scratch_.clear();
-  scratch_.reserve(history.size());
-  for (const McSlotActivity& rec : history) {
-    scratch_.push_back(SlotActivity{rec.slot, rec.senders,
-                                    (rec.jam_mask & 1) != 0});
-  }
-  JamRunSink inner_sink;
-  if (!inner_.jam_run(begin, end, scratch_, inner_sink)) return false;
-  // Both sinks share kMaxSegments and bool -> mask preserves segment
-  // boundaries, so the converted appends cannot overflow.
-  for (const JamRunSink::Segment& seg : inner_sink.segments()) {
-    sink.append(seg.length, seg.decision ? std::uint64_t{1} : 0);
-  }
-  return true;
-}
-
 }  // namespace rcb

@@ -105,10 +105,11 @@ class McSweepJammer final : public McSlotAdversary {
 };
 
 /// Replays one committed JamSchedule per channel — the deterministic
-/// adversary the multi-channel engine crosscheck drives both engines with
-/// (its decisions are a pure function of the slot index, so event and
-/// dense consultations agree exactly).  Unbudgeted: charges are whatever
-/// the schedules say.
+/// adversary the engine crosscheck drives both engines with (its decisions
+/// are a pure function of the slot index, so event and dense consultations
+/// agree exactly).  With one schedule it is the Lemma-1 committed jammer of
+/// the single-channel model.  Unbudgeted: charges are whatever the
+/// schedules say.
 class McScheduleAdversary final : public McSlotAdversary {
  public:
   explicit McScheduleAdversary(std::vector<JamSchedule> per_channel);
@@ -122,30 +123,6 @@ class McScheduleAdversary final : public McSlotAdversary {
 
  private:
   std::vector<JamSchedule> per_channel_;
-};
-
-/// Adapts a single-channel SlotAdversary to the multi-channel interface:
-/// channel 0 carries the inner adversary's decision, all other channels
-/// stay clear.  With C=1 this is the exact bridge the degeneration oracle
-/// uses to compare the multi-channel engines against the single-channel
-/// ones — the inner adversary sees the same per-slot history (translated
-/// record-for-record) it would see under run_repetition_slotwise.
-class McFromSlotAdversary final : public McSlotAdversary {
- public:
-  explicit McFromSlotAdversary(SlotAdversary& inner) : inner_(inner) {}
-  std::uint64_t jam_mask(SlotIndex slot, std::uint32_t num_channels,
-                         std::span<const McSlotActivity> history) override;
-  bool jam_run_masks(SlotIndex begin, SlotIndex end,
-                     std::uint32_t num_channels,
-                     std::span<const McSlotActivity> history,
-                     McJamRunSink& sink) override;
-  SlotCount history_window() const override {
-    return inner_.history_window();
-  }
-
- private:
-  SlotAdversary& inner_;
-  std::vector<SlotActivity> scratch_;
 };
 
 }  // namespace rcb

@@ -2,13 +2,15 @@
 //
 // The batch engine in sim/repetition_engine.hpp restricts adversaries to the
 // Lemma-1 canonical form: commit to a jam schedule before the phase, given
-// only public history.  A SlotAdversary is strictly stronger — it is
+// only public history.  A McSlotAdversary is strictly stronger — it is
 // consulted before *every* slot and sees the full physical trace of the
-// phase so far (who transmitted, what it jammed).  sim/slot_engine.hpp runs
-// this model; bench E10 uses it to validate Lemma 1 empirically.
+// phase so far (which channels carried transmissions, what it jammed).
+// sim/mc_slot_engine.hpp runs this model over C channels; at C = 1 it is
+// the paper's single-channel reactive model, which bench E10 uses to
+// validate Lemma 1 empirically.
 //
-// History contract (what `jam` may rely on):
-//   * `history` holds one SlotActivity record per elapsed slot of the
+// History contract (what `jam_mask` may rely on):
+//   * `history` holds one McSlotActivity record per elapsed slot of the
 //     current phase, in slot order, *including* slots in which nobody
 //     transmitted (materialized as zero-sender records) — history.size()
 //     equals the current slot index unless the adversary bounds its window.
@@ -23,14 +25,14 @@
 //     the adversary is oblivious to history (time-triggered or randomized
 //     strategies) and always receives an empty span.
 // Bulk consultation (the engine fast path):
-//   Most of a phase is *eventless* — nobody sends or listens.  For a maximal
-//   eventless run of slots the engine may call jam_run() once instead of
-//   jam() per slot.  Answering is optional (the default declines, and the
-//   engine falls back to per-slot jam() calls, bit-identical to the
-//   one-call-per-slot contract); an adversary that answers must produce
-//   exactly the decisions repeated jam() calls would have produced, where
-//   each elapsed run slot appears in the materialized history as a
-//   zero-sender record carrying the adversary's own decision.
+//   Most of a phase is *eventless* — nobody sends or listens.  For an
+//   eventless run of slots the engine may call jam_run_masks() once
+//   instead of jam_mask() per slot.  Answering is optional (the default
+//   declines, and the engine falls back to per-slot jam_mask() calls,
+//   bit-identical to the one-call-per-slot contract); an adversary that
+//   answers must produce exactly the masks repeated jam_mask() calls would
+//   have produced, where each elapsed run slot appears in the materialized
+//   history as a zero-sender record carrying the adversary's own mask.
 #pragma once
 
 #include <array>
@@ -42,35 +44,25 @@
 
 namespace rcb {
 
-/// What the adversary can observe about an elapsed slot: transmissions are
-/// physically detectable, listening is passive and invisible.
-struct SlotActivity {
-  SlotIndex slot = 0;
-  std::uint32_t senders = 0;
-  bool jammed = false;
-};
-
-/// Run-length-encoded per-slot decisions for one eventless run, filled by
-/// the bulk consultation hooks (SlotAdversary::jam_run emits bools,
-/// McSlotAdversary::jam_run_masks emits 64-bit channel masks).  Capacity is
-/// deliberately small.  When append() returns false, a single-channel
-/// strategy declines the jam_run call and the engine drives it slot by
-/// slot; a multi-channel strategy answers the prefix the sink already holds
-/// and the engine offers it the rest of the run again.
-template <typename Decision>
-class RunSink {
+/// Run-length-encoded per-slot jam masks for one eventless run, filled by
+/// the bulk consultation hook McSlotAdversary::jam_run_masks: one 64-bit
+/// mask per run slot (bit c jams channel c — the same value jam_mask()
+/// would have returned).  Capacity is deliberately small.  When append()
+/// returns false, a strategy answers the prefix the sink already holds and
+/// the engine offers it the rest of the run again (or it declines, and the
+/// engine drives the run slot by slot).
+class McJamRunSink {
  public:
   static constexpr std::size_t kMaxSegments = 64;
 
   struct Segment {
     SlotCount length;
-    Decision decision;
+    std::uint64_t decision;
   };
 
-  /// Appends `length` slots with one decision; adjacent same-decision
-  /// segments merge.  Returns false (sink unchanged) when capacity is
-  /// exhausted — the caller should then decline the bulk call.
-  bool append(SlotCount length, Decision decision) {
+  /// Appends `length` slots with one mask; adjacent same-mask segments
+  /// merge.  Returns false (sink unchanged) when capacity is exhausted.
+  bool append(SlotCount length, std::uint64_t decision) {
     if (length == 0) return true;
     if (count_ > 0 && segments_[count_ - 1].decision == decision) {
       segments_[count_ - 1].length += length;
@@ -96,57 +88,10 @@ class RunSink {
   SlotCount total_ = 0;
 };
 
-/// Single-channel bulk decisions: one bool (jam / don't) per run slot.
-using JamRunSink = RunSink<bool>;
-
-/// Multi-channel bulk decisions: one 64-bit jam mask per run slot (bit c
-/// jams channel c — the same value jam_mask() would have returned).
-using McJamRunSink = RunSink<std::uint64_t>;
-
-/// Adversary interface for the slotwise engine.
-class SlotAdversary {
- public:
-  /// history_window() value meaning "materialize every elapsed slot".
-  static constexpr SlotCount kUnboundedHistory = UINT64_MAX;
-
-  virtual ~SlotAdversary() = default;
-
-  /// Called once per slot in order.  `history` holds the activity of the
-  /// previous slots of this phase (see the history contract above).  Return
-  /// true to jam `slot`.
-  virtual bool jam(SlotIndex slot, std::span<const SlotActivity> history) = 0;
-
-  /// Optional bulk form of jam() for a maximal eventless run [begin, end):
-  /// no node sends or listens in any slot of the run, so every run slot's
-  /// history record is {slot, 0, <own decision>}.  `history` is the state
-  /// as of `begin` (same view jam(begin, ...) would receive).  To answer,
-  /// append decisions for exactly end - begin slots (in slot order) to
-  /// `sink`, advance any internal state exactly as per-slot jam() calls
-  /// would have, and return true.  To decline — the default — return false
-  /// *without mutating any state*; the engine then issues the per-slot
-  /// jam() calls itself.  Answering is a pure optimization: decisions must
-  /// be identical to the per-slot path's, and the engine enforces
-  /// sink.total() == end - begin.
-  virtual bool jam_run(SlotIndex begin, SlotIndex end,
-                       std::span<const SlotActivity> history,
-                       JamRunSink& sink) {
-    (void)begin;
-    (void)end;
-    (void)history;
-    (void)sink;
-    return false;
-  }
-
-  /// Upper bound on how many trailing history records jam() inspects.
-  /// Defaults to unbounded; override for O(1)-lookback strategies so the
-  /// engine can bound its history buffer.
-  virtual SlotCount history_window() const { return kUnboundedHistory; }
-};
-
-/// Multi-channel analogue of SlotActivity: the per-channel physical trace
-/// of one elapsed slot, as 64-bit channel masks (bit c = channel c).
-/// Listening stays passive and invisible, exactly as in the single-channel
-/// model.
+/// What the adversary can observe about an elapsed slot: the per-channel
+/// physical trace, as 64-bit channel masks (bit c = channel c).
+/// Transmissions are physically detectable; listening is passive and
+/// invisible.
 struct McSlotActivity {
   SlotIndex slot = 0;
   /// Channels that carried at least one transmission.
@@ -157,10 +102,11 @@ struct McSlotActivity {
   std::uint32_t senders = 0;
 };
 
-/// Adversary interface for the multi-channel slotwise engine
-/// (sim/mc_slot_engine.hpp).  The jamming budget splits across channels:
-/// each jammed (slot, channel) pair costs one budget unit, so jamming k
-/// channels of one slot costs k — the Chen–Zheng accounting.
+/// Adversary interface for the slotwise engine (sim/mc_slot_engine.hpp).
+/// The jamming budget splits across channels: each jammed (slot, channel)
+/// pair costs one budget unit, so jamming k channels of one slot costs k —
+/// the Chen–Zheng accounting.  At C = 1 the mask is 0 or 1: jam the slot
+/// or not.
 class McSlotAdversary {
  public:
   /// history_window() value meaning "materialize every elapsed slot".
@@ -172,7 +118,7 @@ class McSlotAdversary {
   /// channel c of `slot`.  Bits at or above `num_channels` are ignored by
   /// the engines (strategies must not spend budget on them); every
   /// remaining set bit is charged as one budget unit in the per-channel
-  /// accounting.  The history contract mirrors SlotAdversary::jam.
+  /// accounting.  `history` follows the history contract above.
   virtual std::uint64_t jam_mask(SlotIndex slot, std::uint32_t num_channels,
                                  std::span<const McSlotActivity> history) = 0;
 
@@ -203,8 +149,9 @@ class McSlotAdversary {
     return false;
   }
 
-  /// Upper bound on how many trailing history records jam_mask() inspects;
-  /// same contract as SlotAdversary::history_window.
+  /// Upper bound on how many trailing history records jam_mask() inspects.
+  /// Defaults to unbounded; override for O(1)-lookback strategies so the
+  /// engine can bound its history buffer.
   virtual SlotCount history_window() const { return kUnboundedHistory; }
 };
 

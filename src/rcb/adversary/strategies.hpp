@@ -5,8 +5,10 @@
 // suffix length using everything publicly observable so far.  The
 // RepetitionAdversary interface captures exactly that power: plan() is
 // called once per repetition with the public context and returns a
-// JamSchedule.  Genuinely reactive (slot-by-slot) adversaries live in
-// sim/slot_engine.hpp and are compared against these in bench E10.
+// JamSchedule.  Genuinely reactive (slot-by-slot) adversaries implement
+// McSlotAdversary (adversary/slot_adversary.hpp), run by the slotwise
+// engine in sim/mc_slot_engine.hpp, and are compared against these in
+// bench E10.
 #pragma once
 
 #include <memory>

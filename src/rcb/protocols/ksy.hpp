@@ -40,7 +40,9 @@ struct KsyParams {
   /// Expected deliveries per unjammed epoch (failure e^-c per epoch).
   double c = 4.0;
   std::uint32_t first_epoch = 6;
-  std::uint32_t max_epoch = 40;
+  /// Epoch cap; the default is the last epoch whose 2^epoch-slot phases
+  /// an engine call can run (see OneToOneParams::max_epoch).
+  std::uint32_t max_epoch = event_key::kMaxPhaseEpoch;
   /// A party keeps running while its observed noisy fraction >= this.
   double noise_fraction_threshold = 0.25;
 

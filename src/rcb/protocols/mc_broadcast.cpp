@@ -1,6 +1,7 @@
 #include "rcb/protocols/mc_broadcast.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "rcb/common/contracts.hpp"
@@ -84,6 +85,13 @@ McSlotwiseResult run_phase_hopping(SlotCount num_slots,
 }
 
 }  // namespace
+
+std::uint32_t mc_broadcast_max_epoch(std::uint32_t num_channels) {
+  static_assert(std::has_single_bit(kHopBlocksPerPhase));
+  return num_channels <= 1 ? event_key::kMaxPhaseEpoch
+                           : event_key::kMaxPhaseEpoch +
+                                 std::countr_zero(kHopBlocksPerPhase);
+}
 
 BroadcastNResult run_mc_broadcast(std::uint32_t n, std::uint32_t num_channels,
                                   const OneToOneParams& params,

@@ -28,8 +28,8 @@
 //   nack-free phase.
 //
 // With C=1 the hop draws are skipped entirely, so the execution is the
-// sqrt protocol's structure driven by the (bit-identically degenerate)
-// multi-channel engine.
+// sqrt protocol's structure driven by the slotwise engine's single-channel
+// case.
 #pragma once
 
 #include <cstdint>
@@ -51,5 +51,10 @@ BroadcastNResult run_mc_broadcast(std::uint32_t n, std::uint32_t num_channels,
                                   const OneToOneParams& params,
                                   McSlotAdversary& adversary, Rng& rng,
                                   FaultPlan* faults = nullptr);
+
+/// Last epoch run_mc_broadcast can run over `num_channels` channels.  With
+/// C > 1 a phase is several hop blocks, one engine call each, so it may
+/// outgrow event_key::kMaxSlots by the block count.
+std::uint32_t mc_broadcast_max_epoch(std::uint32_t num_channels);
 
 }  // namespace rcb

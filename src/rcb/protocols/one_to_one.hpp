@@ -35,6 +35,7 @@
 #include "rcb/adversary/two_uniform.hpp"
 #include "rcb/common/types.hpp"
 #include "rcb/rng/rng.hpp"
+#include "rcb/sim/engine_workspace.hpp"
 #include "rcb/sim/faults.hpp"
 
 namespace rcb {
@@ -47,8 +48,10 @@ struct OneToOneParams {
   /// the (empirically negligible at these scales) price of looser Chernoff
   /// slack in the earliest epochs.
   std::uint32_t first_epoch_offset = 11;
-  /// Hard epoch cap so adversaries with huge budgets terminate the sim.
-  std::uint32_t max_epoch = 40;
+  /// Hard epoch cap so adversaries with huge budgets terminate the sim;
+  /// a run still going at the cap ends with hit_epoch_cap.  The default is
+  /// the last epoch whose 2^epoch-slot phases an engine call can run.
+  std::uint32_t max_epoch = event_key::kMaxPhaseEpoch;
   /// Halting threshold as a fraction of p_i * 2^(i-1); the paper's proofs
   /// use 1/4.
   double halt_threshold_factor = 0.25;

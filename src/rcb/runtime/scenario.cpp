@@ -303,6 +303,24 @@ std::unique_ptr<McSlotAdversary> make_mc_adversary(const Scenario& s,
   return nullptr;
 }
 
+namespace {
+
+// The epoch cap run_scenario_trial derives from a non-zero
+// max_epoch_extra: the protocol's first epoch plus the extra (for
+// combined, the later of its two shards' caps).
+std::uint64_t explicit_epoch_cap(const Scenario& s) {
+  const std::uint64_t extra = s.max_epoch_extra;
+  if (s.protocol == "broadcast" || s.protocol == "naive") {
+    return BroadcastNParams::sim().first_epoch + extra;
+  }
+  const std::uint64_t ksy = KsyParams{}.first_epoch + extra;
+  if (s.protocol == "ksy") return ksy;
+  const std::uint64_t fig1 = OneToOneParams::sim(s.eps).first_epoch() + extra;
+  return s.protocol == "combined" ? std::max(fig1, ksy) : fig1;
+}
+
+}  // namespace
+
 std::string validate_scenario(const Scenario& s) {
   if (s.is_broadcast()) {
     if (!make_broadcast_adversary(s)) {
@@ -328,6 +346,23 @@ std::string validate_scenario(const Scenario& s) {
   }
   if (!(s.eps > 0.0 && s.eps < 1.0)) return "eps must be in (0, 1)";
   if (s.trials < 1) return "trials must be >= 1";
+  if ((s.is_broadcast() || s.is_multichannel()) &&
+      s.n > event_key::kMaxNodes) {
+    return "n must be <= " + std::to_string(event_key::kMaxNodes);
+  }
+  // An explicit epoch cap must leave every phase runnable, or the trial
+  // would abort on the engines' slot cap mid-sweep.  The default caps are
+  // clamped to the last runnable epoch instead.
+  if (s.max_epoch_extra > 0) {
+    const std::uint32_t last = s.is_multichannel()
+                                   ? mc_broadcast_max_epoch(s.channels)
+                                   : event_key::kMaxPhaseEpoch;
+    if (explicit_epoch_cap(s) > last) {
+      return "max_epoch_extra " + std::to_string(s.max_epoch_extra) +
+             " puts the epoch cap past epoch " + std::to_string(last) +
+             ", the last whose phases fit the engines";
+    }
+  }
   // Battery mode exists only where BroadcastNParams does; accepting it
   // elsewhere would create scenarios whose digest differs but whose
   // execution is identical — a replay-identity trap.
@@ -380,9 +415,9 @@ TrialOutcome run_scenario_trial(const Scenario& s, std::uint64_t trial) {
     if (s.is_multichannel()) {
       auto adv = make_mc_adversary(s, trial);
       OneToOneParams params = OneToOneParams::sim(s.eps);
-      if (s.max_epoch_extra > 0) {
-        params.max_epoch = params.first_epoch() + s.max_epoch_extra;
-      }
+      params.max_epoch = s.max_epoch_extra > 0
+                             ? params.first_epoch() + s.max_epoch_extra
+                             : mc_broadcast_max_epoch(s.channels);
       r = run_mc_broadcast(s.n, s.channels, params, *adv, rng, fp);
     } else if (s.protocol == "sqrt") {
       auto adv = make_broadcast_adversary(s);

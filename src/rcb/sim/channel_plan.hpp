@@ -9,8 +9,8 @@
 // per-node hop sequence (start, stride) from the trial RNG before the
 // phase, and the engines evaluate it pointwise.  Keeping the hop sequence
 // out of the engines' RNG stream is what lets the event-driven and dense
-// multi-channel engines stay exactly cross-checkable, and what keeps the
-// C=1 code path draw-for-draw identical to the single-channel engines.
+// slotwise engines stay exactly cross-checkable, and why a phase consumes
+// the same draws whatever its channel count.
 #pragma once
 
 #include <cstdint>

@@ -25,20 +25,6 @@ std::size_t count_keys_below_scalar(const std::uint64_t* keys,
   return i;
 }
 
-void fill_history_scalar(SlotActivity* dst, SlotIndex first_slot,
-                         SlotCount len, bool jammed) {
-  for (SlotCount k = 0; k < len; ++k) {
-    dst[k] = SlotActivity{first_slot + k, 0, jammed};
-  }
-}
-
-void fill_mc_history_scalar(McSlotActivity* dst, SlotIndex first_slot,
-                            SlotCount len, std::uint64_t jam_mask) {
-  for (SlotCount k = 0; k < len; ++k) {
-    dst[k] = McSlotActivity{first_slot + k, 0, jam_mask, 0};
-  }
-}
-
 #ifdef RCB_ENGINE_AVX2
 
 __attribute__((target("avx2"))) std::size_t count_keys_below_avx2(
@@ -64,29 +50,6 @@ __attribute__((target("avx2"))) std::size_t count_keys_below_avx2(
   }
   while (i < count && keys[i] < bound) ++i;
   return i;
-}
-
-__attribute__((target("avx2"))) void fill_history_avx2(SlotActivity* dst,
-                                                       SlotIndex first_slot,
-                                                       SlotCount len,
-                                                       bool jammed) {
-  static_assert(sizeof(SlotActivity) == 16);
-  // One SlotActivity is {u64 slot; u32 senders; u8 jammed; pad} — two
-  // records per 256-bit store: [slot, flags, slot+1, flags].
-  const std::uint64_t flags = jammed ? (std::uint64_t{1} << 32) : 0;
-  SlotCount k = 0;
-  if (len >= 2) {
-    __m256i rec = _mm256_set_epi64x(
-        static_cast<std::int64_t>(flags),
-        static_cast<std::int64_t>(first_slot + 1),
-        static_cast<std::int64_t>(flags), static_cast<std::int64_t>(first_slot));
-    const __m256i step = _mm256_set_epi64x(0, 2, 0, 2);
-    for (; k + 2 <= len; k += 2) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + k), rec);
-      rec = _mm256_add_epi64(rec, step);
-    }
-  }
-  for (; k < len; ++k) dst[k] = SlotActivity{first_slot + k, 0, jammed};
 }
 
 __attribute__((target("avx2"))) void fill_mc_history_avx2(
@@ -214,36 +177,27 @@ SortPath sort_event_keys(std::span<std::uint64_t> keys, Arena& scratch) {
   return path;
 }
 
-std::size_t count_keys_below(const std::uint64_t* keys, std::size_t count,
-                             std::uint64_t bound) {
+std::size_t count_keys_below_wide(const std::uint64_t* keys,
+                                  std::size_t count, std::uint64_t bound) {
 #ifdef RCB_ENGINE_AVX2
-  if (count >= 8 && simd::active_mode() == simd::Mode::kAvx2) {
+  if (simd::active_mode() == simd::Mode::kAvx2) {
     return count_keys_below_avx2(keys, count, bound);
   }
 #endif
   return count_keys_below_scalar(keys, count, bound);
 }
 
-void fill_history_records(SlotActivity* dst, SlotIndex first_slot,
-                          SlotCount len, bool jammed) {
+void fill_mc_history_records_wide(McSlotActivity* dst, SlotIndex first_slot,
+                                  SlotCount len, std::uint64_t jam_mask) {
 #ifdef RCB_ENGINE_AVX2
-  if (len >= 8 && simd::active_mode() == simd::Mode::kAvx2) {
-    fill_history_avx2(dst, first_slot, len, jammed);
-    return;
-  }
-#endif
-  fill_history_scalar(dst, first_slot, len, jammed);
-}
-
-void fill_mc_history_records(McSlotActivity* dst, SlotIndex first_slot,
-                             SlotCount len, std::uint64_t jam_mask) {
-#ifdef RCB_ENGINE_AVX2
-  if (len >= 8 && simd::active_mode() == simd::Mode::kAvx2) {
+  if (simd::active_mode() == simd::Mode::kAvx2) {
     fill_mc_history_avx2(dst, first_slot, len, jam_mask);
     return;
   }
 #endif
-  fill_mc_history_scalar(dst, first_slot, len, jam_mask);
+  for (SlotCount k = 0; k < len; ++k) {
+    dst[k] = McSlotActivity{first_slot + k, 0, jam_mask, 0};
+  }
 }
 
 }  // namespace rcb::engine_kernels

@@ -22,34 +22,62 @@
 
 namespace rcb::engine_kernels {
 
+/// Spans shorter than this are handled inline by the scalar loop; longer
+/// ones go to the dispatched (AVX2 or scalar) kernel.
+inline constexpr std::size_t kWideKernelMin = 8;
+
+/// count_keys_below for count >= kWideKernelMin.
+std::size_t count_keys_below_wide(const std::uint64_t* keys,
+                                  std::size_t count, std::uint64_t bound);
+
 /// Number of leading keys (sorted ascending) strictly below `bound` —
 /// event-group and sender/listener boundary resolution over packed keys.
-std::size_t count_keys_below(const std::uint64_t* keys, std::size_t count,
-                             std::uint64_t bound);
+/// Most groups in a sparse phase hold a key or two, so short spans are
+/// scanned inline.
+inline std::size_t count_keys_below(const std::uint64_t* keys,
+                                    std::size_t count, std::uint64_t bound) {
+  if (count >= kWideKernelMin) {
+    return count_keys_below_wide(keys, count, bound);
+  }
+  std::size_t i = 0;
+  while (i < count && keys[i] < bound) ++i;
+  return i;
+}
 
 /// End of the slot group that starts at keys[begin] (keys sorted, `count`
 /// of them, keys[begin] in `slot`): the index of the first key of a later
 /// slot.  pack(slot + 1, ...) wraps to zero at the last representable slot,
-/// so that slot's group is bounded by the key array directly.
+/// so that slot's group is bounded by the key array directly.  A slot with
+/// a single event, the common case, is settled by one comparison.
 inline std::size_t slot_group_end(const std::uint64_t* keys,
                                   std::size_t begin, std::size_t count,
                                   SlotIndex slot) {
   if (slot + 1 == event_key::kMaxSlots) return count;
-  return begin + count_keys_below(keys + begin, count - begin,
-                                  event_key::pack(slot + 1, 0, false, 0));
+  const std::uint64_t bound = event_key::pack(slot + 1, 0, false, 0);
+  const std::size_t next = begin + 1;
+  if (next == count || keys[next] >= bound) return next;
+  return next + count_keys_below(keys + next, count - next, bound);
 }
 
+/// fill_mc_history_records for len >= kWideKernelMin.
+void fill_mc_history_records_wide(McSlotActivity* dst, SlotIndex first_slot,
+                                  SlotCount len, std::uint64_t jam_mask);
+
 /// Writes `len` zero-sender history records with consecutive slots
-/// [first_slot, first_slot + len) and one jam decision into `dst`.
-void fill_history_records(SlotActivity* dst, SlotIndex first_slot,
-                          SlotCount len, bool jammed);
+/// [first_slot, first_slot + len) and one jam mask into `dst`.  A bounded
+/// window keeps only a run's last few records, so short fills are inline.
+inline void fill_mc_history_records(McSlotActivity* dst, SlotIndex first_slot,
+                                    SlotCount len, std::uint64_t jam_mask) {
+  if (len >= kWideKernelMin) {
+    fill_mc_history_records_wide(dst, first_slot, len, jam_mask);
+    return;
+  }
+  for (SlotCount k = 0; k < len; ++k) {
+    dst[k] = McSlotActivity{first_slot + k, 0, jam_mask, 0};
+  }
+}
 
-/// Multi-channel variant: `len` zero-sender McSlotActivity records with
-/// consecutive slots and one jam mask.
-void fill_mc_history_records(McSlotActivity* dst, SlotIndex first_slot,
-                             SlotCount len, std::uint64_t jam_mask);
-
-/// Bounded-window history compaction shared by both slotwise engines:
+/// Bounded-window history compaction of the slotwise engine:
 /// append one record, and once the buffer holds twice the window, drop
 /// everything but the trailing `window` records.  The 2x watermark keeps
 /// the erase_prefix memmove amortized O(1) per push while history_view()

@@ -10,7 +10,6 @@ void EngineWorkspace::begin_trial() {
 void EngineWorkspace::detach_buffers() {
   events.detach();
   send_slots.detach();
-  history.detach();
   mc_history.detach();
   payloads.detach();
 }

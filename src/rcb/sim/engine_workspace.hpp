@@ -57,6 +57,9 @@ inline constexpr std::uint64_t kChannelMask =
 inline constexpr std::uint64_t kMaxNodes = kListenBit;
 inline constexpr std::uint64_t kMaxSlots = std::uint64_t{1}
                                            << (64 - kSlotShift);
+/// Last epoch whose 2^epoch-slot phase fits in one engine call: the
+/// default epoch cap of the protocols whose phases double every epoch.
+inline constexpr std::uint32_t kMaxPhaseEpoch = 64 - kSlotShift;
 
 inline std::uint64_t pack(SlotIndex slot, std::uint32_t channel,
                           bool is_listen, NodeId node) {
@@ -83,8 +86,6 @@ struct EngineWorkspace {
   /// One node's send slots (listen/send half-duplex collision filter).
   ArenaVector<SlotIndex> send_slots{arena};
   /// Materialized adversary history (slotwise engine).
-  ArenaVector<SlotActivity> history{arena};
-  /// Materialized adversary history (multi-channel slotwise engine).
   ArenaVector<McSlotActivity> mc_history{arena};
   /// Per-node effective payload for the phase, skew already applied
   /// (parallel array indexed by node).

@@ -14,9 +14,8 @@
 namespace rcb {
 namespace {
 
-// Identical to the single-channel resolve(): reception on one channel of
-// one slot, given that channel's sender count, single-sender payload and
-// jam bit.
+// Reception on one channel of one slot, given that channel's sender
+// count, single-sender payload and jam bit.
 Reception resolve(std::uint32_t sender_count, Payload single_payload,
                   bool jammed) {
   if (jammed) return Reception::kNoise;
@@ -56,14 +55,14 @@ void record(NodeObservation& o, Reception heard, SlotIndex slot) {
 
 // Materializes the history of an accepted jam_run_masks: `sink` covers the
 // answered prefix of the eventless run starting at `first_slot`, with each
-// segment's mask clipped to the valid-channel set here.  Same tail-only
-// optimization as the single-channel append_run_history: a bounded buffer
+// segment's mask clipped to the valid-channel set here.  A bounded buffer
 // can only ever expose its trailing `window` records, so a run at least
-// that long replaces the buffer with its own tail.
-void append_run_history_mc(ArenaVector<McSlotActivity>& history,
-                           SlotIndex first_slot, const McJamRunSink& sink,
-                           std::uint64_t valid, SlotCount window,
-                           bool bounded) {
+// that long replaces the buffer with just its own tail — this is what makes
+// long eventless runs O(segments) instead of O(slots) for the O(1)-lookback
+// adversaries the fast path exists for.
+void append_run_history(ArenaVector<McSlotActivity>& history,
+                        SlotIndex first_slot, const McJamRunSink& sink,
+                        std::uint64_t valid, SlotCount window, bool bounded) {
   if (window == 0) return;
   const SlotCount len = sink.total();
   if (bounded && len >= window) {
@@ -115,15 +114,23 @@ McSlotwiseResult run_repetition_slotwise_mc(
   McSlotwiseResult result;
   result.rep.obs.resize(actions.size());
 
-  // Presample: identical draw order to the single-channel event engine —
-  // the channel plan only stamps channel bits into the packed keys, it
-  // never touches the Rng stream.
+  // Presample every node's activity into packed event keys.  Node action
+  // draws are independent of jamming, so committing them up front leaves
+  // the adversary's adaptivity intact: it still decides each slot knowing
+  // everything it could have physically observed up to that slot.  The
+  // channel plan only stamps channel bits into the keys; it never touches
+  // the Rng stream.
   EngineWorkspace& ws = engine_workspace();
   const EngineWorkspace::PhaseScope scope(ws);
   engine_kernels::presample_phase(num_slots, actions, rng, ws, faults,
                                   &channels);
   result.event_count = ws.events.size();
 
+  // History buffer.  When the adversary declares a finite lookback window
+  // we keep only a bounded suffix, compacting amortized-O(1); otherwise
+  // every elapsed slot is materialized (empty slots as zero-sender
+  // records).  A window covering the whole phase is equivalent to
+  // unbounded (and never needs compaction, so 2 * window cannot overflow).
   const SlotCount window = adversary.history_window();
   const bool bounded =
       window != McSlotAdversary::kUnboundedHistory && window < num_slots;
@@ -135,6 +142,14 @@ McSlotwiseResult run_repetition_slotwise_mc(
     const std::size_t keep =
         std::min<std::size_t>(history.size(), static_cast<std::size_t>(window));
     return {history.data() + (history.size() - keep), keep};
+  };
+
+  // Budget accounting: one unit per jammed (slot, channel) pair.  Most
+  // masks are 0, so the popcount is only paid for the others.
+  const auto charge = [&](std::uint64_t mask, SlotCount len) {
+    if (mask == 0) return;
+    result.jam_charges += static_cast<Cost>(popcount64(mask)) * len;
+    result.jammed_slots += len;
   };
 
   const std::uint64_t* keys = ws.events.data();
@@ -156,12 +171,9 @@ McSlotwiseResult run_repetition_slotwise_mc(
         RCB_REQUIRE(sink.total() >= 1 &&
                     sink.total() <= next_event_slot - slot);
         for (const McJamRunSink::Segment& seg : sink.segments()) {
-          const std::uint64_t mask = seg.decision & valid;
-          result.jam_charges +=
-              static_cast<Cost>(popcount64(mask)) * seg.length;
-          if (mask != 0) result.jammed_slots += seg.length;
+          charge(seg.decision & valid, seg.length);
         }
-        append_run_history_mc(history, slot, sink, valid, window, bounded);
+        append_run_history(history, slot, sink, valid, window, bounded);
         slot += sink.total();
         continue;
       }
@@ -171,8 +183,7 @@ McSlotwiseResult run_repetition_slotwise_mc(
         const std::uint64_t mask =
             adversary.jam_mask(s, channels.num_channels, history_view()) &
             valid;
-        result.jam_charges += popcount64(mask);
-        if (mask != 0) ++result.jammed_slots;
+        charge(mask, 1);
         if (window > 0) {
           engine_kernels::push_history_compacted(
               history, McSlotActivity{s, 0, mask, 0}, window, bounded);
@@ -185,8 +196,7 @@ McSlotwiseResult run_repetition_slotwise_mc(
     // Event slot: consult the adversary, then settle the per-channel groups.
     const std::uint64_t mask =
         adversary.jam_mask(slot, channels.num_channels, history_view()) & valid;
-    result.jam_charges += popcount64(mask);
-    if (mask != 0) ++result.jammed_slots;
+    charge(mask, 1);
 
     std::uint64_t sender_channels = 0;
     std::uint32_t senders_total = 0;
@@ -196,11 +206,12 @@ McSlotwiseResult run_repetition_slotwise_mc(
     // so each channel's senders and listeners are contiguous.
     while (i < slot_end) {
       const std::uint32_t ch = event_key::channel(keys[i]);
-      // ch + 1 == kMaxChannels would overflow the 6-bit channel field of
-      // pack() (the stray bit ORs into the slot bits instead of carrying),
-      // so the top channel's group is bounded by the slot group directly.
+      // The top used channel's group ends with the slot group: channel_of
+      // is always below num_channels, and num_channels <= kMaxChannels
+      // keeps pack(slot, ch + 1, ...) inside the 6-bit channel field.  At
+      // C = 1 the only group is the slot group.
       const std::size_t ch_end =
-          ch + 1 < kMaxChannels
+          ch + 1 < channels.num_channels
               ? i + engine_kernels::count_keys_below(
                         keys + i, slot_end - i,
                         event_key::pack(slot, ch + 1, false, 0))
@@ -289,9 +300,7 @@ McSlotwiseResult run_repetition_slotwise_mc_dense(
     std::uint64_t sender_channels = 0;
     std::uint32_t senders_total = 0;
     listeners.clear();
-    // Dense reference: two Bernoullis per node per slot, in node order —
-    // the same draw order as the single-channel dense engine, so C=1 with
-    // the equivalent adversary is draw-for-draw identical.
+    // Dense reference: two Bernoullis per node per slot, in node order.
     for (NodeId u = 0; u < actions.size(); ++u) {
       const NodeAction& a = actions[u];
       NodeObservation& o = result.rep.obs[u];

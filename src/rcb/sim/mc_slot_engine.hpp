@@ -1,6 +1,8 @@
-// Multi-channel slotwise engines: C parallel channels, per-(slot, channel)
-// winner resolution, and an adversary that splits its budget across
-// channels (adversary/slot_adversary.hpp, McSlotAdversary).
+// The slotwise engine: a reactive adversary consulted before every slot,
+// over C parallel channels with per-(slot, channel) winner resolution, and
+// an adversary that splits its budget across channels
+// (adversary/slot_adversary.hpp, McSlotAdversary).  At C = 1 this is the
+// paper's single-channel reactive model; there is no other slotwise engine.
 //
 // Model.  Each slot, every node occupies exactly one channel, given by its
 // deterministic hop sequence (sim/channel_plan.hpp); sends and listens land
@@ -11,27 +13,26 @@
 // per slot, in order, and returns a 64-bit jam mask; each jammed
 // (slot, channel) pair is charged one budget unit, so concentrating on one
 // channel costs 1 per slot while flooding all C channels costs C — the
-// Chen–Zheng budget-split accounting.  Over maximal eventless runs the
-// event engine offers the adversary the bulk McSlotAdversary::jam_run_masks
-// consultation (RLE mask segments); declining falls back to per-slot
-// jam_mask calls, bit-identically — the exact multi-channel analogue of the
-// single-channel jam_run fast path.
+// Chen–Zheng budget-split accounting.
 //
-// C=1 degeneration contract (load-bearing; enforced by tests and the fuzz
-// differential oracle): with num_channels == 1, both engines here are
-// draw-for-draw and byte-for-byte identical to their single-channel
-// counterparts in slot_engine.hpp driven by the equivalent SlotAdversary —
-// same Rng consumption, same event order, same observations, same history
-// semantics.  The event path reuses the exact presample + sorted-key sweep
-// of run_repetition_slotwise (channel bits pack as 0, preserving key
-// order), and the dense path mirrors run_repetition_slotwise_dense's
-// per-node-per-slot draw order.
+// Node behaviour is i.i.d. per slot and independent of jamming (jamming
+// affects what listeners *hear*, never whether nodes act).  The event
+// engine therefore presamples each node's send/listen slots with the same
+// geometric skip sampling the batch engine uses, sweeps the slots in
+// order, and touches nodes only on their event slots.  Over maximal
+// eventless runs it offers the adversary the bulk
+// McSlotAdversary::jam_run_masks consultation (RLE mask segments);
+// declining falls back to per-slot jam_mask calls, bit-identically.  Cost:
+// O(num_slots + events) with per-slot adversaries, O(events + runs) with
+// bulk-answering ones, instead of the dense O(num_slots * num_nodes).
 //
-// Like the single-channel pair, the two implementations share per-slot
-// marginals but consume the Rng stream in different orders; on
-// randomness-free action profiles (all probabilities 0 or 1, perfect CCA,
-// no faults) they are exactly equal, which is what the multi-channel
-// crosscheck oracle pins.
+// run_repetition_slotwise_mc_dense keeps the per-node-per-slot loop as a
+// semantic reference: tests and the fuzz crosscheck oracle pin the event
+// path against it, and bench M2 measures the gap.  The two paths implement
+// identical per-slot marginals but consume the Rng stream in different
+// orders; on randomness-free action profiles (all probabilities 0 or 1,
+// perfect CCA, no faults) they are exactly equal.  Their C = 1 output is
+// pinned by digest literals in tests/mc_engine_test.cpp.
 #pragma once
 
 #include <span>
@@ -44,7 +45,7 @@
 
 namespace rcb {
 
-/// Result of a multi-channel slotwise phase.
+/// Result of a slotwise phase: node observations plus the adversary's spend.
 struct McSlotwiseResult {
   RepetitionResult rep;
   /// Total jammed (slot, channel) pairs — the adversary's budget spend for
@@ -56,14 +57,16 @@ struct McSlotwiseResult {
   std::uint64_t event_count = 0;
 };
 
-/// Event-driven multi-channel phase (the production path).
+/// Runs one phase slot by slot, event-driven (the production path).
+/// `cca` and `faults` mirror the batch engine's parameters.
 McSlotwiseResult run_repetition_slotwise_mc(
     SlotCount num_slots, std::span<const NodeAction> actions,
     const ChannelPlan& channels, McSlotAdversary& adversary, Rng& rng,
     const CcaModel& cca = CcaModel{}, FaultPlan* faults = nullptr);
 
-/// Reference implementation: dense O(num_slots * num_nodes) loop, the
-/// semantic oracle the crosscheck tests pin the event path against.
+/// Reference implementation: dense O(num_slots * num_nodes) loop drawing
+/// two Bernoullis per node per slot, the semantic oracle the crosscheck
+/// tests pin the event path against.
 McSlotwiseResult run_repetition_slotwise_mc_dense(
     SlotCount num_slots, std::span<const NodeAction> actions,
     const ChannelPlan& channels, McSlotAdversary& adversary, Rng& rng,

@@ -12,7 +12,6 @@
 #include "rcb/sim/channel_plan.hpp"
 #include "rcb/sim/jam_schedule.hpp"
 #include "rcb/sim/mc_slot_engine.hpp"
-#include "rcb/sim/slot_engine.hpp"
 #include "rcb/stats/rank_test.hpp"
 
 namespace rcb {
@@ -122,40 +121,18 @@ void check_outcomes(const Scenario& s, const OracleOptions& opt, Report& rep) {
 // Oracle (c): event-driven vs dense slotwise crosscheck on an action
 // profile derived from the scenario, plus engine-level conservation.
 
-/// Slotwise adversary replaying a fixed schedule (the Lemma-1 normal form;
-/// deterministic, so both engines must charge identical jam counts).
-class ScheduleAdversary final : public SlotAdversary {
- public:
-  explicit ScheduleAdversary(const JamSchedule& js) : js_(&js) {}
-  bool jam(SlotIndex slot, std::span<const SlotActivity>) override {
-    return js_->is_jammed(slot);
-  }
-  bool jam_run(SlotIndex begin, SlotIndex end, std::span<const SlotActivity>,
-               JamRunSink& sink) override {
-    // Stateless replay of the schedule; decline if the run alternates more
-    // than the sink can encode (the engine then drives jam() per slot).
-    for (SlotIndex s = begin; s < end; ++s) {
-      if (!sink.append(1, js_->is_jammed(s))) return false;
-    }
-    return true;
-  }
-  SlotCount history_window() const override { return 0; }
-
- private:
-  const JamSchedule* js_;
-};
-
 struct EngineProfile {
   SlotCount slots = 256;
   std::vector<NodeAction> actions;
-  JamSchedule jam = JamSchedule::none();
   CcaModel cca;
   bool randomness_free = false;
-  /// Multi-channel extension (channels > 1 only for mc scenarios): hop
-  /// sequences for every node plus one committed jam schedule per channel.
+  /// Channel count (> 1 only for mc scenarios), hop sequences for every
+  /// node when channels > 1, and one committed jam schedule per channel
+  /// (the Lemma-1 normal form; deterministic, so both engines must charge
+  /// identical jams).
   std::uint32_t channels = 1;
   std::vector<ChannelHop> hops;
-  std::vector<JamSchedule> mc_jam;
+  std::vector<JamSchedule> jam;
 
   ChannelPlan plan() const {
     return ChannelPlan{channels, {hops.data(), hops.size()}};
@@ -164,7 +141,7 @@ struct EngineProfile {
 
 /// Derives the engine workload from the scenario: node count from the
 /// fleet, payload/probabilities from a dedicated deterministic stream, jam
-/// fraction from q, CCA drift from the fault config.  Scenarios whose seed
+/// fractions from q, CCA drift from the fault config.  Scenarios whose seed
 /// is 0 mod 4 get a randomness-free profile (all probabilities in {0,1},
 /// drift off), where the two engines must agree bit-for-bit.
 EngineProfile derive_profile(const Scenario& s) {
@@ -186,12 +163,12 @@ EngineProfile derive_profile(const Scenario& s) {
     }
     prof.actions.push_back(a);
   }
-  prof.jam = JamSchedule::blocking_fraction(prof.slots, s.q);
   if (!prof.randomness_free) {
     prof.cca = CcaModel{s.faults.cca_false_busy, s.faults.cca_missed_detection};
   }
-  // Multi-channel workload: per-node hop sequences and one committed
-  // schedule per channel (fractions fan out from s.q so channels differ).
+  // Per-node hop sequences for multi-channel scenarios, and one committed
+  // schedule per channel: fractions fan out from s.q so channels differ,
+  // and a single channel is jammed at exactly s.q.
   prof.channels = s.is_multichannel() ? s.channels : 1;
   if (prof.channels > 1) {
     for (std::size_t u = 0; u < nodes; ++u) {
@@ -199,11 +176,11 @@ EngineProfile derive_profile(const Scenario& s) {
           static_cast<std::uint32_t>(rng.uniform_u64(prof.channels)),
           static_cast<std::uint32_t>(rng.uniform_u64(prof.channels))});
     }
-    for (std::uint32_t c = 0; c < prof.channels; ++c) {
-      const double qc = s.q * static_cast<double>(c + 1) /
-                        static_cast<double>(prof.channels);
-      prof.mc_jam.push_back(JamSchedule::blocking_fraction(prof.slots, qc));
-    }
+  }
+  for (std::uint32_t c = 0; c < prof.channels; ++c) {
+    const double qc = s.q * static_cast<double>(c + 1) /
+                      static_cast<double>(prof.channels);
+    prof.jam.push_back(JamSchedule::blocking_fraction(prof.slots, qc));
   }
   return prof;
 }
@@ -215,13 +192,34 @@ bool obs_equal(const NodeObservation& a, const NodeObservation& b) {
          a.listens_until_first_message == b.listens_until_first_message;
 }
 
-/// Engine-level conservation: what one node did must add up, slot by slot.
+/// Engine-level conservation: the per-(slot, channel) charges must equal
+/// the committed schedules' totals, and what one node did must add up,
+/// slot by slot.
 void check_conservation(const char* engine, const EngineProfile& prof,
-                        const SlotwiseResult& r, Report& rep) {
-  if (r.jammed_slots != prof.jam.jammed_count()) {
-    rep.add("ledger") << engine << " engine charged " << r.jammed_slots
-                      << " jammed slots; the committed schedule has "
-                      << prof.jam.jammed_count();
+                        const McSlotwiseResult& r, Report& rep) {
+  Cost want_charges = 0;
+  SlotCount want_jammed_slots = 0;
+  for (const JamSchedule& js : prof.jam) {
+    want_charges += js.jammed_count();
+  }
+  for (SlotIndex slot = 0; slot < prof.slots; ++slot) {
+    for (const JamSchedule& js : prof.jam) {
+      if (js.is_jammed(slot)) {
+        ++want_jammed_slots;
+        break;
+      }
+    }
+  }
+  if (r.jam_charges != want_charges) {
+    rep.add("ledger") << engine << " engine charged " << r.jam_charges
+                      << " (slot, channel) pairs; the committed schedules "
+                      << "have " << want_charges;
+    rep.commit();
+  }
+  if (r.jammed_slots != want_jammed_slots) {
+    rep.add("ledger") << engine << " engine counted " << r.jammed_slots
+                      << " jammed slots; the committed schedules cover "
+                      << want_jammed_slots;
     rep.commit();
   }
   for (std::size_t u = 0; u < r.rep.obs.size(); ++u) {
@@ -242,54 +240,6 @@ void check_conservation(const char* engine, const EngineProfile& prof,
   }
 }
 
-/// Multi-channel conservation: the engine's per-(slot, channel) charges
-/// must equal the committed schedules' totals, and node observations obey
-/// the same per-slot bounds as in the single-channel engines.
-void check_mc_conservation(const char* engine, const EngineProfile& prof,
-                           const McSlotwiseResult& r, Report& rep) {
-  Cost want_charges = 0;
-  SlotCount want_jammed_slots = 0;
-  for (const JamSchedule& js : prof.mc_jam) {
-    want_charges += js.jammed_count();
-  }
-  for (SlotIndex slot = 0; slot < prof.slots; ++slot) {
-    for (const JamSchedule& js : prof.mc_jam) {
-      if (js.is_jammed(slot)) {
-        ++want_jammed_slots;
-        break;
-      }
-    }
-  }
-  if (r.jam_charges != want_charges) {
-    rep.add("mc_ledger") << engine << " mc engine charged " << r.jam_charges
-                         << " (slot, channel) pairs; the committed schedules "
-                         << "have " << want_charges;
-    rep.commit();
-  }
-  if (r.jammed_slots != want_jammed_slots) {
-    rep.add("mc_ledger") << engine << " mc engine counted " << r.jammed_slots
-                         << " jammed slots; the committed schedules cover "
-                         << want_jammed_slots;
-    rep.commit();
-  }
-  for (std::size_t u = 0; u < r.rep.obs.size(); ++u) {
-    const NodeObservation& o = r.rep.obs[u];
-    const bool ok = o.sends + o.listens <= prof.slots &&
-                    o.heard_total() == o.listens &&
-                    o.listens_until_first_message <= o.listens &&
-                    (o.first_message_slot == kNoSlot ||
-                     o.first_message_slot < prof.slots);
-    if (!ok) {
-      rep.add("mc_ledger") << engine << " mc engine node " << u
-                           << " violates observation conservation (sends="
-                           << o.sends << " listens=" << o.listens
-                           << " heard=" << o.heard_total() << " slots="
-                           << prof.slots << ")";
-      rep.commit();
-    }
-  }
-}
-
 void check_engines(const Scenario& s, const OracleOptions& opt, double alpha,
                    Report& rep) {
   const EngineProfile prof = derive_profile(s);
@@ -299,17 +249,7 @@ void check_engines(const Scenario& s, const OracleOptions& opt, double alpha,
   const auto run_engine = [&](bool dense, std::uint64_t stream) {
     FaultPlan faults(fault_cfg);
     FaultPlan* fp = faults.active() ? &faults : nullptr;
-    ScheduleAdversary adv(prof.jam);
-    Rng rng = Rng::stream(s.seed ^ kProfileSalt, stream);
-    return dense ? run_repetition_slotwise_dense(prof.slots, prof.actions,
-                                                 adv, rng, prof.cca, fp)
-                 : run_repetition_slotwise(prof.slots, prof.actions, adv, rng,
-                                           prof.cca, fp);
-  };
-  const auto run_mc_engine = [&](bool dense, std::uint64_t stream) {
-    FaultPlan faults(fault_cfg);
-    FaultPlan* fp = faults.active() ? &faults : nullptr;
-    McScheduleAdversary adv(prof.mc_jam);
+    McScheduleAdversary adv(prof.jam);
     Rng rng = Rng::stream(s.seed ^ kProfileSalt, stream);
     const ChannelPlan plan = prof.plan();
     return dense ? run_repetition_slotwise_mc_dense(prof.slots, prof.actions,
@@ -318,26 +258,10 @@ void check_engines(const Scenario& s, const OracleOptions& opt, double alpha,
                  : run_repetition_slotwise_mc(prof.slots, prof.actions, plan,
                                               adv, rng, prof.cca, fp);
   };
-  const bool mc = prof.channels > 1;
 
   if (prof.randomness_free) {
-    if (mc) {
-      const McSlotwiseResult ev = run_mc_engine(false, 2);
-      const McSlotwiseResult dn = run_mc_engine(true, 3);
-      check_mc_conservation("event", prof, ev, rep);
-      check_mc_conservation("dense", prof, dn, rep);
-      for (std::size_t u = 0; u < prof.actions.size(); ++u) {
-        if (!obs_equal(ev.rep.obs[u], dn.rep.obs[u])) {
-          rep.add("mc_crosscheck")
-              << "randomness-free profile: node " << u
-              << " differs between the mc event and mc dense engines";
-          rep.commit();
-        }
-      }
-      return;
-    }
-    const SlotwiseResult ev = run_engine(false, 2);
-    const SlotwiseResult dn = run_engine(true, 3);
+    const McSlotwiseResult ev = run_engine(false, 2);
+    const McSlotwiseResult dn = run_engine(true, 3);
     check_conservation("event", prof, ev, rep);
     check_conservation("dense", prof, dn, rep);
     for (std::size_t u = 0; u < prof.actions.size(); ++u) {
@@ -353,32 +277,17 @@ void check_engines(const Scenario& s, const OracleOptions& opt, double alpha,
 
   // Statistical mode: per-run energy and reception totals from each
   // engine; identical per-slot marginals imply identical distributions.
-  // The same gate covers the multi-channel engine pair (same two
-  // comparisons, so the Bonferroni count is unchanged).
   std::vector<double> energy[2], heard[2];
   for (std::size_t k = 0; k < opt.crosscheck_trials; ++k) {
     for (int dense = 0; dense < 2; ++dense) {
       const std::uint64_t stream =
           10 + 2 * k + static_cast<std::uint64_t>(dense);
-      const RepetitionResult* rep_result = nullptr;
-      SlotwiseResult sc;
-      McSlotwiseResult mcr;
-      if (mc) {
-        mcr = run_mc_engine(dense == 1, stream);
-        if (k == 0) {
-          check_mc_conservation(dense == 1 ? "dense" : "event", prof, mcr,
-                                rep);
-        }
-        rep_result = &mcr.rep;
-      } else {
-        sc = run_engine(dense == 1, stream);
-        if (k == 0) {
-          check_conservation(dense == 1 ? "dense" : "event", prof, sc, rep);
-        }
-        rep_result = &sc.rep;
+      const McSlotwiseResult r = run_engine(dense == 1, stream);
+      if (k == 0) {
+        check_conservation(dense == 1 ? "dense" : "event", prof, r, rep);
       }
       double e = 0.0, h = 0.0;
-      for (const NodeObservation& o : rep_result->obs) {
+      for (const NodeObservation& o : r.rep.obs) {
         e += static_cast<double>(o.sends + o.listens);
         h += static_cast<double>(o.messages + o.nacks + o.noise);
       }
@@ -387,75 +296,15 @@ void check_engines(const Scenario& s, const OracleOptions& opt, double alpha,
     }
   }
   if (rank_gate_rejects(energy[0], energy[1], alpha)) {
-    rep.add(mc ? "mc_crosscheck" : "crosscheck")
-        << "per-run energy totals differ between engines "
-        << "(Mann-Whitney at alpha=" << alpha << ")";
+    rep.add("crosscheck") << "per-run energy totals differ between engines "
+                          << "(Mann-Whitney at alpha=" << alpha << ")";
     rep.commit();
   }
   if (rank_gate_rejects(heard[0], heard[1], alpha)) {
-    rep.add(mc ? "mc_crosscheck" : "crosscheck")
-        << "per-run reception totals differ between "
-        << "engines (Mann-Whitney at alpha=" << alpha << ")";
+    rep.add("crosscheck") << "per-run reception totals differ between "
+                          << "engines (Mann-Whitney at alpha=" << alpha << ")";
     rep.commit();
   }
-}
-
-// ---------------------------------------------------------------------------
-// Oracle: C=1 differential degeneration.  For *every* scenario — faults,
-// CCA drift and all — the multi-channel engines at num_channels == 1 must
-// reproduce the single-channel engines draw-for-draw: same Rng stream in,
-// byte-identical observations and jam accounting out.  This is exact (no
-// statistics) because the mc engines are constructed to mirror the
-// single-channel consultation and draw order when C == 1.
-
-void check_degeneration(const Scenario& s, Report& rep) {
-  const EngineProfile prof = derive_profile(s);
-  const FaultConfig& fault_cfg = s.faults;
-  const ChannelPlan single{1, {}};
-
-  const auto run_pair = [&](bool dense, std::uint64_t stream) {
-    FaultPlan faults_sc(fault_cfg);
-    FaultPlan* fp_sc = faults_sc.active() ? &faults_sc : nullptr;
-    ScheduleAdversary adv_sc(prof.jam);
-    Rng rng_sc = Rng::stream(s.seed ^ kProfileSalt, stream);
-    const SlotwiseResult sc =
-        dense ? run_repetition_slotwise_dense(prof.slots, prof.actions,
-                                              adv_sc, rng_sc, prof.cca, fp_sc)
-              : run_repetition_slotwise(prof.slots, prof.actions, adv_sc,
-                                        rng_sc, prof.cca, fp_sc);
-
-    FaultPlan faults_mc(fault_cfg);
-    FaultPlan* fp_mc = faults_mc.active() ? &faults_mc : nullptr;
-    ScheduleAdversary inner(prof.jam);
-    McFromSlotAdversary adv_mc(inner);
-    Rng rng_mc = Rng::stream(s.seed ^ kProfileSalt, stream);
-    const McSlotwiseResult mc =
-        dense ? run_repetition_slotwise_mc_dense(prof.slots, prof.actions,
-                                                 single, adv_mc, rng_mc,
-                                                 prof.cca, fp_mc)
-              : run_repetition_slotwise_mc(prof.slots, prof.actions, single,
-                                           adv_mc, rng_mc, prof.cca, fp_mc);
-
-    const char* kind = dense ? "dense" : "event";
-    if (mc.jam_charges != sc.jammed_slots ||
-        mc.jammed_slots != sc.jammed_slots) {
-      rep.add("degeneration")
-          << kind << " mc engine at C=1 charged " << mc.jam_charges << "/"
-          << mc.jammed_slots << " vs single-channel " << sc.jammed_slots;
-      rep.commit();
-    }
-    for (std::size_t u = 0; u < prof.actions.size(); ++u) {
-      if (!obs_equal(sc.rep.obs[u], mc.rep.obs[u])) {
-        rep.add("degeneration")
-            << kind << " mc engine at C=1: node " << u
-            << " observations differ from the single-channel engine";
-        rep.commit();
-      }
-    }
-  };
-
-  run_pair(false, 4);
-  run_pair(true, 5);
 }
 
 // ---------------------------------------------------------------------------
@@ -535,7 +384,6 @@ std::vector<Violation> check_scenario(const Scenario& s,
 
   check_outcomes(s, opt, rep);
   check_engines(s, opt, alpha, rep);
-  check_degeneration(s, rep);
   check_eps_monotonicity(s, rep);
   if (budget_mono) check_budget_monotonicity(s, opt, alpha, rep);
   return rep.violations;

@@ -96,7 +96,7 @@ Scenario generate_scenario(std::uint64_t seed, std::uint64_t index,
   }
   // Multi-channel axis, decided last so the single-channel draw sequence
   // above is untouched.  Channels are weighted toward C in {1, 2, 4} — the
-  // degeneration boundary, the smallest genuine split, and the acceptance
+  // single-channel model, the smallest genuine split, and the acceptance
   // cell — with a thin tail over the full 1..64 range.
   if (opt.allow_multichannel && rng.bernoulli(0.25)) {
     s.protocol = "mc_broadcast";

@@ -43,7 +43,7 @@ bool halve_nodes(Scenario& s) {
   return true;
 }
 bool drop_channels(Scenario& s) {
-  // C=1 is the degeneration boundary: an mc failure that survives this
+  // C=1 is the single-channel model: an mc failure that survives this
   // rewrite is a single-channel bug wearing multi-channel clothes.
   if (s.channels <= 1) return false;
   s.channels = 1;

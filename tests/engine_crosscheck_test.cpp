@@ -1,7 +1,8 @@
 // Cross-validation of the two channel engines.
 //
-// The batch (event-driven) engine and the slotwise engine implement the
-// same channel semantics through entirely different code paths.  With the
+// The batch (event-driven) engine and the slotwise engine (at C=1, the
+// single-channel model) implement the same channel semantics through
+// entirely different code paths.  With the
 // same per-slot action probabilities and equivalent jam schedules, their
 // observation distributions must agree.  We compare Monte-Carlo means with
 // tolerance scaled to the standard error.
@@ -11,27 +12,27 @@
 #include <cmath>
 #include <vector>
 
+#include "rcb/adversary/mc_strategies.hpp"
 #include "rcb/rng/rng.hpp"
 #include "rcb/sim/cca.hpp"
 #include "rcb/sim/faults.hpp"
 #include "rcb/sim/repetition_engine.hpp"
-#include "rcb/sim/slot_engine.hpp"
+#include "rcb/sim/mc_slot_engine.hpp"
 #include "rcb/stats/rank_test.hpp"
 
 namespace rcb {
 namespace {
 
-/// Slotwise adversary replaying a fixed schedule.
-class ScheduleAdversary final : public SlotAdversary {
- public:
-  explicit ScheduleAdversary(const JamSchedule& js) : js_(&js) {}
-  bool jam(SlotIndex slot, std::span<const SlotActivity>) override {
-    return js_->is_jammed(slot);
-  }
-  SlotCount history_window() const override { return 0; }
+const ChannelPlan kSingle{1, {}};
 
- private:
-  const JamSchedule* js_;
+/// Jams whenever the previous slot carried a transmission.
+class Reactive final : public McSlotAdversary {
+ public:
+  std::uint64_t jam_mask(SlotIndex, std::uint32_t,
+                         std::span<const McSlotActivity> history) override {
+    return !history.empty() && history.back().senders > 0 ? 1 : 0;
+  }
+  SlotCount history_window() const override { return 1; }
 };
 
 struct Moments {
@@ -71,8 +72,8 @@ TEST_P(EngineCrosscheckTest, MeansAgree) {
     }
     {
       Rng rng = Rng::stream(2, t);
-      ScheduleAdversary adv(jam);
-      auto r = run_repetition_slotwise(slots, actions, adv, rng);
+      McScheduleAdversary adv({jam});
+      auto r = run_repetition_slotwise_mc(slots, actions, kSingle, adv, rng);
       for (int u = 0; u < 3; ++u) slotwise[u].accumulate(r.rep.obs[u], w);
     }
   }
@@ -124,8 +125,9 @@ TEST(EngineCrosscheckFaultTest, MeansAgreeUnderImperfectCca) {
     }
     {
       Rng rng = Rng::stream(12, t);
-      ScheduleAdversary adv(jam);
-      auto r = run_repetition_slotwise(slots, actions, adv, rng, cca);
+      McScheduleAdversary adv({jam});
+      auto r =
+          run_repetition_slotwise_mc(slots, actions, kSingle, adv, rng, cca);
       for (int u = 0; u < 3; ++u) slotwise[u].accumulate(r.rep.obs[u], w);
     }
   }
@@ -180,9 +182,9 @@ TEST(EngineCrosscheckFaultTest, MeansAgreeUnderActiveFaultPlan) {
     {
       FaultPlan faults(cfg);
       Rng rng = Rng::stream(22, t);
-      ScheduleAdversary adv(jam);
-      auto r =
-          run_repetition_slotwise(slots, actions, adv, rng, CcaModel{}, &faults);
+      McScheduleAdversary adv({jam});
+      auto r = run_repetition_slotwise_mc(slots, actions, kSingle, adv, rng,
+                                          CcaModel{}, &faults);
       for (int u = 0; u < 3; ++u) slotwise[u].accumulate(r.rep.obs[u], w);
     }
   }
@@ -201,8 +203,8 @@ TEST(EngineCrosscheckFaultTest, MeansAgreeUnderActiveFaultPlan) {
 }
 
 TEST(EngineCrosscheckFaultTest, EventPathMatchesDenseReferenceUnderFaultsAndCca) {
-  // The rewritten event-driven slotwise path vs the original per-slot loop
-  // (kept as run_repetition_slotwise_dense): identical per-slot marginals,
+  // The event-driven slotwise path vs the per-slot loop (kept as
+  // run_repetition_slotwise_mc_dense): identical per-slot marginals,
   // different Rng draw order, so Monte-Carlo means must agree — here with
   // BOTH an imperfect CCA and an active fault plan, and a genuinely
   // reactive adversary (identical jam decisions on both paths are not
@@ -220,15 +222,6 @@ TEST(EngineCrosscheckFaultTest, EventPathMatchesDenseReferenceUnderFaultsAndCca)
   cfg.corruption_rate = 0.05;
   cfg.clock_skew_rate = 0.1;
 
-  /// Jams whenever the previous slot carried a transmission.
-  class Reactive final : public SlotAdversary {
-   public:
-    bool jam(SlotIndex, std::span<const SlotActivity> history) override {
-      return !history.empty() && history.back().senders > 0;
-    }
-    SlotCount history_window() const override { return 1; }
-  };
-
   std::vector<NodeAction> actions = {
       NodeAction{0.05, Payload::kMessage, 0.2},
       NodeAction{0.02, Payload::kNoise, 0.3},
@@ -243,7 +236,8 @@ TEST(EngineCrosscheckFaultTest, EventPathMatchesDenseReferenceUnderFaultsAndCca)
       FaultPlan faults(cfg);
       Reactive adv;
       Rng rng = Rng::stream(31, t);
-      auto r = run_repetition_slotwise(slots, actions, adv, rng, cca, &faults);
+      auto r = run_repetition_slotwise_mc(slots, actions, kSingle, adv, rng,
+                                          cca, &faults);
       for (int u = 0; u < 3; ++u) event[u].accumulate(r.rep.obs[u], w);
       event_jammed += w * static_cast<double>(r.jammed_slots);
     }
@@ -251,8 +245,8 @@ TEST(EngineCrosscheckFaultTest, EventPathMatchesDenseReferenceUnderFaultsAndCca)
       FaultPlan faults(cfg);
       Reactive adv;
       Rng rng = Rng::stream(32, t);
-      auto r =
-          run_repetition_slotwise_dense(slots, actions, adv, rng, cca, &faults);
+      auto r = run_repetition_slotwise_mc_dense(slots, actions, kSingle, adv,
+                                                rng, cca, &faults);
       for (int u = 0; u < 3; ++u) dense[u].accumulate(r.rep.obs[u], w);
       dense_jammed += w * static_cast<double>(r.jammed_slots);
     }
@@ -291,14 +285,6 @@ TEST(EngineCrosscheckRankTest, DistributionsAgreeUnderBonferroniFamily) {
   cfg.loss_rate = 0.1;
   cfg.corruption_rate = 0.05;
 
-  class Reactive final : public SlotAdversary {
-   public:
-    bool jam(SlotIndex, std::span<const SlotActivity> history) override {
-      return !history.empty() && history.back().senders > 0;
-    }
-    SlotCount history_window() const override { return 1; }
-  };
-
   const std::vector<NodeAction> actions = {
       NodeAction{0.05, Payload::kMessage, 0.2},
       NodeAction{0.02, Payload::kNoise, 0.3},
@@ -327,16 +313,16 @@ TEST(EngineCrosscheckRankTest, DistributionsAgreeUnderBonferroniFamily) {
       FaultPlan faults(cfg);
       Reactive adv;
       Rng rng = Rng::stream(41, t);
-      record(event,
-             run_repetition_slotwise(slots, actions, adv, rng, cca, &faults)
-                 .rep);
+      record(event, run_repetition_slotwise_mc(slots, actions, kSingle, adv,
+                                               rng, cca, &faults)
+                        .rep);
     }
     {
       FaultPlan faults(cfg);
       Reactive adv;
       Rng rng = Rng::stream(42, t);
-      record(dense, run_repetition_slotwise_dense(slots, actions, adv, rng,
-                                                  cca, &faults)
+      record(dense, run_repetition_slotwise_mc_dense(slots, actions, kSingle,
+                                                     adv, rng, cca, &faults)
                         .rep);
     }
   }

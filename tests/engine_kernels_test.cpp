@@ -17,7 +17,6 @@
 #include "rcb/rng/sampling.hpp"
 #include "rcb/sim/mc_slot_engine.hpp"
 #include "rcb/sim/repetition_engine.hpp"
-#include "rcb/sim/slot_engine.hpp"
 
 namespace rcb {
 namespace {
@@ -155,9 +154,12 @@ TEST(SortEventKeysTest, AdversarialInputTakesTheBoundedFallback) {
 }
 
 /// Never jams; asks for the whole history so the engine materializes it.
-class NeverJam final : public SlotAdversary {
+class NeverJam final : public McSlotAdversary {
  public:
-  bool jam(SlotIndex, std::span<const SlotActivity>) override { return false; }
+  std::uint64_t jam_mask(SlotIndex, std::uint32_t,
+                         std::span<const McSlotActivity>) override {
+    return 0;
+  }
 };
 
 TEST(EngineWorkspaceScopeTest, EngineCallsLeaveTheArenaWhereTheyFoundIt) {
@@ -174,7 +176,9 @@ TEST(EngineWorkspaceScopeTest, EngineCallsLeaveTheArenaWhereTheyFoundIt) {
   EXPECT_EQ(arena.bytes_used(), used);
 
   NeverJam never;
-  EXPECT_GT(run_repetition_slotwise(1 << 14, actions, never, rng).event_count,
+  EXPECT_GT(run_repetition_slotwise_mc(1 << 14, actions, ChannelPlan{1, {}},
+                                       never, rng)
+                .event_count,
             0u);
   EXPECT_EQ(arena.bytes_used(), used);
 

@@ -5,13 +5,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "rcb/adversary/mc_strategies.hpp"
 #include "rcb/protocols/broadcast_engine.hpp"
 #include "rcb/protocols/broadcast_n.hpp"
 #include "rcb/protocols/one_to_one.hpp"
 #include "rcb/rng/rng.hpp"
 #include "rcb/sim/faults.hpp"
+#include "rcb/sim/mc_slot_engine.hpp"
 #include "rcb/sim/repetition_engine.hpp"
-#include "rcb/sim/slot_engine.hpp"
 
 namespace rcb {
 namespace {
@@ -267,18 +268,12 @@ TEST(FaultEngineTest, SlotwiseEngineIsDeterministicUnderFaults) {
       NodeAction{0.0, Payload::kNoise, 1.0},
   };
 
-  class NoJam final : public SlotAdversary {
-   public:
-    bool jam(SlotIndex, std::span<const SlotActivity>) override {
-      return false;
-    }
-  };
-
   auto run_once = [&]() {
     FaultPlan plan(cfg);
-    NoJam adv;
+    McNoJam adv;
     Rng rng(78);
-    return run_repetition_slotwise(256, actions, adv, rng, CcaModel{}, &plan);
+    return run_repetition_slotwise_mc(256, actions, ChannelPlan{1, {}}, adv,
+                                      rng, CcaModel{}, &plan);
   };
   const auto r1 = run_once();
   const auto r2 = run_once();

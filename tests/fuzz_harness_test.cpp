@@ -76,7 +76,7 @@ TEST(ScenarioGenTest, CoversTheScenarioSpace) {
 }
 
 // Satellite: the multi-channel axis must land where its weights say — a
-// material fraction of mc cases at the degeneration boundary C=1, the
+// material fraction of mc cases at the single-channel case C=1, the
 // bulk at the small splits C=2/4, and a nonempty tail over 1..64.  All
 // four mc adversaries must appear, and single-channel draws must be
 // unaffected (mc scenarios disable the battery/timeout-only knobs).

@@ -1,12 +1,13 @@
-// C=1 degeneration suite: pinned pre-multi-channel aggregate digests.
+// Protocol-pipeline digests: pinned pre-multi-channel aggregate digests.
 //
 // These eight literals were captured from the repository state immediately
 // BEFORE the multi-channel slot model was introduced (same seeds, same
-// scenarios).  The multi-channel generalisation threaded a channel
-// component through the packed event keys, the engines, and the scenario
-// codec — and its hard contract is that every single-channel execution is
-// bit-identical to what it was.  A digest drift here means the C=1
-// degeneration broke: some RNG draw, key ordering, or codec byte moved.
+// scenarios).  They anchor the protocol pipeline of the single-channel
+// scenarios — the protocols, the batch engine with its packed event keys,
+// the RNG streams, and the scenario codec: a digest drift here means some
+// RNG draw, key ordering, or codec byte moved.  None of these protocols
+// runs the slotwise engine; its single-channel (C=1) output is pinned
+// separately, by digest literals in tests/mc_engine_test.cpp.
 //
 // The suite re-derives each digest through the same pipeline the capture
 // used (run_scenario_trial per trial, supervisor aggregate_digest), and

@@ -1,52 +1,37 @@
-// Tests for the multi-channel slotwise engines (sim/mc_slot_engine.hpp):
-// the C=1 bit-exact degeneration against the single-channel engines, the
-// event-vs-dense mc crosscheck, per-channel budget accounting, and the
-// multi-channel edge cases (C > n, everyone on one channel, a jammer
-// spending its budget on an empty channel).
+// Tests for the slotwise engines (sim/mc_slot_engine.hpp): the pinned
+// single-channel (C=1) output, the single-channel model's behaviour and
+// history contract, the event-vs-dense crosscheck, per-channel budget
+// accounting, the bulk consultation contract, and the multi-channel edge
+// cases (C > n, everyone on one channel, a jammer spending its budget on an
+// empty channel).
 #include "rcb/sim/mc_slot_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "rcb/adversary/budget.hpp"
 #include "rcb/adversary/mc_strategies.hpp"
+#include "rcb/common/simd.hpp"
 #include "rcb/rng/rng.hpp"
 #include "rcb/sim/channel_plan.hpp"
+#include "rcb/sim/engine_kernels.hpp"
 #include "rcb/sim/jam_schedule.hpp"
-#include "rcb/sim/slot_engine.hpp"
 
 namespace rcb {
 namespace {
 
-/// Replays a fixed schedule (deterministic, with a bulk jam_run path).
-class FixedSchedule final : public SlotAdversary {
- public:
-  explicit FixedSchedule(const JamSchedule& js) : js_(&js) {}
-  bool jam(SlotIndex slot, std::span<const SlotActivity>) override {
-    return js_->is_jammed(slot);
-  }
-  bool jam_run(SlotIndex begin, SlotIndex end, std::span<const SlotActivity>,
-               JamRunSink& sink) override {
-    for (SlotIndex s = begin; s < end; ++s) {
-      if (!sink.append(1, js_->is_jammed(s))) return false;
-    }
-    return true;
-  }
-  SlotCount history_window() const override { return 0; }
+const ChannelPlan kSingle{1, {}};
 
- private:
-  const JamSchedule* js_;
-};
-
-/// Reactive with a 1-slot lookback — exercises the history translation in
-/// McFromSlotAdversary (the mc engines must feed it the same per-slot
-/// records the single-channel engines would).
-class Reactive final : public SlotAdversary {
+/// Jams iff the previous slot carried a transmission (1-slot lookback),
+/// consulted slot by slot.
+class Reactive final : public McSlotAdversary {
  public:
-  bool jam(SlotIndex, std::span<const SlotActivity> history) override {
-    return !history.empty() && history.back().senders > 0;
+  std::uint64_t jam_mask(SlotIndex, std::uint32_t,
+                         std::span<const McSlotActivity> history) override {
+    return !history.empty() && history.back().senders > 0 ? 1 : 0;
   }
   SlotCount history_window() const override { return 1; }
 };
@@ -66,79 +51,151 @@ std::vector<NodeAction> mixed_actions() {
 }
 
 // ---------------------------------------------------------------------------
-// C=1 degeneration: byte-identical to the single-channel engines on the
-// same Rng stream — including under CCA drift, faults, and a reactive
-// (history-consuming) adversary.
+// Pinned single-channel output.  These digests were captured from the
+// dedicated single-channel slotwise engines (event and dense) before they
+// were folded into this engine; at C=1 the engine must reproduce them on
+// every SIMD path.  Each digest folds every NodeObservation field plus
+// jammed_slots and event_count.
 
-void expect_c1_degenerates(const CcaModel& cca, bool with_faults,
-                           bool reactive, std::uint64_t seed) {
-  const SlotCount slots = 512;
-  const auto actions = mixed_actions();
-  const JamSchedule jam = JamSchedule::blocking_fraction(slots, 0.4);
-  FaultConfig fcfg;
-  if (with_faults) {
-    fcfg.seed = 99;
-    fcfg.crash_rate = 0.001;
-    fcfg.restart_rate = 0.01;
-    fcfg.loss_rate = 0.2;
-    fcfg.corruption_rate = 0.1;
-    fcfg.clock_skew_rate = 0.1;
-  }
-  const ChannelPlan single{1, {}};
-
-  for (const bool dense : {false, true}) {
-    FaultPlan faults_sc(fcfg);
-    FaultPlan* fp_sc = faults_sc.active() ? &faults_sc : nullptr;
-    FixedSchedule sched_sc(jam);
-    Reactive react_sc;
-    SlotAdversary& adv_sc =
-        reactive ? static_cast<SlotAdversary&>(react_sc) : sched_sc;
-    Rng rng_sc = Rng::stream(seed, 1);
-    const SlotwiseResult sc =
-        dense ? run_repetition_slotwise_dense(slots, actions, adv_sc, rng_sc,
-                                              cca, fp_sc)
-              : run_repetition_slotwise(slots, actions, adv_sc, rng_sc, cca,
-                                        fp_sc);
-
-    FaultPlan faults_mc(fcfg);
-    FaultPlan* fp_mc = faults_mc.active() ? &faults_mc : nullptr;
-    FixedSchedule sched_mc(jam);
-    Reactive react_mc;
-    SlotAdversary& inner =
-        reactive ? static_cast<SlotAdversary&>(react_mc) : sched_mc;
-    McFromSlotAdversary adv_mc(inner);
-    Rng rng_mc = Rng::stream(seed, 1);
-    const McSlotwiseResult mc =
-        dense ? run_repetition_slotwise_mc_dense(slots, actions, single,
-                                                 adv_mc, rng_mc, cca, fp_mc)
-              : run_repetition_slotwise_mc(slots, actions, single, adv_mc,
-                                           rng_mc, cca, fp_mc);
-
-    EXPECT_EQ(mc.jammed_slots, sc.jammed_slots) << "dense=" << dense;
-    EXPECT_EQ(mc.jam_charges, static_cast<Cost>(sc.jammed_slots))
-        << "dense=" << dense;
-    ASSERT_EQ(mc.rep.obs.size(), sc.rep.obs.size());
-    for (std::size_t u = 0; u < actions.size(); ++u) {
-      EXPECT_TRUE(obs_equal(sc.rep.obs[u], mc.rep.obs[u]))
-          << "dense=" << dense << " node " << u;
+std::uint64_t slotwise_digest(const McSlotwiseResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
+  const auto fold = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ull;
+  };
+  for (const NodeObservation& o : r.rep.obs) {
+    for (const std::uint64_t v :
+         {o.sends, o.listens, o.clear, o.messages, o.nacks, o.noise,
+          o.first_message_slot, o.listens_until_first_message}) {
+      fold(v);
     }
+  }
+  fold(r.jammed_slots);
+  fold(r.event_count);
+  return h;
+}
+
+/// Reads the whole history on every call: its decisions pin the content of
+/// every materialized record.
+class HistoryFold final : public McSlotAdversary {
+ public:
+  std::uint64_t jam_mask(SlotIndex slot, std::uint32_t,
+                         std::span<const McSlotActivity> history) override {
+    std::uint64_t sum = 0;
+    for (std::size_t k = 0; k < history.size(); ++k) {
+      sum += (history[k].slot == k ? 0 : 1000) + history[k].senders +
+             2 * (history[k].jam_mask & 1);
+    }
+    return (sum + slot) % 3 == 0 ? 1 : 0;
+  }
+};
+
+/// Jams every third slot and declines every bulk consultation.
+class EveryThirdSlot final : public McSlotAdversary {
+ public:
+  std::uint64_t jam_mask(SlotIndex slot, std::uint32_t,
+                         std::span<const McSlotActivity>) override {
+    return slot % 3 == 0 ? 1 : 0;
+  }
+  SlotCount history_window() const override { return 0; }
+};
+
+enum class PinnedCase {
+  kReactiveWindow1,
+  kUnboundedHistory,
+  kScheduleInBulk,
+  kDeclinesBulk,
+  kImperfectCca,
+  kFaultPlan,
+};
+
+/// Event and dense digests of one pinned case at C=1, with `seed`.
+std::array<std::uint64_t, 2> pinned_digests(PinnedCase c, std::uint64_t seed) {
+  const SlotCount slots = 2048;
+  const std::vector<NodeAction> actions = {
+      NodeAction{0.05, Payload::kMessage, 0.0},
+      NodeAction{0.01, Payload::kNoise, 0.2},
+      NodeAction{0.0, Payload::kNoise, 0.3},
+      NodeAction{0.02, Payload::kNack, 0.05}};
+  FaultConfig fcfg;
+  fcfg.seed = 99;
+  fcfg.crash_rate = 0.001;
+  fcfg.restart_rate = 0.01;
+  fcfg.loss_rate = 0.2;
+  fcfg.corruption_rate = 0.1;
+  fcfg.clock_skew_rate = 0.1;
+  const CcaModel cca = c == PinnedCase::kImperfectCca ? CcaModel{0.1, 0.05}
+                       : c == PinnedCase::kFaultPlan  ? CcaModel{0.05, 0.05}
+                                                      : CcaModel{};
+  std::array<std::uint64_t, 2> out{};
+  for (const bool dense : {false, true}) {
+    Reactive reactive;
+    HistoryFold history_fold;
+    McScheduleAdversary schedule(
+        {JamSchedule::blocking_fraction(slots, 0.4)});
+    EveryThirdSlot every_third;
+    McSlotAdversary* adv = &schedule;
+    if (c == PinnedCase::kReactiveWindow1 || c == PinnedCase::kFaultPlan) {
+      adv = &reactive;
+    } else if (c == PinnedCase::kUnboundedHistory) {
+      adv = &history_fold;
+    } else if (c == PinnedCase::kDeclinesBulk) {
+      adv = &every_third;
+    }
+    FaultPlan faults(fcfg);
+    FaultPlan* fp = c == PinnedCase::kFaultPlan ? &faults : nullptr;
+    Rng rng = Rng::stream(seed, 1);
+    out[dense ? 1 : 0] = slotwise_digest(
+        dense ? run_repetition_slotwise_mc_dense(slots, actions, kSingle,
+                                                 *adv, rng, cca, fp)
+              : run_repetition_slotwise_mc(slots, actions, kSingle, *adv,
+                                           rng, cca, fp));
+  }
+  return out;
+}
+
+/// RAII SIMD-mode override so a failing EXPECT never leaks the mode into
+/// later tests.
+struct SimdModeGuard {
+  explicit SimdModeGuard(simd::Mode m) { simd::set_mode(m); }
+  ~SimdModeGuard() { simd::clear_mode_override(); }
+};
+
+void expect_pinned(PinnedCase c, std::uint64_t seed, std::uint64_t event,
+                   std::uint64_t dense) {
+  for (const simd::Mode mode : {simd::Mode::kScalar, simd::Mode::kAvx2}) {
+    if (mode == simd::Mode::kAvx2 && !simd::avx2_available()) continue;
+    SimdModeGuard guard(mode);
+    const std::array<std::uint64_t, 2> got = pinned_digests(c, seed);
+    EXPECT_EQ(got[0], event) << "event engine, case " << static_cast<int>(c)
+                             << ", simd " << static_cast<int>(mode);
+    EXPECT_EQ(got[1], dense) << "dense engine, case " << static_cast<int>(c)
+                             << ", simd " << static_cast<int>(mode);
   }
 }
 
 TEST(McDegenerationTest, C1MatchesSingleChannelExactly) {
-  expect_c1_degenerates(CcaModel{}, false, false, 101);
+  expect_pinned(PinnedCase::kScheduleInBulk, 1002, 0xfba70a28481dcab1ull,
+                0x61ffa9b0a53678fdull);
+  expect_pinned(PinnedCase::kDeclinesBulk, 1003, 0xf4e2f4778a2639fdull,
+                0xc7f5bdc1eeadc23cull);
 }
 
 TEST(McDegenerationTest, C1MatchesUnderCcaDrift) {
-  expect_c1_degenerates(CcaModel{0.1, 0.05}, false, false, 202);
+  expect_pinned(PinnedCase::kImperfectCca, 1004, 0xedb591ce3035798dull,
+                0x8b61bd486d2d7efcull);
 }
 
 TEST(McDegenerationTest, C1MatchesUnderFaults) {
-  expect_c1_degenerates(CcaModel{0.05, 0.05}, true, false, 303);
+  expect_pinned(PinnedCase::kFaultPlan, 1005, 0x3a681647d07ba0d9ull,
+                0x671b240ee17f7510ull);
 }
 
 TEST(McDegenerationTest, C1MatchesWithReactiveAdversaryHistory) {
-  expect_c1_degenerates(CcaModel{}, false, true, 404);
+  expect_pinned(PinnedCase::kReactiveWindow1, 1000, 0x5181c924cc54096dull,
+                0x0a81d085c5f7ac3aull);
+  expect_pinned(PinnedCase::kUnboundedHistory, 1001, 0x33493252afec8c5bull,
+                0x7ce4dd4f6792dabaull);
 }
 
 // ---------------------------------------------------------------------------
@@ -543,19 +600,21 @@ TEST(McJamRunMasksTest, OverflowAnswersPrefixOfRandomizedStrategy) {
   }
 }
 
-/// Single-channel random jammer whose jam_run replays its draws and, when
-/// the run overflows the sink, declines by restoring its snapshot.
-class RandomSlotJammer final : public SlotAdversary {
+/// Random single-channel jammer whose bulk answer replays its draws and,
+/// when the run overflows the sink, declines by restoring its snapshot.
+class RandomMaskJammer final : public McSlotAdversary {
  public:
-  explicit RandomSlotJammer(Rng rng) : rng_(rng) {}
-  bool jam(SlotIndex, std::span<const SlotActivity>) override {
-    return rng_.bernoulli(0.5);
+  explicit RandomMaskJammer(Rng rng) : rng_(rng) {}
+  std::uint64_t jam_mask(SlotIndex, std::uint32_t,
+                         std::span<const McSlotActivity>) override {
+    return rng_.bernoulli(0.5) ? 1 : 0;
   }
-  bool jam_run(SlotIndex begin, SlotIndex end, std::span<const SlotActivity>,
-               JamRunSink& sink) override {
+  bool jam_run_masks(SlotIndex begin, SlotIndex end, std::uint32_t,
+                     std::span<const McSlotActivity>,
+                     McJamRunSink& sink) override {
     const Rng snapshot = rng_;
     for (SlotIndex s = begin; s < end; ++s) {
-      if (!sink.append(1, rng_.bernoulli(0.5))) {
+      if (!sink.append(1, rng_.bernoulli(0.5) ? 1 : 0)) {
         rng_ = snapshot;
         return false;
       }
@@ -569,18 +628,19 @@ class RandomSlotJammer final : public SlotAdversary {
 };
 
 TEST(McJamRunMasksTest, DeclineLeavesStateUntouched) {
-  // A declining adversary (the bridge forwards its inner strategy's
-  // decline) must leave its state exactly as before the attempt.
-  RandomSlotJammer probe_inner(Rng::stream(72, 0));
-  RandomSlotJammer twin_inner(Rng::stream(72, 0));
-  McFromSlotAdversary probe(probe_inner);
-  McFromSlotAdversary twin(twin_inner);
+  // A decline must leave the adversary exactly as before the attempt: its
+  // next masks equal an untouched twin's, and an engine run that mixes
+  // declines with whole answers matches the per-slot fallback.
+  RandomMaskJammer probe(Rng::stream(72, 0));
+  RandomMaskJammer twin(Rng::stream(72, 0));
   McJamRunSink sink;
   ASSERT_FALSE(probe.jam_run_masks(0, 4096, 1, {}, sink));
   for (SlotIndex s = 0; s < 256; ++s) {
     ASSERT_EQ(probe.jam_mask(s, 1, {}), twin.jam_mask(s, 1, {}))
         << "slot " << s;
   }
+  expect_bulk_equals_fallback(
+      [] { return RandomMaskJammer(Rng::stream(73, 0)); }, 1, 74);
 }
 
 /// Alternates mask 1/0 by slot parity; its bulk answer appends slot by
@@ -745,29 +805,31 @@ TEST(McJamRunMasksTest, BoundedWindowReactiveBulkMatchesPerSlot) {
   EXPECT_EQ(scalar_adv.bulk_calls_, 0);
 }
 
-/// Answers every bulk run with a fixed two-channel mask while the per-slot
-/// (event-slot) consultations audit that the engine materialized every
-/// bulk-decided slot as a zero-sender record carrying that mask.
+/// Answers every bulk run with a fixed mask (valid on the channels it is
+/// run with) while the per-slot (event-slot) consultations audit that the
+/// engine materialized every bulk-decided slot as a zero-sender record
+/// carrying that mask.
 class McBulkHistoryAuditor final : public McSlotAdversary {
  public:
-  static constexpr std::uint64_t kMask = 0b101;
+  explicit McBulkHistoryAuditor(std::uint64_t mask) : mask_(mask) {}
   std::uint64_t jam_mask(SlotIndex slot, std::uint32_t,
                          std::span<const McSlotActivity> history) override {
     complete_ = complete_ && history.size() == slot;
     for (std::size_t k = 0; k < history.size(); ++k) {
       ordered_ = ordered_ && history[k].slot == k &&
-                 history[k].jam_mask == kMask;
+                 history[k].jam_mask == mask_;
     }
-    return kMask;
+    return mask_;
   }
   bool jam_run_masks(SlotIndex begin, SlotIndex end, std::uint32_t,
                      std::span<const McSlotActivity>,
                      McJamRunSink& sink) override {
     ++bulk_calls_;
-    sink.append(end - begin, kMask);
+    sink.append(end - begin, mask_);
     return true;
   }
 
+  std::uint64_t mask_;
   bool complete_ = true;
   bool ordered_ = true;
   int bulk_calls_ = 0;
@@ -778,14 +840,14 @@ TEST(McJamRunMasksTest, UnboundedHistoryMaterializedAcrossBulkRuns) {
   std::vector<NodeAction> actions = {NodeAction{0.01, Payload::kMessage, 0.0}};
   std::vector<ChannelHop> hops = {{1, 2}};
   const ChannelPlan plan{4, {hops.data(), hops.size()}};
-  McBulkHistoryAuditor adv;
+  McBulkHistoryAuditor adv(0b101);
   Rng rng = Rng::stream(53, 0);
   const McSlotwiseResult r =
       run_repetition_slotwise_mc(slots, actions, plan, adv, rng);
   EXPECT_GT(adv.bulk_calls_, 0);
   EXPECT_TRUE(adv.complete_);
   EXPECT_TRUE(adv.ordered_);
-  // 0b101 clipped by valid 0xF keeps 2 channels per slot.
+  // 0b101 on 4 channels jams 2 channels per slot.
   EXPECT_EQ(r.jam_charges, 2 * slots);
   EXPECT_EQ(r.jammed_slots, slots);
 }
@@ -809,6 +871,353 @@ TEST(McEngineTest, DeterministicAcrossRuns) {
   for (std::size_t u = 0; u < actions.size(); ++u) {
     EXPECT_TRUE(obs_equal(a.rep.obs[u], b.rep.obs[u])) << "node " << u;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The single-channel model: the engine at C=1, where a mask is 0 or 1.
+
+McSlotwiseResult run_c1(SlotCount slots, std::span<const NodeAction> actions,
+                        McSlotAdversary& adv, Rng& rng) {
+  return run_repetition_slotwise_mc(slots, actions, kSingle, adv, rng);
+}
+
+/// Jams every slot.
+class AlwaysJam final : public McSlotAdversary {
+ public:
+  std::uint64_t jam_mask(SlotIndex, std::uint32_t,
+                         std::span<const McSlotActivity>) override {
+    return 1;
+  }
+};
+
+TEST(SlotEngineTest, DeliveryWithoutJamming) {
+  std::vector<NodeAction> actions = {NodeAction{1.0, Payload::kMessage, 0.0},
+                                     NodeAction{0.0, Payload::kNoise, 1.0}};
+  McNoJam adv;
+  Rng rng(1);
+  auto r = run_c1(100, actions, adv, rng);
+  EXPECT_EQ(r.rep.obs[1].messages, 100u);
+  EXPECT_EQ(r.jammed_slots, 0u);
+}
+
+TEST(SlotEngineTest, FullJamBlocksEverything) {
+  std::vector<NodeAction> actions = {NodeAction{1.0, Payload::kMessage, 0.0},
+                                     NodeAction{0.0, Payload::kNoise, 1.0}};
+  AlwaysJam adv;
+  Rng rng(2);
+  auto r = run_c1(100, actions, adv, rng);
+  EXPECT_EQ(r.rep.obs[1].messages, 0u);
+  EXPECT_EQ(r.rep.obs[1].noise, 100u);
+  EXPECT_EQ(r.jammed_slots, 100u);
+  EXPECT_EQ(r.jam_charges, 100u);
+}
+
+TEST(SlotEngineTest, ReactiveAdversarySeesHistory) {
+  // Sender transmits in every slot, so the reactive adversary jams every
+  // slot except the first.
+  std::vector<NodeAction> actions = {NodeAction{1.0, Payload::kMessage, 0.0},
+                                     NodeAction{0.0, Payload::kNoise, 1.0}};
+  Reactive adv;
+  Rng rng(3);
+  auto r = run_c1(50, actions, adv, rng);
+  EXPECT_EQ(r.jammed_slots, 49u);
+  EXPECT_EQ(r.rep.obs[1].messages, 1u);
+  EXPECT_EQ(r.rep.obs[1].first_message_slot, 0u);
+}
+
+TEST(SlotEngineTest, HalfDuplexSendWins) {
+  std::vector<NodeAction> actions = {NodeAction{1.0, Payload::kMessage, 1.0}};
+  McNoJam adv;
+  Rng rng(4);
+  auto r = run_c1(30, actions, adv, rng);
+  EXPECT_EQ(r.rep.obs[0].sends, 30u);
+  EXPECT_EQ(r.rep.obs[0].listens, 0u);
+}
+
+TEST(SlotEngineTest, CollisionsAreNoise) {
+  std::vector<NodeAction> actions = {NodeAction{1.0, Payload::kMessage, 0.0},
+                                     NodeAction{1.0, Payload::kNack, 0.0},
+                                     NodeAction{0.0, Payload::kNoise, 1.0}};
+  McNoJam adv;
+  Rng rng(5);
+  auto r = run_c1(40, actions, adv, rng);
+  EXPECT_EQ(r.rep.obs[2].noise, 40u);
+}
+
+TEST(SlotEngineTest, ClearSlotCountingMatchesActivity) {
+  // Nobody sends: listener hears clear in every listened slot.
+  std::vector<NodeAction> actions = {NodeAction{0.0, Payload::kNoise, 0.5}};
+  McNoJam adv;
+  Rng rng(6);
+  auto r = run_c1(1000, actions, adv, rng);
+  EXPECT_EQ(r.rep.obs[0].clear, r.rep.obs[0].listens);
+  EXPECT_GT(r.rep.obs[0].listens, 400u);
+  EXPECT_LT(r.rep.obs[0].listens, 600u);
+}
+
+/// Unbounded adversary that audits the history it is fed.
+class HistoryAuditor final : public McSlotAdversary {
+ public:
+  std::uint64_t jam_mask(SlotIndex slot, std::uint32_t,
+                         std::span<const McSlotActivity> history) override {
+    // Every elapsed slot must be materialized, in order, empty slots
+    // included (zero-sender records).
+    complete_ = complete_ && history.size() == slot;
+    for (std::size_t k = 0; k < history.size(); ++k) {
+      ordered_ = ordered_ && history[k].slot == k;
+      max_senders_ = std::max(max_senders_, history[k].senders);
+    }
+    return 0;
+  }
+
+  bool complete_ = true;
+  bool ordered_ = true;
+  std::uint32_t max_senders_ = 0;
+};
+
+TEST(SlotEngineHistoryTest, EmptySlotsAreMaterializedAsZeroSenderRecords) {
+  // Nobody ever transmits: the adversary still sees one record per slot.
+  std::vector<NodeAction> actions = {NodeAction{0.0, Payload::kNoise, 0.1}};
+  HistoryAuditor adv;
+  Rng rng(7);
+  run_c1(200, actions, adv, rng);
+  EXPECT_TRUE(adv.complete_);
+  EXPECT_TRUE(adv.ordered_);
+  EXPECT_EQ(adv.max_senders_, 0u);
+}
+
+TEST(SlotEngineHistoryTest, SendersAppearInHistory) {
+  std::vector<NodeAction> actions = {NodeAction{1.0, Payload::kMessage, 0.0}};
+  HistoryAuditor adv;
+  Rng rng(8);
+  run_c1(50, actions, adv, rng);
+  EXPECT_TRUE(adv.complete_);
+  EXPECT_TRUE(adv.ordered_);
+  EXPECT_EQ(adv.max_senders_, 1u);
+}
+
+/// Bounded adversary auditing the suffix view the engine materializes.
+class WindowAuditor final : public McSlotAdversary {
+ public:
+  explicit WindowAuditor(SlotCount window) : window_(window) {}
+
+  std::uint64_t jam_mask(SlotIndex slot, std::uint32_t,
+                         std::span<const McSlotActivity> history) override {
+    const std::size_t expected =
+        std::min<std::size_t>(slot, static_cast<std::size_t>(window_));
+    ok_ = ok_ && history.size() == expected;
+    // The view must be the contiguous suffix ending at slot - 1.
+    for (std::size_t k = 0; k < history.size(); ++k) {
+      ok_ = ok_ && history[k].slot == slot - history.size() + k;
+    }
+    return 0;
+  }
+  SlotCount history_window() const override { return window_; }
+
+  bool ok_ = true;
+
+ private:
+  SlotCount window_;
+};
+
+TEST(SlotEngineHistoryTest, BoundedWindowSeesExactSuffix) {
+  std::vector<NodeAction> actions = {NodeAction{0.3, Payload::kMessage, 0.3}};
+  for (SlotCount window : {SlotCount{1}, SlotCount{3}, SlotCount{64},
+                           SlotCount{1000}, SlotCount{5000}}) {
+    WindowAuditor adv(window);
+    Rng rng(9);
+    run_c1(1000, actions, adv, rng);
+    EXPECT_TRUE(adv.ok_) << "window=" << window;
+  }
+}
+
+TEST(SlotEngineHistoryTest, ZeroWindowAlwaysSeesEmptyHistory) {
+  WindowAuditor adv(0);
+  std::vector<NodeAction> actions = {NodeAction{0.5, Payload::kMessage, 0.5}};
+  Rng rng(10);
+  run_c1(300, actions, adv, rng);
+  EXPECT_TRUE(adv.ok_);
+}
+
+TEST(SlotEngineEventTest, EventCountMatchesChargedEnergy) {
+  std::vector<NodeAction> actions = {NodeAction{0.4, Payload::kMessage, 0.4},
+                                     NodeAction{0.0, Payload::kNoise, 0.7}};
+  McNoJam adv;
+  Rng rng(11);
+  const auto r = run_c1(500, actions, adv, rng);
+  Cost charged = 0;
+  for (const auto& o : r.rep.obs) charged += o.sends + o.listens;
+  EXPECT_EQ(r.event_count, charged);
+  EXPECT_GT(r.event_count, 0u);
+}
+
+TEST(SlotEngineEventTest, MatchesDenseReferenceOnDeterministicActions) {
+  // With action probabilities 0/1 both paths are randomness-free, so the
+  // event-driven engine must reproduce the dense reference exactly.
+  std::vector<NodeAction> actions = {NodeAction{1.0, Payload::kMessage, 0.0},
+                                     NodeAction{0.0, Payload::kNoise, 1.0},
+                                     NodeAction{1.0, Payload::kNoise, 1.0}};
+  Reactive adv_event, adv_dense;
+  Rng rng_event(12), rng_dense(12);
+  expect_identical_mc(
+      run_c1(80, actions, adv_event, rng_event),
+      run_repetition_slotwise_mc_dense(80, actions, kSingle, adv_dense,
+                                       rng_dense));
+}
+
+TEST(SlotEngineEventTest, ZeroSlotsIsANoOp) {
+  std::vector<NodeAction> actions = {NodeAction{1.0, Payload::kMessage, 0.0}};
+  McNoJam adv;
+  Rng rng(13);
+  const auto r = run_c1(0, actions, adv, rng);
+  EXPECT_EQ(r.event_count, 0u);
+  EXPECT_EQ(r.jammed_slots, 0u);
+  EXPECT_EQ(r.rep.obs[0].sends, 0u);
+}
+
+TEST(PushHistoryCompactedTest, PinsTwoXWatermarkErasePolicy) {
+  Arena arena;
+  ArenaVector<McSlotActivity> hist{arena};
+  const SlotCount window = 4;
+
+  // Unbounded: every record is retained.
+  for (SlotIndex s = 0; s < 20; ++s) {
+    engine_kernels::push_history_compacted(hist, McSlotActivity{s, 0, 0, 0},
+                                           window, false);
+  }
+  EXPECT_EQ(hist.size(), 20u);
+  hist.clear();
+
+  // Bounded: the buffer grows to 2 * window - 1, and the push that reaches
+  // the 2 * window watermark compacts it down to the trailing `window`
+  // records — never fewer, never more.
+  for (SlotIndex s = 0; s < 2 * window - 1; ++s) {
+    engine_kernels::push_history_compacted(
+        hist, McSlotActivity{s, 0, s & 1, 0}, window, true);
+    EXPECT_EQ(hist.size(), static_cast<std::size_t>(s + 1));
+  }
+  engine_kernels::push_history_compacted(
+      hist, McSlotActivity{2 * window - 1, 0, 1, 0}, window, true);
+  ASSERT_EQ(hist.size(), static_cast<std::size_t>(window));
+  for (std::size_t k = 0; k < hist.size(); ++k) {
+    EXPECT_EQ(hist.data()[k].slot, window + k);  // trailing [4, 8)
+    EXPECT_EQ(hist.data()[k].jam_mask, (window + k) & 1);
+  }
+}
+
+TEST(McJamRunSinkTest, MergesAdjacentSameMaskSegments) {
+  McJamRunSink sink;
+  EXPECT_TRUE(sink.append(3, 1));
+  EXPECT_TRUE(sink.append(2, 1));
+  EXPECT_TRUE(sink.append(1, 0));
+  ASSERT_EQ(sink.segments().size(), 2u);
+  EXPECT_EQ(sink.segments()[0].length, 5u);
+  EXPECT_EQ(sink.segments()[0].decision, 1u);
+  EXPECT_EQ(sink.segments()[1].length, 1u);
+  EXPECT_EQ(sink.segments()[1].decision, 0u);
+  EXPECT_EQ(sink.total(), 6u);
+}
+
+TEST(McJamRunSinkTest, ZeroLengthAppendIsANoOp) {
+  McJamRunSink sink;
+  EXPECT_TRUE(sink.append(0, 1));
+  EXPECT_EQ(sink.segments().size(), 0u);
+  EXPECT_EQ(sink.total(), 0u);
+}
+
+TEST(McJamRunSinkTest, CapacityOverflowLeavesSinkUnchanged) {
+  McJamRunSink sink;
+  for (std::size_t i = 0; i < McJamRunSink::kMaxSegments; ++i) {
+    ASSERT_TRUE(sink.append(1, i % 2));
+  }
+  const SlotCount total = sink.total();
+  // A 65th alternation must fail without growing the sink; a same-mask
+  // append still merges into the last segment.
+  EXPECT_FALSE(sink.append(1, McJamRunSink::kMaxSegments % 2));
+  EXPECT_EQ(sink.total(), total);
+  EXPECT_EQ(sink.segments().size(), McJamRunSink::kMaxSegments);
+  EXPECT_TRUE(sink.append(4, (McJamRunSink::kMaxSegments - 1) % 2));
+  EXPECT_EQ(sink.total(), total + 4);
+  sink.reset();
+  EXPECT_EQ(sink.segments().size(), 0u);
+  EXPECT_EQ(sink.total(), 0u);
+}
+
+/// Jams slot s iff s % 3 == 0 — history-oblivious, so a bulk answer is a
+/// pure function of [begin, end).  `bulk` selects whether it answers; an
+/// answer that overflows the sink declines.
+class PeriodicJammer final : public McSlotAdversary {
+ public:
+  explicit PeriodicJammer(bool bulk) : bulk_(bulk) {}
+  std::uint64_t jam_mask(SlotIndex slot, std::uint32_t,
+                         std::span<const McSlotActivity>) override {
+    return slot % 3 == 0 ? 1 : 0;
+  }
+  bool jam_run_masks(SlotIndex begin, SlotIndex end, std::uint32_t,
+                     std::span<const McSlotActivity>,
+                     McJamRunSink& sink) override {
+    if (!bulk_) return false;
+    for (SlotIndex s = begin; s < end; ++s) {
+      if (!sink.append(1, s % 3 == 0 ? 1 : 0)) return false;
+    }
+    return true;
+  }
+  SlotCount history_window() const override { return 0; }
+
+ private:
+  bool bulk_;
+};
+
+TEST(SlotEngineJamRunTest, BulkAnswerMatchesPerSlotPathExactly) {
+  // Same strategy with and without the bulk fast path: every observable
+  // (per-node counters, jam count, event count, final RNG position) must
+  // coincide — the bulk answer is a pure optimization.
+  std::vector<NodeAction> actions = {NodeAction{0.01, Payload::kMessage, 0.0},
+                                     NodeAction{0.0, Payload::kNoise, 0.01}};
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    PeriodicJammer bulk(true), scalar(false);
+    Rng rng_bulk(seed), rng_scalar(seed);
+    expect_identical_mc(run_c1(2000, actions, bulk, rng_bulk),
+                        run_c1(2000, actions, scalar, rng_scalar));
+    EXPECT_EQ(rng_bulk.next_u64(), rng_scalar.next_u64()) << "seed " << seed;
+  }
+}
+
+TEST(SlotEngineJamRunTest, ReactiveBulkAnswerMatchesPerSlotPath) {
+  std::vector<NodeAction> actions = {NodeAction{0.005, Payload::kMessage, 0.0},
+                                     NodeAction{0.0, Payload::kNoise, 0.005}};
+  for (std::uint64_t seed = 20; seed <= 30; ++seed) {
+    McBulkReactive bulk(true), scalar(false);
+    Rng rng_bulk(seed), rng_scalar(seed);
+    expect_identical_mc(run_c1(5000, actions, bulk, rng_bulk),
+                        run_c1(5000, actions, scalar, rng_scalar));
+    EXPECT_EQ(rng_bulk.next_u64(), rng_scalar.next_u64()) << "seed " << seed;
+    EXPECT_GT(bulk.bulk_calls_, 0) << "fast path never exercised";
+    EXPECT_EQ(scalar.bulk_calls_, 0);
+  }
+}
+
+TEST(SlotEngineJamRunTest, DecliningAdversaryStillRunsCorrectly) {
+  // PeriodicJammer's per-slot appends overflow the sink on runs longer than
+  // ~2 * kMaxSegments slots, forcing the mid-call decline path; with p this
+  // sparse both accepted and declined runs occur in one phase.
+  std::vector<NodeAction> actions = {NodeAction{0.002, Payload::kMessage, 0.0}};
+  PeriodicJammer bulk(true), scalar(false);
+  Rng rng_bulk(7), rng_scalar(7);
+  const auto a = run_c1(20000, actions, bulk, rng_bulk);
+  expect_identical_mc(a, run_c1(20000, actions, scalar, rng_scalar));
+  // slots 0, 3, 6, ... jammed regardless of which path decided them.
+  EXPECT_EQ(a.jammed_slots, (20000 + 2) / 3);
+}
+
+TEST(SlotEngineJamRunTest, UnboundedHistoryIsMaterializedAcrossBulkRuns) {
+  std::vector<NodeAction> actions = {NodeAction{0.01, Payload::kMessage, 0.0}};
+  McBulkHistoryAuditor adv(1);
+  Rng rng(14);
+  run_c1(3000, actions, adv, rng);
+  EXPECT_GT(adv.bulk_calls_, 0);
+  EXPECT_TRUE(adv.complete_);
+  EXPECT_TRUE(adv.ordered_);
 }
 
 }  // namespace

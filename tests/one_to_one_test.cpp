@@ -8,7 +8,9 @@
 
 #include "rcb/adversary/spoofing.hpp"
 #include "rcb/common/mathutil.hpp"
+#include "rcb/protocols/ksy.hpp"
 #include "rcb/rng/rng.hpp"
+#include "rcb/runtime/scenario.hpp"
 
 namespace rcb {
 namespace {
@@ -171,6 +173,70 @@ TEST(OneToOneTest, ResultInvariants) {
       EXPECT_TRUE(r.bob_halted);
     }
   }
+}
+
+// An unbounded full-duel jammer used to drive the duels past the engines'
+// 2^34-slot phase cap, aborting the process on a contract check.  The
+// default epoch caps now stop at the last epoch whose phases fit.
+TEST(EngineCapTest, HugeBudgetDuelsEndAtTheLastRunnableEpoch) {
+  const Cost huge = Cost{1} << 40;
+  {
+    FullDuelBlocker adv(Budget(huge), 1.0);
+    Rng rng(3);
+    const OneToOneResult r =
+        run_one_to_one(OneToOneParams::sim(0.01), adv, rng);
+    EXPECT_TRUE(r.hit_epoch_cap);
+    EXPECT_FALSE(r.aborted);
+    EXPECT_EQ(r.final_epoch, event_key::kMaxPhaseEpoch);
+  }
+  {
+    FullDuelBlocker adv(Budget(huge), 1.0);
+    Rng rng(4);
+    const OneToOneResult r = run_ksy(KsyParams{}, adv, rng);
+    EXPECT_TRUE(r.hit_epoch_cap);
+    EXPECT_EQ(r.final_epoch, event_key::kMaxPhaseEpoch);
+  }
+  // The rcb_sim repro: --adversary=full_duel --budget=2^40 --q=1.
+  for (const char* protocol : {"one_to_one", "ksy", "combined"}) {
+    Scenario s;
+    s.protocol = protocol;
+    s.adversary = "full_duel";
+    s.budget = huge;
+    s.q = 1.0;
+    s.trials = 2;
+    ASSERT_EQ(validate_scenario(s), "") << protocol;
+    const TrialOutcome out = run_scenario_trial(s, 0);
+    EXPECT_FALSE(out.success) << protocol;
+    EXPECT_FALSE(out.aborted) << protocol;
+  }
+}
+
+TEST(EngineCapTest, ScenariosPastTheEngineCapsAreRefused) {
+  Scenario s;
+  s.protocol = "one_to_one";
+  s.adversary = "full_duel";
+  const std::uint32_t first = OneToOneParams::sim(s.eps).first_epoch();
+  s.max_epoch_extra = event_key::kMaxPhaseEpoch - first;
+  EXPECT_EQ(validate_scenario(s), "");
+  s.max_epoch_extra += 1;
+  EXPECT_NE(validate_scenario(s).find("max_epoch_extra"), std::string::npos);
+  s.protocol = "broadcast";
+  s.adversary = "suffix";
+  s.max_epoch_extra = 40;
+  EXPECT_NE(validate_scenario(s), "");
+  // Multi-channel phases split into hop blocks, so C > 1 runs further.
+  s.protocol = "mc_broadcast";
+  s.adversary = "mc_focus";
+  s.max_epoch_extra = event_key::kMaxPhaseEpoch + 1 - first;
+  EXPECT_NE(validate_scenario(s), "");
+  s.channels = 4;
+  EXPECT_EQ(validate_scenario(s), "");
+  // The packed event keys hold 2^23 nodes.
+  s.max_epoch_extra = 0;
+  s.n = static_cast<std::uint32_t>(event_key::kMaxNodes);
+  EXPECT_EQ(validate_scenario(s), "");
+  s.n += 1;
+  EXPECT_NE(validate_scenario(s).find("n must be"), std::string::npos);
 }
 
 }  // namespace

@@ -16,10 +16,10 @@
 # fixed-seed scenario sweep (~200 cases; 1000 with --full).  The generated
 # scenario space includes the multi-channel axis (mc_broadcast with C
 # weighted toward {1, 2, 4}), so every config exercises the per-channel
-# budget ledger, the mc engine crosscheck, and the C=1 degeneration
-# differential oracle.  Any oracle violation fails CI and the minimized
-# scenario + RCB_REPRO record paths are printed for local replay with
-# rcb_replay --verify.
+# budget ledger and the event-vs-dense slotwise crosscheck both at C = 1
+# (the single-channel model) and beyond.  Any oracle violation fails CI and
+# the minimized scenario + RCB_REPRO record paths are printed for local
+# replay with rcb_replay --verify.
 #
 # The bench step runs bench_m1_micro with a short --benchmark_min_time and
 # bench_m2_engine_scaling (default grid), writes build/BENCH_m{1,2}.json,
@@ -27,9 +27,9 @@
 # mode: perf drift is printed on every run without flaking CI on machine
 # noise.  Tighten by dropping --warn_only once runners are dedicated.  Two
 # numbers ARE gated hard: the m2/speedup/event_vs_dense and
-# m2/channels/speedup ratios are structural properties of the engine pairs
-# (O(slots + events) vs O(slots * nodes)), not machine noise, so both must
-# stay >= 5x on any host.
+# m2/channels/speedup ratios are structural properties of the slotwise
+# engine's event and dense paths (O(slots + events) vs O(slots * nodes)),
+# not machine noise, so both must stay >= 5x on any host.
 #
 # Exits non-zero on the first failing build or test run.
 set -euo pipefail
@@ -440,7 +440,7 @@ if [[ "$what" == "all" || "$what" == "perf" ]]; then
     (cd "$repo" && cmake --preset perf)
     echo "=== [perf] build engine crosscheck suite ==="
     perf_tests=(engine_crosscheck_test sampling_simd_test arena_test
-                engine_kernels_test slot_engine_test sampling_test
+                engine_kernels_test sampling_test
                 determinism_test mc_engine_test mc_degeneration_test rng_test)
     cmake --build "$repo/build-perf" -j "$jobs" --target "${perf_tests[@]}"
     echo "=== [perf] run engine crosscheck suite ==="

@@ -61,8 +61,8 @@ int run_tool(int argc, const char* const* argv) {
                 "protocols; 0 = unlimited)");
   flags.add_int("channels", 1,
                 "channel count C of the multi-channel slot model "
-                "(mc_broadcast protocol; C=1 degenerates to the "
-                "single-channel engines bit-for-bit)",
+                "(mc_broadcast protocol; C=1 is the single-channel "
+                "model)",
                 1, 64);
   flags.add_int("fault_seed", 0, "seed for the fault-injection RNG streams");
   flags.add_double("crash_rate", 0.0, "per-slot P(an up node crashes)");
