@@ -1,5 +1,6 @@
 // Tests for the event-driven repetition engine: channel semantics, cost
-// accounting, l-uniform jamming, and half-duplex behaviour.
+// accounting, l-uniform jamming, half-duplex behaviour, and the pinned
+// output digests.
 #include "rcb/sim/repetition_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <cmath>
 #include <vector>
 
+#include "rcb/common/simd.hpp"
 #include "rcb/rng/rng.hpp"
 #include "rcb/sim/engine_workspace.hpp"
 #include "rcb/sim/trace.hpp"
@@ -237,6 +239,158 @@ TEST(RepetitionEngineTest, EmptyActionsProduceEmptyResult) {
   std::vector<NodeAction> actions;
   auto r = run_repetition(100, actions, JamSchedule::none(), rng);
   EXPECT_TRUE(r.obs.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Pinned output.  These digests were captured from the slot-group sweep
+// before it became a single pass over the sorted keys; the engine must
+// reproduce them on every SIMD path.  Each digest folds every
+// NodeObservation field, the Rng's next output after the call (its stream
+// position), and every TraceEvent the call recorded.
+
+enum class PinnedCase {
+  kPerfectCca,
+  kImperfectCca,
+  kFaultPlan,
+  kLUniform,
+  kTraced,
+  kLastSlot,
+  kWide,
+};
+
+std::uint64_t pinned_digest(PinnedCase c, std::uint64_t seed) {
+  SlotCount slots = 4096;
+  std::vector<NodeAction> actions = {
+      NodeAction{0.05, Payload::kMessage, 0.0},
+      NodeAction{0.01, Payload::kNoise, 0.2},
+      NodeAction{0.0, Payload::kNoise, 0.3},
+      NodeAction{0.02, Payload::kNack, 0.05},
+      NodeAction{0.03, Payload::kMessage, 0.4},
+      NodeAction{0.0, Payload::kNoise, 0.6}};
+  if (c == PinnedCase::kWide) {
+    // 1024 nodes at about two senders and ten listeners per slot: most
+    // slots hold several events of both kinds.
+    actions.clear();
+    for (NodeId u = 0; u < 1024; ++u) {
+      actions.push_back(NodeAction{
+          0.001 + 0.002 * static_cast<double>(u % 3),
+          static_cast<Payload>(u % 3), 0.01});
+    }
+  }
+  Rng rng = Rng::stream(seed, 1);
+  if (c == PinnedCase::kLastSlot) {
+    // See SendOnTheLastRepresentableSlotIsSettled: node 0's only send lands
+    // on slot kMaxSlots - 1; node 1 listens there too.
+    slots = event_key::kMaxSlots;
+    const double u0 = Rng::stream(seed, 1).uniform_double_open();
+    const double p =
+        -std::expm1(std::log(u0) / (static_cast<double>(slots) - 0.5));
+    actions = {NodeAction{p, Payload::kMessage, 0.0},
+               NodeAction{0.0, Payload::kNoise, 1e-9}};
+  }
+
+  FaultConfig fcfg;
+  fcfg.seed = 99;
+  fcfg.crash_rate = 0.001;
+  fcfg.restart_rate = 0.01;
+  fcfg.loss_rate = 0.2;
+  fcfg.corruption_rate = 0.1;
+  fcfg.clock_skew_rate = 0.3;
+  FaultPlan faults(fcfg);
+  FaultPlan* fp = c == PinnedCase::kFaultPlan ? &faults : nullptr;
+  const CcaModel cca = c == PinnedCase::kImperfectCca ? CcaModel{0.1, 0.05}
+                       : c == PinnedCase::kFaultPlan  ? CcaModel{0.05, 0.05}
+                                                      : CcaModel{};
+  Trace trace(1 << 16);
+  trace.begin_phase(3);
+  Trace* tp = c == PinnedCase::kTraced || c == PinnedCase::kLastSlot ||
+                      c == PinnedCase::kWide
+                  ? &trace
+                  : nullptr;
+
+  RepetitionResult r;
+  if (c == PinnedCase::kLUniform || c == PinnedCase::kTraced) {
+    std::vector<SlotIndex> every_seventh;
+    for (SlotIndex s = 0; s < slots; s += 7) every_seventh.push_back(s);
+    const std::vector<JamSchedule> schedules = {
+        JamSchedule::none(), JamSchedule::suffix(slots, 1500),
+        JamSchedule::slots(slots, std::move(every_seventh))};
+    const std::vector<std::uint32_t> partition = {0, 1, 2, 0, 1, 2};
+    r = run_repetition_luniform(slots, actions, partition, schedules, rng, tp,
+                                cca, fp);
+  } else {
+    r = run_repetition(slots, actions,
+                       JamSchedule::blocking_fraction(slots, 0.4), rng, tp,
+                       cca, fp);
+  }
+
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
+  const auto fold = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ull;
+  };
+  for (const NodeObservation& o : r.obs) {
+    for (const std::uint64_t v :
+         {o.sends, o.listens, o.clear, o.messages, o.nacks, o.noise,
+          o.first_message_slot, o.listens_until_first_message}) {
+      fold(v);
+    }
+  }
+  fold(rng.next_u64());
+  for (const TraceEvent& e : trace.events()) {
+    for (const std::uint64_t v :
+         {e.phase, e.slot, std::uint64_t{e.senders}, std::uint64_t{e.listeners},
+          std::uint64_t{e.jammed}}) {
+      fold(v);
+    }
+  }
+  fold(trace.events().size());
+  return h;
+}
+
+/// RAII SIMD-mode override so a failing EXPECT never leaks the mode into
+/// later tests.
+struct SimdModeGuard {
+  explicit SimdModeGuard(simd::Mode m) { simd::set_mode(m); }
+  ~SimdModeGuard() { simd::clear_mode_override(); }
+};
+
+void expect_pinned(PinnedCase c, std::uint64_t seed, std::uint64_t want) {
+  for (const simd::Mode mode : {simd::Mode::kScalar, simd::Mode::kAvx2}) {
+    if (mode == simd::Mode::kAvx2 && !simd::avx2_available()) continue;
+    SimdModeGuard guard(mode);
+    EXPECT_EQ(pinned_digest(c, seed), want)
+        << "case " << static_cast<int>(c) << ", simd "
+        << static_cast<int>(mode);
+  }
+}
+
+TEST(RepetitionEnginePinnedTest, PerfectCca) {
+  expect_pinned(PinnedCase::kPerfectCca, 2000, 0x13201f7806e546e3ull);
+}
+
+TEST(RepetitionEnginePinnedTest, ImperfectCca) {
+  expect_pinned(PinnedCase::kImperfectCca, 2001, 0xa41d3dd0f6c3fb73ull);
+}
+
+TEST(RepetitionEnginePinnedTest, ActiveFaultPlan) {
+  expect_pinned(PinnedCase::kFaultPlan, 2002, 0x0fcc70e1d58944ddull);
+}
+
+TEST(RepetitionEnginePinnedTest, LUniformThreePartitions) {
+  expect_pinned(PinnedCase::kLUniform, 2003, 0x172a1c9d32683f07ull);
+}
+
+TEST(RepetitionEnginePinnedTest, TraceAttached) {
+  expect_pinned(PinnedCase::kTraced, 2004, 0x112621aa48a14f71ull);
+}
+
+TEST(RepetitionEnginePinnedTest, SendOnTheLastRepresentableSlot) {
+  expect_pinned(PinnedCase::kLastSlot, 2005, 0x45661dd9f1b13c57ull);
+}
+
+TEST(RepetitionEnginePinnedTest, WideCallWithMultiEventSlots) {
+  expect_pinned(PinnedCase::kWide, 2006, 0x5bbeb68f453e0866ull);
 }
 
 }  // namespace
