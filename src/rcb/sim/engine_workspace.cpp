@@ -9,7 +9,6 @@ void EngineWorkspace::begin_trial() {
 
 void EngineWorkspace::detach_buffers() {
   events.detach();
-  send_slots.detach();
   mc_history.detach();
   payloads.detach();
 }

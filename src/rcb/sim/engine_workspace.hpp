@@ -81,10 +81,11 @@ inline NodeId node(std::uint64_t key) {
 /// The per-thread scratch arrays, valid inside one engine call's PhaseScope.
 struct EngineWorkspace {
   Arena arena{std::size_t{16} << 20};
-  /// Sorted packed event keys for the current phase.
+  /// Packed event keys for the current phase: presample appends each key
+  /// once, node by node (its sends, then its listens, each run sorted; the
+  /// listens' half-duplex filter reads the node's sends in place), and the
+  /// key sort leaves them ascending.
   ArenaVector<std::uint64_t> events{arena};
-  /// One node's send slots (listen/send half-duplex collision filter).
-  ArenaVector<SlotIndex> send_slots{arena};
   /// Materialized adversary history (slotwise engine).
   ArenaVector<McSlotActivity> mc_history{arena};
   /// Per-node effective payload for the phase, skew already applied

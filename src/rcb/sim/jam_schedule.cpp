@@ -38,18 +38,8 @@ JamSchedule JamSchedule::slots(SlotCount num_slots,
   return js;
 }
 
-bool JamSchedule::is_jammed(SlotIndex slot) const {
-  switch (kind_) {
-    case Kind::kNone:
-      return false;
-    case Kind::kAll:
-      return slot < num_slots_;
-    case Kind::kSuffix:
-      return slot >= suffix_start_ && slot < num_slots_;
-    case Kind::kSlots:
-      return std::binary_search(slots_.begin(), slots_.end(), slot);
-  }
-  return false;
+bool JamSchedule::is_listed(SlotIndex slot) const {
+  return std::binary_search(slots_.begin(), slots_.end(), slot);
 }
 
 SlotCount JamSchedule::jammed_count() const {

@@ -33,8 +33,14 @@ class JamSchedule {
   /// duplicate-free; all entries must be < num_slots.
   static JamSchedule slots(SlotCount num_slots, std::vector<SlotIndex> slots);
 
-  /// True if `slot` is jammed.
-  bool is_jammed(SlotIndex slot) const;
+  /// True if `slot` is jammed.  Inline, since the engines ask it once per
+  /// listen: kNone holds no slots and kAll is the suffix from slot 0, so
+  /// one interval test settles every kind but an explicit slot list, whose
+  /// binary search stays out of line.
+  bool is_jammed(SlotIndex slot) const {
+    if (kind_ == Kind::kSlots) return is_listed(slot);
+    return slot >= suffix_start_ && slot < num_slots_;
+  }
 
   /// Total number of jammed slots (the adversary's cost for this phase if
   /// it runs to completion).
@@ -50,6 +56,9 @@ class JamSchedule {
   enum class Kind { kNone, kAll, kSuffix, kSlots };
 
   JamSchedule(Kind kind, SlotCount num_slots) : kind_(kind), num_slots_(num_slots) {}
+
+  /// is_jammed for an explicit slot list.
+  bool is_listed(SlotIndex slot) const;
 
   Kind kind_ = Kind::kNone;
   SlotCount num_slots_ = 0;

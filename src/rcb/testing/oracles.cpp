@@ -12,6 +12,7 @@
 #include "rcb/sim/channel_plan.hpp"
 #include "rcb/sim/jam_schedule.hpp"
 #include "rcb/sim/mc_slot_engine.hpp"
+#include "rcb/sim/repetition_engine.hpp"
 #include "rcb/stats/rank_test.hpp"
 
 namespace rcb {
@@ -140,7 +141,7 @@ struct EngineProfile {
 };
 
 /// Derives the engine workload from the scenario: node count from the
-/// fleet, payload/probabilities from a dedicated deterministic stream, jam
+/// fleet, probabilities from a dedicated deterministic stream, jam
 /// fractions from q, CCA drift from the fault config.  Scenarios whose seed
 /// is 0 mod 4 get a randomness-free profile (all probabilities in {0,1},
 /// drift off), where the two engines must agree bit-for-bit.
@@ -153,7 +154,9 @@ EngineProfile derive_profile(const Scenario& s) {
   prof.randomness_free = s.seed % 4 == 0;
   for (std::size_t u = 0; u < nodes; ++u) {
     NodeAction a;
-    a.payload = u == 0 ? Payload::kMessage : Payload::kNoise;
+    // Every payload kind, so a collision's last sender in node order is
+    // often a decodable one: a sweep that misses the collision hears it.
+    a.payload = static_cast<Payload>(u % 3);
     if (prof.randomness_free) {
       a.send_prob = rng.bernoulli(0.4) ? 1.0 : 0.0;
       a.listen_prob = a.send_prob == 0.0 && rng.bernoulli(0.7) ? 1.0 : 0.0;
@@ -240,6 +243,36 @@ void check_conservation(const char* engine, const EngineProfile& prof,
   }
 }
 
+/// At C = 1 the batch engine presamples through the event engine's kernel
+/// and resolves listeners in the same key order, so run on the same stream
+/// it must reproduce the event engine's run `ev` exactly, down to the
+/// stream position `ev_rng` was left at.
+void check_batch_engine(const Scenario& s, const EngineProfile& prof,
+                        const FaultConfig& fault_cfg, std::uint64_t stream,
+                        const McSlotwiseResult& ev, const Rng& ev_rng,
+                        Report& rep) {
+  if (prof.channels != 1) return;
+  FaultPlan faults(fault_cfg);
+  Rng rng = Rng::stream(s.seed ^ kProfileSalt, stream);
+  const RepetitionResult batch =
+      run_repetition(prof.slots, prof.actions, prof.jam[0], rng, nullptr,
+                     prof.cca, faults.active() ? &faults : nullptr);
+  for (std::size_t u = 0; u < prof.actions.size(); ++u) {
+    if (!obs_equal(batch.obs[u], ev.rep.obs[u])) {
+      rep.add("crosscheck") << "C=1 profile, stream " << stream << ": node "
+                            << u << " differs between the batch and event "
+                            << "engines";
+      rep.commit();
+    }
+  }
+  if (rng.state() != ev_rng.state()) {
+    rep.add("crosscheck") << "C=1 profile, stream " << stream
+                          << ": the batch and event engines leave the Rng "
+                          << "at different positions";
+    rep.commit();
+  }
+}
+
 void check_engines(const Scenario& s, const OracleOptions& opt, double alpha,
                    Report& rep) {
   const EngineProfile prof = derive_profile(s);
@@ -252,11 +285,13 @@ void check_engines(const Scenario& s, const OracleOptions& opt, double alpha,
     McScheduleAdversary adv(prof.jam);
     Rng rng = Rng::stream(s.seed ^ kProfileSalt, stream);
     const ChannelPlan plan = prof.plan();
-    return dense ? run_repetition_slotwise_mc_dense(prof.slots, prof.actions,
-                                                    plan, adv, rng, prof.cca,
-                                                    fp)
-                 : run_repetition_slotwise_mc(prof.slots, prof.actions, plan,
-                                              adv, rng, prof.cca, fp);
+    McSlotwiseResult r =
+        dense ? run_repetition_slotwise_mc_dense(prof.slots, prof.actions,
+                                                 plan, adv, rng, prof.cca, fp)
+              : run_repetition_slotwise_mc(prof.slots, prof.actions, plan,
+                                           adv, rng, prof.cca, fp);
+    if (!dense) check_batch_engine(s, prof, fault_cfg, stream, r, rng, rep);
+    return r;
   };
 
   if (prof.randomness_free) {

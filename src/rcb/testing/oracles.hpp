@@ -17,7 +17,10 @@
 //   "crosscheck"   — event-driven vs dense slotwise engine on an action
 //                    profile derived from the scenario: exact equality on
 //                    randomness-free profiles, a Bonferroni-corrected
-//                    Mann-Whitney gate (stats/rank_test.hpp) otherwise.
+//                    Mann-Whitney gate (stats/rank_test.hpp) otherwise;
+//                    and, at C = 1, the batch engine vs the event engine on
+//                    the same Rng stream: exact equality of every
+//                    observation and of the final stream position.
 //   "metamorphic"  — monotonicity relations the theory implies: larger eps
 //                    never increases Fig.1's cost thresholds
 //                    (deterministic), and more adversary budget never

@@ -2,10 +2,13 @@
 //
 // The batch (event-driven) engine and the slotwise engine (at C=1, the
 // single-channel model) implement the same channel semantics through
-// entirely different code paths.  With the
-// same per-slot action probabilities and equivalent jam schedules, their
-// observation distributions must agree.  We compare Monte-Carlo means with
-// tolerance scaled to the standard error.
+// different sweeps.  Both presample through one kernel and resolve
+// listeners in sorted-key order, so on one Rng stream with the jam schedule
+// committed as an McScheduleAdversary they agree exactly: every observation
+// and the stream position after the call (EngineCrosscheckExactTest).  The
+// Monte-Carlo tests compare means across different streams with tolerance
+// scaled to the standard error, and pin the slotwise event path against
+// its dense reference, which draws in another order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -92,6 +95,96 @@ TEST_P(EngineCrosscheckTest, MeansAgree) {
     close(batch[u].messages, slotwise[u].messages, "messages", u);
     close(batch[u].noise, slotwise[u].noise, "noise", u);
   }
+}
+
+bool obs_equal(const NodeObservation& a, const NodeObservation& b) {
+  return a.sends == b.sends && a.listens == b.listens && a.clear == b.clear &&
+         a.messages == b.messages && a.nacks == b.nacks &&
+         a.noise == b.noise && a.first_message_slot == b.first_message_slot &&
+         a.listens_until_first_message == b.listens_until_first_message;
+}
+
+/// A random jam schedule of every kind: none, all, a suffix, a slot list.
+JamSchedule random_schedule(SlotCount slots, std::uint64_t kind, Rng& gen) {
+  switch (kind % 4) {
+    case 0:
+      return JamSchedule::none();
+    case 1:
+      return JamSchedule::all(slots);
+    case 2:
+      return JamSchedule::suffix(slots, gen.uniform_u64(slots + 1));
+    default: {
+      std::vector<SlotIndex> listed;
+      const double density = gen.uniform_double();
+      for (SlotIndex s = 0; s < slots; ++s) {
+        if (gen.bernoulli(density)) listed.push_back(s);
+      }
+      return JamSchedule::slots(slots, std::move(listed));
+    }
+  }
+}
+
+/// Runs `cases` random phases through both engines on one Rng stream each
+/// and expects identical observations and final stream positions.
+void expect_engines_agree_exactly(std::uint64_t master, int cases,
+                                  bool imperfect_cca, bool faults_on) {
+  for (int c = 0; c < cases; ++c) {
+    Rng gen = Rng::stream(master, static_cast<std::uint64_t>(c));
+    const SlotCount slots = 1 + gen.uniform_u64(2048);
+    const std::size_t n = 1 + gen.uniform_u64(6);
+    std::vector<NodeAction> actions;
+    for (std::size_t u = 0; u < n; ++u) {
+      NodeAction a;
+      // Some certain senders and listeners, so half-duplex and collisions
+      // come up in most phases.
+      a.send_prob = gen.bernoulli(0.15) ? 1.0 : 0.3 * gen.uniform_double();
+      a.listen_prob = gen.bernoulli(0.15) ? 1.0 : gen.uniform_double();
+      a.payload = static_cast<Payload>(gen.uniform_u64(3));
+      actions.push_back(a);
+    }
+    const JamSchedule jam =
+        random_schedule(slots, static_cast<std::uint64_t>(c), gen);
+    const CcaModel cca = imperfect_cca
+                             ? CcaModel{0.3 * gen.uniform_double(),
+                                        0.3 * gen.uniform_double()}
+                             : CcaModel{};
+    FaultConfig cfg;
+    if (faults_on) {
+      cfg.seed = gen.next_u64();
+      cfg.crash_rate = 0.005;
+      cfg.restart_rate = 0.02;
+      cfg.loss_rate = 0.2;
+      cfg.corruption_rate = 0.1;
+      cfg.clock_skew_rate = 0.25;
+    }
+    FaultPlan batch_faults(cfg), slotwise_faults(cfg);
+    Rng batch_rng = Rng::stream(master + 1, static_cast<std::uint64_t>(c));
+    Rng slotwise_rng = batch_rng;
+
+    const RepetitionResult batch = run_repetition(
+        slots, actions, jam, batch_rng, nullptr, cca, &batch_faults);
+    McScheduleAdversary adv({jam});
+    const McSlotwiseResult slotwise = run_repetition_slotwise_mc(
+        slots, actions, kSingle, adv, slotwise_rng, cca, &slotwise_faults);
+
+    for (std::size_t u = 0; u < n; ++u) {
+      EXPECT_TRUE(obs_equal(batch.obs[u], slotwise.rep.obs[u]))
+          << "case " << c << " node " << u;
+    }
+    EXPECT_EQ(batch_rng.state(), slotwise_rng.state()) << "case " << c;
+  }
+}
+
+TEST(EngineCrosscheckExactTest, BatchMatchesSlotwiseAtC1) {
+  expect_engines_agree_exactly(51, 300, false, false);
+}
+
+TEST(EngineCrosscheckExactTest, BatchMatchesSlotwiseUnderImperfectCca) {
+  expect_engines_agree_exactly(53, 300, true, false);
+}
+
+TEST(EngineCrosscheckExactTest, BatchMatchesSlotwiseUnderFaultsAndCca) {
+  expect_engines_agree_exactly(55, 300, true, true);
 }
 
 INSTANTIATE_TEST_SUITE_P(

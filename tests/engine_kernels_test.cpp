@@ -33,7 +33,9 @@ SortPath expect_sorted_like_std(std::vector<std::uint64_t> keys) {
   Arena arena;
   arena.allocate(100);  // the kernel must release to here, not to zero
   const std::size_t used = arena.bytes_used();
-  const SortPath path = sort_event_keys(keys, arena);
+  const auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
+  const SortPath path = keys.empty() ? sort_event_keys(keys, 0, 0, arena)
+                                     : sort_event_keys(keys, *lo, *hi, arena);
   EXPECT_EQ(keys, want);
   EXPECT_EQ(arena.bytes_used(), used);
   return path;
