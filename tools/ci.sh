@@ -430,17 +430,19 @@ if [[ "$what" == "all" || "$what" == "perf" ]]; then
   # the AVX2 kernels (RCB_NATIVE_BUILD).  Worth running only where the CPU
   # actually has the instructions; elsewhere skip cleanly so "all" stays
   # green on portable runners.  The suite is the digest-critical one: the
-  # event engines against the dense oracle, kernel bit-equivalence, arena
-  # reuse and per-call scoping, the event-key sort against std::sort,
-  # cross-seed determinism, and the pinned Rng stream with its
-  # integer Bernoulli form — all with the wide path and native codegen.
+  # event engines against the dense oracle, the batch engine's pinned
+  # digests and its exact match with the slotwise engine at C=1, kernel
+  # bit-equivalence, arena reuse and per-call scoping, the event-key sort
+  # against std::sort, cross-seed determinism, and the pinned Rng stream
+  # with its integer Bernoulli form — all with the wide path and native
+  # codegen.
   if grep -q avx2 /proc/cpuinfo 2>/dev/null &&
      grep -q fma /proc/cpuinfo 2>/dev/null; then
     echo "=== [perf] configure (native/AVX2) ==="
     (cd "$repo" && cmake --preset perf)
     echo "=== [perf] build engine crosscheck suite ==="
     perf_tests=(engine_crosscheck_test sampling_simd_test arena_test
-                engine_kernels_test sampling_test
+                engine_kernels_test sampling_test repetition_engine_test
                 determinism_test mc_engine_test mc_degeneration_test rng_test)
     cmake --build "$repo/build-perf" -j "$jobs" --target "${perf_tests[@]}"
     echo "=== [perf] run engine crosscheck suite ==="
