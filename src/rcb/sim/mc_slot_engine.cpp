@@ -14,24 +14,6 @@
 namespace rcb {
 namespace {
 
-// Reception on one channel of one slot, given that channel's sender
-// count, single-sender payload and jam bit.
-Reception resolve(std::uint32_t sender_count, Payload single_payload,
-                  bool jammed) {
-  if (jammed) return Reception::kNoise;
-  if (sender_count == 0) return Reception::kClear;
-  if (sender_count > 1) return Reception::kNoise;
-  switch (single_payload) {
-    case Payload::kMessage:
-      return Reception::kMessage;
-    case Payload::kNack:
-      return Reception::kNack;
-    case Payload::kNoise:
-      return Reception::kNoise;
-  }
-  return Reception::kNoise;
-}
-
 void record(NodeObservation& o, Reception heard, SlotIndex slot) {
   switch (heard) {
     case Reception::kClear:
@@ -236,7 +218,8 @@ McSlotwiseResult run_repetition_slotwise_mc(
         const NodeId u = event_key::node(keys[j]);
         NodeObservation& o = result.rep.obs[u];
         ++o.listens;
-        Reception heard = resolve(sender_count, single_payload, jammed);
+        Reception heard =
+            engine_kernels::resolve(sender_count, single_payload, jammed);
         if (!cca.perfect()) heard = cca.apply(heard, rng);
         if (faults != nullptr) {
           if (faults->node_skewed(u) && (heard == Reception::kMessage ||
@@ -329,8 +312,8 @@ McSlotwiseResult run_repetition_slotwise_mc_dense(
       const std::uint32_t ch = channels.channel_of(u, slot);
       const std::uint32_t sender_count =
           (sender_channels >> ch & 1) != 0 ? count[ch] : 0;
-      Reception heard =
-          resolve(sender_count, payload[ch], ((mask >> ch) & 1) != 0);
+      Reception heard = engine_kernels::resolve(sender_count, payload[ch],
+                                                ((mask >> ch) & 1) != 0);
       if (!cca.perfect()) heard = cca.apply(heard, rng);
       if (faults != nullptr) {
         if (faults->node_skewed(u) && (heard == Reception::kMessage ||
