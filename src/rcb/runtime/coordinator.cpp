@@ -64,7 +64,9 @@ class LeaseHeartbeat {
   std::thread thread_;
 };
 
-enum class ShardRunState { kPending, kRunning, kDone };
+/// kExited: the holder is gone and the shard's journals await the scan
+/// that decides kDone vs kPending.
+enum class ShardRunState { kPending, kRunning, kExited, kDone };
 
 struct ShardTracker {
   ShardRunState state = ShardRunState::kPending;
@@ -203,6 +205,15 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
   const std::size_t n = spec.shards.size();
   std::vector<ShardTracker> track(n);
   std::size_t done = 0;
+  // The kComplete scan of every done shard, handed to the merge so it does
+  // not decode the journals a second time.
+  std::vector<ShardScan> adopted(n);
+  const auto mark_done = [&](std::size_t shard, ShardScan scan) {
+    scan.records.shrink_to_fit();
+    adopted[shard] = std::move(scan);
+    track[shard].state = ShardRunState::kDone;
+    ++done;
+  };
 
   // Adopt whatever previous coordinators / workers left behind.  Complete
   // shards are taken as-is, partial ones are resumed by a fresh worker,
@@ -220,14 +231,13 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
         const pid_t orphan = read_lease_pid(lease);
         if (orphan > 1 && orphan != getpid()) kill(orphan, SIGKILL);
       }
-      const ShardScan scan = scan_shard(opt.root, spec, i);
+      ShardScan scan = scan_shard(opt.root, spec, i);
       if (scan.state == ShardScanState::kCorrupt) {
         out.error = scan.error;
         return out;
       }
       if (scan.state == ShardScanState::kComplete) {
-        track[i].state = ShardRunState::kDone;
-        ++done;
+        mark_done(i, std::move(scan));
       }
       // Socket attempts start past anything on disk: a partitioned worker
       // of a previous coordinator may still be appending to try_<k>.
@@ -291,6 +301,7 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
   bool parked = false;
   Clock::time_point fleet_empty_since = Clock::now();
   std::vector<TransportEvent> events;
+  std::vector<const TransportEvent*> exited;
 
   while (done < n) {
     if (sweep_shutdown_requested()) {
@@ -302,52 +313,24 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
       return out;
     }
 
+    // Take the exited shards out of kRunning first (one entry per shard,
+    // however many events it got), so the assign loop below can hand a
+    // freed worker its next shard before the coordinator spends time
+    // decoding the exited shards' journals.
     events.clear();
+    exited.clear();
     transport->poll(events);
     for (const TransportEvent& ev : events) {
       const std::size_t shard = static_cast<std::size_t>(ev.shard);
       if (shard >= n) continue;
       if (track[shard].state != ShardRunState::kRunning) {
         // Stale event (duplicate completion report after a resume, or a
-        // revocation racing a completion): the journal scan below already
-        // decided; re-deciding a done shard would double-count.
+        // revocation racing a completion): the journal scan already
+        // decided, or will; re-deciding a done shard would double-count.
         continue;
       }
-      // The journal, not the report or exit code, is the source of truth:
-      // a worker killed after its last append still completed its shard,
-      // and a completion *claim* without the journal to back it is noise.
-      const ShardScan scan = scan_shard(opt.root, spec, shard);
-      if (scan.state == ShardScanState::kCorrupt) {
-        return fail(scan.error);
-      }
-      if (scan.state == ShardScanState::kComplete) {
-        track[shard].state = ShardRunState::kDone;
-        ++done;
-        continue;
-      }
-      if (ev.kind == TransportEvent::Kind::kShardExited &&
-          ev.exit_code == 130 && sweep_shutdown_requested()) {
-        track[shard].state = ShardRunState::kPending;
-        continue;  // shutdown path at the top of the loop takes over
-      }
-      // Crashed / killed / revoked / failed with an incomplete journal:
-      // reassign with backoff, bounded so a deterministically-crashing
-      // shard fails the sweep instead of spinning forever.
-      if (!requeue(shard)) {
-        std::string detail = ev.detail.empty()
-                                 ? "last exit code " +
-                                       std::to_string(ev.exit_code)
-                                 : ev.detail;
-        return fail("shard " + std::to_string(shard) + " failed after " +
-                    std::to_string(track[shard].attempts) + " attempts (" +
-                    detail + ")");
-      }
-    }
-
-    if (opt.simulate_crash_after_shards > 0 &&
-        done >= opt.simulate_crash_after_shards) {
-      return fail("coordinator crash (simulated after " +
-                  std::to_string(done) + " shards)");
+      track[shard].state = ShardRunState::kExited;
+      exited.push_back(&ev);
     }
 
     // Assign pending shards to available workers.
@@ -382,6 +365,44 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
       ++track[next].attempts;
     }
 
+    for (const TransportEvent* ev : exited) {
+      const std::size_t shard = static_cast<std::size_t>(ev->shard);
+      // The journal, not the report or exit code, is the source of truth:
+      // a worker killed after its last append still completed its shard,
+      // and a completion *claim* without the journal to back it is noise.
+      ShardScan scan = scan_shard(opt.root, spec, shard);
+      if (scan.state == ShardScanState::kCorrupt) {
+        return fail(scan.error);
+      }
+      if (scan.state == ShardScanState::kComplete) {
+        mark_done(shard, std::move(scan));
+        continue;
+      }
+      if (ev->kind == TransportEvent::Kind::kShardExited &&
+          ev->exit_code == 130 && sweep_shutdown_requested()) {
+        track[shard].state = ShardRunState::kPending;
+        continue;  // shutdown path at the top of the loop takes over
+      }
+      // Crashed / killed / revoked / failed with an incomplete journal:
+      // reassign with backoff, bounded so a deterministically-crashing
+      // shard fails the sweep instead of spinning forever.
+      if (!requeue(shard)) {
+        std::string detail = ev->detail.empty()
+                                 ? "last exit code " +
+                                       std::to_string(ev->exit_code)
+                                 : ev->detail;
+        return fail("shard " + std::to_string(shard) + " failed after " +
+                    std::to_string(track[shard].attempts) + " attempts (" +
+                    detail + ")");
+      }
+    }
+
+    if (opt.simulate_crash_after_shards > 0 &&
+        done >= opt.simulate_crash_after_shards) {
+      return fail("coordinator crash (simulated after " +
+                  std::to_string(done) + " shards)");
+    }
+
     // Graceful degradation: an empty socket fleet parks the sweep instead
     // of failing it — work resumes the moment a worker (re-)attaches.
     if (transport->fleet_size() == 0) {
@@ -403,7 +424,8 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
 
   transport->shutdown(true);
 
-  ShardMergeResult merged = merge_shard_journals(opt.root, spec);
+  ShardMergeResult merged =
+      merge_shard_journals(opt.root, spec, std::move(adopted));
   if (!merged.ok) {
     out.error = merged.error;
     out.shards_completed = done;

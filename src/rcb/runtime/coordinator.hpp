@@ -14,6 +14,9 @@
 //     │    socket  a TCP listener that workers (same binary, --attach)
 //     │            connect to; liveness is the framed control protocol's
 //     │            heartbeats (runtime/transport_socket.hpp)
+//     ├─ hands a freed worker its next shard first, then scans the exited
+//     │  shard's journals: complete marks it done (the scan is kept for
+//     │  the merge), incomplete requeues it
 //     ├─ reassigns the shard of any dead/wedged/partitioned worker with
 //     │  bounded retry + exponential backoff; the journal the previous
 //     │  holder left behind is resumed, not discarded, so a kill costs at
@@ -21,7 +24,9 @@
 //     ├─ parks (warns and idles, rather than failing) when the socket
 //     │  worker fleet shrinks to zero, resuming when workers re-attach
 //     └─ merges shard journals into per-point results whose
-//        aggregate_digest is bit-identical to a single-process run
+//        aggregate_digest is bit-identical to a single-process run,
+//        adopting each kept completion scan that is still fresh instead of
+//        decoding that journal again (runtime/shard.hpp)
 //
 // Failure matrix (pinned by tests/coordinator_test.cpp and the ci.sh
 // chaos_multiproc / chaos_net stages):
@@ -44,6 +49,13 @@
 //                       resume=true re-adopts completed shard journals,
 //                       resumes partial ones, refuses corrupt ones (PR 3
 //                       taxonomy); digest unchanged
+//   journal touched     a kept completion scan goes stale (try_<k> list or
+//   after its scan      a manifest/journal stat stamp changed), so the
+//                       merge rescans that shard: a divergent late try_<k>
+//                       or an appended record is refused, a deleted journal
+//                       reports the shard incomplete.  Not caught until the
+//                       next cold load: a same-size in-place rewrite within
+//                       one timestamp tick by a process outside the sweep
 //   SIGINT/SIGTERM      graceful: workers drain their journals, and the
 //                       result reports interrupted so tools print a
 //                       resume hint

@@ -1,5 +1,7 @@
 #include "rcb/runtime/shard.hpp"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -270,7 +272,7 @@ std::string shard_attempt_dir(const std::string& root, std::size_t shard_id,
 
 namespace {
 
-/// try_<k> attempt numbers present under the shard dir, unsorted.
+/// try_<k> attempt numbers present under the shard dir, ascending.
 std::vector<std::uint32_t> list_shard_attempts(const std::string& root,
                                                std::size_t shard_id) {
   std::vector<std::uint32_t> out;
@@ -284,20 +286,68 @@ std::vector<std::uint32_t> list_shard_attempts(const std::string& root,
     if (end == nullptr || *end != '\0' || k == 0) continue;
     out.push_back(static_cast<std::uint32_t>(k));
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
+FileStamp stamp_file(const std::string& path) {
+  struct stat st;
+  if (::stat(path.c_str(), &st) != 0) return FileStamp{};
+  const auto ns = [](const struct timespec& t) {
+    return static_cast<std::int64_t>(t.tv_sec) * 1000000000 + t.tv_nsec;
+  };
+  return FileStamp{static_cast<std::uint64_t>(st.st_dev),
+                   static_cast<std::uint64_t>(st.st_ino),
+                   static_cast<std::int64_t>(st.st_size), ns(st.st_mtim),
+                   ns(st.st_ctim)};
+}
+
+/// Appends the manifest and journal stamps of candidate `dir`; returns the
+/// manifest's.
+FileStamp stamp_candidate(const std::string& dir,
+                          std::vector<FileStamp>& out) {
+  out.push_back(stamp_file(dir + "/" + kCheckpointManifestFile));
+  out.push_back(stamp_file(dir + "/" + kCheckpointJournalFile));
+  return out[out.size() - 2];
+}
+
+/// Candidate dirs of shard `shard_id` in walk order: the base dir, then
+/// the given attempts.
+std::vector<std::string> shard_candidates(
+    const std::string& root, std::size_t shard_id,
+    const std::vector<std::uint32_t>& attempts) {
+  std::vector<std::string> dirs{shard_dir(root, shard_id)};
+  for (const std::uint32_t k : attempts) {
+    dirs.push_back(shard_attempt_dir(root, shard_id, k));
+  }
+  return dirs;
+}
+
+/// True while nothing has touched shard `shard_id`'s candidates since
+/// `scan` read them: same try_<k> list, same stamp on every manifest and
+/// journal.
+bool scan_is_fresh(const std::string& root, std::size_t shard_id,
+                   const ShardScan& scan) {
+  const std::vector<std::uint32_t> attempts =
+      list_shard_attempts(root, shard_id);
+  if (attempts != scan.attempts) return false;
+  std::vector<FileStamp> stamps;
+  for (const std::string& dir : shard_candidates(root, shard_id, attempts)) {
+    stamp_candidate(dir, stamps);
+  }
+  return stamps == scan.stamps;
+}
+
 /// Classifies one candidate checkpoint dir of shard `shard_id` (the PR 6
-/// single-dir scan, verbatim).
+/// single-dir scan, verbatim), after appending its stamps to `stamps`.
 ShardScan scan_shard_candidate(const std::string& dir, const ShardSpec& spec,
-                               std::size_t shard_id) {
+                               std::size_t shard_id,
+                               std::vector<FileStamp>& stamps) {
   const ShardAssignment& a = spec.shards[shard_id];
   ShardScan scan;
   scan.dir = dir;
 
-  std::error_code ec;
-  if (!std::filesystem::exists(
-          std::filesystem::path(dir) / kCheckpointManifestFile, ec)) {
+  if (stamp_candidate(dir, stamps) == FileStamp{}) {
     scan.state = ShardScanState::kMissing;
     return scan;
   }
@@ -349,7 +399,7 @@ ShardScan scan_shard(const std::string& root, const ShardSpec& spec,
   // Candidate order: the base dir, then attempts ascending — determinism
   // matters because the first complete candidate is the one adopted.
   std::vector<std::uint32_t> attempts = list_shard_attempts(root, shard_id);
-  std::sort(attempts.begin(), attempts.end());
+  std::vector<FileStamp> stamps;
   std::vector<ShardScan> partial;
   ShardScan complete;
   bool have_complete = false;
@@ -358,7 +408,7 @@ ShardScan scan_shard(const std::string& root, const ShardSpec& spec,
   // Refusal (kCorrupt) short-circuits the candidate walk.
   const auto consider =
       [&](const std::string& dir) -> std::optional<ShardScan> {
-    ShardScan scan = scan_shard_candidate(dir, spec, shard_id);
+    ShardScan scan = scan_shard_candidate(dir, spec, shard_id, stamps);
     switch (scan.state) {
       case ShardScanState::kMissing:
         return std::nullopt;
@@ -394,29 +444,29 @@ ShardScan scan_shard(const std::string& root, const ShardSpec& spec,
     return std::nullopt;
   };
 
-  if (std::optional<ShardScan> refused = consider(shard_dir(root, shard_id))) {
-    return std::move(*refused);
-  }
-  for (const std::uint32_t k : attempts) {
-    if (std::optional<ShardScan> refused =
-            consider(shard_attempt_dir(root, shard_id, k))) {
+  for (const std::string& dir : shard_candidates(root, shard_id, attempts)) {
+    if (std::optional<ShardScan> refused = consider(dir)) {
       return std::move(*refused);
     }
   }
 
-  if (have_complete) return complete;
-  if (!partial.empty()) {
+  ShardScan scan;
+  if (have_complete) {
+    scan = std::move(complete);
+  } else if (!partial.empty()) {
     // Resume basis: the candidate with the most journaled trials (earliest
     // attempt on ties, for determinism — `partial` is in candidate order).
     std::size_t best = 0;
     for (std::size_t i = 1; i < partial.size(); ++i) {
       if (partial[i].records.size() > partial[best].records.size()) best = i;
     }
-    return std::move(partial[best]);
+    scan = std::move(partial[best]);
+  } else {
+    scan.state = ShardScanState::kMissing;
+    scan.dir = shard_dir(root, shard_id);
   }
-  ShardScan scan;
-  scan.state = ShardScanState::kMissing;
-  scan.dir = shard_dir(root, shard_id);
+  scan.attempts = std::move(attempts);
+  scan.stamps = std::move(stamps);
   return scan;
 }
 
@@ -454,6 +504,12 @@ std::string prepare_shard_attempt(const std::string& root,
 
 ShardMergeResult merge_shard_journals(const std::string& root,
                                       const ShardSpec& spec) {
+  return merge_shard_journals(root, spec, {});
+}
+
+ShardMergeResult merge_shard_journals(const std::string& root,
+                                      const ShardSpec& spec,
+                                      std::vector<ShardScan> adopted) {
   ShardMergeResult out;
   if (const std::string err = validate_shard_spec(spec); !err.empty()) {
     out.error = err;
@@ -463,10 +519,16 @@ ShardMergeResult merge_shard_journals(const std::string& root,
   std::vector<std::vector<bool>> seen(spec.points.size());
   for (std::size_t p = 0; p < spec.points.size(); ++p) {
     seen[p].assign(spec.points[p].trials, false);
+    out.points[p].records.reserve(spec.points[p].trials);
   }
 
   for (std::size_t i = 0; i < spec.shards.size(); ++i) {
-    ShardScan scan = scan_shard(root, spec, i);
+    const bool adopt = i < adopted.size() &&
+                       adopted[i].state == ShardScanState::kComplete &&
+                       scan_is_fresh(root, i, adopted[i]);
+    // A local: the shard's records are freed at the end of this iteration.
+    ShardScan scan =
+        adopt ? std::move(adopted[i]) : scan_shard(root, spec, i);
     switch (scan.state) {
       case ShardScanState::kCorrupt:
         out.points.clear();

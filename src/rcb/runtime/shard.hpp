@@ -47,6 +47,19 @@
 // shard's assigned range, the same trial present in two journals, a
 // scenario-digest mismatch, or a missing trial — silently double-counting
 // or dropping trials would fabricate experiment results.
+//
+// A coordinator decodes each shard journal once: the kComplete scans it
+// took to mark shards done are handed to the merge, which *adopts* a scan
+// instead of re-decoding the shard while the scan is still fresh — the
+// shard's try_<k> list is the one the scan walked, and every candidate's
+// manifest and journal carry the stamp stat() gave before the scan read
+// them.  Every writer changes a stamp (journals grow by append or shrink
+// by open_for_append's truncate; manifests are replaced by rename; a new
+// attempt adds a try_<k>), so anything that happened after the scan sends
+// the shard back through scan_shard and its refusals.  The one change a
+// stamp misses is a same-size in-place rewrite within one timestamp tick
+// by a process outside the sweep; the next cold load (a resume, or the
+// two-argument merge) still catches it.
 #pragma once
 
 #include <cstdint>
@@ -152,11 +165,29 @@ enum class ShardScanState {
   kCorrupt,   ///< refuse: corrupt journal, wrong scenario, or out-of-range
 };
 
+/// stat() identity of one file: (dev, inode, size, mtime, ctime), all zero
+/// when the file is absent.  Any append, truncate or rename changes it.
+struct FileStamp {
+  std::uint64_t dev = 0;
+  std::uint64_t ino = 0;
+  std::int64_t size = 0;
+  std::int64_t mtime_ns = 0;
+  std::int64_t ctime_ns = 0;
+
+  friend bool operator==(const FileStamp&, const FileStamp&) = default;
+};
+
 struct ShardScan {
   ShardScanState state = ShardScanState::kMissing;
   std::string error;  ///< set for kCorrupt
   std::string dir;    ///< adopted candidate dir (kComplete / kPartial)
   std::vector<CheckpointRecord> records;
+  /// Freshness evidence for merge_shard_journals' adoption (unset for
+  /// kCorrupt): the sorted try_<k> numbers the scan walked, and the
+  /// manifest + journal stamps of every candidate in walk order (base dir
+  /// first), each taken before the scan read that candidate.
+  std::vector<std::uint32_t> attempts;
+  std::vector<FileStamp> stamps;
 };
 
 /// Classifies shard `shard_id`'s checkpoint dirs — the base dir plus every
@@ -182,8 +213,17 @@ struct ShardMergeResult {
 /// Folds every shard journal under `root` into per-point results.  Fails —
 /// refusing the whole merge — on any corrupt shard, duplicate trial across
 /// journals, or missing trial; on success each point's aggregate_digest is
-/// bit-identical to the single-process reference.
+/// bit-identical to the single-process reference.  Decodes every shard.
 ShardMergeResult merge_shard_journals(const std::string& root,
                                       const ShardSpec& spec);
+
+/// The same merge, adopting `adopted[i]` — a kComplete scan_shard result
+/// for shard i of this spec — instead of re-decoding shard i while that
+/// scan is still fresh (see the header comment); a stale, missing or
+/// non-complete entry re-runs scan_shard.  Each shard's records are freed
+/// as soon as they are moved into their point's result.
+ShardMergeResult merge_shard_journals(const std::string& root,
+                                      const ShardSpec& spec,
+                                      std::vector<ShardScan> adopted);
 
 }  // namespace rcb

@@ -12,16 +12,29 @@ double Summary::ci95_halfwidth() const {
   return 1.96 * stddev / std::sqrt(static_cast<double>(n));
 }
 
-double quantile(std::span<const double> samples, double q) {
-  RCB_REQUIRE(q >= 0.0 && q <= 1.0);
-  if (samples.empty()) return 0.0;
-  std::vector<double> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
+namespace {
+
+/// Linear-interpolated quantile of an already sorted, non-empty sample.
+double sorted_quantile(const std::vector<double>& sorted, double q) {
   const double pos = q * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+std::vector<double> sorted_copy(std::span<const double> samples) {
+  std::vector<double> sorted(samples.begin(), samples.end());
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
+}  // namespace
+
+double quantile(std::span<const double> samples, double q) {
+  RCB_REQUIRE(q >= 0.0 && q <= 1.0);
+  if (samples.empty()) return 0.0;
+  return sorted_quantile(sorted_copy(samples), q);
 }
 
 Summary summarize(std::span<const double> samples) {
@@ -45,9 +58,10 @@ Summary summarize(std::span<const double> samples) {
     s.stddev = std::sqrt(ss / static_cast<double>(s.n - 1));
   }
 
-  s.median = quantile(samples, 0.5);
-  s.p10 = quantile(samples, 0.1);
-  s.p90 = quantile(samples, 0.9);
+  const std::vector<double> sorted = sorted_copy(samples);
+  s.median = sorted_quantile(sorted, 0.5);
+  s.p10 = sorted_quantile(sorted, 0.1);
+  s.p90 = sorted_quantile(sorted, 0.9);
   return s;
 }
 

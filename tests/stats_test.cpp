@@ -1,10 +1,15 @@
 // Tests for statistics, regression and table rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "rcb/runtime/scenario.hpp"
 #include "rcb/stats/regression.hpp"
 #include "rcb/stats/summary.hpp"
 #include "rcb/stats/table.hpp"
@@ -52,6 +57,51 @@ TEST(SummaryTest, QuantileInterpolates) {
 TEST(SummaryTest, QuantileUnsortedInput) {
   const std::vector<double> xs = {40, 10, 30, 20};
   EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 25.0);
+}
+
+/// summarize() sorts once and interpolates from that one sorted copy;
+/// its median/p10/p90 must equal quantile()'s bit for bit.
+void expect_quantiles_match(const std::vector<double>& xs) {
+  SCOPED_TRACE("n = " + std::to_string(xs.size()));
+  const Summary s = summarize(xs);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s.median),
+            std::bit_cast<std::uint64_t>(quantile(xs, 0.5)));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s.p10),
+            std::bit_cast<std::uint64_t>(quantile(xs, 0.1)));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s.p90),
+            std::bit_cast<std::uint64_t>(quantile(xs, 0.9)));
+}
+
+TEST(SummaryTest, SummaryQuantilesEqualQuantileBitForBit) {
+  expect_quantiles_match({3.5});
+  expect_quantiles_match({2.0, -1.25});
+  expect_quantiles_match({0.3, 9.1, -4.7, 0.1, 2.2, 7.7, 1e-9});      // odd
+  expect_quantiles_match({0.3, 9.1, -4.7, 0.1, 2.2, 7.7, 1e-9, 5.5});  // even
+  std::vector<double> ties;  // heavy ties, odd then even length
+  for (int i = 0; i < 101; ++i) ties.push_back(static_cast<double>(i % 3));
+  expect_quantiles_match(ties);
+  ties.push_back(1.0);
+  expect_quantiles_match(ties);
+}
+
+TEST(SummaryTest, SummaryQuantilesMatchOnOneToOneLatencies) {
+  // The shape aggregate_from_sweep summarises: 50k latencies of a Fig. 1
+  // point in trial order.  A random jammer makes them unsorted with a few
+  // heavily tied values (unjammed, every trial's latency is the same).
+  Scenario sc;
+  sc.protocol = "one_to_one";
+  sc.adversary = "sym_random";
+  sc.budget = 512;
+  sc.eps = 0.1;
+  sc.trials = 50000;
+  sc.seed = 1;
+  std::vector<double> latency;
+  latency.reserve(sc.trials);
+  for (std::uint64_t t = 0; t < sc.trials; ++t) {
+    latency.push_back(run_scenario_trial(sc, t).latency);
+  }
+  ASSERT_FALSE(std::is_sorted(latency.begin(), latency.end()));
+  expect_quantiles_match(latency);
 }
 
 TEST(SummaryTest, FractionTrue) {

@@ -4,7 +4,8 @@
 // fault-plan draws, lease-policy validation, host:port parsing, EINTR-storm
 // regression for journal appends and fd transfers, and the duplicate-
 // completion dedupe / divergence refusal that scan_shard (and therefore
-// merge_shard_journals) applies to partitioned shard attempts.
+// merge_shard_journals) applies to partitioned shard attempts, and the
+// freshness rule under which the merge adopts a coordinator's scan.
 #include "rcb/runtime/transport.hpp"
 
 #include <errno.h>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "rcb/common/mathutil.hpp"
+#include "rcb/runtime/cancel.hpp"
 #include "rcb/runtime/checkpoint.hpp"
 #include "rcb/runtime/coordinator.hpp"
 #include "rcb/runtime/retry_io.hpp"
@@ -409,6 +411,124 @@ TEST_F(DuplicateCompletionTest, PartialAttemptSeedsTheNextOne) {
   ASSERT_TRUE(source.ok) << source.error;
   EXPECT_EQ(source.records.size(), 3u);
   EXPECT_EQ(next_shard_attempt(root_, 0), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Adopted scans: the merge reuses a coordinator's kComplete scan only while
+// the shard's candidates are exactly as the scan read them; any later
+// change goes back through scan_shard and its refusals.
+
+class AdoptedScanTest : public DuplicateCompletionTest {
+ protected:
+  /// The scan a coordinator keeps when it marks shard 0 done.
+  std::vector<ShardScan> adopt() {
+    std::vector<ShardScan> adopted{scan_shard(root_, spec_, 0)};
+    EXPECT_EQ(adopted[0].state, ShardScanState::kComplete)
+        << adopted[0].error;
+    return adopted;
+  }
+};
+
+void expect_same_merge(const ShardMergeResult& warm,
+                       const ShardMergeResult& cold) {
+  ASSERT_TRUE(warm.ok) << warm.error;
+  ASSERT_TRUE(cold.ok) << cold.error;
+  ASSERT_EQ(warm.points.size(), cold.points.size());
+  for (std::size_t p = 0; p < cold.points.size(); ++p) {
+    const SweepResult& w = warm.points[p];
+    const SweepResult& c = cold.points[p];
+    EXPECT_EQ(w.aggregate_digest, c.aggregate_digest);
+    EXPECT_EQ(w.timed_out, c.timed_out);
+    EXPECT_EQ(w.failed_trials, c.failed_trials);
+    EXPECT_EQ(w.resumed, c.resumed);
+    ASSERT_EQ(w.records.size(), c.records.size());
+    for (std::size_t k = 0; k < c.records.size(); ++k) {
+      EXPECT_EQ(w.records[k].trial, c.records[k].trial);
+      EXPECT_EQ(w.records[k].status, c.records[k].status);
+      EXPECT_EQ(w.records[k].attempts, c.records[k].attempts);
+      EXPECT_EQ(w.records[k].outcome.digest, c.records[k].outcome.digest);
+    }
+  }
+}
+
+TEST_F(AdoptedScanTest, WarmMergeEqualsColdMerge) {
+  // One quarantined and one failed trial, so the status counts compare
+  // something.
+  const TrialRunner runner = [](const Scenario& s, std::uint64_t trial,
+                                std::uint32_t) -> TrialOutcome {
+    if (trial == 1) throw TrialCancelled("slot");
+    if (trial == 4) throw std::runtime_error("injected");
+    return run_scenario_trial(s, trial);
+  };
+  const std::string base = shard_attempt_dir(root_, 0, 0);
+  ASSERT_TRUE(run_shard_attempt(spec_, 0, base, runner).ok);
+  const ShardMergeResult cold = merge_shard_journals(root_, spec_);
+  ASSERT_TRUE(cold.ok) << cold.error;
+  EXPECT_EQ(cold.points[0].timed_out, 1u);
+  EXPECT_EQ(cold.points[0].failed_trials, 1u);
+  expect_same_merge(merge_shard_journals(root_, spec_, adopt()), cold);
+
+  // The shard is redone by another attempt after the scan was kept: the
+  // stale scan must not stand in for what is now on disk.
+  const std::vector<ShardScan> stale = adopt();
+  fs::remove_all(base);
+  complete_attempt(shard_attempt_dir(root_, 0, 1), /*reseed=*/1);
+  const ShardMergeResult redone = merge_shard_journals(root_, spec_);
+  ASSERT_TRUE(redone.ok) << redone.error;
+  EXPECT_NE(redone.points[0].aggregate_digest,
+            cold.points[0].aggregate_digest);
+  expect_same_merge(merge_shard_journals(root_, spec_, stale), redone);
+}
+
+TEST_F(AdoptedScanTest, DivergentTryCompletedAfterAdoptionIsRefused) {
+  complete_attempt(shard_attempt_dir(root_, 0, 0));
+  std::vector<ShardScan> adopted = adopt();
+  complete_attempt(shard_attempt_dir(root_, 0, 1), /*reseed=*/1);
+
+  const ShardMergeResult merged =
+      merge_shard_journals(root_, spec_, std::move(adopted));
+  ASSERT_FALSE(merged.ok);
+  EXPECT_NE(merged.error.find("divergent"), std::string::npos)
+      << merged.error;
+  EXPECT_TRUE(merged.points.empty());
+}
+
+TEST_F(AdoptedScanTest, AppendToAdoptedJournalIsRefused) {
+  const std::string base = shard_attempt_dir(root_, 0, 0);
+  complete_attempt(base);
+  std::vector<ShardScan> adopted = adopt();
+
+  // A second record for trial 0 lands after the scan: the journal now
+  // holds a duplicate trial, which the loader refuses as corruption.
+  CheckpointWriter w;
+  ASSERT_EQ(w.open_for_append(base, scenario_digest(spec_.points[0]),
+                              fs::file_size(fs::path(base) /
+                                            kCheckpointJournalFile)),
+            "");
+  CheckpointRecord rec;
+  rec.trial = 0;
+  rec.outcome = run_scenario_trial(spec_.points[0], 0);
+  ASSERT_EQ(w.append(rec), "");
+  w.close();
+
+  const ShardMergeResult merged =
+      merge_shard_journals(root_, spec_, std::move(adopted));
+  ASSERT_FALSE(merged.ok);
+  EXPECT_NE(merged.error.find("shard 0"), std::string::npos) << merged.error;
+  EXPECT_TRUE(merged.points.empty());
+}
+
+TEST_F(AdoptedScanTest, DeletedJournalReportsTheShardIncomplete) {
+  const std::string base = shard_attempt_dir(root_, 0, 0);
+  complete_attempt(base);
+  std::vector<ShardScan> adopted = adopt();
+  ASSERT_TRUE(fs::remove(fs::path(base) / kCheckpointJournalFile));
+
+  const ShardMergeResult merged =
+      merge_shard_journals(root_, spec_, std::move(adopted));
+  ASSERT_FALSE(merged.ok);
+  EXPECT_NE(merged.error.find("incomplete"), std::string::npos)
+      << merged.error;
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 # then take a quick perf reading and diff it against the committed baseline.
 #
 #   tools/ci.sh            # all configs + quick bench + quick fuzz
-#   tools/ci.sh plain      # RelWithDebInfo only (+ quick bench + quick fuzz)
+#   tools/ci.sh plain      # RelWithDebInfo only (+ quick bench + quick fuzz
+#                          #   + perfbench pinned digests)
 #   tools/ci.sh sanitize   # ASan+UBSan only (no bench — numbers meaningless)
 #   tools/ci.sh tsan       # ThreadSanitizer, concurrency test binaries only
 #   tools/ci.sh chaos_net  # socket-transport chaos only (needs build/)
@@ -373,6 +374,23 @@ fuzz_stage() {
   fi
 }
 
+# perfbench pins: build the end-to-end benchmark from this checkout into
+# build/perfbench and run every workload untraced for its minimum three
+# sweeps.  rcb_perfbench exits non-zero when any check fails (a pinned
+# seed-1 digest, digests that differ between sweeps, or duel_sharded's
+# merged digests against an in-process run of the same points), and that
+# fails this stage.
+perfbench_pins() {
+  local dir="$repo/build/perfbench" w
+  cmake -S "$repo/perfbench" -B "$dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake --build "$dir" -j "$jobs" --target rcb_perfbench
+  for w in broadcast_budget mc_jam duel_sharded; do
+    echo "--- perfbench: $w"
+    (cd "$repo" && "$dir/rcb_perfbench" --config perfbench/workloads.json \
+      --workload "$w" --seconds 0 --trace 0 --work_dir "$dir/work")
+  done
+}
+
 if [[ "$what" == "all" || "$what" == "plain" ]]; then
   run_config plain "$repo/build" -DRCB_WERROR=ON
   echo "=== [plain] chaos: supervisor kill/resume ==="
@@ -385,6 +403,8 @@ if [[ "$what" == "all" || "$what" == "plain" ]]; then
   chaos_net
   echo "=== [plain] fuzz: scenario oracles ==="
   fuzz_stage "$repo/build/tools/rcb_fuzz" "$repo/build/fuzz-out"
+  echo "=== [plain] perfbench: pinned digests on every workload ==="
+  perfbench_pins
   echo "=== [plain] quick bench ==="
   "$repo/build/bench/bench_m1_micro" --benchmark_min_time=0.05 \
     --rcb_out="$repo/build/BENCH_m1.json"

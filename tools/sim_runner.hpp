@@ -100,6 +100,10 @@ inline SimAggregate aggregate_from_sweep(const SweepResult& sweep) {
   }
 
   std::vector<double> mean_v, adv_v, lat_v;
+  for (std::vector<double>* v :
+       {&agg.max_cost_samples, &mean_v, &adv_v, &lat_v}) {
+    v->reserve(sweep.records.size());
+  }
   std::size_t successes = 0, aborts = 0, timed_out = 0, failed = 0;
   double dead = 0.0, crashed = 0.0;
   for (const CheckpointRecord& rec : sweep.records) {
