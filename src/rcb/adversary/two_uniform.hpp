@@ -39,9 +39,9 @@ struct DuelPhaseContext {
 struct DuelPlan {
   JamSchedule alice_view = JamSchedule::none();  ///< jams Alice's partition
   JamSchedule bob_view = JamSchedule::none();    ///< jams Bob's partition
-  /// Per-slot probability of transmitting a spoofed nack (Theorem 5 power;
-  /// only meaningful in nack phases).  Spoofed sends cost the adversary one
-  /// unit each.
+  /// Per-slot probability of transmitting a spoofed nack (Theorem 5 power).
+  /// run_duel_phase transmits it in any phase; it fools only Fig. 1's nack
+  /// phase.  Spoofed sends cost the adversary one unit each.
   double spoof_nack_prob = 0.0;
 };
 

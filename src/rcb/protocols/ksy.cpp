@@ -1,19 +1,13 @@
 #include "rcb/protocols/ksy.hpp"
 
-#include <array>
 #include <cmath>
 
 #include "rcb/common/contracts.hpp"
 #include "rcb/common/mathutil.hpp"
-#include "rcb/sim/repetition_engine.hpp"
 
 namespace rcb {
 
 namespace {
-
-constexpr NodeId kAlice = 0;
-constexpr NodeId kBob = 1;
-constexpr NodeId kSpoofer = 2;
 
 double pow2_scaled(double exponent_per_epoch, std::uint32_t epoch) {
   return std::exp2(-exponent_per_epoch * static_cast<double>(epoch));
@@ -33,85 +27,65 @@ double KsyParams::bob_listen_prob(std::uint32_t epoch) const {
   return clamp_probability(pow2_scaled(kGoldenRatio - 1.0, epoch));
 }
 
-OneToOneResult run_ksy(const KsyParams& params, DuelAdversary& adversary,
-                       Rng& rng, FaultPlan* faults) {
-  RCB_REQUIRE(params.first_epoch >= 1);
-  if (faults != nullptr && !faults->active()) faults = nullptr;
-  OneToOneResult result;
-  bool alice_running = true;
-  bool bob_running = true;
-  bool bob_informed = false;
+KsyStepper::KsyStepper(const KsyParams& p)
+    : params(&p), epoch(p.first_epoch) {
+  RCB_REQUIRE(p.first_epoch >= 1);
+}
 
-  const std::array<std::uint32_t, 3> partition = {0, 1, 0};
+void KsyStepper::step(DuelAdversary& adversary, Rng& rng, OneToOneResult& acc,
+                      FaultPlan* faults) {
+  const SlotCount num_slots = pow2(epoch);
+  const double pa = params->alice_send_prob(epoch);
+  const double pl = params->alice_listen_prob(epoch);
+  const double pb = params->bob_listen_prob(epoch);
+  // Spoofed traffic in KSY's single phase can only add noise/collisions;
+  // neither party's decisions read unauthenticated messages.
+  const RepetitionResult rep = run_duel_phase(
+      {epoch, DuelPhase::kSend, num_slots, pa, alice_running, bob_running},
+      alice_running ? NodeAction{pa, Payload::kMessage, pl} : NodeAction{},
+      bob_running ? NodeAction{0.0, Payload::kNoise, pb} : NodeAction{},
+      adversary, rng, faults, acc);
 
-  std::uint32_t epoch = params.first_epoch;
-  for (; epoch <= params.max_epoch && (alice_running || bob_running); ++epoch) {
-    result.final_epoch = epoch;
-    const SlotCount num_slots = pow2(epoch);
-    const double pa = params.alice_send_prob(epoch);
-    const double pl = params.alice_listen_prob(epoch);
-    const double pb = params.bob_listen_prob(epoch);
-
-    DuelPhaseContext ctx{epoch, DuelPhase::kSend, num_slots, pa, alice_running,
-                         bob_running};
-    DuelPlan plan = adversary.plan(ctx, rng);
-
-    std::array<NodeAction, 3> actions = {};
-    if (alice_running) actions[kAlice] = NodeAction{pa, Payload::kMessage, pl};
-    if (bob_running) actions[kBob] = NodeAction{0.0, Payload::kNoise, pb};
-    if (plan.spoof_nack_prob > 0.0) {
-      // Spoofed traffic in KSY's single phase can only add noise/collisions;
-      // neither party's decisions read unauthenticated messages.
-      actions[kSpoofer] = NodeAction{plan.spoof_nack_prob, Payload::kNack, 0.0};
-    }
-
-    const std::array<JamSchedule, 2> views = {plan.alice_view, plan.bob_view};
-    RepetitionResult rep = run_repetition_luniform(
-        num_slots, std::span<const NodeAction>(actions.data(), 3),
-        std::span<const std::uint32_t>(partition.data(), 3),
-        std::span<const JamSchedule>(views.data(), 2), rng, nullptr,
-        CcaModel{}, faults);
-
-    result.latency += num_slots;
-    result.adversary_cost +=
-        plan.alice_view.jammed_count() + plan.bob_view.jammed_count();
-    result.adversary_cost += adversary.budget().take(rep.obs[kSpoofer].sends);
-
-    if (alice_running) {
-      const NodeObservation& alice = rep.obs[kAlice];
-      result.alice_cost += alice.sends + alice.listens;
-      // Noisy-fraction estimate from Alice's own listening sample; spoofed
-      // nacks are counted as noise because Alice does not trust them.
-      const double heard = static_cast<double>(alice.heard_total());
-      const double noisy = static_cast<double>(alice.noise + alice.nacks);
-      if (heard == 0.0 ||
-          noisy / heard < params.noise_fraction_threshold) {
-        alice_running = false;  // channel quiet: Bob got m w.h.p.
-      }
-    }
-
-    if (bob_running) {
-      const NodeObservation& bob = rep.obs[kBob];
-      if (bob.messages > 0) {
-        result.bob_cost += bob.listens_until_first_message;
-        bob_informed = true;
-        bob_running = false;
-      } else {
-        result.bob_cost += bob.listens;
-        const double heard = static_cast<double>(bob.heard_total());
-        const double noisy = static_cast<double>(bob.noise + bob.nacks);
-        if (heard == 0.0 ||
-            noisy / heard < params.noise_fraction_threshold) {
-          bob_running = false;  // quiet epoch with no m: Alice is gone
-        }
-      }
+  // A party halts at the end of an epoch whose noisy fraction, estimated
+  // from its own listening sample, is below the threshold.  Spoofed nacks
+  // count as noise because neither party trusts them.
+  const auto quiet = [&](const NodeObservation& o) {
+    const double heard = static_cast<double>(o.heard_total());
+    const double noisy = static_cast<double>(o.noise + o.nacks);
+    return heard == 0.0 || noisy / heard < params->noise_fraction_threshold;
+  };
+  if (alice_running) {
+    const NodeObservation& alice = rep.obs[kAliceRow];
+    acc.alice_cost += alice.sends + alice.listens;
+    // Channel quiet: Bob got m w.h.p.
+    if (quiet(alice)) alice_running = false;
+  }
+  if (bob_running) {
+    const NodeObservation& bob = rep.obs[kBobRow];
+    if (bob.messages > 0) {
+      acc.bob_cost += bob.listens_until_first_message;
+      acc.delivered = true;
+      bob_running = false;
+    } else {
+      acc.bob_cost += bob.listens;
+      // Quiet epoch with no m: Alice is gone.
+      if (quiet(bob)) bob_running = false;
     }
   }
+  ++epoch;
+}
 
-  result.hit_epoch_cap = (alice_running || bob_running);
-  result.alice_halted = !alice_running;
-  result.bob_halted = !bob_running;
-  result.delivered = bob_informed;
+OneToOneResult run_ksy(const KsyParams& params, DuelAdversary& adversary,
+                       Rng& rng, FaultPlan* faults) {
+  if (faults != nullptr && !faults->active()) faults = nullptr;
+  OneToOneResult result;
+  KsyStepper ksy(params);
+  while (ksy.running() && !ksy.exhausted()) {
+    result.final_epoch = ksy.epoch;
+    ksy.step(adversary, rng, result, faults);
+  }
+  // KSY never aborts, so this reports hit_epoch_cap = a party still runs.
+  finish_duel(result, ksy.alice_running, ksy.bob_running);
   return result;
 }
 

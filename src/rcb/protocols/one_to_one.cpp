@@ -5,7 +5,6 @@
 
 #include "rcb/common/contracts.hpp"
 #include "rcb/common/mathutil.hpp"
-#include "rcb/sim/repetition_engine.hpp"
 
 namespace rcb {
 
@@ -42,135 +41,107 @@ double OneToOneParams::halt_threshold(std::uint32_t epoch) const {
   return halt_threshold_factor * slot_probability(epoch) * half_slots;
 }
 
-namespace {
+RepetitionResult run_duel_phase(const DuelPhaseContext& ctx,
+                                const NodeAction& alice,
+                                const NodeAction& bob,
+                                DuelAdversary& adversary, Rng& rng,
+                                FaultPlan* faults, OneToOneResult& acc) {
+  // The spoofer transmits into the shared channel and never listens; its
+  // partition is immaterial.
+  static constexpr std::array<std::uint32_t, 3> kPartition = {0, 1, 0};
+  const DuelPlan plan = adversary.plan(ctx, rng);
+  std::array<NodeAction, 3> actions = {alice, bob, NodeAction{}};
+  if (plan.spoof_nack_prob > 0.0) {
+    actions[kSpooferRow] =
+        NodeAction{plan.spoof_nack_prob, Payload::kNack, 0.0};
+  }
+  const std::array<JamSchedule, 2> views = {plan.alice_view, plan.bob_view};
+  RepetitionResult rep = run_repetition_luniform(
+      ctx.num_slots, actions, kPartition, views, rng, nullptr, CcaModel{},
+      faults);
+  acc.latency += ctx.num_slots;
+  acc.adversary_cost +=
+      plan.alice_view.jammed_count() + plan.bob_view.jammed_count();
+  // Spoofed transmissions cost the adversary one unit each.
+  acc.adversary_cost += adversary.budget().take(rep.obs[kSpooferRow].sends);
+  return rep;
+}
 
-// Node rows in the engine's action table.
-constexpr NodeId kAlice = 0;
-constexpr NodeId kBob = 1;
-constexpr NodeId kSpoofer = 2;
+void OneToOneStepper::step(DuelAdversary& adversary, Rng& rng,
+                           OneToOneResult& acc, FaultPlan* faults) {
+  const SlotCount num_slots = pow2(epoch);
+  const double p = params->slot_probability(epoch);
+  const double theta = params->halt_threshold(epoch);
+  const NodeAction idle{};
 
-}  // namespace
-
-OneToOneResult run_one_to_one(const OneToOneParams& params,
-                              DuelAdversary& adversary, Rng& rng,
-                              FaultPlan* faults) {
-  OneToOneResult result;
-  bool alice_running = true;
-  bool bob_running = true;
-  bool bob_informed = false;
-  if (faults != nullptr && !faults->active()) faults = nullptr;
-
-  // Partition 0 = Alice's channel view, partition 1 = Bob's.  The spoofer
-  // transmits into the shared channel and never listens; its partition
-  // assignment is immaterial.
-  const std::array<std::uint32_t, 3> partition = {0, 1, 0};
-
-  std::uint32_t epoch = params.first_epoch();
-  for (; epoch <= params.max_epoch && (alice_running || bob_running); ++epoch) {
-    // Wall-clock abort: give up rather than escalate into the next epoch.
-    if (params.timeout_slots > 0 && result.latency >= params.timeout_slots) {
-      result.aborted = true;
-      break;
-    }
-    result.final_epoch = epoch;
-    const SlotCount num_slots = pow2(epoch);
-    const double p = params.slot_probability(epoch);
-    const double theta = params.halt_threshold(epoch);
-
-    // ---- SEND phase: Alice transmits m, Bob listens. -------------------
-    {
-      DuelPhaseContext ctx{epoch, DuelPhase::kSend, num_slots, p,
-                           alice_running, bob_running};
-      DuelPlan plan = adversary.plan(ctx, rng);
-
-      std::array<NodeAction, 3> actions = {};
-      if (alice_running) {
-        actions[kAlice] = NodeAction{p, Payload::kMessage, 0.0};
-      }
-      if (bob_running) {
-        actions[kBob] = NodeAction{0.0, Payload::kNoise, p};
-      }
-      const std::array<JamSchedule, 2> views = {plan.alice_view,
-                                                plan.bob_view};
-      RepetitionResult rep = run_repetition_luniform(
-          num_slots, std::span<const NodeAction>(actions.data(), 3),
-          std::span<const std::uint32_t>(partition.data(), 3),
-          std::span<const JamSchedule>(views.data(), 2), rng, nullptr,
-          CcaModel{}, faults);
-
-      result.latency += num_slots;
-      result.adversary_cost +=
-          plan.alice_view.jammed_count() + plan.bob_view.jammed_count();
-      result.alice_cost += rep.obs[kAlice].sends;
-
-      if (bob_running) {
-        const NodeObservation& bob = rep.obs[kBob];
-        if (bob.messages > 0) {
-          // Bob powers down the instant he receives m.
-          result.bob_cost += bob.listens_until_first_message;
-          bob_informed = true;
+  // ---- SEND phase: Alice transmits m, Bob listens. ---------------------
+  {
+    const RepetitionResult rep = run_duel_phase(
+        {epoch, DuelPhase::kSend, num_slots, p, alice_running, bob_running},
+        alice_running ? NodeAction{p, Payload::kMessage, 0.0} : idle,
+        bob_running ? NodeAction{0.0, Payload::kNoise, p} : idle, adversary,
+        rng, faults, acc);
+    acc.alice_cost += rep.obs[kAliceRow].sends;
+    if (bob_running) {
+      const NodeObservation& bob = rep.obs[kBobRow];
+      if (bob.messages > 0) {
+        // Bob powers down the instant he receives m.
+        acc.bob_cost += bob.listens_until_first_message;
+        acc.delivered = true;
+        bob_running = false;
+      } else {
+        acc.bob_cost += bob.listens;
+        if (static_cast<double>(bob.noise) < theta) {
+          // Little jamming and no message: Alice must have halted.
           bob_running = false;
-        } else {
-          result.bob_cost += bob.listens;
-          if (static_cast<double>(bob.noise) < theta) {
-            // Little jamming and no message: Alice must have halted.
-            bob_running = false;
-          }
-        }
-      }
-    }
-
-    if (!alice_running && !bob_running) break;
-
-    // ---- NACK phase: uninformed Bob transmits nacks, Alice listens. ----
-    {
-      DuelPhaseContext ctx{epoch, DuelPhase::kNack, num_slots, p,
-                           alice_running, bob_running};
-      DuelPlan plan = adversary.plan(ctx, rng);
-
-      std::array<NodeAction, 3> actions = {};
-      if (bob_running && !bob_informed) {
-        actions[kBob] = NodeAction{p, Payload::kNack, 0.0};
-      }
-      if (alice_running) {
-        actions[kAlice] = NodeAction{0.0, Payload::kNoise, p};
-      }
-      if (plan.spoof_nack_prob > 0.0) {
-        actions[kSpoofer] =
-            NodeAction{plan.spoof_nack_prob, Payload::kNack, 0.0};
-      }
-      const std::array<JamSchedule, 2> views = {plan.alice_view,
-                                                plan.bob_view};
-      RepetitionResult rep = run_repetition_luniform(
-          num_slots, std::span<const NodeAction>(actions.data(), 3),
-          std::span<const std::uint32_t>(partition.data(), 3),
-          std::span<const JamSchedule>(views.data(), 2), rng, nullptr,
-          CcaModel{}, faults);
-
-      result.latency += num_slots;
-      result.adversary_cost +=
-          plan.alice_view.jammed_count() + plan.bob_view.jammed_count();
-      // Spoofed transmissions cost the adversary one unit each.
-      result.adversary_cost +=
-          adversary.budget().take(rep.obs[kSpoofer].sends);
-      result.bob_cost += rep.obs[kBob].sends;
-
-      if (alice_running) {
-        const NodeObservation& alice = rep.obs[kAlice];
-        result.alice_cost += alice.listens;
-        if (alice.nacks == 0 &&
-            static_cast<double>(alice.noise) < theta) {
-          // No nack and a quiet channel: Bob is informed or gone.
-          alice_running = false;
         }
       }
     }
   }
 
-  result.hit_epoch_cap = !result.aborted && (alice_running || bob_running);
-  result.alice_halted = !alice_running;
-  result.bob_halted = !bob_running;
-  result.delivered = bob_informed;
+  // ---- NACK phase: uninformed Bob transmits nacks, Alice listens. ------
+  if (alice_running || bob_running) {
+    const RepetitionResult rep = run_duel_phase(
+        {epoch, DuelPhase::kNack, num_slots, p, alice_running, bob_running},
+        alice_running ? NodeAction{0.0, Payload::kNoise, p} : idle,
+        bob_running && !acc.delivered ? NodeAction{p, Payload::kNack, 0.0}
+                                      : idle,
+        adversary, rng, faults, acc);
+    acc.bob_cost += rep.obs[kBobRow].sends;
+    if (alice_running) {
+      const NodeObservation& alice = rep.obs[kAliceRow];
+      acc.alice_cost += alice.listens;
+      if (alice.nacks == 0 && static_cast<double>(alice.noise) < theta) {
+        // No nack and a quiet channel: Bob is informed or gone.
+        alice_running = false;
+      }
+    }
+  }
+  ++epoch;
+}
+
+void finish_duel(OneToOneResult& r, bool alice_running, bool bob_running) {
+  r.hit_epoch_cap = !r.aborted && (alice_running || bob_running);
+  r.alice_halted = !alice_running;
+  r.bob_halted = !bob_running;
+}
+
+OneToOneResult run_one_to_one(const OneToOneParams& params,
+                              DuelAdversary& adversary, Rng& rng,
+                              FaultPlan* faults) {
+  if (faults != nullptr && !faults->active()) faults = nullptr;
+  OneToOneResult result;
+  OneToOneStepper fig1(params);
+  while (fig1.running() && !fig1.exhausted()) {
+    // Wall-clock abort: give up rather than escalate into the next epoch.
+    if (params.timeout_slots > 0 && result.latency >= params.timeout_slots) {
+      result.aborted = true;
+      break;
+    }
+    result.final_epoch = fig1.epoch;
+    fig1.step(adversary, rng, result, faults);
+  }
+  finish_duel(result, fig1.alice_running, fig1.bob_running);
   return result;
 }
 
