@@ -15,6 +15,14 @@
 // Against a spoofing adversary the Fig.1 stream can be strung along
 // forever, but the KSY stream still terminates, and with it the combined
 // protocol: Alice stops servicing the Fig.1 stream once KSY has halted her.
+//
+// run_combined only interleaves a OneToOneStepper and a KsyStepper; each
+// protocol's epoch body lives in its own file.  Each round it merges the
+// streams' halts, runs one Fig.1 epoch, hands a Bob informed there to KSY,
+// then runs one KSY epoch.  A stream whose next epoch is past its cap sits
+// out and halts no one; the run ends when no party runs, on the timeout,
+// or once both streams are past their caps.  Alice halted by Fig.1 reaches
+// KSY only in the next round (docs/protocols.md §combined).
 #pragma once
 
 #include "rcb/adversary/two_uniform.hpp"
@@ -32,7 +40,8 @@ struct CombinedParams {
 };
 
 /// Runs the interleaved combination; reuses OneToOneResult.  final_epoch
-/// reports the Fig.1 stream's last epoch index.  `faults` (optional)
+/// is the last Fig.1 epoch that ran, and hit_epoch_cap is Fig.1's rule: the
+/// run ended without an abort while a party still ran.  `faults` (optional)
 /// applies the channel faults of sim/faults.hpp to every phase of both
 /// streams.
 OneToOneResult run_combined(const CombinedParams& params,

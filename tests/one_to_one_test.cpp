@@ -8,6 +8,7 @@
 
 #include "rcb/adversary/spoofing.hpp"
 #include "rcb/common/mathutil.hpp"
+#include "rcb/protocols/combined.hpp"
 #include "rcb/protocols/ksy.hpp"
 #include "rcb/rng/rng.hpp"
 #include "rcb/runtime/scenario.hpp"
@@ -195,6 +196,19 @@ TEST(EngineCapTest, HugeBudgetDuelsEndAtTheLastRunnableEpoch) {
     const OneToOneResult r = run_ksy(KsyParams{}, adv, rng);
     EXPECT_TRUE(r.hit_epoch_cap);
     EXPECT_EQ(r.final_epoch, event_key::kMaxPhaseEpoch);
+  }
+  // Combined: the KSY stream runs out of epochs first.  It must halt no
+  // one, so the Fig. 1 stream still runs to its own last epoch.
+  for (const double eps : {0.01, 0.2}) {
+    FullDuelBlocker adv(Budget(huge), 1.0);
+    Rng rng(5);
+    CombinedParams params;
+    params.fig1 = OneToOneParams::sim(eps);
+    const OneToOneResult r = run_combined(params, adv, rng);
+    EXPECT_TRUE(r.hit_epoch_cap) << eps;
+    EXPECT_FALSE(r.aborted) << eps;
+    EXPECT_EQ(r.final_epoch, event_key::kMaxPhaseEpoch) << eps;
+    EXPECT_FALSE(r.alice_halted && r.bob_halted) << eps;
   }
   // The rcb_sim repro: --adversary=full_duel --budget=2^40 --q=1.
   for (const char* protocol : {"one_to_one", "ksy", "combined"}) {
