@@ -14,7 +14,10 @@
 // corruption, clock skew, brownout), CCA drift on/off, and battery mode
 // (broadcast/naive).  Bounds are tuned so one scenario's full oracle pass
 // (runtime/testing/oracles.hpp) stays in the low-millisecond range — the
-// harness's throughput is what buys coverage.
+// harness's throughput is what buys coverage.  The exception is a rare
+// default-cap axis (~1.5% of cases): one duel trial at the default epoch
+// caps with a budget that reaches them, whose oracle pass can take
+// seconds.
 #pragma once
 
 #include <cstdint>

@@ -18,7 +18,9 @@
 # scenario space includes the multi-channel axis (mc_broadcast with C
 # weighted toward {1, 2, 4}), so every config exercises the per-channel
 # budget ledger and the event-vs-dense slotwise crosscheck both at C = 1
-# (the single-channel model) and beyond.  Any oracle violation fails CI and
+# (the single-channel model) and beyond.  A rare default-cap axis runs a
+# duel at the protocols' default epoch caps (34) with a budget of at least
+# 2^37; such a case can take seconds.  Any oracle violation fails CI and
 # the minimized scenario + RCB_REPRO record paths are printed for local
 # replay with rcb_replay --verify.
 #
@@ -453,9 +455,9 @@ if [[ "$what" == "all" || "$what" == "perf" ]]; then
   # event engines against the dense oracle, the batch engine's pinned
   # digests and its exact match with the slotwise engine at C=1, kernel
   # bit-equivalence, arena reuse and per-call scoping, the event-key sort
-  # against std::sort, cross-seed determinism, and the pinned Rng stream
-  # with its integer Bernoulli form — all with the wide path and native
-  # codegen.
+  # against std::sort, cross-seed determinism, the pinned Rng stream with
+  # its integer Bernoulli form, and the pinned duel-protocol digests — all
+  # with the wide path and native codegen.
   if grep -q avx2 /proc/cpuinfo 2>/dev/null &&
      grep -q fma /proc/cpuinfo 2>/dev/null; then
     echo "=== [perf] configure (native/AVX2) ==="
@@ -463,7 +465,8 @@ if [[ "$what" == "all" || "$what" == "perf" ]]; then
     echo "=== [perf] build engine crosscheck suite ==="
     perf_tests=(engine_crosscheck_test sampling_simd_test arena_test
                 engine_kernels_test sampling_test repetition_engine_test
-                determinism_test mc_engine_test mc_degeneration_test rng_test)
+                determinism_test mc_engine_test mc_degeneration_test rng_test
+                duel_pin_test)
     cmake --build "$repo/build-perf" -j "$jobs" --target "${perf_tests[@]}"
     echo "=== [perf] run engine crosscheck suite ==="
     for t in "${perf_tests[@]}"; do
