@@ -46,9 +46,46 @@ double encode_slot(SlotIndex s) {
   return s == kNoSlot ? -1.0 : static_cast<double>(s);
 }
 
-}  // namespace
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
-std::string scenario_to_json(const Scenario& s) {
+// Every field of Scenario and FaultConfig, doubles by bit pattern: 0.0 and
+// -0.0 compare equal as values but render "0" and "-0".  A field added to
+// either struct must join this comparison, or the memo below would hand
+// out a stale rendering; the LP64 size checks make an addition that grows
+// a struct fail to compile until it is looked at here.
+static_assert(sizeof(void*) != 8 || sizeof(FaultConfig) == 104);
+static_assert(sizeof(void*) != 8 ||
+              sizeof(Scenario) ==
+                  2 * sizeof(std::string) + 88 + sizeof(FaultConfig));
+
+bool same_faults(const FaultConfig& a, const FaultConfig& b) {
+  return a.seed == b.seed && same_bits(a.crash_rate, b.crash_rate) &&
+         same_bits(a.restart_rate, b.restart_rate) &&
+         same_bits(a.crash_fraction, b.crash_fraction) &&
+         same_bits(a.loss_rate, b.loss_rate) &&
+         same_bits(a.corruption_rate, b.corruption_rate) &&
+         same_bits(a.clock_skew_rate, b.clock_skew_rate) &&
+         a.brownout_slot == b.brownout_slot &&
+         same_bits(a.brownout_fraction, b.brownout_fraction) &&
+         same_bits(a.brownout_factor, b.brownout_factor) &&
+         same_bits(a.cca_false_busy, b.cca_false_busy) &&
+         same_bits(a.cca_missed_detection, b.cca_missed_detection) &&
+         a.cca_ramp_slots == b.cca_ramp_slots;
+}
+
+bool same_scenario(const Scenario& a, const Scenario& b) {
+  return a.protocol == b.protocol && a.adversary == b.adversary &&
+         a.budget == b.budget && same_bits(a.q, b.q) &&
+         same_bits(a.rate, b.rate) && a.n == b.n && same_bits(a.eps, b.eps) &&
+         a.trials == b.trials && a.seed == b.seed &&
+         a.max_epoch_extra == b.max_epoch_extra &&
+         a.timeout_slots == b.timeout_slots && a.battery == b.battery &&
+         a.channels == b.channels && same_faults(a.faults, b.faults);
+}
+
+std::string render_scenario_json(const Scenario& s) {
   std::string out;
   out.reserve(640);  // a scenario is ~500 bytes: no regrowth while writing
   JsonWriter w(out);
@@ -89,6 +126,26 @@ std::string scenario_to_json(const Scenario& s) {
   w.end_object();
   w.end_object();
   return out;
+}
+
+}  // namespace
+
+std::string scenario_to_json(const Scenario& s) {
+  // Last (scenario, rendering) pair of this thread: a sweep's trials
+  // render the same scenario back to back.
+  struct Memo {
+    bool valid = false;
+    Scenario scenario;
+    std::string json;
+  };
+  thread_local Memo memo;
+  if (!memo.valid || !same_scenario(memo.scenario, s)) {
+    memo.valid = false;  // stays false if a copy below throws
+    memo.json = render_scenario_json(s);
+    memo.scenario = s;
+    memo.valid = true;
+  }
+  return memo.json;
 }
 
 std::uint64_t scenario_digest(const Scenario& s) {

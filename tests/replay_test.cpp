@@ -3,8 +3,12 @@
 // record.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "rcb/common/contracts.hpp"
 #include "rcb/common/mathutil.hpp"
@@ -76,6 +80,71 @@ TEST(ScenarioJsonTest, RoundTripsEveryField) {
 
   // And the round-trip is a fixed point of the codec.
   EXPECT_EQ(scenario_to_json(r), json);
+}
+
+/// Renders `s` on a new thread, whose scenario_to_json memo is empty.
+std::string fresh_render(const Scenario& s) {
+  std::string json;
+  std::thread([&] { json = scenario_to_json(s); }).join();
+  return json;
+}
+
+TEST(ScenarioJsonTest, MemoMatchesFreshRender) {
+  // Each perturbation changes one field of a scenario this thread has just
+  // rendered; the memo must miss and render what an empty memo renders.
+  // Dropping a field from the memo's comparison fails its row.
+  Scenario base = make_faulty_scenario();
+  base.q = 0.0;
+  const std::vector<std::pair<const char*, std::function<void(Scenario&)>>>
+      perturbations = {
+          {"protocol", [](Scenario& s) { s.protocol = "naive"; }},
+          {"adversary", [](Scenario& s) { s.adversary = "random"; }},
+          {"budget", [](Scenario& s) { s.budget += 1; }},
+          {"q", [](Scenario& s) { s.q = 0.5; }},
+          {"q sign", [](Scenario& s) { s.q = -0.0; }},
+          {"rate", [](Scenario& s) { s.rate = 0.5; }},
+          {"n", [](Scenario& s) { s.n += 1; }},
+          {"eps", [](Scenario& s) { s.eps = 0.03; }},
+          {"trials", [](Scenario& s) { s.trials += 1; }},
+          {"seed", [](Scenario& s) { s.seed += 1; }},
+          {"max_epoch_extra", [](Scenario& s) { s.max_epoch_extra = 2; }},
+          {"timeout_slots", [](Scenario& s) { s.timeout_slots = 2048; }},
+          {"battery", [](Scenario& s) { s.battery = 100; }},
+          {"channels", [](Scenario& s) { s.channels = 2; }},
+          {"faults.seed", [](Scenario& s) { s.faults.seed += 1; }},
+          {"faults.crash_rate", [](Scenario& s) { s.faults.crash_rate = 0.5; }},
+          {"faults.restart_rate",
+           [](Scenario& s) { s.faults.restart_rate = 0.5; }},
+          {"faults.crash_fraction",
+           [](Scenario& s) { s.faults.crash_fraction = 0.25; }},
+          {"faults.loss_rate", [](Scenario& s) { s.faults.loss_rate = 0.5; }},
+          {"faults.corruption_rate",
+           [](Scenario& s) { s.faults.corruption_rate = 0.5; }},
+          {"faults.clock_skew_rate",
+           [](Scenario& s) { s.faults.clock_skew_rate = 0.5; }},
+          {"faults.brownout_slot",
+           [](Scenario& s) { s.faults.brownout_slot = kNoSlot; }},
+          {"faults.brownout_fraction",
+           [](Scenario& s) { s.faults.brownout_fraction = 0.5; }},
+          {"faults.brownout_factor",
+           [](Scenario& s) { s.faults.brownout_factor = 0.25; }},
+          {"faults.cca_false_busy",
+           [](Scenario& s) { s.faults.cca_false_busy = 0.5; }},
+          {"faults.cca_missed_detection",
+           [](Scenario& s) { s.faults.cca_missed_detection = 0.5; }},
+          {"faults.cca_ramp_slots",
+           [](Scenario& s) { s.faults.cca_ramp_slots += 1; }},
+      };
+  const std::string base_json = fresh_render(base);
+  for (const auto& [field, perturb] : perturbations) {
+    Scenario changed = base;
+    perturb(changed);
+    const std::string want = fresh_render(changed);
+    ASSERT_NE(want, base_json) << field << " does not reach the JSON";
+    EXPECT_EQ(scenario_to_json(base), base_json) << field;
+    EXPECT_EQ(scenario_to_json(changed), want) << field;
+    EXPECT_EQ(scenario_to_json(changed), want) << field << " (memo hit)";
+  }
 }
 
 TEST(ScenarioJsonTest, DefaultBrownoutSlotSurvivesRoundTrip) {
