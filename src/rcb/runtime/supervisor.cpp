@@ -229,6 +229,8 @@ struct PointState {
   std::string scenario_json;
   std::vector<CheckpointRecord> resumed;   ///< loaded from the journal
   std::vector<bool> have;                  ///< trial-index completion bitmap
+  /// Next trial index to claim; the point's tasks share it.
+  std::atomic<std::uint64_t> cursor{0};
   std::unique_ptr<AsyncJournalWriter> journal;  ///< null when not checkpointing
   std::mutex fresh_mutex;
   std::vector<CheckpointRecord> fresh;     ///< trials run by this invocation
@@ -294,30 +296,24 @@ std::string setup_point(const SweepPoint& point, const SupervisorOptions& opt,
     }
     st.have[rec.trial - st.begin] = true;
   }
+  st.cursor.store(st.begin, std::memory_order_relaxed);
   if (writer.active()) {
     st.journal = std::make_unique<AsyncJournalWriter>(std::move(writer));
   }
   return "";
 }
 
-/// The per-(point, trial) work item: run the trial with watchdog, slot
-/// budget and retry-with-reseed, then hand the record to the point's
-/// group-commit journal.
-void run_point_trial(PointState& st, std::uint64_t t,
+/// Runs trial `t` of the point with watchdog, slot budget and
+/// retry-with-reseed, then hands the record to the point's group-commit
+/// journal.  Returns false, and sets the point's abort flag, when the
+/// journal is broken: the record can never be made durable, so it must
+/// not count as completed.
+bool run_point_trial(PointState& st, std::uint64_t t,
                      const SupervisorOptions& opt, const TrialRunner& runner,
-                     Watchdog* watchdog) {
-  // Trials not yet started when shutdown (or a journal write error) hits
-  // are skipped, not run: the journal must only ever contain records that
-  // were durably appended.
-  if (st.abort.load(std::memory_order_relaxed) ||
-      g_shutdown.load(std::memory_order_acquire)) {
-    return;
-  }
-
+                     Watchdog* watchdog, CheckpointRecord& rec) {
   const Scenario& s = st.scenario;
   CancelToken token(opt.trial_slot_budget);
   CancelScope cancel_scope(&token);
-  CheckpointRecord rec;
   rec.trial = t;
 
   t_in_supervised_trial = true;
@@ -366,15 +362,49 @@ void run_point_trial(PointState& st, std::uint64_t t,
 
   if (st.journal != nullptr) {
     // Group commit: the writer thread batches this with its neighbours and
-    // flushes once.  enqueue() == false means the journal is broken; the
-    // record must not count as completed (it can never be made durable).
+    // flushes once.
     if (!st.journal->enqueue(rec)) {
       st.abort.store(true, std::memory_order_relaxed);
-      return;
+      return false;
     }
   }
-  std::lock_guard<std::mutex> lock(st.fresh_mutex);
-  st.fresh.push_back(std::move(rec));
+  return true;
+}
+
+/// Records a claiming task holds before merging them into `fresh`: enough
+/// to make the mutex rare, few enough that no task holds a second copy of
+/// the point's records.
+constexpr std::size_t kMergeBatch = 64;
+
+/// One of a point's claiming tasks: takes trial indices from the point's
+/// cursor until its range is exhausted, runs those not yet journaled, and
+/// merges their records into `fresh` in batches.
+void run_point_tasks(PointState& st, const SupervisorOptions& opt,
+                     const TrialRunner& runner, Watchdog* watchdog) {
+  std::vector<CheckpointRecord> batch;
+  const auto merge = [&st, &batch] {
+    std::lock_guard<std::mutex> lock(st.fresh_mutex);
+    st.fresh.insert(st.fresh.end(), std::make_move_iterator(batch.begin()),
+                    std::make_move_iterator(batch.end()));
+    batch.clear();
+  };
+  for (;;) {
+    // Trials not yet started when shutdown (or a journal write error) hits
+    // are skipped, not run: the journal must only ever contain records
+    // that were durably appended.
+    if (st.abort.load(std::memory_order_relaxed) ||
+        g_shutdown.load(std::memory_order_acquire)) {
+      break;
+    }
+    const std::uint64_t t = st.cursor.fetch_add(1, std::memory_order_relaxed);
+    if (t >= st.end) break;
+    if (st.have[t - st.begin]) continue;
+    CheckpointRecord rec;
+    if (!run_point_trial(st, t, opt, runner, watchdog, rec)) break;
+    batch.push_back(std::move(rec));
+    if (batch.size() == kMergeBatch) merge();
+  }
+  if (!batch.empty()) merge();
 }
 
 /// Phase-3 finalisation for one point: drain+fsync the journal, then
@@ -428,10 +458,11 @@ std::vector<SweepResult> run_supervised_sweep_points(
     }
   }
 
-  // Phase 2 — flatten every missing (point, trial) into one submission.
-  // The work-stealing pool keeps all workers busy across point boundaries:
-  // a long-tail trial of point i no longer serialises the start of point
-  // i+1.
+  // Phase 2 — per point, min(threads, trials in range) tasks that claim
+  // trial indices from the point's cursor.  Every point has a task for
+  // each worker, so the work-stealing pool keeps all workers busy across
+  // point boundaries: a long-tail trial of point i does not serialise the
+  // start of point i+1.
   std::optional<Watchdog> watchdog;
   if (opt.trial_timeout_sec > 0.0) watchdog.emplace(opt.trial_timeout_sec);
   Watchdog* wd = watchdog ? &*watchdog : nullptr;
@@ -439,10 +470,11 @@ std::vector<SweepResult> run_supervised_sweep_points(
 
   for (std::size_t i = 0; i < points.size(); ++i) {
     PointState* st = states[i].get();
-    for (std::uint64_t t = st->begin; t < st->end; ++t) {
-      if (st->have[t - st->begin]) continue;
-      pool.submit([st, t, &opt, &runner, wd] {
-        run_point_trial(*st, t, opt, runner, wd);
+    const std::uint64_t tasks =
+        std::min<std::uint64_t>(pool.num_threads(), st->end - st->begin);
+    for (std::uint64_t k = 0; k < tasks; ++k) {
+      pool.submit([st, &opt, &runner, wd] {
+        run_point_tasks(*st, opt, runner, wd);
       });
     }
   }

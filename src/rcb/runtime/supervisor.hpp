@@ -27,10 +27,11 @@
 //     result reports interrupted=true so tools can print a
 //     "resume with --resume=<dir>" hint.
 //
-// Multi-point sweeps (run_supervised_sweep_points) flatten every
-// (point, trial) pair into one submission on the work-stealing pool and
-// journal through per-point asynchronous group-commit writers — see
-// docs/model.md §Concurrency architecture for the full design and the
+// Multi-point sweeps (run_supervised_sweep_points) give every point up to
+// one task per pool thread; the tasks claim the point's trial indices from
+// a shared cursor, so a short trial costs no pool submission of its own.
+// Records journal through per-point asynchronous group-commit writers —
+// see docs/model.md §Concurrency architecture for the full design and the
 // determinism argument.
 //
 // Neither entry point may be called from inside a task already running on
@@ -126,10 +127,11 @@ struct SweepPoint {
   std::uint64_t trial_end = 0;
 };
 
-/// Cross-point pipelined sweep: flattens every (point, trial) pair into one
-/// batch of work items on `pool`, so long-tail trials of point i overlap
-/// with trials of points i+1..k instead of idling the pool at each point
-/// boundary.  Per point this is semantically identical to calling
+/// Cross-point pipelined sweep: submits, for every point at once,
+/// min(pool threads, trials in range) tasks that claim the
+/// point's trial indices from a shared cursor, so long-tail trials of
+/// point i overlap with trials of points i+1..k instead of idling the pool
+/// at each point boundary.  Per point this is semantically identical to calling
 /// run_supervised_sweep with SweepPoint::checkpoint_dir — same resume
 /// semantics, same retry/watchdog policy, and bit-identical
 /// aggregate_digest for any thread count or schedule (per-trial RNG

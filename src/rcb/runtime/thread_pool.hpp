@@ -41,7 +41,7 @@ namespace rcb {
 /// Move-only type-erased `void()` callable with inline storage.  Callables
 /// up to kInlineSize bytes (and max_align_t alignment) live in the task
 /// object itself; larger ones fall back to one heap allocation.  The
-/// per-chunk closures of parallel_for_chunks and the per-trial closures of
+/// per-chunk closures of parallel_for_chunks and the per-point closures of
 /// the sweep scheduler are all a few pointers wide, so the hot dispatch
 /// path never allocates.
 class Task {

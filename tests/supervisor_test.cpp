@@ -7,6 +7,10 @@
 
 #include <atomic>
 #include <filesystem>
+#include <map>
+#include <mutex>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -66,6 +70,41 @@ TEST_F(SupervisorTest, UncheckpointedSweepMatchesPlainExecution) {
   }
 }
 
+/// (seed, trial) pairs a TrialRunner ran to completion, from any thread.
+class RanLog {
+ public:
+  void add(const Scenario& sc, std::uint64_t t) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++runs_[{sc.seed, t}];
+  }
+  int count(const Scenario& sc, std::uint64_t t) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = runs_.find({sc.seed, t});
+    return it == runs_.end() ? 0 : it->second;
+  }
+  std::set<std::uint64_t> trials(const Scenario& sc) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::set<std::uint64_t> out;
+    for (const auto& [key, n] : runs_) {
+      if (key.first == sc.seed) out.insert(key.second);
+    }
+    return out;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, int> runs_;
+};
+
+/// The trial indices of the journal in `dir`.
+std::set<std::uint64_t> journaled_trials(const std::string& dir) {
+  const CheckpointLoadResult loaded = load_checkpoint(dir);
+  EXPECT_TRUE(loaded.ok) << loaded.error;
+  std::set<std::uint64_t> out;
+  for (const CheckpointRecord& rec : loaded.records) out.insert(rec.trial);
+  return out;
+}
+
 TEST_F(SupervisorTest, InterruptedSweepResumesToIdenticalAggregate) {
   const Scenario s = fast_scenario(16);
   const SweepResult reference = run_supervised_sweep(s, {}, pool_);
@@ -76,9 +115,11 @@ TEST_F(SupervisorTest, InterruptedSweepResumesToIdenticalAggregate) {
   SupervisorOptions opt;
   opt.checkpoint_dir = dir_;
   std::atomic<int> completed{0};
+  RanLog ran;
   const TrialRunner interrupting = [&](const Scenario& sc, std::uint64_t t,
                                        std::uint32_t) {
     const TrialOutcome o = run_scenario_trial(sc, t);
+    ran.add(sc, t);
     if (completed.fetch_add(1) + 1 >= 4) request_sweep_shutdown();
     return o;
   };
@@ -87,6 +128,13 @@ TEST_F(SupervisorTest, InterruptedSweepResumesToIdenticalAggregate) {
   EXPECT_TRUE(partial.interrupted);
   ASSERT_GE(partial.records.size(), 4u);
   ASSERT_LT(partial.records.size(), s.trials);
+  // The journal holds exactly the trials that ran: in-flight trials
+  // drained into it, unstarted ones were skipped, none ran twice.
+  EXPECT_EQ(journaled_trials(dir_), ran.trials(s));
+  EXPECT_EQ(partial.records.size(), ran.trials(s).size());
+  for (const CheckpointRecord& rec : partial.records) {
+    EXPECT_EQ(ran.count(s, rec.trial), 1) << "trial " << rec.trial;
+  }
 
   // Second run: resume.  Completed trials load from the journal (executed
   // counts only the remainder) and the aggregate digest is bit-identical
@@ -343,9 +391,11 @@ TEST_F(SupervisorTest, MultiPointInterruptResumesToSequentialReference) {
 
   SupervisorOptions opt;
   std::atomic<int> completed{0};
+  RanLog ran;
   const TrialRunner interrupting = [&](const Scenario& sc, std::uint64_t t,
                                        std::uint32_t) {
     const TrialOutcome o = run_scenario_trial(sc, t);
+    ran.add(sc, t);
     if (completed.fetch_add(1) + 1 >= 5) request_sweep_shutdown();
     return o;
   };
@@ -356,6 +406,10 @@ TEST_F(SupervisorTest, MultiPointInterruptResumesToSequentialReference) {
     ASSERT_TRUE(partial[i].ok) << partial[i].error;
     done += partial[i].records.size();
     total += points[i].scenario.trials;
+    // Each point journaled exactly the trials that ran for it.
+    EXPECT_EQ(journaled_trials(points[i].checkpoint_dir),
+              ran.trials(points[i].scenario))
+        << "point " << i;
   }
   ASSERT_GE(done, 5u);
   ASSERT_LT(done, total);  // genuinely interrupted mid-sweep
@@ -370,6 +424,122 @@ TEST_F(SupervisorTest, MultiPointInterruptResumesToSequentialReference) {
     EXPECT_EQ(resumed[i].resumed, partial[i].records.size()) << "point " << i;
     EXPECT_EQ(resumed[i].aggregate_digest, reference[i]) << "point " << i;
   }
+}
+
+TEST_F(SupervisorTest, ClaimingTasksRunEveryMissingTrialExactlyOnce) {
+  // Three points: a full range, a ranged shard, and a point resumed from a
+  // journal that already holds every third trial.  Whatever the pool
+  // size, every missing trial runs exactly once and no journaled or
+  // out-of-range trial runs at all.
+  std::vector<SweepPoint> points = three_points();
+  points[0].scenario.trials = 23;
+  points[1].scenario.trials = 30;
+  points[1].trial_begin = 7;
+  points[1].trial_end = 26;
+  points[2].scenario.trials = 25;
+  points[2].checkpoint_dir = dir_ + "/resumed";
+  const Scenario& resumed = points[2].scenario;
+
+  for (const std::size_t threads : {1u, 4u}) {
+    fs::remove_all(dir_);
+    std::set<std::uint64_t> journaled;
+    {
+      CheckpointWriter writer;
+      ASSERT_EQ(writer.create(points[2].checkpoint_dir, resumed), "");
+      for (std::uint64_t t = 0; t < resumed.trials; t += 3) {
+        CheckpointRecord rec;
+        rec.trial = t;
+        rec.outcome = run_scenario_trial(resumed, t);
+        ASSERT_EQ(writer.append(rec), "");
+        journaled.insert(t);
+      }
+      ASSERT_EQ(writer.sync(), "");
+    }
+
+    RanLog ran;
+    const TrialRunner counting = [&](const Scenario& sc, std::uint64_t t,
+                                     std::uint32_t) {
+      ran.add(sc, t);
+      return run_scenario_trial(sc, t);
+    };
+    SupervisorOptions opt;
+    opt.resume = true;
+    ThreadPool pool(threads);
+    const std::vector<SweepResult> results =
+        run_supervised_sweep_points(points, opt, pool, counting);
+
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const SweepPoint& p = points[i];
+      ASSERT_TRUE(results[i].ok) << results[i].error;
+      EXPECT_FALSE(results[i].interrupted);
+      const std::uint64_t begin = p.trial_begin;
+      const std::uint64_t end = p.trial_end == 0 ? p.scenario.trials
+                                                 : p.trial_end;
+      const bool has_journal = i == 2;
+      std::size_t missing = 0;
+      for (std::uint64_t t = 0; t < p.scenario.trials; ++t) {
+        const bool in_range = t >= begin && t < end;
+        const bool want_run =
+            in_range && !(has_journal && journaled.count(t) > 0);
+        missing += want_run ? 1 : 0;
+        EXPECT_EQ(ran.count(p.scenario, t), want_run ? 1 : 0)
+            << threads << " threads, point " << i << ", trial " << t;
+      }
+      EXPECT_EQ(results[i].executed, missing) << "point " << i;
+      EXPECT_EQ(results[i].resumed, has_journal ? journaled.size() : 0u);
+      ASSERT_EQ(results[i].records.size(), end - begin) << "point " << i;
+      for (std::uint64_t t = begin; t < end; ++t) {
+        EXPECT_EQ(results[i].records[t - begin].trial, t);
+        EXPECT_EQ(results[i].records[t - begin].outcome.digest,
+                  run_scenario_trial(p.scenario, t).digest);
+      }
+    }
+  }
+}
+
+TEST_F(SupervisorTest, ContractFailureRecordsNameTheirTrialsScenario) {
+  // Trials of three interleaved points trip a contract inside the same
+  // ReproScope run_scenario_trial installs.  Every RCB_REPRO record the
+  // supervisor prints must carry the failing trial's own scenario, although
+  // each worker thread renders the three scenarios in turn.
+  const std::vector<SweepPoint> points = three_points();
+  const TrialRunner trips = [](const Scenario& sc, std::uint64_t t,
+                               std::uint32_t) {
+    if (t % 2 == 1) {
+      ReproScope repro(sc.seed, t, scenario_to_json(sc));
+      RCB_REQUIRE(t % 2 == 0);
+    }
+    return run_scenario_trial(sc, t);
+  };
+  ::testing::internal::CaptureStderr();
+  const std::vector<SweepResult> results =
+      run_supervised_sweep_points(points, {}, pool_, trips);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+
+  std::map<std::uint64_t, const Scenario*> by_seed;
+  std::size_t failing = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    ASSERT_TRUE(results[i].ok) << results[i].error;
+    EXPECT_EQ(results[i].failed_trials, points[i].scenario.trials / 2);
+    failing += results[i].failed_trials;
+    by_seed[points[i].scenario.seed] = &points[i].scenario;
+  }
+  std::istringstream lines(err);
+  std::string line;
+  std::size_t records = 0;
+  while (std::getline(lines, line)) {
+    if (line.rfind("RCB_REPRO ", 0) != 0) continue;
+    ++records;
+    const ReproParseResult parsed = repro_record_from_json(line);
+    ASSERT_TRUE(parsed.ok) << parsed.error << "\n" << line;
+    ASSERT_TRUE(parsed.record.has_scenario && parsed.record.has_scenario_digest);
+    ASSERT_EQ(by_seed.count(parsed.record.master_seed), 1u) << line;
+    const Scenario& want = *by_seed[parsed.record.master_seed];
+    EXPECT_EQ(scenario_to_json(parsed.record.scenario), scenario_to_json(want));
+    EXPECT_EQ(parsed.record.scenario_digest, scenario_digest(want));
+    EXPECT_EQ(parsed.record.trial % 2, 1u);
+  }
+  EXPECT_EQ(records, failing);
 }
 
 TEST_F(SupervisorTest, MultiPointSetupFailureAbortsBeforeAnyTrialRuns) {

@@ -152,8 +152,8 @@ inline SimAggregate run_sim(const SimConfig& cfg, const SupervisorOptions& sup,
   return aggregate_from_sweep(run_supervised_sweep(cfg, sup, pool));
 }
 
-/// Cross-point pipelined sweep over `cfgs`: every (point, trial) pair is
-/// one work item on the pool, so long-tail trials of one point overlap
+/// Cross-point pipelined sweep over `cfgs`: every point's trials run on
+/// the pool at once, so long-tail trials of one point overlap
 /// with trials of the next (runtime/supervisor.hpp,
 /// run_supervised_sweep_points).  When `checkpoint_parent` is non-empty,
 /// point i journals under "<checkpoint_parent>/point_<i>" — the same
