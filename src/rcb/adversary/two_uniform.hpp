@@ -46,6 +46,12 @@ struct DuelPlan {
 };
 
 /// Interface for budgeted 2-uniform adversaries.
+///
+/// A planner reads its budget only through the grants of budget().take()
+/// and through budget().exhausted(), never through remaining() or limit().
+/// So a run in which no take() is clamped plays out identically under any
+/// larger budget; the fuzz oracle for budget monotonicity relies on this
+/// to skip comparisons whose budget never binds.
 class DuelAdversary {
  public:
   explicit DuelAdversary(Budget budget) : budget_(budget) {}

@@ -380,11 +380,21 @@ void check_budget_monotonicity(const Scenario& s, const OracleOptions& opt,
   // oracle is scoped to the duel protocols where the relation is a
   // theorem-backed invariant.)
   if (!s.is_duel() || s.adversary == "none" || s.budget < 64) return;
+  std::vector<double> lat_lo, lat_hi;
+  bool binds = false;
+  for (std::size_t t = 0; t < opt.metamorphic_trials; ++t) {
+    const TrialOutcome o = run_outcome(s, t, opt);
+    lat_lo.push_back(o.latency);
+    binds = binds || o.adversary_cost >= static_cast<double>(s.budget);
+  }
+  // A trial that spent less than its budget had every Budget::take granted
+  // in full and never saw exhausted(); a duel planner reads its budget only
+  // through those two (DuelAdversary), so at 4x the budget the sample
+  // would replay the same runs.  Skip the comparison then: it is vacuous.
+  if (!binds) return;
   Scenario hi = s;
   hi.budget = s.budget * 4;
-  std::vector<double> lat_lo, lat_hi;
   for (std::size_t t = 0; t < opt.metamorphic_trials; ++t) {
-    lat_lo.push_back(run_outcome(s, t, opt).latency);
     lat_hi.push_back(run_outcome(hi, t, opt).latency);
   }
   if (rank_gate_rejects(lat_hi, lat_lo, alpha, /*xs_smaller_suspect=*/true)) {

@@ -4,6 +4,7 @@
 // self-check end to end.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -225,6 +226,67 @@ TEST(OracleTest, DeterminismOracleCatchesUnstableDigest) {
   bool determinism_fired = false;
   for (const Violation& v : vs) determinism_fired |= v.oracle == "determinism";
   EXPECT_TRUE(determinism_fired);
+}
+
+constexpr const char* kDuelPlanners[] = {"none",       "send_phase",
+                                         "nack_phase", "full_duel",
+                                         "both_views", "sym_random", "spoof"};
+
+/// A duel whose budget never binds: three epochs past the first cannot
+/// spend 2^20.
+Scenario unbound_duel(const char* protocol, const char* adversary) {
+  Scenario s;
+  s.protocol = protocol;
+  s.adversary = adversary;
+  s.budget = Cost{1} << 20;
+  s.q = 0.9;
+  s.rate = 0.3;
+  s.max_epoch_extra = 3;
+  s.seed = 31;
+  return s;
+}
+
+TEST(OracleTest, UnboundBudgetReplaysIdenticallyAtFourTimesIt) {
+  // The budget-monotonicity oracle skips its 4x sample when no trial spent
+  // its whole budget, because such a run replays bit-identically under any
+  // larger budget.  Pin that for every duel planner.
+  for (const char* adversary : kDuelPlanners) {
+    double spent = 0.0;  // the spoofer never acts against KSY alone
+    for (const char* protocol : {"one_to_one", "ksy", "combined"}) {
+      const Scenario s = unbound_duel(protocol, adversary);
+      Scenario hi = s;
+      hi.budget = s.budget * 4;
+      for (std::uint64_t t = 0; t < 12; ++t) {
+        const TrialOutcome lo = run_scenario_trial(s, t);
+        ASSERT_LT(lo.adversary_cost, static_cast<double>(s.budget))
+            << protocol << "/" << adversary << " trial " << t;
+        spent += lo.adversary_cost;
+        EXPECT_EQ(run_scenario_trial(hi, t).digest, lo.digest)
+            << protocol << "/" << adversary << " trial " << t;
+      }
+    }
+    if (std::string(adversary) != "none") {
+      EXPECT_GT(spent, 0.0) << adversary;
+    }
+  }
+}
+
+TEST(OracleTest, BudgetMonotonicityRunsTheFourTimesSampleOnlyWhenBound) {
+  // Count the trials the oracles run: the 4x sample (metamorphic_trials
+  // more) is drawn only when the budget bound some trial.
+  const auto trials_run = [](const Scenario& s) {
+    auto calls = std::make_shared<std::size_t>(0);
+    OracleOptions opt;
+    opt.outcome_tamper = [calls](TrialOutcome&) { ++*calls; };
+    EXPECT_TRUE(check_scenario(s, opt).empty()) << scenario_to_json(s);
+    return *calls;
+  };
+  Scenario unbound = unbound_duel("one_to_one", "full_duel");
+  Scenario bound = unbound;
+  bound.budget = 64;
+  const OracleOptions defaults;
+  EXPECT_EQ(trials_run(bound) - trials_run(unbound),
+            defaults.metamorphic_trials);
 }
 
 TEST(ShrinkTest, ShrinksToFixedPointAndPreservesOracle) {

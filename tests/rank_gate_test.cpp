@@ -103,6 +103,30 @@ TEST(RankGateCalibration, PowerAgainstAGrossShift) {
   EXPECT_TRUE(rank_gate_rejects(xs, ys, bonferroni_alpha(1e-6, 3)));
 }
 
+TEST(RankGateCalibration, IdenticalSamplesNeverReject) {
+  // A sample compared with itself carries no evidence either way; the
+  // budget-monotonicity oracle used to draw such pairs whenever its budget
+  // did not bind.  Neither the two-sided nor the one-sided gate may reject
+  // one, whatever the sample size, ties or alpha.
+  Rng rng(8080);
+  for (const std::size_t m : {1u, 2u, 5u, 12u, 60u}) {
+    std::vector<std::vector<double>> samples(3, std::vector<double>(m));
+    for (std::size_t i = 0; i < m; ++i) {
+      samples[0][i] = rng.uniform_double();
+      samples[1][i] = tied_sample(rng);
+      samples[2][i] = 64.0;  // every value tied: zero rank variance
+    }
+    for (const std::vector<double>& xs : samples) {
+      for (const double alpha : {1e-6, 0.01, 0.25}) {
+        EXPECT_FALSE(rank_gate_rejects(xs, xs, alpha)) << m << " " << alpha;
+        EXPECT_FALSE(rank_gate_rejects(xs, xs, alpha,
+                                       /*xs_smaller_suspect=*/true))
+            << m << " " << alpha;
+      }
+    }
+  }
+}
+
 TEST(BonferroniTest, SplitsTheFamilyBudgetEvenly) {
   EXPECT_DOUBLE_EQ(bonferroni_alpha(0.05, 1), 0.05);
   EXPECT_DOUBLE_EQ(bonferroni_alpha(0.05, 10), 0.005);
