@@ -484,17 +484,20 @@ fi
 
 if [[ "$what" == "all" || "$what" == "tsan" ]]; then
   # TSan instruments only what it needs: the concurrency-bearing binaries
-  # (pool, supervisor/scheduler, async journal).  A full test run under
-  # TSan is ~10x slower for no extra thread coverage.
+  # (pool, supervisor/scheduler with its claiming cursors and batched
+  # merges, async journal, and replay_test for the per-thread
+  # scenario_to_json memo).  A full test run under TSan is ~10x slower for
+  # no extra thread coverage.
   echo "=== [tsan] configure ==="
   cmake -B "$repo/build-tsan" -S "$repo" -DRCB_TSAN=ON
   echo "=== [tsan] build ==="
   cmake --build "$repo/build-tsan" -j "$jobs" \
     --target thread_pool_test supervisor_test checkpoint_test \
-             coordinator_test transport_test
+             coordinator_test transport_test replay_test
   echo "=== [tsan] run concurrency tests ==="
   "$repo/build-tsan/tests/thread_pool_test"
   "$repo/build-tsan/tests/supervisor_test"
+  "$repo/build-tsan/tests/replay_test"
   "$repo/build-tsan/tests/checkpoint_test"
   "$repo/build-tsan/tests/coordinator_test"
   "$repo/build-tsan/tests/transport_test"
