@@ -292,14 +292,48 @@ Scenario codec_scenario(std::uint64_t seed) {
   return s;
 }
 
+/// The renderer: two scenarios that differ only in `seed` alternate, so
+/// every call misses scenario_to_json's per-thread memo.
 void BM_ScenarioToJson(benchmark::State& state) {
+  const Scenario a = codec_scenario(1);
+  Scenario b = a;
+  b.seed = 2;
+  bool flip = false;
+  for (auto _ : state) {
+    const std::string json = scenario_to_json(flip ? b : a);
+    flip = !flip;
+    benchmark::DoNotOptimize(json.data());
+  }
+}
+BENCHMARK(BM_ScenarioToJson);
+
+/// The memo hit a sweep's trials take: the same scenario every call.
+void BM_ScenarioToJsonMemoHit(benchmark::State& state) {
   const Scenario s = codec_scenario(1);
   for (auto _ : state) {
     const std::string json = scenario_to_json(s);
     benchmark::DoNotOptimize(json.data());
   }
 }
-BENCHMARK(BM_ScenarioToJson);
+BENCHMARK(BM_ScenarioToJsonMemoHit)->Name("BM_ScenarioToJson/memo_hit");
+
+/// One whole trial at perfbench duel_sharded's eps = 0.01 point (Fig. 1,
+/// no adversary, 64 slots): protocol work plus run_scenario_trial's own
+/// validation, repro scope and digest.
+void BM_ScenarioTrial(benchmark::State& state) {
+  Scenario s;
+  s.protocol = "one_to_one";
+  s.adversary = "none";
+  s.eps = 0.01;
+  s.trials = 50000;
+  std::uint64_t trial = 0;
+  for (auto _ : state) {
+    const TrialOutcome out = run_scenario_trial(s, trial);
+    trial = (trial + 1) % s.trials;
+    benchmark::DoNotOptimize(out.digest);
+  }
+}
+BENCHMARK(BM_ScenarioTrial)->Name("BM_ScenarioTrial/one_to_one");
 
 /// One journal record: the canonical payload of a real trial's outcome,
 /// encoded (journal_record_payload) or decoded (the strict reader).
