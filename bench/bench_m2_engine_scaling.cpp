@@ -14,12 +14,14 @@
 // Emits BENCH_m2.json (bench_util.hpp schema) for tools/bench_compare.
 // Default grid runs in tens of seconds; --full expands to n=4096 and
 // slots=2^22 for the event-driven engines.
-#include <atomic>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -606,12 +608,12 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
         static_cast<unsigned long long>(n_trials), m.events_per_sec);
   }
 
-  // Worker dispatch overhead through the two coordinator transports: a
-  // sweep of trivially small shards (one cheap trial each) makes the
-  // per-shard dispatch cost the dominant term — fork/exec + pipe liveness
-  // for the local transport vs the TCP assign/complete/ack round-trips of
-  // the loopback socket control plane.  This bounds what moving a sweep
-  // from --transport=local to --transport=socket costs in pure plumbing.
+  // Worker dispatch overhead through the two connection origins of the
+  // worker transport: a sweep of trivially small shards (one cheap trial
+  // each) makes the per-shard dispatch cost the dominant term — the
+  // assign/complete/ack round trips over a spawned worker's socketpair vs
+  // over an attached worker's loopback TCP connection, plus starting the
+  // two workers.
   {
     const std::size_t n_shards = 8;
     Scenario s;
@@ -628,31 +630,50 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
     const std::string root =
         (std::filesystem::temp_directory_path() / "rcb_bench_m2_dispatch")
             .string();
-    auto port = std::make_shared<std::atomic<int>>(0);
-    const auto run_transport = [&](TransportKind kind) -> std::uint64_t {
+    const auto run_dispatch = [&](bool attached) -> std::uint64_t {
       std::filesystem::remove_all(root);
       CoordinatorOptions opt;
       opt.root = root;
-      opt.workers = 2;
-      opt.transport = kind;
       opt.lease_timeout_sec = 5.0;
-      opt.worker_argv = [&root](std::size_t shard) {
+      opt.worker_argv = [&root](std::size_t index) {
         return std::vector<std::string>{"/proc/self/exe",
                                         "--rcb_dispatch_worker", root,
-                                        std::to_string(shard)};
+                                        std::to_string(index)};
       };
-      opt.on_listen = [port](std::uint16_t p) { port->store(p); };
-      opt.attach_argv = [port](std::size_t) {
-        return std::vector<std::string>{
-            "/proc/self/exe", "--rcb_dispatch_attach",
-            "127.0.0.1:" + std::to_string(port->load())};
-      };
+      std::vector<pid_t> pids;
+      if (attached) {
+        // Two --attach workers started once the listener is bound, from
+        // the coordinator's thread (PR_SET_PDEATHSIG follows it).
+        opt.workers = 0;
+        opt.listen = "127.0.0.1:0";
+        opt.on_listen = [&pids](std::uint16_t port) {
+          for (int i = 0; i < 2; ++i) {
+            pid_t pid = -1;
+            int conn = -1;
+            if (spawn_worker_process(
+                    {"/proc/self/exe", "--rcb_dispatch_attach",
+                     "127.0.0.1:" + std::to_string(port)},
+                    pid, conn)
+                    .empty()) {
+              close(conn);
+              pids.push_back(pid);
+            }
+          }
+        };
+      } else {
+        opt.workers = 2;
+      }
       const CoordinatorResult r = run_shard_coordinator(spec, opt);
+      for (const pid_t pid : pids) {
+        if (!r.ok) kill(pid, SIGKILL);
+        int status = 0;
+        waitpid(pid, &status, 0);
+      }
       return r.ok ? static_cast<std::uint64_t>(spec.shards.size()) : 0;
     };
     const auto add_dispatch = [&](const char* name, const Measurement& m) {
       bench::BenchEntry e;
-      e.name = std::string("m2/shard/transport_dispatch/") + name;
+      e.name = std::string("m2/shard/dispatch/") + name;
       e.config = {{"shards", static_cast<double>(n_shards)}, {"workers", 2}};
       e.wall_ms = m.wall_ms;
       e.events_per_sec = m.events_per_sec;  // shard dispatches per second
@@ -662,20 +683,18 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
                      Table::num(m.wall_ms, 3), Table::num(0),
                      Table::num(m.events_per_sec)});
     };
-    const Measurement local = measure(
-        [&](int) { return run_transport(TransportKind::kLocalProcess); },
-        0.2, 4, 0);
-    add_dispatch("local", local);
-    const Measurement sock = measure(
-        [&](int) { return run_transport(TransportKind::kSocket); }, 0.2, 4,
-        0);
-    add_dispatch("socket", sock);
+    const Measurement spawned =
+        measure([&](int) { return run_dispatch(false); }, 0.2, 4, 0);
+    add_dispatch("spawned", spawned);
+    const Measurement attached =
+        measure([&](int) { return run_dispatch(true); }, 0.2, 4, 0);
+    add_dispatch("attached", attached);
     std::filesystem::remove_all(root);
     std::printf(
-        "transport dispatch: local %.3f ms vs loopback socket %.3f ms for "
-        "%zu shards / 2 workers (%.2fx)\n",
-        local.wall_ms, sock.wall_ms, n_shards,
-        sock.wall_ms / local.wall_ms);
+        "worker dispatch: spawned %.3f ms vs attached over loopback TCP "
+        "%.3f ms for %zu shards / 2 workers (%.2fx)\n",
+        spawned.wall_ms, attached.wall_ms, n_shards,
+        attached.wall_ms / spawned.wall_ms);
   }
 
   table.print(std::cout);
@@ -701,8 +720,8 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
 }  // namespace rcb
 
 int main(int argc, char** argv) {
-  // Internal worker re-entry modes: the transport-dispatch bench's
-  // coordinators spawn this binary as their own shard workers.
+  // Internal worker re-entry modes: the dispatch bench's coordinators
+  // spawn this binary as their own workers, or start it as attached ones.
   if (argc == 4 && std::string(argv[1]) == "--rcb_dispatch_worker") {
     return rcb::run_shard_worker(argv[2],
                                  static_cast<std::size_t>(std::atoi(argv[3])));

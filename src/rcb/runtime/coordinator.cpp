@@ -1,15 +1,9 @@
 #include "rcb/runtime/coordinator.hpp"
 
-#include <signal.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
-#include <mutex>
-#include <thread>
 
 #include "rcb/common/contracts.hpp"
 #include "rcb/runtime/transport_socket.hpp"
@@ -21,49 +15,6 @@ namespace {
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
-/// Worker-side heartbeat: rewrites the lease on a dedicated thread so a
-/// worker stuck in a long trial still proves liveness.
-class LeaseHeartbeat {
- public:
-  LeaseHeartbeat(std::string path, double interval_sec)
-      : path_(std::move(path)),
-        interval_(std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(
-                interval_sec > 0 ? interval_sec : 0.1))) {
-    write_lease_file(path_, getpid());
-    thread_ = std::thread([this] { loop(); });
-  }
-  ~LeaseHeartbeat() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-  LeaseHeartbeat(const LeaseHeartbeat&) = delete;
-  LeaseHeartbeat& operator=(const LeaseHeartbeat&) = delete;
-
- private:
-  void loop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stop_) {
-      cv_.wait_for(lock, interval_, [this] { return stop_; });
-      if (stop_) break;
-      lock.unlock();
-      write_lease_file(path_, getpid());
-      lock.lock();
-    }
-  }
-
-  const std::string path_;
-  const Clock::duration interval_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
-
 /// kExited: the holder is gone and the shard's journals await the scan
 /// that decides kDone vs kPending.
 enum class ShardRunState { kPending, kRunning, kExited, kDone };
@@ -71,7 +22,7 @@ enum class ShardRunState { kPending, kRunning, kExited, kDone };
 struct ShardTracker {
   ShardRunState state = ShardRunState::kPending;
   std::uint32_t attempts = 0;        ///< assignments so far (retry budget)
-  std::uint32_t attempt_id = 0;      ///< checkpoint-dir attempt (socket)
+  std::uint32_t attempt_id = 0;      ///< latest try_<k> checkpoint dir
   Clock::time_point next_attempt{};  ///< backoff gate for the next assign
 };
 
@@ -79,7 +30,7 @@ struct ShardTracker {
 
 SweepResult run_shard_attempt(const ShardSpec& spec, std::size_t shard_id,
                               const std::string& dir,
-                              const TrialRunner& runner) {
+                              const TrialRunner& runner, ThreadPool& pool) {
   SweepResult res;
   RCB_REQUIRE(shard_id < spec.shards.size());
   const ShardAssignment& a = spec.shards[shard_id];
@@ -104,10 +55,6 @@ SweepResult run_shard_attempt(const ShardSpec& spec, std::size_t shard_id,
   opt.trial_slot_budget = spec.trial_slot_budget;
   opt.max_retries = spec.max_retries;
 
-  const std::size_t threads =
-      spec.worker_threads > 0 ? static_cast<std::size_t>(spec.worker_threads)
-                              : ThreadPool::default_concurrency();
-  ThreadPool pool(threads);
   const std::vector<SweepPoint> points{point};
   std::vector<SweepResult> results =
       runner ? run_supervised_sweep_points(points, opt, pool, runner)
@@ -115,51 +62,11 @@ SweepResult run_shard_attempt(const ShardSpec& spec, std::size_t shard_id,
   return results[0];
 }
 
-int run_shard_worker(const std::string& root, std::size_t shard_id,
-                     const TrialRunner& runner) {
-  const ShardSpecLoadResult loaded = load_shard_spec(root);
-  if (!loaded.ok) {
-    std::fprintf(stderr, "shard worker: %s\n", loaded.error.c_str());
-    return 2;
-  }
-  const ShardSpec& spec = loaded.spec;
-  if (shard_id >= spec.shards.size()) {
-    std::fprintf(stderr, "shard worker: shard %zu out of range (%zu shards)\n",
-                 shard_id, spec.shards.size());
-    return 2;
-  }
-  const std::string dir = shard_dir(root, shard_id);
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    std::fprintf(stderr, "shard worker: cannot create %s: %s\n", dir.c_str(),
-                 ec.message().c_str());
-    return 1;
-  }
-
-  install_sweep_signal_handlers();
-  LeaseHeartbeat heartbeat(dir + "/" + kShardLeaseFile,
-                           spec.heartbeat_interval_sec);
-
-  const SweepResult res = run_shard_attempt(spec, shard_id, dir, runner);
-  if (!res.ok) {
-    std::fprintf(stderr, "shard worker %zu: %s\n", shard_id,
-                 res.error.c_str());
-    return 1;
-  }
-  return res.interrupted ? 130 : 0;
-}
-
-int run_shard_worker(const std::string& root, std::size_t shard_id) {
-  return run_shard_worker(root, shard_id, TrialRunner());
-}
-
 CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
                                         const CoordinatorOptions& opt) {
   CoordinatorResult out;
-  const bool socket = opt.transport == TransportKind::kSocket;
-  if (opt.workers == 0 && !(socket && !opt.spawn_workers)) {
-    out.error = "coordinator needs at least one worker";
+  if (opt.workers == 0 && opt.listen.empty()) {
+    out.error = "coordinator needs at least one worker or a listener";
     return out;
   }
 
@@ -221,16 +128,6 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
   // fabricate results (PR 3 taxonomy).
   if (opt.resume) {
     for (std::size_t i = 0; i < n; ++i) {
-      const std::string lease = shard_dir(opt.root, i) + "/" + kShardLeaseFile;
-      if (opt.lease_timeout_sec > 0 &&
-          lease_age_sec(lease) < opt.lease_timeout_sec) {
-        // A fresh lease after a coordinator crash means an orphan local
-        // worker may still be appending to this journal; put it down
-        // before a replacement opens the same file (best effort — with
-        // PDEATHSIG the orphan normally died with the old coordinator).
-        const pid_t orphan = read_lease_pid(lease);
-        if (orphan > 1 && orphan != getpid()) kill(orphan, SIGKILL);
-      }
       ShardScan scan = scan_shard(opt.root, spec, i);
       if (scan.state == ShardScanState::kCorrupt) {
         out.error = scan.error;
@@ -239,37 +136,14 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
       if (scan.state == ShardScanState::kComplete) {
         mark_done(i, std::move(scan));
       }
-      // Socket attempts start past anything on disk: a partitioned worker
-      // of a previous coordinator may still be appending to try_<k>.
-      if (socket) track[i].attempt_id = next_shard_attempt(opt.root, i) - 1;
+      // Attempts start past anything on disk: a partitioned worker of a
+      // previous coordinator may still be appending to try_<k>.
+      track[i].attempt_id = next_shard_attempt(opt.root, i) - 1;
     }
   }
 
-  std::unique_ptr<WorkerTransport> transport;
-  if (socket) {
-    SocketTransportOptions topt;
-    topt.root = opt.root;
-    topt.listen_host = opt.listen_host;
-    topt.listen_port = opt.listen_port;
-    topt.lease_timeout_sec = opt.lease_timeout_sec;
-    topt.heartbeat_interval_sec = spec.heartbeat_interval_sec;
-    topt.spawn_workers = opt.spawn_workers ? opt.workers : 0;
-    topt.attach_argv = opt.attach_argv;
-    topt.on_worker_spawn = opt.on_worker_spawn;
-    topt.on_listen = opt.on_listen;
-    topt.net_faults = opt.net_faults;
-    transport = make_socket_transport(topt);
-  } else {
-    LocalTransportOptions topt;
-    topt.root = opt.root;
-    topt.workers = opt.workers;
-    topt.lease_timeout_sec = opt.lease_timeout_sec;
-    topt.worker_argv = opt.worker_argv;
-    topt.on_worker_spawn = opt.on_worker_spawn;
-    topt.net_faults = opt.net_faults;
-    transport = make_local_process_transport(topt);
-  }
-  if (const std::string err = transport->start(); !err.empty()) {
+  SocketTransport transport(opt, spec.heartbeat_interval_sec);
+  if (const std::string err = transport.start(); !err.empty()) {
     out.error = err;
     return out;
   }
@@ -282,7 +156,7 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
   };
 
   const auto fail = [&](std::string error) {
-    transport->shutdown(false);
+    transport.shutdown(false);
     out.error = std::move(error);
     out.shards_completed = done;
     return out;
@@ -307,7 +181,7 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
     if (sweep_shutdown_requested()) {
       // Graceful: workers drain + fsync their journals, then the result
       // reports interrupted so the caller prints a resume hint.
-      transport->shutdown(true);
+      transport.shutdown(true);
       out.interrupted = true;
       out.shards_completed = done;
       return out;
@@ -319,7 +193,7 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
     // decoding the exited shards' journals.
     events.clear();
     exited.clear();
-    transport->poll(events);
+    transport.poll(events);
     for (const TransportEvent& ev : events) {
       const std::size_t shard = static_cast<std::size_t>(ev.shard);
       if (shard >= n) continue;
@@ -334,7 +208,7 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
     }
 
     // Assign pending shards to available workers.
-    while (transport->can_assign()) {
+    while (transport.can_assign()) {
       std::size_t next = n;
       const Clock::time_point now = Clock::now();
       for (std::size_t i = 0; i < n; ++i) {
@@ -345,25 +219,22 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
         }
       }
       if (next == n) break;
-      // Socket attempts journal into fresh try_<k> dirs (seeded with the
-      // best partial journal) so a partitioned previous holder can never
-      // share a file with the replacement; local attempts resume the base
-      // shard dir in place (attempt 0), since revocation there really
-      // kills the process.
-      const std::uint32_t attempt = socket ? ++track[next].attempt_id : 0;
+      // Every attempt journals into a fresh try_<k> dir (seeded with the
+      // best partial journal), so a previous holder that is partitioned or
+      // not yet dead can never share a file with the replacement.
+      const std::uint32_t attempt = ++track[next].attempt_id;
       if (const std::string err =
               prepare_shard_attempt(opt.root, spec, next, attempt);
           !err.empty()) {
         return fail(err);
       }
-      if (const std::string err = transport->assign(next, attempt);
-          !err.empty()) {
-        return fail("cannot assign shard " + std::to_string(next) + ": " +
-                    err);
-      }
+      transport.assign(next, attempt);
       track[next].state = ShardRunState::kRunning;
       ++track[next].attempts;
     }
+    // One flush carries the acks of this round's completions and the
+    // assigns that replace them, before any journal scan.
+    transport.flush();
 
     for (const TransportEvent* ev : exited) {
       const std::size_t shard = static_cast<std::size_t>(ev->shard);
@@ -403,9 +274,9 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
                   std::to_string(done) + " shards)");
     }
 
-    // Graceful degradation: an empty socket fleet parks the sweep instead
+    // Graceful degradation: an empty attached fleet parks the sweep instead
     // of failing it — work resumes the moment a worker (re-)attaches.
-    if (transport->fleet_size() == 0) {
+    if (transport.fleet_size() == 0) {
       if (!parked &&
           std::chrono::duration<double>(Clock::now() - fleet_empty_since)
                   .count() > 2.0) {
@@ -419,10 +290,11 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
       fleet_empty_since = Clock::now();
     }
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // Wake on the next frame; the cap keeps backoff and lease deadlines.
+    transport.wait(std::chrono::milliseconds(5));
   }
 
-  transport->shutdown(true);
+  transport.shutdown(true);
 
   ShardMergeResult merged =
       merge_shard_journals(opt.root, spec, std::move(adopted));

@@ -1,6 +1,6 @@
 // EINTR- and short-transfer-safe I/O helpers shared by every runtime path
-// that touches file descriptors or stdio streams (checkpoint journals, the
-// coordinator's worker pipes, the socket transport).
+// that touches file descriptors or stdio streams (checkpoint journals and
+// the worker control connections).
 //
 // POSIX read/write may transfer fewer bytes than asked or fail with EINTR
 // when a signal lands mid-call — and this codebase installs SIGINT/SIGTERM

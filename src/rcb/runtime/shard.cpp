@@ -202,8 +202,8 @@ ShardSpecLoadResult load_shard_spec(const std::string& root) {
     return out;
   }
   out.spec.trial_timeout_sec = timeout->as_number();
-  // Optional (specs written before the socket transport lack it); the
-  // default matches the historical hard-coded 100ms lease beat.
+  // Optional (older specs lack it); the default matches the historical
+  // hard-coded 100ms beat.
   if (const JsonValue* hb = doc.find("heartbeat_sec"); hb != nullptr) {
     if (!hb->is_number() || !(hb->as_number() > 0)) {
       out.error = "shard spec: \"heartbeat_sec\" must be positive";
@@ -477,7 +477,6 @@ std::string prepare_shard_attempt(const std::string& root,
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return "cannot create " + dir + ": " + ec.message();
-  if (attempt == 0) return "";  // the base dir resumes in place
 
   const ShardScan scan = scan_shard(root, spec, shard_id);
   if (scan.state == ShardScanState::kCorrupt) return scan.error;

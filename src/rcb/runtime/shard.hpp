@@ -15,19 +15,17 @@
 //                        the shard plan, written atomically once at sweep
 //                        start (authoritative on --resume, mirroring the
 //                        manifest-wins rule of single-process resume)
-//   <root>/shard_<i>/    a standard checkpoint dir (manifest.json +
-//                        journal.rcbj) owned by whichever worker process
-//                        currently holds shard i, plus its lease file
 //   <root>/shard_<i>/try_<k>/
-//                        per-assignment-attempt checkpoint dirs used by the
-//                        socket transport (runtime/transport_socket.hpp):
-//                        a partitioned worker that was revoked keeps
-//                        appending to its *own* attempt dir, so it can
-//                        never corrupt the replacement's journal.  The
-//                        local transport keeps journaling in shard_<i>/
-//                        itself (revocation there really kills the
-//                        process), which also keeps pre-socket sweep roots
-//                        resumable as-is.
+//                        one standard checkpoint dir (manifest.json +
+//                        journal.rcbj) per assignment attempt k of shard i,
+//                        seeded with the best journal its predecessors left:
+//                        a revoked worker that is partitioned, or not yet
+//                        dead, keeps appending to its *own* attempt dir, so
+//                        it can never corrupt the replacement's journal
+//   <root>/shard_<i>/    itself holds a journal only in roots written
+//                        before every attempt got a try_<k> dir; scan and
+//                        merge still adopt it, and a resume carries it
+//                        forward into a fresh try_<k>
 //
 // scan_shard considers every candidate (the base dir plus each try_<k>):
 // any corrupt candidate refuses the shard; multiple *complete* candidates
@@ -100,11 +98,11 @@ struct ShardSpec {
   double trial_timeout_sec = 0.0;
   SlotCount trial_slot_budget = 0;
   std::uint32_t max_retries = 0;
-  /// Worker liveness beat period: the local transport's lease-file rewrite
-  /// cadence and the socket transport's status-frame cadence.  Part of the
-  /// spec (not a coordinator runtime knob) so every worker of a sweep —
-  /// including ones attached from other machines — beats at the same rate
-  /// the coordinator's lease timeout was validated against.
+  /// Worker liveness beat period: the status-frame cadence of every
+  /// worker.  Part of the spec (not a coordinator runtime knob) so every
+  /// worker of a sweep — including ones attached from other machines —
+  /// beats at the same rate the coordinator's lease timeout was validated
+  /// against.
   double heartbeat_interval_sec = 0.1;
   std::vector<Scenario> points;
   std::vector<ShardAssignment> shards;
@@ -118,8 +116,9 @@ std::string validate_shard_spec(const ShardSpec& spec);
 /// Checkpoint dir of shard `shard_id` under `root`.
 std::string shard_dir(const std::string& root, std::size_t shard_id);
 
-/// Per-assignment-attempt checkpoint dir ("<shard dir>/try_<attempt>"),
-/// used by the socket transport; attempt 0 is the base shard dir itself.
+/// Per-assignment-attempt checkpoint dir ("<shard dir>/try_<attempt>");
+/// attempt 0 names the base shard dir itself, where journals of roots
+/// from before per-attempt dirs live.
 std::string shard_attempt_dir(const std::string& root, std::size_t shard_id,
                               std::uint32_t attempt);
 

@@ -2,61 +2,23 @@
 
 #include <fcntl.h>
 #include <signal.h>
-#include <sys/wait.h>
+#include <sys/socket.h>
 #include <unistd.h>
 #ifdef __linux__
 #include <sys/prctl.h>
 #endif
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <map>
 
 #include "rcb/cli/json.hpp"
 #include "rcb/cli/json_parse.hpp"
 #include "rcb/common/mathutil.hpp"
 #include "rcb/rng/rng.hpp"
-#include "rcb/runtime/retry_io.hpp"
-#include "rcb/runtime/shard.hpp"
 
 namespace rcb {
-
-const char kShardLeaseFile[] = "lease";
-
-namespace fs = std::filesystem;
-using Clock = std::chrono::steady_clock;
-
-// ---------------------------------------------------------------------------
-// Lease files (local transport).
-
-void write_lease_file(const std::string& path, pid_t pid) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return;  // heartbeat is advisory; the next beat retries
-  std::fprintf(f, "%ld\n", static_cast<long>(pid));
-  std::fclose(f);
-}
-
-pid_t read_lease_pid(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return -1;
-  long pid = -1;
-  const int got = std::fscanf(f, "%ld", &pid);
-  std::fclose(f);
-  return got == 1 ? static_cast<pid_t>(pid) : -1;
-}
-
-double lease_age_sec(const std::string& path) {
-  std::error_code ec;
-  const fs::file_time_type mtime = fs::last_write_time(path, ec);
-  if (ec) return 1e18;
-  const auto age = fs::file_time_type::clock::now() - mtime;
-  return std::chrono::duration<double>(age).count();
-}
 
 // ---------------------------------------------------------------------------
 // Control-frame codec.
@@ -326,14 +288,14 @@ std::string validate_lease_config(double lease_timeout_sec,
 }
 
 // ---------------------------------------------------------------------------
-// Worker process spawning (shared by both transports).
+// Worker process spawning.
 
 std::string spawn_worker_process(const std::vector<std::string>& argv_strings,
-                                 pid_t& pid, int& pipe_read) {
+                                 pid_t& pid, int& conn) {
   if (argv_strings.empty()) return "worker argv is empty";
   // Materialise the argv *before* fork: the parent may carry threads
   // (gtest, pools), so the child must not allocate between fork and exec —
-  // it only calls async-signal-safe prctl/exec/_exit.
+  // it only calls async-signal-safe prctl/fcntl/dup2/exec/_exit.
   std::vector<char*> argv;
   argv.reserve(argv_strings.size() + 1);
   for (const std::string& a : argv_strings) {
@@ -341,17 +303,13 @@ std::string spawn_worker_process(const std::vector<std::string>& argv_strings,
   }
   argv.push_back(nullptr);
 
+  // Both ends close on exec, so no other child ever holds them; the child
+  // re-opens its own end as kWorkerControlFd, which it keeps for its
+  // lifetime (EOF on `conn` the instant it dies, even if waitpid lags).
   int fds[2];
-  if (pipe(fds) != 0) {
-    return std::string("pipe failed: ") + std::strerror(errno);
+  if (socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    return std::string("socketpair failed: ") + std::strerror(errno);
   }
-  // Read end stays in the parent only; the write end is deliberately
-  // inherited across exec so the worker holds it open for its lifetime
-  // (EOF on the read end the instant the worker dies, even if waitpid
-  // lags).
-  fcntl(fds[0], F_SETFD, FD_CLOEXEC);
-  fcntl(fds[0], F_SETFL, O_NONBLOCK);
-
   const pid_t child = fork();
   if (child < 0) {
     const int err = errno;
@@ -369,165 +327,21 @@ std::string spawn_worker_process(const std::vector<std::string>& argv_strings,
     prctl(PR_SET_PDEATHSIG, SIGKILL);
     if (getppid() == 1) _exit(127);  // parent already gone
 #endif
+    // dup2 clears close-on-exec on the copy; an end that already sits on
+    // the target fd needs it cleared by hand.
+    if (fds[1] == kWorkerControlFd) {
+      if (fcntl(kWorkerControlFd, F_SETFD, 0) != 0) _exit(127);
+    } else if (dup2(fds[1], kWorkerControlFd) != kWorkerControlFd) {
+      _exit(127);
+    }
     execv(argv[0], argv.data());
     _exit(127);
   }
   close(fds[1]);
+  fcntl(fds[0], F_SETFL, O_NONBLOCK);
   pid = child;
-  pipe_read = fds[0];
+  conn = fds[0];
   return "";
-}
-
-// ---------------------------------------------------------------------------
-// LocalProcessTransport.
-
-namespace {
-
-class LocalProcessTransport final : public WorkerTransport {
- public:
-  explicit LocalProcessTransport(const LocalTransportOptions& opt)
-      : opt_(opt), plan_(opt.net_faults) {}
-
-  ~LocalProcessTransport() override { shutdown(false); }
-
-  std::string start() override { return ""; }
-
-  bool can_assign() override { return running_.size() < opt_.workers; }
-
-  std::string assign(std::size_t shard, std::uint32_t attempt) override {
-    const std::string dir = shard_dir(opt_.root, shard);
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    const std::vector<std::string> argv =
-        opt_.worker_argv ? opt_.worker_argv(shard)
-                         : default_worker_argv(shard);
-    Running w;
-    w.attempt = attempt;
-    if (std::string err = spawn_worker_process(argv, w.pid, w.pipe_read);
-        !err.empty()) {
-      return err;
-    }
-    // Seed the lease with the child's pid so the staleness clock starts at
-    // spawn and a resuming coordinator can find the orphan.
-    write_lease_file(dir + "/" + kShardLeaseFile, w.pid);
-    running_[shard] = w;
-    if (opt_.on_worker_spawn) opt_.on_worker_spawn(shard, w.pid);
-    return "";
-  }
-
-  void poll(std::vector<TransportEvent>& out) override {
-    for (TransportEvent& ev : pending_) out.push_back(std::move(ev));
-    pending_.clear();
-
-    std::vector<std::size_t> shards;
-    shards.reserve(running_.size());
-    for (const auto& [shard, w] : running_) shards.push_back(shard);
-    for (const std::size_t shard : shards) {
-      const Running w = running_[shard];  // by value: erased below
-      // Death reaches us as pipe EOF (a superset of waitpid: the kernel
-      // closes the inherited write end on any exit, including SIGKILL);
-      // wedging reaches us as a stale lease.
-      char buf[16];
-      const ssize_t k = retry_read_some(w.pipe_read, buf, sizeof buf);
-      const bool dead = (k == 0);
-      bool stale = false;
-      if (!dead && opt_.lease_timeout_sec > 0) {
-        const std::string lease =
-            shard_dir(opt_.root, shard) + "/" + kShardLeaseFile;
-        stale = lease_age_sec(lease) > opt_.lease_timeout_sec;
-      }
-      if (!dead && !stale) continue;
-      // Control-plane faults map onto this observation channel: drop and
-      // delay suppress the observation for one poll round (ground truth
-      // re-derives it next round, the lossy-link analogue of a missed
-      // status frame); duplicate/reorder/close deliver — events here are
-      // re-derived from process state, so they cannot duplicate or invert.
-      if (plan_.active()) {
-        const NetFaultAction act = plan_.next(
-            dead ? CtrlType::kComplete : CtrlType::kHeartbeat);
-        if (act == NetFaultAction::kDrop || act == NetFaultAction::kDelay) {
-          continue;
-        }
-      }
-      if (stale) kill(w.pid, SIGKILL);  // wedged: alive but heartbeat stopped
-      int status = 0;
-      waitpid(w.pid, &status, 0);
-      close(w.pipe_read);
-      running_.erase(shard);
-      TransportEvent ev;
-      ev.kind = TransportEvent::Kind::kShardExited;
-      ev.shard = shard;
-      ev.attempt = w.attempt;
-      ev.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-      if (stale) ev.detail = "lease expired";
-      out.push_back(std::move(ev));
-    }
-  }
-
-  void revoke(std::size_t shard) override {
-    const auto it = running_.find(shard);
-    if (it == running_.end()) return;
-    kill(it->second.pid, SIGKILL);
-    int status = 0;
-    waitpid(it->second.pid, &status, 0);
-    close(it->second.pipe_read);
-    TransportEvent ev;
-    ev.kind = TransportEvent::Kind::kShardExited;
-    ev.shard = shard;
-    ev.attempt = it->second.attempt;
-    ev.detail = "revoked";
-    pending_.push_back(std::move(ev));
-    running_.erase(it);
-  }
-
-  std::size_t fleet_size() const override {
-    // The local fleet is spawn-on-demand: capacity, not attachment, is the
-    // fleet, so it never parks.
-    return opt_.workers;
-  }
-
-  std::string attempt_dir(std::size_t shard,
-                          std::uint32_t /*attempt*/) const override {
-    // Attempt-less on purpose: revocation on the local transport really
-    // kills the process, so a replacement can safely resume the same
-    // journal in place (and stays byte-compatible with pre-socket sweeps).
-    return shard_dir(opt_.root, shard);
-  }
-
-  void shutdown(bool graceful) override {
-    const int sig = graceful ? SIGTERM : SIGKILL;
-    for (auto& [shard, w] : running_) kill(w.pid, sig);
-    for (auto& [shard, w] : running_) {
-      int status = 0;
-      waitpid(w.pid, &status, 0);
-      close(w.pipe_read);
-    }
-    running_.clear();
-  }
-
- private:
-  struct Running {
-    pid_t pid = -1;
-    int pipe_read = -1;
-    std::uint32_t attempt = 0;
-  };
-
-  std::vector<std::string> default_worker_argv(std::size_t shard_id) const {
-    return {"/proc/self/exe", "--shard_worker=" + opt_.root,
-            "--shard_id=" + std::to_string(shard_id)};
-  }
-
-  const LocalTransportOptions opt_;
-  NetFaultPlan plan_;
-  std::map<std::size_t, Running> running_;
-  std::vector<TransportEvent> pending_;
-};
-
-}  // namespace
-
-std::unique_ptr<WorkerTransport> make_local_process_transport(
-    const LocalTransportOptions& opt) {
-  return std::make_unique<LocalProcessTransport>(opt);
 }
 
 }  // namespace rcb

@@ -1,27 +1,28 @@
-// Pluggable worker transports for the sharded sweep coordinator.
+// The worker control protocol of the sharded sweep coordinator
+// (runtime/coordinator.hpp): its frames, its codec, the seeded fault plan
+// that chaos runs inject into it, and the process spawner whose children
+// speak it.
 //
-// The coordinator (runtime/coordinator.hpp) owns the *shard* state machine
-// — pending/running/done, bounded retries, backoff, merge — and delegates
-// the *worker* lifecycle to a WorkerTransport:
+// The coordinator owns the *shard* state machine — pending/running/done,
+// bounded retries, backoff, merge — and delegates the *worker* lifecycle to
+// one transport (runtime/transport_socket.hpp).  Every worker speaks the
+// same frames, whatever the origin of its connection:
 //
-//   LocalProcessTransport   fork/exec workers on this machine, watched via
-//                           waitpid + pipe-EOF + lease-file mtime (the
-//                           original PR 6 path, extracted verbatim).
-//   SocketTransport         workers (the same binary, --attach=host:port)
-//                           connect to a TCP listener and speak the framed
-//                           control protocol below; liveness is TCP
-//                           heartbeats instead of lease files
-//                           (runtime/transport_socket.hpp).
+//   spawned   the coordinator fork/execs its own workers, each inheriting
+//             one end of a socketpair as fd kWorkerControlFd;
+//   attached  workers on any host (the same binary, --attach=host:port)
+//             dial the coordinator's TCP listener.
 //
-// Control protocol (socket transport)
+// Control protocol
 //
 // Every message is one frame, reusing the RCBJ journal framing grammar:
 //
 //   RCBC <payload-bytes> <fnv1a-hex16> <payload-json>\n
 //
 // A frame that fails its checksum or deviates from the grammar poisons the
-// connection (the peer reconnects and state reconciles); a frame cut short
-// by a partition simply waits for more bytes.  Messages are *idempotent
+// connection (an attached peer reconnects and state reconciles, a spawned
+// one is replaced); a frame cut short by a partition simply waits for more
+// bytes.  Messages are *idempotent
 // status reconciliation*, not RPCs: workers retransmit their state with
 // every heartbeat tick, and the coordinator re-issues directives whenever
 // a worker's claimed state disagrees with its own — so any individual
@@ -45,19 +46,15 @@
 //
 // NetFaultPlan draws a seeded, reproducible action per control message —
 // deliver, drop, delay, duplicate, reorder, or close — in the spirit of
-// the sim/faults device-fault layer.  Both transports consult it: the
-// socket transport applies it to every frame in both directions; the
-// local-process transport maps it onto its observation channel (drop/delay
-// suppress a death or lease observation for one poll round, close is a
-// SIGKILL).  The chaos tests prove the merged sweep digest is bit-identical
-// under any schedule of these faults.
+// the sim/faults device-fault layer.  The coordinator applies it to every
+// frame in both directions, on spawned and attached connections alike.
+// The chaos tests prove the merged sweep digest is bit-identical under any
+// schedule of these faults.
 #pragma once
 
 #include <sys/types.h>
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -101,7 +98,7 @@ struct CtrlMessage {
 /// Encodes one message as a framed, checksummed line.
 std::string encode_ctrl_frame(const CtrlMessage& m);
 
-/// Incremental frame decoder over a TCP byte stream.
+/// Incremental frame decoder over a stream socket.
 class CtrlFrameDecoder {
  public:
   /// Appends raw bytes received from the peer.
@@ -179,116 +176,42 @@ class NetFaultPlan {
 std::string validate_lease_config(double lease_timeout_sec,
                                   double heartbeat_interval_sec);
 
-// ---------------------------------------------------------------------------
-// Transport abstraction.
 
-enum class TransportKind : std::uint8_t {
-  kLocalProcess,  ///< fork/exec on this machine (PR 6 behaviour)
-  kSocket,        ///< TCP-attached workers (runtime/transport_socket.hpp)
-};
+// ---------------------------------------------------------------------------
+// What the transport reports to the coordinator.
 
 struct TransportEvent {
   enum class Kind {
-    /// The holder of `shard` is gone: process exited / pipe EOF / lease
-    /// expired / connection revoked.  The coordinator rescans the shard's
+    /// The holder of `shard` is gone: its spawned process died, or its lease
+    /// expired and it was revoked.  The coordinator rescans the shard's
     /// journals to decide complete vs reassign.
     kShardExited,
-    /// A completion report for (shard, attempt, digest) arrived (socket).
+    /// A completion report for (shard, attempt, digest) arrived.
     kShardComplete,
-    /// The worker reported a failure for (shard, attempt) (socket).
+    /// The worker reported a failure for (shard, attempt).
     kShardFailed,
   };
   Kind kind = Kind::kShardExited;
   std::uint64_t shard = 0;
   std::uint64_t attempt = 0;
   std::uint64_t digest = 0;
-  int exit_code = -1;  ///< local transport: worker exit code (-1 = signal)
+  int exit_code = -1;  ///< spawned worker's exit code (-1: signal or none)
   std::string detail;
 };
 
-/// Worker-lifecycle backend for the coordinator.  Not thread-safe; the
-/// coordinator drives it from one thread.
-class WorkerTransport {
- public:
-  virtual ~WorkerTransport() = default;
-
-  /// Brings the transport up (socket: bind + listen).  "" or error.
-  virtual std::string start() = 0;
-
-  /// True when a worker slot is available for assign() right now.
-  virtual bool can_assign() = 0;
-
-  /// Hands (shard, attempt) to a worker: local fork/execs one, socket
-  /// sends an assign frame to an idle attached worker.  "" or error.
-  virtual std::string assign(std::size_t shard, std::uint32_t attempt) = 0;
-
-  /// Pumps I/O / reaping / lease checks and reports what changed.
-  virtual void poll(std::vector<TransportEvent>& out) = 0;
-
-  /// SIGKILL-equivalent revocation of `shard`'s current holder: local
-  /// kills the process; socket closes the connection and remembers that a
-  /// returning holder must be told to abandon.
-  virtual void revoke(std::size_t shard) = 0;
-
-  /// Live workers right now (running + idle); 0 means the fleet is empty
-  /// and the coordinator parks until someone (re-)attaches.
-  virtual std::size_t fleet_size() const = 0;
-
-  /// Checkpoint directory attempt `attempt` of `shard` journals into.
-  virtual std::string attempt_dir(std::size_t shard,
-                                  std::uint32_t attempt) const = 0;
-
-  /// Stops every worker: graceful lets them drain (SIGTERM / shutdown
-  /// frame), otherwise SIGKILL.  Idempotent.
-  virtual void shutdown(bool graceful) = 0;
-};
-
 // ---------------------------------------------------------------------------
-// Local fork/exec transport (the PR 6 path, extracted).
+// Worker process spawning.
 
-struct LocalTransportOptions {
-  std::string root;
-  std::size_t workers = 1;
-  /// A worker whose lease file is older than this is wedged: SIGKILL +
-  /// reassign (0 disables the lease watchdog).
-  double lease_timeout_sec = 10.0;
-  /// Builds the argv for shard `shard_id`'s worker; argv[0] is the
-  /// executable.  Defaults to re-entering /proc/self/exe with the internal
-  /// --shard_worker flags.
-  std::function<std::vector<std::string>(std::size_t shard_id)> worker_argv;
-  /// Test hook, called with (shard_id, pid) after each spawn.
-  std::function<void(std::size_t shard_id, pid_t pid)> on_worker_spawn;
-  /// Deterministic control-plane faults mapped onto the observation
-  /// channel: drop/delay suppress one poll round's observation of a death
-  /// or stale lease, close SIGKILLs the observed worker.
-  NetFaultConfig net_faults;
-};
+/// The descriptor a spawned worker finds its control connection on.
+inline constexpr int kWorkerControlFd = 3;
 
-/// Creates the fork/exec transport.  (Factory so the implementation stays
-/// private to the .cpp.)
-std::unique_ptr<WorkerTransport> make_local_process_transport(
-    const LocalTransportOptions& opt);
-
-/// fork/execs `argv_strings` with PR_SET_PDEATHSIG(SIGKILL) and a liveness
-/// pipe whose write end the child inherits across exec.  On success fills
-/// `pid` and `pipe_read` (read end, O_NONBLOCK | FD_CLOEXEC) and returns
-/// ""; the argv is materialised before fork so the child never allocates.
-/// Shared by both transports' spawners.
+/// fork/execs `argv_strings` with PR_SET_PDEATHSIG(SIGKILL), handing the
+/// child one end of a fresh socketpair(AF_UNIX, SOCK_STREAM) as fd
+/// kWorkerControlFd.  On success fills `pid` and `conn` (the caller's end,
+/// O_NONBLOCK | FD_CLOEXEC) and returns "": EOF on `conn` means the worker
+/// is gone.  The argv is materialised before fork so the child never
+/// allocates.
 std::string spawn_worker_process(const std::vector<std::string>& argv_strings,
-                                 pid_t& pid, int& pipe_read);
-
-/// Name of the lease file inside a shard dir (local transport; exposed for
-/// tests).
-extern const char kShardLeaseFile[];
-
-/// Lease-file primitives shared by the local transport, the worker-side
-/// heartbeat, and the coordinator's orphan adoption (exposed for tests).
-/// The coordinator never reads a timestamp out of the lease — wall clocks
-/// lie across processes — it watches the mtime, which the kernel stamps on
-/// every rewrite; the content is the owner's pid.
-void write_lease_file(const std::string& path, pid_t pid);
-pid_t read_lease_pid(const std::string& path);
-/// Seconds since the last rewrite; huge when missing (maximally stale).
-double lease_age_sec(const std::string& path);
+                                 pid_t& pid, int& conn);
 
 }  // namespace rcb

@@ -4,31 +4,33 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstring>
-#include <deque>
 #include <filesystem>
-#include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "rcb/common/mathutil.hpp"
 #include "rcb/runtime/checkpoint.hpp"
-#include "rcb/runtime/coordinator.hpp"
 #include "rcb/runtime/retry_io.hpp"
 #include "rcb/runtime/shard.hpp"
 
 namespace rcb {
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 std::string parse_host_port(const std::string& text, std::string& host,
@@ -55,6 +57,8 @@ std::string parse_host_port(const std::string& text, std::string& host,
 
 namespace {
 
+/// Non-blocking and close-on-exec; TCP also without Nagle delay (the
+/// option is refused, harmlessly, on a socketpair).
 void set_nonblocking_nodelay(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
   if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -83,577 +87,488 @@ std::uint64_t make_worker_uid() {
   return fnv1a64(seed);
 }
 
-// ---------------------------------------------------------------------------
-// Coordinator side.
+/// Uid of the spawned worker `pid`.  Both ends derive it from the pid, so
+/// the coordinator can queue a first assign before the worker speaks.
+std::uint64_t spawned_worker_uid(pid_t pid) {
+  return fnv1a64("spawned|" + std::to_string(static_cast<long>(pid)));
+}
 
-class SocketTransport final : public WorkerTransport {
- public:
-  explicit SocketTransport(const SocketTransportOptions& opt)
-      : opt_(opt), plan_(opt.net_faults) {}
-
-  ~SocketTransport() override { shutdown(false); }
-
-  std::string start() override {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) {
-      return std::string("socket failed: ") + std::strerror(errno);
-    }
-    int one = 1;
-    setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(opt_.listen_port);
-    if (inet_pton(AF_INET, opt_.listen_host.c_str(), &addr.sin_addr) != 1) {
-      return "listen host must be a numeric IPv4 address: " +
-             opt_.listen_host;
-    }
-    if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-        0) {
-      return "bind " + opt_.listen_host + ":" +
-             std::to_string(opt_.listen_port) +
-             " failed: " + std::strerror(errno);
-    }
-    if (listen(listen_fd_, 64) != 0) {
-      return std::string("listen failed: ") + std::strerror(errno);
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof bound;
-    if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-        0) {
-      port_ = ntohs(bound.sin_port);
-    }
-    set_nonblocking_nodelay(listen_fd_);
-    if (opt_.on_listen) opt_.on_listen(port_);
-    for (std::size_t i = 0; i < opt_.spawn_workers; ++i) {
-      spawned_.push_back(Spawned{});
-    }
-    return "";
-  }
-
-  bool can_assign() override { return find_idle_conn() != nullptr; }
-
-  std::string assign(std::size_t shard, std::uint32_t attempt) override {
-    Conn* c = find_idle_conn();
-    if (c == nullptr) return "no idle attached worker";
-    Held h;
-    h.uid = c->uid;
-    h.attempt = attempt;
-    h.last_seen = Clock::now();
-    held_[shard] = h;
-    CtrlMessage m;
-    m.type = CtrlType::kAssign;
-    m.shard = shard;
-    m.attempt = attempt;
-    m.root = opt_.root;
-    m.heartbeat_ms = static_cast<std::uint64_t>(
-        std::max(1.0, opt_.heartbeat_interval_sec * 1000.0));
-    send_to_conn(*c, m);
-    return "";
-  }
-
-  void poll(std::vector<TransportEvent>& out) override {
-    accept_new();
-    pump_reads();
-    deliver_delayed();
-    check_leases();
-    maintain_spawned();
-    flush_writes();
-    for (TransportEvent& ev : events_) out.push_back(std::move(ev));
-    events_.clear();
-  }
-
-  void revoke(std::size_t shard) override {
-    revoke_internal(shard, "revoked");
-  }
-
-  std::size_t fleet_size() const override {
-    std::size_t n = 0;
-    for (const auto& c : conns_) {
-      if (c->uid != 0) ++n;
-    }
-    return n;
-  }
-
-  std::string attempt_dir(std::size_t shard,
-                          std::uint32_t attempt) const override {
-    return shard_attempt_dir(opt_.root, shard, attempt);
-  }
-
-  void shutdown(bool graceful) override {
-    if (listen_fd_ < 0 && conns_.empty() && spawned_.empty()) return;
-    if (graceful) {
-      CtrlMessage m;
-      m.type = CtrlType::kShutdown;
-      for (auto& c : conns_) {
-        // Shutdown frames bypass the fault plan: the close that follows is
-        // the real signal, the frame just lets the worker exit 0.
-        c->outbuf += encode_ctrl_frame(m);
-      }
-      flush_writes();
-      for (Spawned& s : spawned_) {
-        if (s.pid > 0) kill(s.pid, SIGTERM);
-      }
-    } else {
-      for (Spawned& s : spawned_) {
-        if (s.pid > 0) kill(s.pid, SIGKILL);
-      }
-    }
-    for (Spawned& s : spawned_) {
-      if (s.pid > 0) {
-        int status = 0;
-        waitpid(s.pid, &status, 0);
-      }
-      if (s.pipe_read >= 0) close(s.pipe_read);
-    }
-    spawned_.clear();
-    for (auto& c : conns_) close(c->fd);
-    conns_.clear();
-    if (listen_fd_ >= 0) close(listen_fd_);
-    listen_fd_ = -1;
-  }
-
- private:
-  struct Conn {
-    int fd = -1;
-    std::uint64_t uid = 0;  ///< 0 until the first frame identifies the peer
-    std::uint64_t pid = 0;
-    std::uint64_t claim_shard = kNoShard;  ///< worker's last reported shard
-    CtrlFrameDecoder dec;
-    std::string outbuf;
-    bool dead = false;
-  };
-
-  struct Held {
-    std::uint64_t uid = 0;
-    std::uint32_t attempt = 0;
-    Clock::time_point last_seen;  ///< any frame from uid refreshes this
-  };
-
-  struct Spawned {
-    pid_t pid = -1;
-    int pipe_read = -1;
-    std::uint32_t deaths = 0;
-    Clock::time_point next_spawn{};  ///< default: spawn immediately
-  };
-
-  struct DelayedIn {
-    Clock::time_point due;
-    CtrlMessage msg;
-  };
-  struct DelayedOut {
-    Clock::time_point due;
-    std::uint64_t uid;
-    CtrlMessage msg;
-  };
-
-  bool uid_busy(std::uint64_t uid) const {
-    for (const auto& [shard, h] : held_) {
-      if (h.uid == uid) return true;
-    }
-    return false;
-  }
-
-  Conn* find_idle_conn() {
-    for (auto& c : conns_) {
-      if (c->uid != 0 && !c->dead && c->claim_shard == kNoShard &&
-          !uid_busy(c->uid)) {
-        return c.get();
-      }
-    }
-    return nullptr;
-  }
-
-  Conn* find_conn(std::uint64_t uid) {
-    for (auto& c : conns_) {
-      if (c->uid == uid && !c->dead) return c.get();
-    }
-    return nullptr;
-  }
-
-  void accept_new() {
-    if (listen_fd_ < 0) return;
-    for (;;) {
-      const int fd = accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        break;  // EAGAIN or a transient error; retry next poll
-      }
-      set_nonblocking_nodelay(fd);
-      auto c = std::make_unique<Conn>();
-      c->fd = fd;
-      conns_.push_back(std::move(c));
-    }
-  }
-
-  /// Applies the outbound fault plan and queues the frame.
-  void send_to_conn(Conn& c, const CtrlMessage& m) {
-    if (plan_.active()) {
-      switch (plan_.next(m.type)) {
-        case NetFaultAction::kDrop:
-          return;
-        case NetFaultAction::kDelay:
-          delayed_out_.push_back(
-              {Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                  std::chrono::duration<double>(
-                                      plan_.delay_ms() / 1000.0)),
-               c.uid, m});
-          return;
-        case NetFaultAction::kReorder:
-          // A short hold *is* a reorder: frames queued after this one go
-          // out first.
-          delayed_out_.push_back(
-              {Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                  std::chrono::duration<double>(
-                                      plan_.delay_ms() / 2000.0)),
-               c.uid, m});
-          return;
-        case NetFaultAction::kDuplicate:
-          c.outbuf += encode_ctrl_frame(m);
-          break;  // fall through to the normal send: two copies
-        case NetFaultAction::kClose:
-          close_conn(c);
-          return;
-        case NetFaultAction::kDeliver:
-          break;
-      }
-    }
-    if (!c.dead) c.outbuf += encode_ctrl_frame(m);
-  }
-
-  void send_to_uid(std::uint64_t uid, const CtrlMessage& m) {
-    if (Conn* c = find_conn(uid)) send_to_conn(*c, m);
-  }
-
-  void close_conn(Conn& c) {
-    if (c.dead) return;
-    close(c.fd);
-    c.dead = true;
-    // held_ survives on purpose: a TCP reset is not a partition; the lease
-    // clock decides when the holder is really gone.
-  }
-
-  void pump_reads() {
-    for (auto& c : conns_) {
-      if (c->dead) continue;
-      char buf[4096];
-      for (;;) {
-        const ssize_t k = retry_read_some(c->fd, buf, sizeof buf);
-        if (k > 0) {
-          c->dec.feed(buf, static_cast<std::size_t>(k));
-          if (k < static_cast<ssize_t>(sizeof buf)) break;
-          continue;
-        }
-        if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        close_conn(*c);  // EOF or a real error; the worker will reconnect
-        break;
-      }
-      if (c->dead) continue;
-      CtrlMessage msg;
-      std::string err;
-      int rc = 0;
-      while ((rc = c->dec.next(msg, err)) == 1) {
-        if (!apply_inbound_faults(*c, msg)) break;
-      }
-      if (rc < 0) close_conn(*c);  // poisoned stream: drop, let it reconnect
-    }
-    conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
-                                [](const std::unique_ptr<Conn>& c) {
-                                  return c->dead;
-                                }),
-                 conns_.end());
-  }
-
-  /// Returns false when the connection was closed by a fault.
-  bool apply_inbound_faults(Conn& c, const CtrlMessage& msg) {
-    if (plan_.active()) {
-      switch (plan_.next(msg.type)) {
-        case NetFaultAction::kDrop:
-          return true;
-        case NetFaultAction::kDelay:
-          delayed_in_.push_back(
-              {Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                  std::chrono::duration<double>(
-                                      plan_.delay_ms() / 1000.0)),
-               msg});
-          return true;
-        case NetFaultAction::kReorder:
-          delayed_in_.push_back(
-              {Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                  std::chrono::duration<double>(
-                                      plan_.delay_ms() / 2000.0)),
-               msg});
-          return true;
-        case NetFaultAction::kDuplicate:
-          handle_msg(&c, msg);
-          if (c.dead) return false;
-          break;  // fall through: handled twice
-        case NetFaultAction::kClose:
-          close_conn(c);
-          return false;
-        case NetFaultAction::kDeliver:
-          break;
-      }
-    }
-    handle_msg(&c, msg);
-    return !c.dead;
-  }
-
-  void deliver_delayed() {
-    const Clock::time_point now = Clock::now();
-    for (std::size_t i = 0; i < delayed_in_.size();) {
-      if (delayed_in_[i].due <= now) {
-        const CtrlMessage msg = delayed_in_[i].msg;
-        delayed_in_.erase(delayed_in_.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-        // Delivered against the peer's *current* connection; gone peer →
-        // dropped message, which the retransmit discipline absorbs.
-        handle_msg(find_conn(msg.uid), msg);
-      } else {
-        ++i;
-      }
-    }
-    for (std::size_t i = 0; i < delayed_out_.size();) {
-      if (delayed_out_[i].due <= now) {
-        const DelayedOut d = delayed_out_[i];
-        delayed_out_.erase(delayed_out_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-        if (Conn* c = find_conn(d.uid)) {
-          if (!c->dead) c->outbuf += encode_ctrl_frame(d.msg);
-        }
-      } else {
-        ++i;
-      }
-    }
-  }
-
-  /// The heart of the control plane: every inbound message is a worker
-  /// status claim, reconciled against held_ — all branches idempotent.
-  void handle_msg(Conn* conn, const CtrlMessage& msg) {
-    if (msg.uid == 0) return;
-    const Clock::time_point now = Clock::now();
-    if (conn != nullptr) {
-      // A reconnect supersedes any half-open previous connection.
-      for (auto& other : conns_) {
-        if (other.get() != conn && other->uid == msg.uid && !other->dead) {
-          close_conn(*other);
-        }
-      }
-      conn->uid = msg.uid;
-      conn->pid = msg.pid;
-      conn->claim_shard = msg.shard;
-    }
-    for (auto& [shard, h] : held_) {
-      if (h.uid == msg.uid) h.last_seen = now;  // any frame proves liveness
-    }
-
-    switch (msg.type) {
-      case CtrlType::kHello:
-      case CtrlType::kHeartbeat:
-        if (msg.shard == kNoShard) {
-          // Idle claim.  If we believe this worker holds a shard, our
-          // assign frame was lost: re-send it (at-least-once delivery).
-          for (const auto& [shard, h] : held_) {
-            if (h.uid != msg.uid) continue;
-            CtrlMessage assign;
-            assign.type = CtrlType::kAssign;
-            assign.shard = shard;
-            assign.attempt = h.attempt;
-            assign.root = opt_.root;
-            assign.heartbeat_ms = static_cast<std::uint64_t>(
-                std::max(1.0, opt_.heartbeat_interval_sec * 1000.0));
-            send_to_uid(msg.uid, assign);
-            break;
-          }
-          return;
-        }
-        [[fallthrough]];  // a hello carrying a claim is a progress report
-      case CtrlType::kProgress: {
-        if (msg.shard == kNoShard) return;
-        const std::size_t shard = static_cast<std::size_t>(msg.shard);
-        const auto it = held_.find(shard);
-        if (it != held_.end() && it->second.uid == msg.uid &&
-            it->second.attempt == msg.attempt) {
-          CtrlMessage ack;
-          ack.type = CtrlType::kAck;
-          ack.shard = msg.shard;
-          ack.attempt = msg.attempt;
-          send_to_uid(msg.uid, ack);
-          return;
-        }
-        // Stale claim: the shard was reassigned, revoked, or belongs to a
-        // coordinator lifetime that crashed.  The worker must stop; its
-        // attempt dir stays on disk for the scan to dedupe or ignore.
-        CtrlMessage abandon;
-        abandon.type = CtrlType::kAbandon;
-        abandon.shard = msg.shard;
-        abandon.attempt = msg.attempt;
-        send_to_uid(msg.uid, abandon);
-        return;
-      }
-      case CtrlType::kComplete:
-      case CtrlType::kFailed: {
-        if (msg.shard == kNoShard) return;
-        const std::size_t shard = static_cast<std::size_t>(msg.shard);
-        const auto it = held_.find(shard);
-        const bool ours = it != held_.end() && it->second.uid == msg.uid &&
-                          it->second.attempt == msg.attempt;
-        const bool someone_else = it != held_.end() && !ours;
-        if (someone_else) {
-          // Reassigned while this worker was partitioned: its report is
-          // stale even if its journal is fine — the scan will dedupe.
-          CtrlMessage abandon;
-          abandon.type = CtrlType::kAbandon;
-          abandon.shard = msg.shard;
-          abandon.attempt = msg.attempt;
-          send_to_uid(msg.uid, abandon);
-          return;
-        }
-        if (ours) held_.erase(it);
-        TransportEvent ev;
-        ev.kind = msg.type == CtrlType::kComplete
-                      ? TransportEvent::Kind::kShardComplete
-                      : TransportEvent::Kind::kShardFailed;
-        ev.shard = shard;
-        ev.attempt = static_cast<std::uint32_t>(msg.attempt);
-        ev.digest = msg.digest;
-        ev.detail = msg.error;
-        events_.push_back(std::move(ev));
-        // Ack (retransmitted on every repeat report — even an unheld one,
-        // e.g. after a coordinator resume — so the worker can go idle; the
-        // duplicate event is idempotent, the journal scan decides).
-        CtrlMessage ack;
-        ack.type = CtrlType::kAck;
-        ack.shard = msg.shard;
-        ack.attempt = msg.attempt;
-        send_to_uid(msg.uid, ack);
-        return;
-      }
-      case CtrlType::kAssign:
-      case CtrlType::kAck:
-      case CtrlType::kAbandon:
-      case CtrlType::kShutdown:
-        return;  // coordinator-bound types never arrive here
-    }
-  }
-
-  void check_leases() {
-    if (opt_.lease_timeout_sec <= 0) return;
-    const Clock::time_point now = Clock::now();
-    std::vector<std::size_t> expired;
-    for (const auto& [shard, h] : held_) {
-      const double age =
-          std::chrono::duration<double>(now - h.last_seen).count();
-      if (age > opt_.lease_timeout_sec) expired.push_back(shard);
-    }
-    for (const std::size_t shard : expired) {
-      revoke_internal(shard, "lease expired");
-    }
-  }
-
-  void revoke_internal(std::size_t shard, const char* reason) {
-    const auto it = held_.find(shard);
-    if (it == held_.end()) return;
-    const Held h = it->second;
-    held_.erase(it);
-    // SIGKILL-equivalent: sever the connection, and really SIGKILL the pid
-    // when the worker is one of ours (same host).  A merely-partitioned
-    // remote worker survives — and is told to abandon when it returns.
-    if (Conn* c = find_conn(h.uid)) close_conn(*c);
-    for (Spawned& s : spawned_) {
-      if (s.pid > 0 && static_cast<std::uint64_t>(s.pid) ==
-                           pid_of_uid(h.uid)) {
-        kill(s.pid, SIGKILL);
-      }
-    }
-    TransportEvent ev;
-    ev.kind = TransportEvent::Kind::kShardExited;
-    ev.shard = shard;
-    ev.attempt = h.attempt;
-    ev.detail = reason;
-    events_.push_back(std::move(ev));
-  }
-
-  std::uint64_t pid_of_uid(std::uint64_t uid) const {
-    for (const auto& c : conns_) {
-      if (c->uid == uid) return c->pid;
-    }
-    return 0;
-  }
-
-  void maintain_spawned() {
-    const Clock::time_point now = Clock::now();
-    for (std::size_t i = 0; i < spawned_.size(); ++i) {
-      Spawned& s = spawned_[i];
-      if (s.pid > 0) {
-        char buf[16];
-        const ssize_t k = retry_read_some(s.pipe_read, buf, sizeof buf);
-        if (k != 0) continue;  // still alive (EAGAIN) or chatter
-        int status = 0;
-        waitpid(s.pid, &status, 0);
-        close(s.pipe_read);
-        s.pid = -1;
-        s.pipe_read = -1;
-        ++s.deaths;
-        const double backoff =
-            opt_.respawn_backoff_base_sec *
-            static_cast<double>(1u << std::min(s.deaths - 1, 10u));
-        s.next_spawn = now + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double>(backoff));
-        continue;
-      }
-      if (s.next_spawn > now) continue;
-      const std::string host =
-          opt_.listen_host == "0.0.0.0" ? "127.0.0.1" : opt_.listen_host;
-      const std::vector<std::string> argv =
-          opt_.attach_argv
-              ? opt_.attach_argv(i)
-              : std::vector<std::string>{
-                    "/proc/self/exe",
-                    "--attach=" + host + ":" + std::to_string(port_)};
-      if (!spawn_worker_process(argv, s.pid, s.pipe_read).empty()) {
-        s.pid = -1;
-        s.next_spawn = now + std::chrono::seconds(1);
-        continue;
-      }
-      if (opt_.on_worker_spawn) opt_.on_worker_spawn(i, s.pid);
-    }
-  }
-
-  void flush_writes() {
-    for (auto& c : conns_) {
-      if (c->dead || c->outbuf.empty()) continue;
-      const ssize_t k =
-          retry_send_some(c->fd, c->outbuf.data(), c->outbuf.size());
-      if (k > 0) {
-        c->outbuf.erase(0, static_cast<std::size_t>(k));
-      } else if (k < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-        close_conn(*c);
-      }
-    }
-    conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
-                                [](const std::unique_ptr<Conn>& c) {
-                                  return c->dead;
-                                }),
-                 conns_.end());
-  }
-
-  const SocketTransportOptions opt_;
-  NetFaultPlan plan_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::vector<std::unique_ptr<Conn>> conns_;
-  std::map<std::size_t, Held> held_;
-  std::vector<Spawned> spawned_;
-  std::vector<DelayedIn> delayed_in_;
-  std::vector<DelayedOut> delayed_out_;
-  std::vector<TransportEvent> events_;
-};
+Clock::duration seconds(double sec) {
+  return std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(sec));
+}
 
 }  // namespace
 
-std::unique_ptr<WorkerTransport> make_socket_transport(
-    const SocketTransportOptions& opt) {
-  return std::make_unique<SocketTransport>(opt);
+// ---------------------------------------------------------------------------
+// Coordinator side.
+
+SocketTransport::SocketTransport(const CoordinatorOptions& opt,
+                                 double heartbeat_interval_sec)
+    : opt_(opt),
+      heartbeat_ms_(static_cast<std::uint64_t>(
+          std::max(1.0, heartbeat_interval_sec * 1000.0))),
+      plan_(opt.net_faults),
+      spawned_(opt.workers) {}
+
+SocketTransport::~SocketTransport() { shutdown(false); }
+
+std::string SocketTransport::start() {
+  if (opt_.listen.empty()) return "";
+  std::string host;
+  std::uint16_t port = 0;
+  if (std::string err = parse_host_port(opt_.listen, host, port);
+      !err.empty()) {
+    return "listen address: " + err;
+  }
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (listen_fd_ < 0) {
+    return std::string("socket failed: ") + std::strerror(errno);
+  }
+  int one = 1;
+  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, host.c_str(), &addr.sin_addr);  // parsed above
+  if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    return "bind " + opt_.listen + " failed: " + std::strerror(errno);
+  }
+  if (listen(listen_fd_, 64) != 0) {
+    return std::string("listen failed: ") + std::strerror(errno);
+  }
+  sockaddr_in bound{};
+  socklen_t len = sizeof bound;
+  if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
+      0) {
+    port = ntohs(bound.sin_port);
+  }
+  set_nonblocking_nodelay(listen_fd_);
+  if (opt_.on_listen) opt_.on_listen(port);
+  return "";
+}
+
+bool SocketTransport::can_assign() { return find_idle_conn() != nullptr; }
+
+void SocketTransport::assign(std::size_t shard, std::uint32_t attempt) {
+  Conn* c = find_idle_conn();
+  if (c == nullptr) return;
+  held_[shard] = Held{c->uid, attempt, Clock::now()};
+  send_assign(c->uid, shard, attempt);
+}
+
+void SocketTransport::poll(std::vector<TransportEvent>& out) {
+  accept_new();
+  pump_reads();
+  deliver_delayed();
+  check_leases();
+  maintain_spawned();
+  for (TransportEvent& ev : events_) out.push_back(std::move(ev));
+  events_.clear();
+}
+
+void SocketTransport::flush() {
+  for (auto& c : conns_) {
+    if (c->dead || c->outbuf.empty()) continue;
+    const ssize_t k =
+        retry_send_some(c->fd, c->outbuf.data(), c->outbuf.size());
+    if (k > 0) {
+      c->outbuf.erase(0, static_cast<std::size_t>(k));
+    } else if (k < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
+      close_conn(*c);
+    }
+  }
+}
+
+void SocketTransport::wait(std::chrono::milliseconds timeout) {
+  std::vector<pollfd> fds;
+  fds.reserve(conns_.size() + 1);
+  if (listen_fd_ >= 0) fds.push_back({listen_fd_, POLLIN, 0});
+  for (const auto& c : conns_) {
+    if (c->dead) continue;
+    const short events = c->outbuf.empty() ? POLLIN : (POLLIN | POLLOUT);
+    fds.push_back({c->fd, events, 0});
+  }
+  ::poll(fds.data(), fds.size(), static_cast<int>(timeout.count()));
+}
+
+std::size_t SocketTransport::fleet_size() const {
+  std::size_t n = 0;
+  for (const auto& c : conns_) {
+    if (c->uid != 0 && !c->dead) ++n;
+  }
+  return n;
+}
+
+void SocketTransport::shutdown(bool graceful) {
+  if (listen_fd_ < 0 && conns_.empty() && spawned_.empty()) return;
+  if (graceful) {
+    CtrlMessage m;
+    m.type = CtrlType::kShutdown;
+    for (auto& c : conns_) {
+      // Shutdown frames bypass the fault plan: the close that follows is
+      // the real signal, the frame just lets the worker exit 0.
+      if (!c->dead) c->outbuf += encode_ctrl_frame(m);
+    }
+    flush();
+  } else {
+    for (Spawned& s : spawned_) {
+      if (s.pid > 0) kill(s.pid, SIGKILL);
+    }
+  }
+  // The close is what ends a spawned worker: it drains and exits on EOF.
+  for (auto& c : conns_) {
+    if (!c->dead) close(c->fd);
+  }
+  conns_.clear();
+  for (Spawned& s : spawned_) {
+    if (s.pid > 0) {
+      int status = 0;
+      waitpid(s.pid, &status, 0);
+    }
+  }
+  spawned_.clear();
+  if (listen_fd_ >= 0) close(listen_fd_);
+  listen_fd_ = -1;
+}
+
+bool SocketTransport::uid_busy(std::uint64_t uid) const {
+  for (const auto& [shard, h] : held_) {
+    if (h.uid == uid) return true;
+  }
+  return false;
+}
+
+SocketTransport::Conn* SocketTransport::find_idle_conn() {
+  for (auto& c : conns_) {
+    if (c->uid != 0 && !c->dead && c->claim_shard == kNoShard &&
+        !uid_busy(c->uid)) {
+      return c.get();
+    }
+  }
+  return nullptr;
+}
+
+SocketTransport::Conn* SocketTransport::find_conn(std::uint64_t uid) {
+  for (auto& c : conns_) {
+    if (c->uid == uid && !c->dead) return c.get();
+  }
+  return nullptr;
+}
+
+void SocketTransport::accept_new() {
+  if (listen_fd_ < 0) return;
+  for (;;) {
+    const int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR) continue;
+      break;  // EAGAIN or a transient error; retry next poll
+    }
+    set_nonblocking_nodelay(fd);
+    auto c = std::make_unique<Conn>();
+    c->fd = fd;
+    conns_.push_back(std::move(c));
+  }
+}
+
+int SocketTransport::copies_after_faults(Conn& c, const CtrlMessage& m,
+                                         bool inbound) {
+  if (!plan_.active()) return 1;
+  const NetFaultAction action = plan_.next(m.type);
+  switch (action) {
+    case NetFaultAction::kDrop:
+      return 0;
+    case NetFaultAction::kDelay:
+    case NetFaultAction::kReorder: {
+      // A short hold *is* a reorder: frames after this one overtake it.
+      const double ms =
+          plan_.delay_ms() * (action == NetFaultAction::kDelay ? 1.0 : 0.5);
+      delayed_.push_back({Clock::now() + seconds(ms / 1000.0),
+                          inbound ? m.uid : c.uid, m, inbound});
+      return 0;
+    }
+    case NetFaultAction::kDuplicate:
+      return 2;
+    case NetFaultAction::kClose:
+      close_conn(c);
+      return 0;
+    case NetFaultAction::kDeliver:
+      break;
+  }
+  return 1;
+}
+
+void SocketTransport::send_to_conn(Conn& c, const CtrlMessage& m) {
+  for (int n = copies_after_faults(c, m, false); n > 0 && !c.dead; --n) {
+    c.outbuf += encode_ctrl_frame(m);
+  }
+}
+
+void SocketTransport::send_to_uid(std::uint64_t uid, const CtrlMessage& m) {
+  if (Conn* c = find_conn(uid)) send_to_conn(*c, m);
+}
+
+void SocketTransport::send_assign(std::uint64_t uid, std::size_t shard,
+                                  std::uint32_t attempt) {
+  CtrlMessage m;
+  m.type = CtrlType::kAssign;
+  m.shard = shard;
+  m.attempt = attempt;
+  m.root = opt_.root;
+  m.heartbeat_ms = heartbeat_ms_;
+  send_to_uid(uid, m);
+}
+
+void SocketTransport::close_conn(Conn& c) {
+  if (c.dead) return;
+  close(c.fd);
+  c.dead = true;
+  // held_ survives on purpose: a TCP reset is not a partition, so for an
+  // attached worker the lease clock decides when the holder is really
+  // gone.  A spawned worker dies with its connection (maintain_spawned).
+}
+
+void SocketTransport::pump_reads() {
+  for (auto& c : conns_) {
+    if (c->dead) continue;
+    char buf[4096];
+    for (;;) {
+      const ssize_t k = retry_read_some(c->fd, buf, sizeof buf);
+      if (k > 0) {
+        c->dec.feed(buf, static_cast<std::size_t>(k));
+        if (k < static_cast<ssize_t>(sizeof buf)) break;
+        continue;
+      }
+      if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      close_conn(*c);  // EOF or a real error
+      break;
+    }
+    if (c->dead) continue;
+    CtrlMessage msg;
+    std::string err;
+    int rc = 0;
+    while (!c->dead && (rc = c->dec.next(msg, err)) == 1) {
+      for (int n = copies_after_faults(*c, msg, true); n > 0 && !c->dead;
+           --n) {
+        handle_msg(c.get(), msg);
+      }
+    }
+    if (rc < 0) close_conn(*c);  // poisoned stream: drop it
+  }
+  conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
+                              [](const std::unique_ptr<Conn>& c) {
+                                return c->dead;
+                              }),
+               conns_.end());
+}
+
+void SocketTransport::deliver_delayed() {
+  const Clock::time_point now = Clock::now();
+  for (std::size_t i = 0; i < delayed_.size();) {
+    if (delayed_[i].due > now) {
+      ++i;
+      continue;
+    }
+    const Delayed d = std::move(delayed_[i]);
+    delayed_.erase(delayed_.begin() + static_cast<std::ptrdiff_t>(i));
+    // Delivered against the peer's *current* connection; a gone peer drops
+    // the message, which the retransmit discipline absorbs.
+    Conn* c = find_conn(d.uid);
+    if (d.inbound) {
+      handle_msg(c, d.msg);
+    } else if (c != nullptr) {
+      c->outbuf += encode_ctrl_frame(d.msg);
+    }
+  }
+}
+
+/// The heart of the control plane: every inbound message is a worker
+/// status claim, reconciled against held_ — all branches idempotent.
+void SocketTransport::handle_msg(Conn* conn, const CtrlMessage& msg) {
+  if (msg.uid == 0) return;
+  const Clock::time_point now = Clock::now();
+  if (conn != nullptr) {
+    // A reconnect supersedes any half-open previous connection.
+    for (auto& other : conns_) {
+      if (other.get() != conn && other->uid == msg.uid && !other->dead) {
+        close_conn(*other);
+      }
+    }
+    conn->uid = msg.uid;
+    conn->claim_shard = msg.shard;
+  }
+  for (auto& [shard, h] : held_) {
+    if (h.uid == msg.uid) h.last_seen = now;  // any frame proves liveness
+  }
+
+  switch (msg.type) {
+    case CtrlType::kHello:
+    case CtrlType::kHeartbeat:
+      if (msg.shard == kNoShard) {
+        // Idle claim.  If we believe this worker holds a shard, our
+        // assign frame was lost: re-send it (at-least-once delivery).
+        for (const auto& [shard, h] : held_) {
+          if (h.uid != msg.uid) continue;
+          send_assign(msg.uid, shard, h.attempt);
+          break;
+        }
+        return;
+      }
+      [[fallthrough]];  // a hello carrying a claim is a progress report
+    case CtrlType::kProgress: {
+      if (msg.shard == kNoShard) return;
+      const std::size_t shard = static_cast<std::size_t>(msg.shard);
+      const auto it = held_.find(shard);
+      CtrlMessage reply;
+      reply.shard = msg.shard;
+      reply.attempt = msg.attempt;
+      // A claim we do not hold is stale: the shard was reassigned, revoked,
+      // or belongs to a coordinator lifetime that crashed.  The worker must
+      // stop; its attempt dir stays on disk for the scan to dedupe or
+      // ignore.
+      reply.type = it != held_.end() && it->second.uid == msg.uid &&
+                           it->second.attempt == msg.attempt
+                       ? CtrlType::kAck
+                       : CtrlType::kAbandon;
+      send_to_uid(msg.uid, reply);
+      return;
+    }
+    case CtrlType::kComplete:
+    case CtrlType::kFailed: {
+      if (msg.shard == kNoShard) return;
+      const std::size_t shard = static_cast<std::size_t>(msg.shard);
+      const auto it = held_.find(shard);
+      const bool ours = it != held_.end() && it->second.uid == msg.uid &&
+                        it->second.attempt == msg.attempt;
+      CtrlMessage reply;
+      reply.shard = msg.shard;
+      reply.attempt = msg.attempt;
+      if (it != held_.end() && !ours) {
+        // Reassigned while this worker was partitioned: its report is
+        // stale even if its journal is fine — the scan will dedupe.
+        reply.type = CtrlType::kAbandon;
+        send_to_uid(msg.uid, reply);
+        return;
+      }
+      if (ours) {
+        held_.erase(it);
+        if (msg.type == CtrlType::kComplete) {
+          for (Spawned& s : spawned_) {
+            if (s.uid == msg.uid) s.deaths = 0;  // healthy again
+          }
+        }
+      }
+      TransportEvent ev;
+      ev.kind = msg.type == CtrlType::kComplete
+                    ? TransportEvent::Kind::kShardComplete
+                    : TransportEvent::Kind::kShardFailed;
+      ev.shard = shard;
+      ev.attempt = static_cast<std::uint32_t>(msg.attempt);
+      ev.digest = msg.digest;
+      ev.detail = msg.error;
+      events_.push_back(std::move(ev));
+      // Ack (retransmitted on every repeat report — even an unheld one,
+      // e.g. after a coordinator resume — so the worker can go idle; the
+      // duplicate event is idempotent, the journal scan decides).  The ack
+      // makes the worker idle, so its next assign can ride in the same
+      // flush.
+      reply.type = CtrlType::kAck;
+      send_to_uid(msg.uid, reply);
+      if (conn != nullptr) conn->claim_shard = kNoShard;
+      return;
+    }
+    case CtrlType::kAssign:
+    case CtrlType::kAck:
+    case CtrlType::kAbandon:
+    case CtrlType::kShutdown:
+      return;  // coordinator-bound types never arrive here
+  }
+}
+
+void SocketTransport::check_leases() {
+  if (opt_.lease_timeout_sec <= 0) return;
+  const Clock::time_point now = Clock::now();
+  std::vector<std::size_t> expired;
+  for (const auto& [shard, h] : held_) {
+    const double age =
+        std::chrono::duration<double>(now - h.last_seen).count();
+    if (age > opt_.lease_timeout_sec) expired.push_back(shard);
+  }
+  for (const std::size_t shard : expired) revoke(shard, "lease expired", -1);
+}
+
+void SocketTransport::revoke(std::size_t shard, const std::string& reason,
+                             int exit_code) {
+  const auto it = held_.find(shard);
+  if (it == held_.end()) return;
+  const Held h = it->second;
+  held_.erase(it);
+  // SIGKILL-equivalent: sever the connection, and SIGKILL a spawned holder
+  // (maintain_spawned reaps and replaces it).  A merely-partitioned
+  // attached worker survives — and is told to abandon when it returns.
+  if (Conn* c = find_conn(h.uid)) close_conn(*c);
+  for (Spawned& s : spawned_) {
+    if (s.pid > 0 && s.uid == h.uid) kill(s.pid, SIGKILL);
+  }
+  TransportEvent ev;
+  ev.kind = TransportEvent::Kind::kShardExited;
+  ev.shard = shard;
+  ev.attempt = h.attempt;
+  ev.exit_code = exit_code;
+  ev.detail = reason;
+  events_.push_back(std::move(ev));
+}
+
+void SocketTransport::maintain_spawned() {
+  const Clock::time_point now = Clock::now();
+  for (std::size_t i = 0; i < spawned_.size(); ++i) {
+    Spawned& s = spawned_[i];
+    if (s.pid > 0) {
+      if (find_conn(s.uid) != nullptr) continue;  // connection up: alive
+      // The connection is gone — EOF, a poisoned stream, a fault's close or
+      // a revocation — and a spawned worker never outlives it: reap the
+      // worker and revoke its shard at once.
+      kill(s.pid, SIGKILL);
+      int status = 0;
+      waitpid(s.pid, &status, 0);
+      s.pid = -1;
+      const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+      std::vector<std::size_t> holds;
+      for (const auto& [shard, h] : held_) {
+        if (h.uid == s.uid) holds.push_back(shard);
+      }
+      for (const std::size_t shard : holds) {
+        revoke(shard,
+               code >= 0 ? "worker exited with code " + std::to_string(code)
+                         : "worker killed by a signal",
+               code);
+      }
+      ++s.deaths;
+      s.next_spawn =
+          now + seconds(opt_.backoff_base_sec *
+                        static_cast<double>(1u << std::min(s.deaths - 1, 10u)));
+      continue;
+    }
+    if (s.next_spawn > now) continue;
+    const std::vector<std::string> argv =
+        opt_.worker_argv ? opt_.worker_argv(i)
+                         : std::vector<std::string>{
+                               "/proc/self/exe", "--shard_worker=" + opt_.root,
+                               "--shard_id=" + std::to_string(i)};
+    int fd = -1;
+    if (!spawn_worker_process(argv, s.pid, fd).empty()) {
+      s.pid = -1;
+      s.next_spawn = now + std::chrono::seconds(1);
+      continue;
+    }
+    s.uid = spawned_worker_uid(s.pid);
+    auto c = std::make_unique<Conn>();
+    c->fd = fd;
+    c->uid = s.uid;
+    conns_.push_back(std::move(c));
+    if (opt_.on_worker_spawn) opt_.on_worker_spawn(i, s.pid);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -663,7 +578,20 @@ namespace {
 
 enum class WState { kIdle, kAssigned, kRunning, kDone, kFailed };
 
+/// State shared by a worker's trial side (its main thread) and its comms
+/// thread.
 struct WorkerShared {
+  WorkerShared() {
+    if (pipe2(wake, O_NONBLOCK | O_CLOEXEC) != 0) wake[0] = wake[1] = -1;
+  }
+  ~WorkerShared() {
+    for (const int fd : wake) {
+      if (fd >= 0) close(fd);
+    }
+  }
+  WorkerShared(const WorkerShared&) = delete;
+  WorkerShared& operator=(const WorkerShared&) = delete;
+
   std::mutex mutex;
   std::condition_variable cv;
   WState state = WState::kIdle;
@@ -675,13 +603,37 @@ struct WorkerShared {
   // Terminal report payloads.
   std::uint64_t digest = 0;
   std::string error;
-  // Directives.
   bool abandon = false;  ///< coordinator revoked the current assignment
-  bool exiting = false;  ///< shutdown directive or signal
+  /// >= 0 once the worker must exit, with its exit code: 0 on a shutdown
+  /// directive, 1 when a spawned worker's connection closed, 3 when an
+  /// attached one gave up reconnecting, 130 on SIGINT/SIGTERM.
+  int exit_code = -1;
+  /// Self-pipe that wakes the comms thread out of poll(): the trial side
+  /// writes a byte when an attempt ends and when the worker exits.
+  int wake[2] = {-1, -1};
 };
 
+void wake_comms(WorkerShared& sh) {
+  const char byte = 1;
+  if (write(sh.wake[1], &byte, 1) < 0) {
+    // Pipe full: a wake-up is already pending.
+  }
+}
+
+/// True when the comms thread must stop serving (caller holds sh.mutex).
+/// A real SIGINT/SIGTERM — not an abandon we injected — ends a worker that
+/// is not mid-attempt; a running one drains first and exits 130.
+bool exit_due(WorkerShared& sh) {
+  if (sh.exit_code < 0 && sweep_shutdown_requested() &&
+      sh.state != WState::kRunning && !sh.abandon) {
+    sh.exit_code = 130;
+    sh.cv.notify_all();
+  }
+  return sh.exit_code >= 0;
+}
+
 int connect_once(const std::string& host, std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -742,8 +694,7 @@ CtrlMessage status_frame(const WorkerShared& sh, std::uint64_t uid,
   return m;
 }
 
-/// Handles one coordinator directive; returns false to drop the
-/// connection.
+/// Applies one coordinator directive.
 void worker_handle(WorkerShared& sh, const CtrlMessage& msg) {
   std::lock_guard<std::mutex> lock(sh.mutex);
   switch (msg.type) {
@@ -788,8 +739,8 @@ void worker_handle(WorkerShared& sh, const CtrlMessage& msg) {
       }
       return;
     case CtrlType::kShutdown:
-      sh.exiting = true;
-      request_sweep_shutdown();
+      if (sh.exit_code < 0) sh.exit_code = 0;
+      request_sweep_shutdown();  // a running attempt drains and stops
       sh.cv.notify_all();
       return;
     default:
@@ -797,116 +748,133 @@ void worker_handle(WorkerShared& sh, const CtrlMessage& msg) {
   }
 }
 
-/// Comms loop: maintain the connection (reconnect with exponential
-/// backoff), beat status, apply directives.  Runs on its own thread so a
-/// long trial cannot silence the heartbeat.
-void worker_comms(const AttachWorkerOptions& opt, WorkerShared& sh,
+/// Serves one connection until it breaks (false) or the worker exits
+/// (true).  Blocks in poll() on the socket and the wake pipe: directives
+/// are applied as they arrive, and a status frame goes out on connect,
+/// every heartbeat, and the moment the trial side signals.
+bool serve_connection(int fd, WorkerShared& sh, std::uint64_t uid) {
+  CtrlFrameDecoder dec;
+  std::string outbuf;
+  CtrlType type = CtrlType::kHello;
+  Clock::time_point next_beat = Clock::now();
+  bool woken = false;
+  for (;;) {
+    // Read before the first status frame, so a spawned worker's hello
+    // already claims the assign queued at its spawn.
+    char buf[4096];
+    bool broken = false;
+    for (;;) {
+      const ssize_t k = retry_read_some(fd, buf, sizeof buf);
+      if (k > 0) {
+        dec.feed(buf, static_cast<std::size_t>(k));
+        continue;
+      }
+      // EOF or an error; the frames before it (a shutdown directive
+      // followed by the close, say) still count.
+      broken = !(k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
+      break;
+    }
+    CtrlMessage msg;
+    std::string err;
+    int rc = 0;
+    while ((rc = dec.next(msg, err)) == 1) worker_handle(sh, msg);
+    if (rc < 0) broken = true;  // poisoned stream
+
+    {
+      std::lock_guard<std::mutex> lock(sh.mutex);
+      if (exit_due(sh)) return true;
+      if (broken) return false;
+      if (woken || Clock::now() >= next_beat) {
+        outbuf += encode_ctrl_frame(status_frame(sh, uid, type));
+        type = CtrlType::kHeartbeat;
+        next_beat = Clock::now() + std::chrono::milliseconds(
+                                       std::max<std::uint64_t>(
+                                           1, sh.heartbeat_ms));
+      }
+    }
+    while (!outbuf.empty()) {
+      const ssize_t k = retry_send_some(fd, outbuf.data(), outbuf.size());
+      if (k > 0) {
+        outbuf.erase(0, static_cast<std::size_t>(k));
+      } else if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        break;  // kernel buffer full; finish when writable
+      } else {
+        return false;
+      }
+    }
+
+    pollfd fds[2] = {
+        {fd, static_cast<short>(outbuf.empty() ? POLLIN : (POLLIN | POLLOUT)),
+         0},
+        {sh.wake[0], POLLIN, 0}};
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        next_beat - Clock::now());
+    ::poll(fds, 2, static_cast<int>(std::max<std::int64_t>(0, left.count())));
+    woken = (fds[1].revents & POLLIN) != 0;
+    while (woken && read(sh.wake[0], buf, sizeof buf) > 0) {
+    }
+  }
+}
+
+/// Comms thread of an attached worker: (re)connects with exponential
+/// backoff and serves each connection until the worker exits.
+void attach_comms(const AttachWorkerOptions& opt, WorkerShared& sh,
                   std::uint64_t uid) {
   double backoff = opt.reconnect_base_sec;
   Clock::time_point detached_since = Clock::now();
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(sh.mutex);
-      if (sh.exiting) return;
-      if (sweep_shutdown_requested() && sh.state != WState::kRunning &&
-          !sh.abandon) {
-        // A real SIGINT/SIGTERM (not an abandon we initiated).
-        sh.exiting = true;
-        sh.cv.notify_all();
-        return;
-      }
+      if (exit_due(sh)) return;
     }
     const int fd = connect_once(opt.host, opt.port);
-    if (fd < 0) {
-      if (opt.give_up_sec > 0 &&
-          std::chrono::duration<double>(Clock::now() - detached_since)
-                  .count() > opt.give_up_sec) {
-        std::lock_guard<std::mutex> lock(sh.mutex);
-        sh.exiting = true;
-        sh.error = "no coordinator";
-        sh.cv.notify_all();
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          std::min(backoff, opt.reconnect_max_sec)));
-      backoff = std::min(backoff * 2.0, opt.reconnect_max_sec);
+    if (fd >= 0) {
+      backoff = opt.reconnect_base_sec;
+      const bool exiting = serve_connection(fd, sh, uid);
+      close(fd);
+      if (exiting) return;
+      detached_since = Clock::now();
       continue;
     }
-    backoff = opt.reconnect_base_sec;
-
-    CtrlFrameDecoder dec;
-    std::string outbuf;
-    bool first = true;
-    bool broken = false;
-    while (!broken) {
-      std::uint64_t hb_ms = 100;
-      {
-        std::lock_guard<std::mutex> lock(sh.mutex);
-        if (sh.exiting) {
-          close(fd);
-          return;
-        }
-        hb_ms = sh.heartbeat_ms;
-        outbuf += encode_ctrl_frame(status_frame(
-            sh, uid, first ? CtrlType::kHello : CtrlType::kHeartbeat));
-      }
-      first = false;
-      while (!outbuf.empty()) {
-        const ssize_t k =
-            retry_send_some(fd, outbuf.data(), outbuf.size());
-        if (k > 0) {
-          outbuf.erase(0, static_cast<std::size_t>(k));
-        } else if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-          break;  // kernel buffer full; finish next tick
-        } else {
-          broken = true;
-          break;
-        }
-      }
-      char buf[4096];
-      for (;;) {
-        const ssize_t k = retry_read_some(fd, buf, sizeof buf);
-        if (k > 0) {
-          dec.feed(buf, static_cast<std::size_t>(k));
-          continue;
-        }
-        if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        broken = true;  // EOF or error: reconnect
-        break;
-      }
-      CtrlMessage msg;
-      std::string err;
-      int rc = 0;
-      while ((rc = dec.next(msg, err)) == 1) worker_handle(sh, msg);
-      if (rc < 0) broken = true;  // poisoned stream: reconnect clean
-      if (!broken) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            std::max<std::uint64_t>(1, hb_ms)));
-      }
+    if (opt.give_up_sec > 0 &&
+        std::chrono::duration<double>(Clock::now() - detached_since)
+                .count() > opt.give_up_sec) {
+      std::lock_guard<std::mutex> lock(sh.mutex);
+      if (sh.exit_code < 0) sh.exit_code = 3;
+      sh.cv.notify_all();
+      return;
     }
-    close(fd);
-    detached_since = Clock::now();
+    pollfd wake{sh.wake[0], POLLIN, 0};
+    ::poll(&wake, 1,
+           static_cast<int>(std::min(backoff, opt.reconnect_max_sec) * 1000));
+    backoff = std::min(backoff * 2.0, opt.reconnect_max_sec);
   }
 }
 
-}  // namespace
+/// Comms thread of a spawned worker: serves the inherited connection, and
+/// ends the worker when it closes — the coordinator closed it or died.
+void spawned_comms(WorkerShared& sh) {
+  if (serve_connection(kWorkerControlFd, sh, spawned_worker_uid(getpid()))) {
+    return;
+  }
+  std::lock_guard<std::mutex> lock(sh.mutex);
+  if (sh.exit_code < 0) sh.exit_code = 1;
+  request_sweep_shutdown();  // a running attempt drains and stops
+  sh.cv.notify_all();
+}
 
-int run_attached_worker(const AttachWorkerOptions& opt) {
-  install_sweep_signal_handlers();
-  const std::uint64_t uid = make_worker_uid();
-  WorkerShared sh;
-  std::thread comms([&] { worker_comms(opt, sh, uid); });
-
-  int exit_code = 0;
+/// The trial side of either worker kind: runs each assigned attempt into
+/// its try_<k> dir and hands the result to the comms thread, which
+/// retransmits it until the coordinator acks (-> idle) or abandons.
+/// Returns the exit code.
+int serve_assignments(WorkerShared& sh, const TrialRunner& runner) {
+  std::optional<ThreadPool> pool;
   for (;;) {
     std::unique_lock<std::mutex> lock(sh.mutex);
     sh.cv.wait(lock, [&] {
-      return sh.exiting || sh.state == WState::kAssigned;
+      return sh.exit_code >= 0 || sh.state == WState::kAssigned;
     });
-    if (sh.exiting) {
-      exit_code = sh.error == "no coordinator" ? 3 : 0;
-      break;
-    }
+    if (sh.exit_code >= 0) return sh.exit_code;
     sh.state = WState::kRunning;
     const std::string root = sh.root;
     const std::size_t shard = sh.shard;
@@ -916,15 +884,19 @@ int run_attached_worker(const AttachWorkerOptions& opt) {
     const ShardSpecLoadResult loaded = load_shard_spec(root);
     SweepResult res;
     if (!loaded.ok) {
-      res.ok = false;
       res.error = loaded.error;
     } else if (shard >= loaded.spec.shards.size()) {
-      res.ok = false;
       res.error = "shard " + std::to_string(shard) + " out of range";
     } else {
+      // The spec's worker_threads, or every CPU when that is <= 0.
+      const std::size_t threads =
+          loaded.spec.worker_threads > 0
+              ? static_cast<std::size_t>(loaded.spec.worker_threads)
+              : ThreadPool::default_concurrency();
+      if (!pool || pool->num_threads() != threads) pool.emplace(threads);
       res = run_shard_attempt(loaded.spec, shard,
                               shard_attempt_dir(root, shard, attempt),
-                              opt.runner);
+                              runner, *pool);
     }
 
     lock.lock();
@@ -936,10 +908,8 @@ int run_attached_worker(const AttachWorkerOptions& opt) {
       reset_sweep_shutdown();
       continue;
     }
-    if (sh.exiting || (res.interrupted && sweep_shutdown_requested())) {
-      exit_code = sh.exiting ? 0 : 130;
-      break;
-    }
+    if (sh.exit_code >= 0) return sh.exit_code;
+    if (res.interrupted && sweep_shutdown_requested()) return 130;
     if (res.ok) {
       sh.state = WState::kDone;
       sh.digest = res.aggregate_digest;
@@ -947,18 +917,61 @@ int run_attached_worker(const AttachWorkerOptions& opt) {
       sh.state = WState::kFailed;
       sh.error = res.error.empty() ? "shard attempt failed" : res.error;
     }
-    // The comms thread now retransmits the terminal report every beat
-    // until the coordinator acks (→ idle) or abandons.
+    lock.unlock();
+    wake_comms(sh);  // report now, not on the next beat
   }
+}
 
+/// Runs the trial side until exit, then stops the comms thread.
+int run_worker(WorkerShared& sh, const TrialRunner& runner,
+               std::thread& comms) {
+#ifdef __GLIBC__
+  // A worker runs attempt after attempt in one process.  glibc raises its
+  // mmap threshold to the size of every large block freed, which moves the
+  // next attempt's record buffers onto the heap, where fragmentation keeps
+  // them resident: RSS would grow with each shard served.  Pinning the
+  // threshold at its default keeps them mapped, and returned when freed.
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+#endif
+  const int code = serve_assignments(sh, runner);
   {
     std::lock_guard<std::mutex> lock(sh.mutex);
-    sh.exiting = true;
-    sh.cv.notify_all();
+    if (sh.exit_code < 0) sh.exit_code = code;
   }
-  request_sweep_shutdown();  // unblock a comms thread waiting on reconnect
+  wake_comms(sh);
   comms.join();
-  return exit_code;
+  return code;
+}
+
+}  // namespace
+
+int run_attached_worker(const AttachWorkerOptions& opt) {
+  install_sweep_signal_handlers();
+  const std::uint64_t uid = make_worker_uid();
+  WorkerShared sh;
+  std::thread comms([&] { attach_comms(opt, sh, uid); });
+  return run_worker(sh, opt.runner, comms);
+}
+
+int run_shard_worker(const std::string& root, std::size_t worker_index,
+                     const TrialRunner& runner) {
+  struct stat st;
+  if (fstat(kWorkerControlFd, &st) != 0 || !S_ISSOCK(st.st_mode)) {
+    std::fprintf(stderr,
+                 "shard worker %zu (%s): fd %d is not a control socket; "
+                 "shard workers are spawned by a --workers coordinator\n",
+                 worker_index, root.c_str(), kWorkerControlFd);
+    return 2;
+  }
+  set_nonblocking_nodelay(kWorkerControlFd);
+  install_sweep_signal_handlers();
+  WorkerShared sh;
+  std::thread comms([&] { spawned_comms(sh); });
+  return run_worker(sh, runner, comms);
+}
+
+int run_shard_worker(const std::string& root, std::size_t worker_index) {
+  return run_shard_worker(root, worker_index, TrialRunner());
 }
 
 }  // namespace rcb

@@ -1,16 +1,19 @@
 // Tests for the multi-process sharded sweep (runtime/shard.hpp +
 // runtime/coordinator.hpp): shard-plan determinism, spec round-trip,
 // merge determinism against the single-process reference, orphan
-// reassignment after worker SIGKILL, lease expiry for wedged workers,
-// coordinator-crash resume, corrupt-shard refusal, and the merge edge
-// cases (empty shard, single shard, duplicated trials across journals).
+// reassignment after worker SIGKILL, revocation of wedged workers on frame
+// silence, coordinator-crash resume (including roots in the pre-try_<k>
+// layout), corrupt-shard refusal, and the merge edge cases (empty shard,
+// single shard, duplicated trials across journals).
 //
 // This binary has a custom main: the coordinator re-enters the test
-// executable itself as the worker process via the --rcb_shard_worker
-// argv prefix (fork/exec transport) or --rcb_attach_worker (socket
-// transport), so both worker paths under test are the real ones.
+// executable itself as a spawned worker via the --rcb_shard_worker argv
+// prefix, and the attached-worker tests start it as --rcb_attach_worker
+// against the coordinator's listener, so both connection origins under
+// test run the real worker loop.
 #include "rcb/runtime/coordinator.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -93,51 +96,85 @@ class CoordinatorTest : public ::testing::Test {
     fs::remove_all(root_);
   }
   void TearDown() override {
+    reap_attached(/*kill_first=*/true);
     reset_sweep_shutdown();
     fs::remove_all(root_);
   }
 
-  CoordinatorOptions options(std::size_t workers) const {
+  /// Spawned-worker options: the fleet is this test binary re-entered as
+  /// --rcb_shard_worker.  slow_ms makes every trial take that long in the
+  /// worker; `first_action` ("kill@<n>" / "stop@<n>", see test_runner)
+  /// makes the first worker spawned SIGKILL or SIGSTOP itself as its n-th
+  /// trial starts, so kill/wedge tests land mid-shard deterministically.
+  CoordinatorOptions options(std::size_t workers, int slow_ms = 0,
+                             const std::string& first_action = "") const {
     CoordinatorOptions opt;
     opt.root = root_;
     opt.workers = workers;
     opt.backoff_base_sec = 0.01;
-    opt.worker_argv = [root = root_](std::size_t shard) {
-      return std::vector<std::string>{g_self_exe, "--rcb_shard_worker", root,
-                                      std::to_string(shard)};
-    };
-    return opt;
-  }
-
-  /// Socket-transport options: the fleet is this test binary re-entered as
-  /// --rcb_attach_worker against the ephemeral port captured by on_listen
-  /// (attach_argv is only consulted after the listener is bound).  slow_ms
-  /// makes every trial take that long in the worker, so kill/wedge tests
-  /// can land their signal mid-shard deterministically.
-  CoordinatorOptions socket_options(std::size_t workers, int slow_ms = 0) {
-    CoordinatorOptions opt;
-    opt.root = root_;
-    opt.workers = workers;
-    opt.transport = TransportKind::kSocket;
-    opt.backoff_base_sec = 0.01;
-    opt.lease_timeout_sec = 0.4;
-    opt.on_listen = [p = port_](std::uint16_t port) {
-      p->store(port);
-    };
-    opt.attach_argv = [p = port_, slow_ms](std::size_t) {
-      std::vector<std::string> argv{
-          g_self_exe, "--rcb_attach_worker",
-          "127.0.0.1:" + std::to_string(p->load())};
-      if (slow_ms > 0) argv.push_back(std::to_string(slow_ms));
+    opt.worker_argv = [root = root_, slow_ms, first_action,
+                       spawns = std::make_shared<std::atomic<int>>(0)](
+                          std::size_t index) {
+      std::vector<std::string> argv{g_self_exe, "--rcb_shard_worker", root,
+                                    std::to_string(index),
+                                    std::to_string(slow_ms)};
+      if (spawns->fetch_add(1) == 0 && !first_action.empty()) {
+        argv.push_back(first_action);
+      }
       return argv;
     };
     return opt;
   }
 
-  /// Spec tuned for socket tests: fast status beats keep the protocol (and
-  /// the lease clock) snappy.
-  static ShardSpec socket_spec(const std::vector<Scenario>& scenarios,
-                               std::size_t target_shards) {
+  /// Attached-worker options: a loopback listener, and `attached` workers
+  /// (this test binary as --rcb_attach_worker) started the moment it is
+  /// bound, from the coordinator's own thread so PR_SET_PDEATHSIG holds;
+  /// slow_ms and first_action as for options().  Reap them with
+  /// reap_attached() once the coordinator returns.
+  CoordinatorOptions attached_options(std::size_t attached, int slow_ms = 0,
+                                      const std::string& first_action = "") {
+    CoordinatorOptions opt = options(0);
+    opt.listen = "127.0.0.1:0";
+    opt.lease_timeout_sec = 0.4;
+    opt.on_listen = [this, attached, slow_ms,
+                     first_action](std::uint16_t port) {
+      port_->store(port);
+      for (std::size_t i = 0; i < attached; ++i) {
+        std::vector<std::string> argv{g_self_exe, "--rcb_attach_worker",
+                                      "127.0.0.1:" + std::to_string(port),
+                                      std::to_string(slow_ms)};
+        if (i == 0 && !first_action.empty()) argv.push_back(first_action);
+        pid_t pid = -1;
+        int conn = -1;
+        EXPECT_EQ(spawn_worker_process(argv, pid, conn), "");
+        if (conn >= 0) close(conn);  // attached workers ignore fd 3
+        if (pid > 0) attached_pids_.push_back(pid);
+      }
+    };
+    return opt;
+  }
+
+  /// Waits for every attached worker; a sweep that failed may have left
+  /// them parked, so `kill_first` puts them down instead of waiting out
+  /// their give-up deadline.  Returns how many exited 0.
+  int reap_attached(bool kill_first) {
+    int clean = 0;
+    for (const pid_t pid : attached_pids_) {
+      if (kill_first) kill(pid, SIGKILL);
+      int status = -1;
+      if (waitpid(pid, &status, 0) == pid && WIFEXITED(status) &&
+          WEXITSTATUS(status) == 0) {
+        ++clean;
+      }
+    }
+    attached_pids_.clear();
+    return clean;
+  }
+
+  /// Spec tuned for the multi-process tests: fast status beats keep the
+  /// protocol (and the lease clock) snappy.
+  static ShardSpec fast_spec(const std::vector<Scenario>& scenarios,
+                             std::size_t target_shards) {
     ShardSpec spec = make_spec(scenarios, target_shards);
     spec.heartbeat_interval_sec = 0.02;
     return spec;
@@ -146,6 +183,7 @@ class CoordinatorTest : public ::testing::Test {
   std::string root_;
   std::shared_ptr<std::atomic<int>> port_ =
       std::make_shared<std::atomic<int>>(0);
+  std::vector<pid_t> attached_pids_;
 };
 
 // ---------------------------------------------------------------------------
@@ -324,24 +362,68 @@ TEST_F(CoordinatorTest, ReassignsShardsAfterWorkerSigkill) {
   EXPECT_EQ(res.points[0].records.size(), scenarios[0].trials);
 }
 
-TEST_F(CoordinatorTest, StaleLeaseKillsWedgedWorker) {
-  const std::vector<Scenario> scenarios{fast_scenario(43, 8)};
+TEST_F(CoordinatorTest, SigkilledSpawnedWorkerIsReassignedBeforeItsLease) {
+  const std::vector<Scenario> scenarios{fast_scenario(42, 16)};
   const std::uint64_t reference = reference_digests(scenarios)[0];
 
-  std::atomic<bool> wedged{false};
-  CoordinatorOptions opt = options(1);
-  opt.lease_timeout_sec = 0.4;
-  opt.on_worker_spawn = [&wedged](std::size_t, pid_t pid) {
-    if (!wedged.exchange(true)) {
-      kill(pid, SIGSTOP);  // alive but frozen: heartbeat stops, lease ages
-    }
-  };
+  // The first worker SIGKILLs itself mid-shard.  With a 60s lease, only
+  // EOF on its connection can free the shard in time.
+  CoordinatorOptions opt = options(1, /*slow_ms=*/5, "kill@3");
+  opt.lease_timeout_sec = 60.0;
+  const auto start = std::chrono::steady_clock::now();
   const CoordinatorResult res =
-      run_shard_coordinator(make_spec(scenarios, 2), opt);
+      run_shard_coordinator(fast_spec(scenarios, 2), opt);
+  const double took = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
   ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_TRUE(wedged.load());
+  EXPECT_GE(res.worker_restarts, 1u);
+  EXPECT_LT(took, 20.0);  // far inside the lease: revoked at EOF
+  EXPECT_EQ(res.points[0].aggregate_digest, reference);
+  EXPECT_EQ(res.points[0].records.size(), scenarios[0].trials);
+}
+
+TEST_F(CoordinatorTest, WedgedSpawnedWorkerIsRevokedOnFrameSilence) {
+  const std::vector<Scenario> scenarios{fast_scenario(43, 12)};
+  const std::uint64_t reference = reference_digests(scenarios)[0];
+
+  // The first worker SIGSTOPs itself mid-shard: alive, connection open,
+  // but silent.  Its lease runs out, and the coordinator SIGKILLs, reaps
+  // and replaces it; the shard restarts from the partial journal.
+  CoordinatorOptions opt = options(1, /*slow_ms=*/5, "stop@3");
+  opt.lease_timeout_sec = 0.4;
+  const CoordinatorResult res =
+      run_shard_coordinator(fast_spec(scenarios, 2), opt);
+  ASSERT_TRUE(res.ok) << res.error;
   EXPECT_GE(res.worker_restarts, 1u);  // the wedged worker was put down
   EXPECT_EQ(res.points[0].aggregate_digest, reference);
+}
+
+TEST_F(CoordinatorTest, SpawnedConnectionCloseFaultKeepsTheDigest) {
+  const std::vector<Scenario> scenarios{fast_scenario(44, 10),
+                                        fast_scenario(45, 6)};
+  const std::vector<std::uint64_t> reference = reference_digests(scenarios);
+
+  // The coordinator's first fault draw is for the first assign frame; pick
+  // a seed whose first draw closes that connection, so the fault surely
+  // fires on a spawned worker.
+  NetFaultConfig faults;
+  faults.close_rate = 0.1;
+  for (faults.seed = 1;; ++faults.seed) {
+    NetFaultPlan plan(faults);
+    if (plan.next(CtrlType::kAssign) == NetFaultAction::kClose) break;
+  }
+  std::atomic<int> spawns{0};
+  CoordinatorOptions opt = options(2);
+  opt.net_faults = faults;
+  opt.on_worker_spawn = [&spawns](std::size_t, pid_t) { ++spawns; };
+  const CoordinatorResult res =
+      run_shard_coordinator(fast_spec(scenarios, 4), opt);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_GT(spawns.load(), 2);  // the closed worker was replaced
+  for (std::size_t p = 0; p < scenarios.size(); ++p) {
+    EXPECT_EQ(res.points[p].aggregate_digest, reference[p]) << "point " << p;
+  }
 }
 
 TEST_F(CoordinatorTest, ResumesAfterCoordinatorCrash) {
@@ -377,7 +459,7 @@ TEST_F(CoordinatorTest, RefusesCorruptShardOnResume) {
   // Flip one payload byte inside shard 0's journal: complete frame, bad
   // digest — corruption, not truncation, under the PR 3 taxonomy.
   const std::string journal =
-      shard_dir(root_, 0) + "/" + kCheckpointJournalFile;
+      shard_attempt_dir(root_, 0, 1) + "/" + kCheckpointJournalFile;
   std::fstream f(journal, std::ios::in | std::ios::out | std::ios::binary);
   ASSERT_TRUE(f.is_open());
   f.seekp(32);
@@ -426,24 +508,84 @@ TEST_F(CoordinatorTest, GracefulShutdownReportsInterruptedAndResumes) {
   EXPECT_EQ(second.points[0].aggregate_digest, reference);
 }
 
+TEST_F(CoordinatorTest, ResumesRootsInThePreTryLayout) {
+  // Before every attempt got its own try_<k>, spawned workers journaled in
+  // shard_<i>/ itself, next to a lease file.  A root left that way — one
+  // shard complete, one partial — resumes to the reference digest.
+  const std::vector<Scenario> scenarios{fast_scenario(59, 12)};
+  const std::uint64_t reference = reference_digests(scenarios)[0];
+  const ShardSpec spec = make_spec(scenarios, 2);
+  ASSERT_EQ(spec.shards.size(), 2u);
+  ASSERT_EQ(write_shard_spec(root_, spec), "");
+  ThreadPool pool(2);
+  ASSERT_TRUE(run_shard_attempt(spec, 0, shard_dir(root_, 0), {}, pool).ok);
+  ShardSpec half = spec;  // shard 1 journals only its first half
+  half.shards[1].end = (half.shards[1].begin + half.shards[1].end) / 2;
+  ASSERT_TRUE(run_shard_attempt(half, 1, shard_dir(root_, 1), {}, pool).ok);
+  std::ofstream(shard_dir(root_, 1) + "/lease") << "1\n";
+
+  CoordinatorOptions resume = options(2);
+  resume.resume = true;
+  const CoordinatorResult res = run_shard_coordinator(spec, resume);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(res.points[0].aggregate_digest, reference);
+  EXPECT_EQ(res.points[0].records.size(), scenarios[0].trials);
+  // Shard 0 was adopted where it lay; shard 1 went on in a fresh try_1.
+  EXPECT_FALSE(fs::exists(shard_attempt_dir(root_, 0, 1)));
+  EXPECT_TRUE(fs::exists(shard_attempt_dir(root_, 1, 1) + "/" +
+                         kCheckpointJournalFile));
+}
+
+TEST_F(CoordinatorTest, ShardWorkerWithoutControlSocketExits2) {
+  // A --shard_worker started by hand has no control connection: it
+  // refuses with exit 2 whether fd 3 is closed or is not a socket.
+  std::vector<std::string> args{g_self_exe, "--rcb_shard_worker", root_, "0",
+                                "0"};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  for (const bool devnull : {false, true}) {
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      close(kWorkerControlFd);
+      if (devnull) {
+        const int fd = open("/dev/null", O_RDONLY);
+        if (fd != kWorkerControlFd && dup2(fd, kWorkerControlFd) < 0) {
+          _exit(99);
+        }
+      }
+      execv(argv[0], argv.data());
+      _exit(98);
+    }
+    int status = -1;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << "devnull=" << devnull;
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Socket transport end-to-end (workers attach over TCP; the control plane
-// is the framed RCBC protocol, the data plane stays the shared journals).
+// Attached workers (--attach over TCP; the same control frames and worker
+// loop as the spawned fleet, the data plane stays the shared journals).
 
 TEST_F(CoordinatorTest, SocketMatchesSingleProcessDigestAcrossWorkerCounts) {
   const std::vector<Scenario> scenarios{fast_scenario(81, 11),
                                         fast_scenario(82, 5)};
   const std::vector<std::uint64_t> reference = reference_digests(scenarios);
 
-  for (const std::size_t workers : {1u, 2u}) {
+  for (const std::size_t attached : {1u, 2u}) {
     fs::remove_all(root_);
     const CoordinatorResult res = run_shard_coordinator(
-        socket_spec(scenarios, workers * 2), socket_options(workers));
+        fast_spec(scenarios, attached * 2), attached_options(attached));
+    // The shutdown directive sent at sweep end makes every worker exit 0.
+    EXPECT_EQ(reap_attached(/*kill_first=*/!res.ok),
+              static_cast<int>(attached));
     ASSERT_TRUE(res.ok) << res.error;
     ASSERT_EQ(res.points.size(), scenarios.size());
     for (std::size_t p = 0; p < scenarios.size(); ++p) {
       EXPECT_EQ(res.points[p].aggregate_digest, reference[p])
-          << "workers=" << workers << " point=" << p;
+          << "attached=" << attached << " point=" << p;
       EXPECT_EQ(res.points[p].records.size(), scenarios[p].trials);
     }
   }
@@ -454,11 +596,17 @@ TEST_F(CoordinatorTest, SocketDigestStableUnderControlPlaneChaos) {
                                         fast_scenario(84, 6)};
   const std::vector<std::uint64_t> reference = reference_digests(scenarios);
 
-  CoordinatorOptions opt = socket_options(2);
+  // One spawned and one attached worker: the faults hit frames of both
+  // connection origins.
+  CoordinatorOptions opt = attached_options(1);
+  opt.workers = 1;
   opt.lease_timeout_sec = 1.0;
   opt.net_faults = NetFaultConfig::chaos(31337, 0.1);
   const CoordinatorResult res =
-      run_shard_coordinator(socket_spec(scenarios, 4), opt);
+      run_shard_coordinator(fast_spec(scenarios, 4), opt);
+  // A close fault may have cut the attached worker off as the sweep ended:
+  // it then misses the shutdown directive and keeps reconnecting.
+  reap_attached(/*kill_first=*/true);
   ASSERT_TRUE(res.ok) << res.error;
   for (std::size_t p = 0; p < scenarios.size(); ++p) {
     EXPECT_EQ(res.points[p].aggregate_digest, reference[p]) << "point " << p;
@@ -470,24 +618,13 @@ TEST_F(CoordinatorTest, SocketReassignsShardAfterWorkerSigkill) {
   const std::vector<Scenario> scenarios{fast_scenario(85, 16)};
   const std::uint64_t reference = reference_digests(scenarios)[0];
 
-  // 10ms per trial x 8-trial shards: the kill 100ms after the first spawn
-  // lands mid-shard, forcing lease expiry + reassignment (a killed socket
-  // worker's claim survives the TCP close until the lease runs out).
-  std::atomic<bool> killed{false};
-  std::thread killer;
-  CoordinatorOptions opt = socket_options(2, /*slow_ms=*/10);
-  opt.on_worker_spawn = [&](std::size_t, pid_t pid) {
-    if (killed.exchange(true)) return;
-    killer = std::thread([pid] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      kill(pid, SIGKILL);
-    });
-  };
-  const CoordinatorResult res =
-      run_shard_coordinator(socket_spec(scenarios, 2), opt);
-  if (killer.joinable()) killer.join();
+  // One attached worker SIGKILLs itself mid-shard.  Its claim survives the
+  // TCP close until its lease runs out; the survivor then takes the shard
+  // over.
+  const CoordinatorResult res = run_shard_coordinator(
+      fast_spec(scenarios, 2), attached_options(2, /*slow_ms=*/5, "kill@3"));
+  reap_attached(/*kill_first=*/!res.ok);
   ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_TRUE(killed.load());
   EXPECT_GE(res.worker_restarts, 1u);
   EXPECT_EQ(res.points[0].aggregate_digest, reference);
   EXPECT_EQ(res.points[0].records.size(), scenarios[0].trials);
@@ -497,24 +634,15 @@ TEST_F(CoordinatorTest, SocketRevokesWedgedWorkerOnLeaseExpiry) {
   const std::vector<Scenario> scenarios{fast_scenario(87, 12)};
   const std::uint64_t reference = reference_digests(scenarios)[0];
 
-  // SIGSTOP freezes the worker mid-shard: heartbeats stop, the lease
-  // expires, and the coordinator revokes (SIGKILLing the frozen pid) and
-  // reassigns under a fresh attempt dir seeded with the partial journal.
-  std::atomic<bool> wedged{false};
-  std::thread wedger;
-  CoordinatorOptions opt = socket_options(1, /*slow_ms=*/10);
-  opt.on_worker_spawn = [&](std::size_t, pid_t pid) {
-    if (wedged.exchange(true)) return;
-    wedger = std::thread([pid] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      kill(pid, SIGSTOP);
-    });
-  };
-  const CoordinatorResult res =
-      run_shard_coordinator(socket_spec(scenarios, 2), opt);
-  if (wedger.joinable()) wedger.join();
+  // One attached worker SIGSTOPs itself mid-shard: heartbeats stop, the
+  // lease expires, and the coordinator severs it and reassigns the shard
+  // to the other worker under a fresh attempt dir seeded with the partial
+  // journal.  An attached worker is not the coordinator's to kill, so the
+  // test puts it down afterwards.
+  const CoordinatorResult res = run_shard_coordinator(
+      fast_spec(scenarios, 2), attached_options(2, /*slow_ms=*/5, "stop@3"));
+  reap_attached(/*kill_first=*/true);
   ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_TRUE(wedged.load());
   EXPECT_GE(res.worker_restarts, 1u);
   EXPECT_EQ(res.points[0].aggregate_digest, reference);
 }
@@ -523,17 +651,20 @@ TEST_F(CoordinatorTest, SocketResumesAfterCoordinatorCrash) {
   const std::vector<Scenario> scenarios{fast_scenario(89, 12),
                                         fast_scenario(90, 6)};
   const std::vector<std::uint64_t> reference = reference_digests(scenarios);
-  const ShardSpec spec = socket_spec(scenarios, 4);
+  const ShardSpec spec = fast_spec(scenarios, 4);
 
-  CoordinatorOptions crash = socket_options(2);
+  CoordinatorOptions crash = attached_options(2);
   crash.simulate_crash_after_shards = 1;
   const CoordinatorResult first = run_shard_coordinator(spec, crash);
+  // The crashed coordinator's workers would wait for it on its old port.
+  reap_attached(/*kill_first=*/true);
   ASSERT_FALSE(first.ok);
   ASSERT_GE(first.shards_completed, 1u);
 
-  CoordinatorOptions resume = socket_options(2);
+  CoordinatorOptions resume = attached_options(2);
   resume.resume = true;
   const CoordinatorResult second = run_shard_coordinator(spec, resume);
+  reap_attached(/*kill_first=*/!second.ok);
   ASSERT_TRUE(second.ok) << second.error;
   EXPECT_EQ(second.shards_completed, spec.shards.size());
   for (std::size_t p = 0; p < scenarios.size(); ++p) {
@@ -545,10 +676,9 @@ TEST_F(CoordinatorTest, SocketParksUntilExternalWorkerAttaches) {
   const std::vector<Scenario> scenarios{fast_scenario(91, 8)};
   const std::uint64_t reference = reference_digests(scenarios)[0];
 
-  // spawn_workers=false + workers=0: the coordinator owns no fleet and
-  // parks; an external worker attaching late picks up the whole sweep.
-  CoordinatorOptions opt = socket_options(0);
-  opt.spawn_workers = false;
+  // workers=0 + a listener: the coordinator owns no fleet and parks; an
+  // external worker attaching late picks up the whole sweep.
+  CoordinatorOptions opt = attached_options(0);
   std::atomic<pid_t> external{-1};
   std::atomic<bool> reaped{false};
   // PR_SET_PDEATHSIG fires when the spawning *thread* dies, not the
@@ -560,20 +690,20 @@ TEST_F(CoordinatorTest, SocketParksUntilExternalWorkerAttaches) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
     pid_t pid = -1;
-    int pipe_read = -1;
+    int conn = -1;
     const std::string err = spawn_worker_process(
         {g_self_exe, "--rcb_attach_worker",
          "127.0.0.1:" + std::to_string(port_->load())},
-        pid, pipe_read);
+        pid, conn);
     EXPECT_EQ(err, "");
-    if (pipe_read >= 0) close(pipe_read);
+    if (conn >= 0) close(conn);
     external.store(pid);
     while (!reaped.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   });
   const CoordinatorResult res =
-      run_shard_coordinator(socket_spec(scenarios, 2), opt);
+      run_shard_coordinator(fast_spec(scenarios, 2), opt);
   // The shutdown directive sent at sweep end makes the worker exit 0.
   const pid_t pid = external.load();
   int status = -1;
@@ -640,8 +770,8 @@ TEST_F(CoordinatorTest, DuplicateTrialsAcrossShardJournalsAreRefused) {
   // duplicates a trial that shard 0 already owns (and lies outside shard
   // 1's assigned range).  The merge must refuse, not double-count.
   std::error_code ec;
-  fs::copy_file(shard_dir(root_, 0) + "/" + kCheckpointJournalFile,
-                shard_dir(root_, 1) + "/" + kCheckpointJournalFile,
+  fs::copy_file(shard_attempt_dir(root_, 0, 1) + "/" + kCheckpointJournalFile,
+                shard_attempt_dir(root_, 1, 1) + "/" + kCheckpointJournalFile,
                 fs::copy_options::overwrite_existing, ec);
   ASSERT_FALSE(ec);
   const ShardMergeResult merged = merge_shard_journals(root_, spec);
@@ -667,29 +797,49 @@ TEST_F(CoordinatorTest, MergeRefusesMissingShard) {
 }  // namespace
 }  // namespace rcb
 
+namespace {
+
+/// The trial runner of a test worker: every trial sleeps `slow_ms` first,
+/// and `action` "kill@<n>" / "stop@<n>" makes the worker SIGKILL / SIGSTOP
+/// its whole process as its n-th trial starts — dead or wedged while it
+/// holds a shard.
+rcb::TrialRunner test_runner(int slow_ms, const std::string& action) {
+  int sig = 0;
+  long at = 0;
+  if (const std::size_t sep = action.find('@'); sep != std::string::npos) {
+    sig = action.compare(0, sep, "kill") == 0 ? SIGKILL : SIGSTOP;
+    at = std::atol(action.c_str() + sep + 1);
+  }
+  auto started = std::make_shared<std::atomic<long>>(0);
+  return [slow_ms, sig, at, started](const rcb::Scenario& s,
+                                     std::uint64_t trial, std::uint32_t) {
+    if (sig != 0 && started->fetch_add(1) + 1 == at) raise(sig);
+    std::this_thread::sleep_for(std::chrono::milliseconds(slow_ms));
+    return rcb::run_scenario_trial(s, trial);
+  };
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   g_self_exe = argv[0];
-  // Worker mode: the coordinator under test re-execs this binary as
-  // "<exe> --rcb_shard_worker <root> <shard_id>".
-  if (argc == 4 && std::string(argv[1]) == "--rcb_shard_worker") {
-    return rcb::run_shard_worker(argv[2],
-                                 static_cast<std::size_t>(std::atoi(argv[3])));
+  // Spawned-worker mode: the coordinator under test re-execs this binary
+  // as "<exe> --rcb_shard_worker <root> <index> <slow_ms> [action]".
+  if ((argc == 5 || argc == 6) &&
+      std::string(argv[1]) == "--rcb_shard_worker") {
+    return rcb::run_shard_worker(
+        argv[2], static_cast<std::size_t>(std::atoi(argv[3])),
+        test_runner(std::atoi(argv[4]), argc == 6 ? argv[5] : ""));
   }
-  // Socket worker mode: "<exe> --rcb_attach_worker <host:port> [slow_ms]".
-  // slow_ms stretches each trial so chaos tests can land signals mid-shard.
-  if ((argc == 3 || argc == 4) &&
+  // Attached-worker mode:
+  // "<exe> --rcb_attach_worker <host:port> [slow_ms [action]]".
+  if (argc >= 3 && argc <= 5 &&
       std::string(argv[1]) == "--rcb_attach_worker") {
     rcb::AttachWorkerOptions opt;
     if (!rcb::parse_host_port(argv[2], opt.host, opt.port).empty()) return 2;
     opt.give_up_sec = 30.0;  // orphaned by a dead test: exit, don't linger
-    if (argc == 4) {
-      const int slow_ms = std::atoi(argv[3]);
-      opt.runner = [slow_ms](const rcb::Scenario& s, std::uint64_t trial,
-                             std::uint32_t) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(slow_ms));
-        return rcb::run_scenario_trial(s, trial);
-      };
-    }
+    opt.runner = test_runner(argc >= 4 ? std::atoi(argv[3]) : 0,
+                             argc == 5 ? argv[4] : "");
     return rcb::run_attached_worker(opt);
   }
   ::testing::InitGoogleTest(&argc, argv);

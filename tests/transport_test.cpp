@@ -1,7 +1,8 @@
 // Tests for the worker-transport layer (runtime/transport.hpp +
 // runtime/transport_socket.hpp) and the retry_io hardening underneath it:
 // control-frame codec round-trips and corruption refusal, deterministic
-// fault-plan draws, lease-policy validation, host:port parsing, EINTR-storm
+// fault-plan draws, lease-policy validation, host:port parsing, the
+// control socket a spawned worker inherits on fd 3, EINTR-storm
 // regression for journal appends and fd transfers, and the duplicate-
 // completion dedupe / divergence refusal that scan_shard (and therefore
 // merge_shard_journals) applies to partitioned shard attempts, and the
@@ -10,6 +11,7 @@
 
 #include <errno.h>
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -235,6 +237,37 @@ TEST(ParseHostPortTest, ParsesAndRejects) {
 }
 
 // ---------------------------------------------------------------------------
+// Worker spawning: the child speaks on an inherited socket, and its death
+// reads as EOF on the parent's end.
+
+TEST(SpawnWorkerProcessTest, ChildGetsAControlSocketOnFd3) {
+  pid_t pid = -1;
+  int conn = -1;
+  ASSERT_EQ(spawn_worker_process({"/bin/sh", "-c",
+                                  "[ -S /dev/fd/3 ] && printf ok >&3"},
+                                 pid, conn),
+            "");
+  std::string got;
+  for (;;) {
+    char buf[16];
+    const ssize_t k = read(conn, buf, sizeof buf);
+    if (k > 0) {
+      got.append(buf, static_cast<std::size_t>(k));
+    } else if (k == 0) {
+      break;  // the child exited: EOF
+    } else {
+      ASSERT_TRUE(errno == EAGAIN || errno == EINTR) << errno;
+      usleep(1000);
+    }
+  }
+  int status = -1;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  close(conn);
+  EXPECT_EQ(got, "ok");
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+}
+
+// ---------------------------------------------------------------------------
 // retry_io: EINTR storms must not shear transfers (satellite regression for
 // the journal/pipe hardening).
 
@@ -346,12 +379,13 @@ class DuplicateCompletionTest : public ::testing::Test {
         return run_scenario_trial(shifted, trial);
       };
     }
-    const SweepResult res = run_shard_attempt(spec_, 0, dir, runner);
+    const SweepResult res = run_shard_attempt(spec_, 0, dir, runner, pool_);
     ASSERT_TRUE(res.ok) << res.error;
   }
 
   std::string root_;
   ShardSpec spec_;
+  ThreadPool pool_{1};
 };
 
 TEST_F(DuplicateCompletionTest, IdenticalDigestsDedupeAndMerge) {
@@ -396,7 +430,7 @@ TEST_F(DuplicateCompletionTest, PartialAttemptSeedsTheNextOne) {
   ShardSpec half = spec_;
   half.shards = {{0, 0, 3}};  // pretend only 3 trials were assigned...
   const SweepResult res =
-      run_shard_attempt(half, 0, shard_attempt_dir(root_, 0, 0), {});
+      run_shard_attempt(half, 0, shard_attempt_dir(root_, 0, 0), {}, pool_);
   ASSERT_TRUE(res.ok) << res.error;
 
   ASSERT_EQ(next_shard_attempt(root_, 0), 1u);
@@ -461,7 +495,7 @@ TEST_F(AdoptedScanTest, WarmMergeEqualsColdMerge) {
     return run_scenario_trial(s, trial);
   };
   const std::string base = shard_attempt_dir(root_, 0, 0);
-  ASSERT_TRUE(run_shard_attempt(spec_, 0, base, runner).ok);
+  ASSERT_TRUE(run_shard_attempt(spec_, 0, base, runner, pool_).ok);
   const ShardMergeResult cold = merge_shard_journals(root_, spec_);
   ASSERT_TRUE(cold.ok) << cold.error;
   EXPECT_EQ(cold.points[0].timed_out, 1u);

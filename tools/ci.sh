@@ -7,7 +7,7 @@
 #                          #   + perfbench pinned digests)
 #   tools/ci.sh sanitize   # ASan+UBSan only (no bench — numbers meaningless)
 #   tools/ci.sh tsan       # ThreadSanitizer, concurrency test binaries only
-#   tools/ci.sh chaos_net  # socket-transport chaos only (needs build/)
+#   tools/ci.sh chaos_net  # control-plane chaos only (needs build/)
 #   tools/ci.sh perf       # native/AVX2 preset + engine crosscheck suite
 #                          # (skipped cleanly on hosts without avx2+fma)
 #   tools/ci.sh --full     # like "all" but with a larger fuzz sweep
@@ -195,7 +195,7 @@ chaos_multiproc() {
   local work="$repo/build/chaos-multiproc"
   rm -rf "$work"; mkdir -p "$work"
   local args=(--protocol=one_to_one --adversary=full_duel --sweep=budget
-              --values=128,256,512,1024,2048,4096 --trials=12
+              --values=128,256,512,1024,2048,4096 --trials=2000
               --seed=17 --fit=none --print_digests)
 
   echo "--- chaos-mp: in-process reference digests (--threads=1)"
@@ -219,7 +219,7 @@ chaos_multiproc() {
     --checkpoint_dir="$work/kill" >"$work/kill.out" 2>"$work/kill.err" &
   local pid=$! rounds=0 victims victim
   while kill -0 "$pid" 2>/dev/null && (( rounds < 6 )); do
-    sleep 0.15
+    sleep 0.05
     victims=$(pgrep -P "$pid" 2>/dev/null || true)
     if [[ -n "$victims" ]]; then
       victim=$(echo "$victims" | shuf -n1)
@@ -231,6 +231,8 @@ chaos_multiproc() {
   [[ "$rc" -eq 0 ]] ||
     { echo "chaos-mp: sweep with killed workers exited $rc"
       cat "$work/kill.err"; return 1; }
+  grep -q 'worker restart' "$work/kill.err" ||
+    { echo "chaos-mp: no kill landed mid-shard"; return 1; }
   diff <(grep '^# digest' "$work/kill.out") <(echo "$ref") >/dev/null ||
     { echo "chaos-mp: digests differ after random worker kills"; return 1; }
 
@@ -239,11 +241,12 @@ chaos_multiproc() {
   "$sweep" "${args[@]}" --workers=2 --threads=1 \
     --checkpoint_dir="$work/co" >"$work/co.out" 2>"$work/co.err" &
   pid=$!
-  # Strike once the shard journals have flushed a few records.
+  # Strike once the shard journals have flushed a few records (every
+  # attempt journals into shard_<i>/try_<k>/).
   local f bytes
   for _ in $(seq 1 400); do
     bytes=0
-    for f in "$work/co"/shard_*/journal.rcbj; do
+    for f in "$work/co"/shard_*/try_*/journal.rcbj; do
       if [[ -f "$f" ]]; then bytes=$(( bytes + $(wc -c < "$f") )); fi
     done
     if (( bytes > 1500 )); then break; fi
@@ -251,6 +254,8 @@ chaos_multiproc() {
   done
   kill -KILL "$pid" 2>/dev/null || true
   wait "$pid" 2>/dev/null || true
+  ! grep -q '^# digest' "$work/co.out" ||
+    { echo "chaos-mp: the sweep finished before the coordinator kill"; return 1; }
   "$sweep" "${args[@]}" --workers=2 --threads=1 --resume="$work/co" \
     >"$work/co_resumed.out"
   diff <(grep '^# digest' "$work/co_resumed.out") <(echo "$ref") >/dev/null ||
@@ -258,27 +263,32 @@ chaos_multiproc() {
   echo "chaos-mp: sharded digests bit-identical across worker counts, worker kills, and coordinator kill/resume"
 }
 
-# Chaos: the socket transport's partition-tolerant control plane, end to
-# end through rcb_sweep --transport=socket (TCP-attached workers speaking
-# framed RCBC control frames; the data plane stays the shard journals).
-#  1. Digest equality: a loopback-socket sweep with seeded control-plane
-#     fault injection (drop/delay/duplicate/reorder/close on every frame)
-#     must print per-point digests bit-identical to the in-process
-#     --threads=1 reference — at-least-once reconciliation absorbs any
-#     fault schedule.
-#  2. SIGKILL random attached workers mid-sweep under the same faults: the
-#     lease watchdog revokes, the shard restarts under a fresh try_ dir
-#     seeded with the partial journal, and the digests still match.
+# Chaos: the partition-tolerant control plane, end to end through
+# rcb_sweep --listen: two spawned workers plus one external --attach worker
+# that dials the coordinator's TCP listener, all speaking framed RCBC
+# control frames (the data plane stays the shard journals), with seeded
+# faults on every frame of both connection origins.
+#  1. Digest equality: the sweep under frame faults
+#     (drop/delay/duplicate/reorder/close) must print per-point digests
+#     bit-identical to the in-process --threads=1 reference —
+#     at-least-once reconciliation absorbs any fault schedule.
+#  2. SIGKILL random workers, spawned and attached, mid-sweep under the
+#     same faults: a dead spawned worker is revoked at EOF and respawned,
+#     a dead attached worker's lease runs out; each shard restarts under a
+#     fresh try_ dir seeded with the partial journal, and the digests
+#     still match.
 #  3. SIGKILL the *coordinator*; re-run with --resume: completed shard
-#     attempts are adopted, in-flight ones restart, digests still match.
+#     attempts are adopted, in-flight ones restart, and the attached worker
+#     reconnects with backoff to the resumed coordinator; digests still
+#     match.
 chaos_net() {
   local sweep="$repo/build/tools/rcb_sweep"
   local work="$repo/build/chaos-net"
   rm -rf "$work"; mkdir -p "$work"
   local args=(--protocol=one_to_one --adversary=full_duel --sweep=budget
-              --values=128,256,512,1024,2048,4096 --trials=12
+              --values=128,256,512,1024,2048,4096 --trials=2000
               --seed=23 --fit=none --print_digests)
-  local net=(--transport=socket --net_fault_seed=777 --net_fault_rate=0.05
+  local net=(--net_fault_seed=777 --net_fault_rate=0.05
              --lease_timeout=1500 --heartbeat_interval=25)
 
   echo "--- chaos-net: in-process reference digests (--threads=1)"
@@ -286,42 +296,79 @@ chaos_net() {
   local ref; ref=$(grep '^# digest' "$work/ref.out")
   [[ -n "$ref" ]] || { echo "chaos-net: no reference digests"; return 1; }
 
-  echo "--- chaos-net: loopback-socket sweep under seeded frame faults"
-  rm -rf "$work/sock"
-  "$sweep" "${args[@]}" "${net[@]}" --workers=2 --threads=1 \
-    --checkpoint_dir="$work/sock" >"$work/sock.out" 2>"$work/sock.err" ||
-    { echo "chaos-net: socket sweep failed"; cat "$work/sock.err"; return 1; }
-  diff <(grep '^# digest' "$work/sock.out") <(echo "$ref") >/dev/null ||
-    { echo "chaos-net: socket digests differ from --threads=1"; return 1; }
+  # start_net <name> <listen addr> [extra flags...]: starts the coordinator
+  # in the background and, once it prints its port, one attached worker;
+  # sets $pid (coordinator), $attached (worker) and $port.
+  local pid attached port
+  start_net() {
+    local name=$1 listen=$2; shift 2
+    rm -f "$work/$name.err"
+    "$sweep" "${args[@]}" "${net[@]}" --workers=2 --threads=1 \
+      --listen="$listen" "$@" >"$work/$name.out" 2>"$work/$name.err" &
+    pid=$!
+    port=""
+    for _ in $(seq 1 250); do
+      port=$(sed -n 's/^# listening on port \([0-9]*\).*/\1/p' \
+               "$work/$name.err" 2>/dev/null)
+      [[ -n "$port" ]] && break
+      sleep 0.02
+    done
+    [[ -n "$port" ]] || { echo "chaos-net: $name printed no port"
+                          cat "$work/$name.err"; return 1; }
+    "$sweep" --attach="127.0.0.1:$port" 2>"$work/$name.attach.err" &
+    attached=$!
+  }
+  # stop_attached: the attached worker exits 0 on the shutdown directive
+  # unless a close fault cut it off as the sweep ended; then it keeps
+  # reconnecting, so put it down.
+  stop_attached() {
+    kill -KILL "$attached" 2>/dev/null || true
+    wait "$attached" 2>/dev/null || true
+  }
 
-  echo "--- chaos-net: SIGKILL random attached workers under faults"
+  echo "--- chaos-net: spawned + attached workers under seeded frame faults"
+  rm -rf "$work/sock"
+  start_net sock 127.0.0.1:0 --checkpoint_dir="$work/sock" || return 1
+  local rc=0; wait "$pid" || rc=$?
+  stop_attached
+  [[ "$rc" -eq 0 ]] ||
+    { echo "chaos-net: sweep failed"; cat "$work/sock.err"; return 1; }
+  diff <(grep '^# digest' "$work/sock.out") <(echo "$ref") >/dev/null ||
+    { echo "chaos-net: digests differ from --threads=1"; return 1; }
+
+  echo "--- chaos-net: SIGKILL random spawned and attached workers under faults"
   rm -rf "$work/kill"
-  "$sweep" "${args[@]}" "${net[@]}" --workers=2 --threads=1 \
-    --checkpoint_dir="$work/kill" >"$work/kill.out" 2>"$work/kill.err" &
-  local pid=$! rounds=0 victims victim rc=0
+  start_net kill 127.0.0.1:0 --checkpoint_dir="$work/kill" || return 1
+  local rounds=0 victims victim attached_alive=1
   while kill -0 "$pid" 2>/dev/null && (( rounds < 4 )); do
-    sleep 0.2
+    sleep 0.1
     victims=$(pgrep -P "$pid" 2>/dev/null || true)
-    if [[ -n "$victims" ]]; then
-      victim=$(echo "$victims" | shuf -n1)
+    if (( attached_alive )); then
+      victims=$(printf '%s\n%s' "$victims" "$attached")
+    fi
+    victim=$(echo "$victims" | grep . | shuf -n1 || true)
+    if [[ -n "$victim" ]]; then
       kill -KILL "$victim" 2>/dev/null || true
+      [[ "$victim" == "$attached" ]] && attached_alive=0
       rounds=$((rounds + 1))
     fi
   done
-  wait "$pid" || rc=$?
+  # (braces: keep bash's notice about the killed attached job quiet)
+  rc=0; { wait "$pid" || rc=$?; } 2>/dev/null
+  stop_attached
   [[ "$rc" -eq 0 ]] ||
     { echo "chaos-net: sweep with killed workers exited $rc"
       cat "$work/kill.err"; return 1; }
+  grep -q 'worker restart' "$work/kill.err" ||
+    { echo "chaos-net: no kill landed mid-shard"; return 1; }
   diff <(grep '^# digest' "$work/kill.out") <(echo "$ref") >/dev/null ||
     { echo "chaos-net: digests differ after worker kills"; return 1; }
 
   echo "--- chaos-net: SIGKILL the coordinator, then --resume"
   rm -rf "$work/co"
-  "$sweep" "${args[@]}" "${net[@]}" --workers=2 --threads=1 \
-    --checkpoint_dir="$work/co" >"$work/co.out" 2>"$work/co.err" &
-  pid=$!
+  start_net co 127.0.0.1:0 --checkpoint_dir="$work/co" || return 1
   # Strike once the per-attempt shard journals have flushed a few records
-  # (socket attempts journal into shard_<i>/try_<k>/).
+  # (attempts journal into shard_<i>/try_<k>/).
   local bytes
   for _ in $(seq 1 400); do
     bytes=$(find "$work/co" -path '*/try_*/journal.rcbj' -exec cat {} + \
@@ -331,13 +378,21 @@ chaos_net() {
   done
   kill -KILL "$pid" 2>/dev/null || true
   wait "$pid" 2>/dev/null || true
+  ! grep -q '^# digest' "$work/co.out" ||
+    { echo "chaos-net: the sweep finished before the coordinator kill"; return 1; }
+  # The attached worker outlives the coordinator and re-attaches to the
+  # resumed one on the same port.
+  rc=0
   "$sweep" "${args[@]}" "${net[@]}" --workers=2 --threads=1 \
-    --resume="$work/co" >"$work/co_resumed.out" 2>"$work/co_resumed.err" ||
-    { echo "chaos-net: resumed socket sweep failed"
+    --listen="127.0.0.1:$port" --resume="$work/co" \
+    >"$work/co_resumed.out" 2>"$work/co_resumed.err" || rc=$?
+  stop_attached
+  [[ "$rc" -eq 0 ]] ||
+    { echo "chaos-net: resumed sweep failed"
       cat "$work/co_resumed.err"; return 1; }
   diff <(grep '^# digest' "$work/co_resumed.out") <(echo "$ref") >/dev/null ||
     { echo "chaos-net: coordinator kill/resume digests differ"; return 1; }
-  echo "chaos-net: socket digests bit-identical under frame faults, worker kills, and coordinator kill/resume"
+  echo "chaos-net: digests bit-identical under frame faults, spawned and attached worker kills, and coordinator kill/resume"
 }
 
 # Fuzz stage: canary self-check, then a fixed-seed scenario sweep.  Oracle
@@ -401,7 +456,7 @@ if [[ "$what" == "all" || "$what" == "plain" ]]; then
   chaos_sweep_scheduler
   echo "=== [plain] chaos: multi-process sharded sweep fault tolerance ==="
   chaos_multiproc
-  echo "=== [plain] chaos: socket transport partition tolerance ==="
+  echo "=== [plain] chaos: control-plane partition tolerance ==="
   chaos_net
   echo "=== [plain] fuzz: scenario oracles ==="
   fuzz_stage "$repo/build/tools/rcb_fuzz" "$repo/build/fuzz-out"
@@ -478,7 +533,7 @@ if [[ "$what" == "all" || "$what" == "perf" ]]; then
 fi
 
 if [[ "$what" == "chaos_net" ]]; then
-  echo "=== [chaos_net] socket transport partition tolerance ==="
+  echo "=== [chaos_net] control-plane partition tolerance ==="
   chaos_net
 fi
 

@@ -86,35 +86,32 @@ int run_tool(int argc, const char* const* argv) {
                 "worker process",
                 0, 4096);
   flags.add_int("workers", 0,
-                "run the sweep across this many worker *processes* over "
-                "sharded trial ranges, with crash detection and shard "
-                "reassignment (0 = in-process; requires --checkpoint_dir "
-                "or --resume)",
+                "run the sweep across this many spawned worker *processes* "
+                "over sharded trial ranges, with crash detection and shard "
+                "reassignment (0 = in-process, or with --listen only "
+                "attached workers; requires --checkpoint_dir or --resume)",
                 0, 1024);
   flags.add_string("shard_worker", "",
-                   "internal: run as the shard worker for the sweep root "
-                   "at this path (spawned by the --workers coordinator)");
-  flags.add_int("shard_id", 0, "internal: shard index for --shard_worker",
+                   "internal: run as a spawned worker of the sweep root at "
+                   "this path (started by the --workers coordinator)");
+  flags.add_int("shard_id", 0, "internal: worker index for --shard_worker",
                 0);
-  flags.add_string("transport", "local",
-                   "worker transport for --workers: local (fork/exec on "
-                   "this machine) | socket (TCP control plane; workers "
-                   "attach with --attach)");
   flags.add_string("attach", "",
-                   "run as a socket-attached sweep worker: connect to the "
+                   "run as an attached sweep worker: connect to the "
                    "coordinator at host:port, run assigned shards, "
                    "reconnect with backoff if the coordinator restarts");
-  flags.add_string("listen", "127.0.0.1:0",
-                   "--transport=socket listener address (numeric IPv4; "
-                   "port 0 = ephemeral, printed to stderr)");
+  flags.add_string("listen", "",
+                   "also serve workers that --attach over TCP at this "
+                   "address (numeric IPv4; port 0 = ephemeral, printed to "
+                   "stderr)");
   flags.add_int("lease_timeout", 10000,
                 "revoke and reassign a worker's shard after this many ms "
                 "of silence (0 = no watchdog; must exceed 2x "
                 "--heartbeat_interval)",
                 0, 3600000);
   flags.add_int("heartbeat_interval", 100,
-                "worker heartbeat period in ms (lease files on local "
-                "transport, status frames on socket)",
+                "worker status-frame period in ms, for spawned and attached "
+                "workers alike (finished shards are reported at once)",
                 1, 60000);
   flags.add_int("net_fault_seed", 0,
                 "seed for deterministic control-plane fault injection "
@@ -129,16 +126,17 @@ int run_tool(int argc, const char* const* argv) {
                  "and kill/resume)");
   if (!flags.parse(argc, argv)) return 1;
 
-  // Worker mode: the coordinator re-enters this binary with the internal
-  // --shard_worker flag; every other flag is ignored (the on-disk shard
-  // spec is authoritative, mirroring manifest-wins resume semantics).
+  // Spawned-worker mode: the coordinator re-enters this binary with the
+  // internal --shard_worker flag and the control connection on fd 3; every
+  // other flag is ignored (the on-disk shard spec is authoritative,
+  // mirroring manifest-wins resume semantics).
   if (const std::string worker_root = flags.get_string("shard_worker");
       !worker_root.empty()) {
     return run_shard_worker(worker_root,
                             static_cast<std::size_t>(flags.get_int("shard_id")));
   }
 
-  // Socket worker mode: attach to a remote coordinator and serve shard
+  // Attached-worker mode: connect to a coordinator and serve shard
   // assignments until told to shut down (every other flag is ignored; the
   // coordinator's on-disk shard spec is authoritative).
   if (const std::string attach = flags.get_string("attach"); !attach.empty()) {
@@ -234,9 +232,9 @@ int run_tool(int argc, const char* const* argv) {
   }
 
   const auto workers = static_cast<std::size_t>(flags.get_int("workers"));
-  const std::string transport_name = flags.get_string("transport");
+  const std::string listen = flags.get_string("listen");
   std::vector<tools::SimAggregate> aggs;
-  if (workers > 0 || transport_name == "socket") {
+  if (workers > 0 || !listen.empty()) {
     // Multi-process mode: shard the (point, trial) space across worker
     // processes with crash detection + reassignment; the merged per-point
     // digests are bit-identical to the in-process path below.
@@ -255,26 +253,19 @@ int run_tool(int argc, const char* const* argv) {
       std::fprintf(stderr, "%s\n", err.c_str());
       return 1;
     }
-    if (transport_name == "socket") {
-      topt.transport = TransportKind::kSocket;
-      if (const std::string err =
-              parse_host_port(flags.get_string("listen"), topt.listen_host,
-                              topt.listen_port);
+    if (!listen.empty()) {
+      std::string host;
+      std::uint16_t ignored = 0;
+      if (const std::string err = parse_host_port(listen, host, ignored);
           !err.empty()) {
         std::fprintf(stderr, "--listen: %s\n", err.c_str());
         return 1;
       }
-      // --workers=0 with the socket transport means "external fleet": park
-      // until workers attach with --attach instead of forking our own.
-      topt.spawn_workers = workers > 0;
+      topt.listen = listen;
       topt.on_listen = [](std::uint16_t port) {
         std::fprintf(stderr, "# listening on port %u (attach workers with "
                      "--attach=<host>:%u)\n", port, port);
       };
-    } else if (transport_name != "local") {
-      std::fprintf(stderr, "unknown --transport '%s' (local | socket)\n",
-                   transport_name.c_str());
-      return 1;
     }
     if (const auto seed =
             static_cast<std::uint64_t>(flags.get_int("net_fault_seed"));

@@ -181,16 +181,12 @@ inline std::vector<SimAggregate> run_sweep_points(
   return aggs;
 }
 
-/// Transport and control-plane knobs for run_sweep_sharded; the defaults
-/// reproduce the original local fork/exec behaviour.
+/// Control-plane knobs for run_sweep_sharded; the defaults spawn the
+/// workers and open no listener.
 struct ShardedTransportOptions {
-  TransportKind transport = TransportKind::kLocalProcess;
-  /// Socket only: listener address (port 0 = ephemeral, printed on bind).
-  std::string listen_host = "127.0.0.1";
-  std::uint16_t listen_port = 0;
-  /// Socket only: fork our own --attach fleet; false parks until external
-  /// workers attach.
-  bool spawn_workers = true;
+  /// TCP listener for --attach workers ("host:port", port 0 = ephemeral);
+  /// empty: none.
+  std::string listen;
   double lease_timeout_sec = 10.0;
   double heartbeat_interval_sec = 0.1;
   /// Seeded control-plane chaos (tests/CI; 0 seed = off).
@@ -210,9 +206,10 @@ struct ShardedSweepOutcome {
 };
 
 /// Multi-process sharded sweep: partitions every (point, trial) range into
-/// shards (runtime/shard.hpp), fork/execs up to `workers` worker processes
-/// over them via the coordinator (runtime/coordinator.hpp), and merges the
-/// shard journals into per-point aggregates.  The merged aggregate_digest
+/// shards (runtime/shard.hpp), runs them on `workers` spawned worker
+/// processes (plus any that attach to `transport.listen`) via the
+/// coordinator (runtime/coordinator.hpp), and merges the shard journals
+/// into per-point aggregates.  The merged aggregate_digest
 /// per point is bit-identical to run_sweep_points with the same cfgs —
 /// regardless of worker count, worker crashes, or coordinator restarts.
 /// `root` holds sweep.json and the shard_<i>/ checkpoint dirs;
@@ -246,10 +243,7 @@ inline ShardedSweepOutcome run_sweep_sharded(
   copt.root = root;
   copt.workers = workers;
   copt.resume = sup.resume;
-  copt.transport = transport.transport;
-  copt.listen_host = transport.listen_host;
-  copt.listen_port = transport.listen_port;
-  copt.spawn_workers = transport.spawn_workers;
+  copt.listen = transport.listen;
   copt.lease_timeout_sec = transport.lease_timeout_sec;
   copt.net_faults = transport.net_faults;
   copt.on_listen = transport.on_listen;
