@@ -4,7 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <vector>
+#include <type_traits>
+#include <utility>
 
 #include "rcb/adversary/mc_strategies.hpp"
 #include "rcb/adversary/spoofing.hpp"
@@ -50,39 +51,84 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-// Every field of Scenario and FaultConfig, doubles by bit pattern: 0.0 and
-// -0.0 compare equal as values but render "0" and "-0".  A field added to
-// either struct must join this comparison, or the memo below would hand
-// out a stale rendering; the LP64 size checks make an addition that grows
-// a struct fail to compile until it is looked at here.
+/// How the codec writes a field beyond what its C++ type says.
+enum class Wire {
+  kPlain,
+  /// Written only when != 1: every pre-multi-channel scenario keeps its
+  /// canonical JSON byte-for-byte, so scenario digests (checkpoint
+  /// manifests, committed repro records) survive the channels field.
+  kOmitAtOne,
+  /// kNoSlot is written as -1 (encode_slot).
+  kSlot,
+};
+
+// The scenario codec's one field list: every field of Scenario and
+// FaultConfig, once, in canonical key order, with its JSON key.  `faults`
+// opens the nested object that the FaultConfig fields after it fill.  The
+// memo comparison, the renderer, the decoder and validate_scenario's rate
+// checks all walk it.  A field added to either struct must join it, or the
+// codec would drop the field and the memo below would hand out a stale
+// rendering; the LP64 size checks make an addition that grows a struct
+// fail to compile until it is looked at here.
 static_assert(sizeof(void*) != 8 || sizeof(FaultConfig) == 104);
 static_assert(sizeof(void*) != 8 ||
               sizeof(Scenario) ==
                   2 * sizeof(std::string) + 88 + sizeof(FaultConfig));
 
-bool same_faults(const FaultConfig& a, const FaultConfig& b) {
-  return a.seed == b.seed && same_bits(a.crash_rate, b.crash_rate) &&
-         same_bits(a.restart_rate, b.restart_rate) &&
-         same_bits(a.crash_fraction, b.crash_fraction) &&
-         same_bits(a.loss_rate, b.loss_rate) &&
-         same_bits(a.corruption_rate, b.corruption_rate) &&
-         same_bits(a.clock_skew_rate, b.clock_skew_rate) &&
-         a.brownout_slot == b.brownout_slot &&
-         same_bits(a.brownout_fraction, b.brownout_fraction) &&
-         same_bits(a.brownout_factor, b.brownout_factor) &&
-         same_bits(a.cca_false_busy, b.cca_false_busy) &&
-         same_bits(a.cca_missed_detection, b.cca_missed_detection) &&
-         a.cca_ramp_slots == b.cca_ramp_slots;
+template <typename Visit>
+void visit_fields(Visit&& visit) {
+  visit("protocol", &Scenario::protocol);
+  visit("adversary", &Scenario::adversary);
+  visit("budget", &Scenario::budget);
+  visit("q", &Scenario::q);
+  visit("rate", &Scenario::rate);
+  visit("n", &Scenario::n);
+  visit("eps", &Scenario::eps);
+  visit("trials", &Scenario::trials);
+  visit("seed", &Scenario::seed);
+  visit("max_epoch_extra", &Scenario::max_epoch_extra);
+  visit("timeout_slots", &Scenario::timeout_slots);
+  visit("battery", &Scenario::battery);
+  visit("channels", &Scenario::channels, Wire::kOmitAtOne);
+  visit("faults", &Scenario::faults);
+  visit("seed", &FaultConfig::seed);
+  visit("crash_rate", &FaultConfig::crash_rate);
+  visit("restart_rate", &FaultConfig::restart_rate);
+  visit("crash_fraction", &FaultConfig::crash_fraction);
+  visit("loss_rate", &FaultConfig::loss_rate);
+  visit("corruption_rate", &FaultConfig::corruption_rate);
+  visit("clock_skew_rate", &FaultConfig::clock_skew_rate);
+  visit("brownout_slot", &FaultConfig::brownout_slot, Wire::kSlot);
+  visit("brownout_fraction", &FaultConfig::brownout_fraction);
+  visit("brownout_factor", &FaultConfig::brownout_factor);
+  visit("cca_false_busy", &FaultConfig::cca_false_busy);
+  visit("cca_missed_detection", &FaultConfig::cca_missed_detection);
+  visit("cca_ramp_slots", &FaultConfig::cca_ramp_slots);
 }
 
+/// The object a field of class C lives in: the scenario or its faults.
+template <typename C, typename S>
+auto& owner(S& s) {
+  if constexpr (std::is_same_v<C, FaultConfig>) {
+    return s.faults;
+  } else {
+    return s;
+  }
+}
+
+// Doubles compare by bit pattern: 0.0 and -0.0 compare equal as values but
+// render "0" and "-0".
 bool same_scenario(const Scenario& a, const Scenario& b) {
-  return a.protocol == b.protocol && a.adversary == b.adversary &&
-         a.budget == b.budget && same_bits(a.q, b.q) &&
-         same_bits(a.rate, b.rate) && a.n == b.n && same_bits(a.eps, b.eps) &&
-         a.trials == b.trials && a.seed == b.seed &&
-         a.max_epoch_extra == b.max_epoch_extra &&
-         a.timeout_slots == b.timeout_slots && a.battery == b.battery &&
-         a.channels == b.channels && same_faults(a.faults, b.faults);
+  bool same = true;
+  visit_fields([&]<typename C, typename T>(const char*, T C::*field,
+                                           Wire = Wire::kPlain) {
+    if constexpr (std::is_same_v<T, double>) {
+      same = same && same_bits(owner<C>(a).*field, owner<C>(b).*field);
+    } else if constexpr (!std::is_same_v<T, FaultConfig>) {
+      same = same && owner<C>(a).*field == owner<C>(b).*field;
+    }
+  });
+  return same;
 }
 
 std::string render_scenario_json(const Scenario& s) {
@@ -90,40 +136,21 @@ std::string render_scenario_json(const Scenario& s) {
   out.reserve(640);  // a scenario is ~500 bytes: no regrowth while writing
   JsonWriter w(out);
   w.begin_object();
-  w.key("protocol").value(s.protocol);
-  w.key("adversary").value(s.adversary);
-  w.key("budget").value(static_cast<std::uint64_t>(s.budget));
-  w.key("q").value(s.q);
-  w.key("rate").value(s.rate);
-  w.key("n").value(static_cast<std::uint64_t>(s.n));
-  w.key("eps").value(s.eps);
-  w.key("trials").value(static_cast<std::uint64_t>(s.trials));
-  w.key("seed").value(s.seed);
-  w.key("max_epoch_extra").value(static_cast<std::uint64_t>(s.max_epoch_extra));
-  w.key("timeout_slots").value(static_cast<std::uint64_t>(s.timeout_slots));
-  w.key("battery").value(static_cast<std::uint64_t>(s.battery));
-  // Emitted only when non-default: every pre-multi-channel scenario keeps
-  // its canonical JSON byte-for-byte, so scenario digests (checkpoint
-  // manifests, committed repro records) survive the channels field.
-  if (s.channels != 1) {
-    w.key("channels").value(static_cast<std::uint64_t>(s.channels));
-  }
-  w.key("faults").begin_object();
-  const FaultConfig& f = s.faults;
-  w.key("seed").value(f.seed);
-  w.key("crash_rate").value(f.crash_rate);
-  w.key("restart_rate").value(f.restart_rate);
-  w.key("crash_fraction").value(f.crash_fraction);
-  w.key("loss_rate").value(f.loss_rate);
-  w.key("corruption_rate").value(f.corruption_rate);
-  w.key("clock_skew_rate").value(f.clock_skew_rate);
-  w.key("brownout_slot").value(encode_slot(f.brownout_slot));
-  w.key("brownout_fraction").value(f.brownout_fraction);
-  w.key("brownout_factor").value(f.brownout_factor);
-  w.key("cca_false_busy").value(f.cca_false_busy);
-  w.key("cca_missed_detection").value(f.cca_missed_detection);
-  w.key("cca_ramp_slots").value(static_cast<std::uint64_t>(f.cca_ramp_slots));
-  w.end_object();
+  visit_fields([&]<typename C, typename T>(const char* key, T C::*field,
+                                           Wire wire = Wire::kPlain) {
+    const T& v = owner<C>(s).*field;
+    if constexpr (std::is_same_v<T, FaultConfig>) {
+      w.key(key).begin_object();
+    } else if constexpr (std::is_same_v<T, std::string> ||
+                         std::is_same_v<T, double>) {
+      w.key(key).value(v);
+    } else if (wire == Wire::kSlot) {
+      w.key(key).value(encode_slot(v));
+    } else if (wire != Wire::kOmitAtOne || v != 1) {
+      w.key(key).value(static_cast<std::uint64_t>(v));
+    }
+  });
+  w.end_object();  // faults, the last field
   w.end_object();
   return out;
 }
@@ -154,57 +181,80 @@ std::uint64_t scenario_digest(const Scenario& s) {
 
 namespace {
 
-/// Field-by-field decode helpers sharing one error slot; the first failure
-/// wins and decoding short-circuits via the `ok` flag.
+/// Decodes visit_fields' fields from a parsed object into a scenario;
+/// absent keys keep their defaults.  The first failure wins and decoding
+/// short-circuits on it.  Keys found are counted per object, so only an
+/// object holding a key no field names is scanned for it.
 struct Decoder {
-  const JsonObject* obj;
+  Decoder(Scenario& scenario, const JsonObject& object)
+      : s(scenario), top(object) {}
+
+  Scenario& s;
+  const JsonObject& top;
+  const JsonObject* faults = nullptr;  ///< once "faults" decodes as an object
+  std::size_t top_found = 0;
+  std::size_t faults_found = 0;
   std::string error;
-  bool ok = true;
 
-  const JsonValue* take(const std::string& key, std::vector<std::string>& seen) {
-    seen.push_back(key);
+  bool ok() const { return error.empty(); }
+  void fail(std::string msg) {
+    if (ok()) error = std::move(msg);
+  }
+
+  template <typename C, typename T>
+  void operator()(const char* key, T C::*field, Wire wire = Wire::kPlain) {
+    constexpr bool nested = std::is_same_v<C, FaultConfig>;
+    const JsonObject* obj = nested ? faults : &top;
+    if (obj == nullptr || !ok()) return;
     const auto it = obj->find(key);
-    return it == obj->end() ? nullptr : &it->second;
-  }
-
-  void fail(const std::string& msg) {
-    if (ok) {
-      ok = false;
-      error = msg;
+    if (it == obj->end()) return;
+    ++(nested ? faults_found : top_found);
+    const JsonValue& v = it->second;
+    const auto bad = [&](const char* why) {
+      fail((nested ? "faults." : "") + std::string(key) + ": " + why);
+    };
+    if constexpr (std::is_same_v<T, FaultConfig>) {
+      if (!v.is_object()) return bad("expected object");
+      faults = &v.as_object();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (!v.is_string()) return bad("expected string");
+      owner<C>(s).*field = v.as_string();
+    } else if (!v.is_number()) {
+      return bad("expected number");
+    } else if constexpr (std::is_same_v<T, double>) {
+      owner<C>(s).*field = v.as_number();
+    } else if (wire == Wire::kSlot && v.as_number() == -1.0) {
+      owner<C>(s).*field = static_cast<T>(kNoSlot);
+    } else {
+      std::uint64_t u = 0;
+      if (!json_exact_u64(v.as_number(), u)) {
+        return bad("expected exact non-negative integer");
+      }
+      if (u > std::numeric_limits<T>::max()) return bad("out of range");
+      owner<C>(s).*field = static_cast<T>(u);
     }
   }
 
-  void get(const JsonValue* v, const char* key, std::string& out) {
-    if (v == nullptr || !ok) return;
-    if (!v->is_string()) return fail(std::string(key) + ": expected string");
-    out = v->as_string();
-  }
-  void get(const JsonValue* v, const char* key, double& out) {
-    if (v == nullptr || !ok) return;
-    if (!v->is_number()) return fail(std::string(key) + ": expected number");
-    out = v->as_number();
-  }
-  template <typename U>
-  void get_u(const JsonValue* v, const char* key, U& out) {
-    if (v == nullptr || !ok) return;
-    if (!v->is_number()) return fail(std::string(key) + ": expected number");
-    std::uint64_t u = 0;
-    if (!json_exact_u64(v->as_number(), u)) {
-      return fail(std::string(key) + ": expected exact non-negative integer");
+  /// Fails on the first key, in object order, that names no field: in the
+  /// faults object first, then at the top level.
+  void reject_unknown_keys() {
+    if (faults != nullptr && faults_found != faults->size()) {
+      reject_unknown<FaultConfig>(*faults, "faults.");
     }
-    if (u > std::numeric_limits<U>::max()) {
-      return fail(std::string(key) + ": out of range");
-    }
-    out = static_cast<U>(u);
+    if (top_found != top.size()) reject_unknown<Scenario>(top, "");
   }
-  void get_slot(const JsonValue* v, const char* key, SlotIndex& out) {
-    if (v == nullptr || !ok) return;
-    if (!v->is_number()) return fail(std::string(key) + ": expected number");
-    if (v->as_number() == -1.0) {
-      out = kNoSlot;
-      return;
+
+  template <typename Owner>
+  void reject_unknown(const JsonObject& obj, const char* prefix) {
+    for (const auto& [key, value] : obj) {
+      (void)value;
+      bool known = false;
+      visit_fields([&]<typename C, typename T>(const char* name, T C::*,
+                                               Wire = Wire::kPlain) {
+        known = known || (std::is_same_v<C, Owner> && key == name);
+      });
+      if (!known) return fail(prefix + key + ": unknown key");
     }
-    get_u(v, key, out);
   }
 };
 
@@ -221,73 +271,10 @@ ScenarioParseResult scenario_from_json(std::string_view text) {
     r.error = "scenario must be a JSON object";
     return r;
   }
-
-  Scenario& s = r.scenario;
-  std::vector<std::string> seen;
-  Decoder d{&parsed.value.as_object(), {}, true};
-  d.get(d.take("protocol", seen), "protocol", s.protocol);
-  d.get(d.take("adversary", seen), "adversary", s.adversary);
-  d.get_u(d.take("budget", seen), "budget", s.budget);
-  d.get(d.take("q", seen), "q", s.q);
-  d.get(d.take("rate", seen), "rate", s.rate);
-  d.get_u(d.take("n", seen), "n", s.n);
-  d.get(d.take("eps", seen), "eps", s.eps);
-  d.get_u(d.take("trials", seen), "trials", s.trials);
-  d.get_u(d.take("seed", seen), "seed", s.seed);
-  d.get_u(d.take("max_epoch_extra", seen), "max_epoch_extra",
-          s.max_epoch_extra);
-  d.get_u(d.take("timeout_slots", seen), "timeout_slots", s.timeout_slots);
-  d.get_u(d.take("battery", seen), "battery", s.battery);
-  d.get_u(d.take("channels", seen), "channels", s.channels);
-
-  if (const JsonValue* fv = d.take("faults", seen); fv != nullptr && d.ok) {
-    if (!fv->is_object()) {
-      d.fail("faults: expected object");
-    } else {
-      FaultConfig& f = s.faults;
-      std::vector<std::string> fseen;
-      Decoder fd{&fv->as_object(), {}, true};
-      fd.get_u(fd.take("seed", fseen), "faults.seed", f.seed);
-      fd.get(fd.take("crash_rate", fseen), "faults.crash_rate", f.crash_rate);
-      fd.get(fd.take("restart_rate", fseen), "faults.restart_rate",
-             f.restart_rate);
-      fd.get(fd.take("crash_fraction", fseen), "faults.crash_fraction",
-             f.crash_fraction);
-      fd.get(fd.take("loss_rate", fseen), "faults.loss_rate", f.loss_rate);
-      fd.get(fd.take("corruption_rate", fseen), "faults.corruption_rate",
-             f.corruption_rate);
-      fd.get(fd.take("clock_skew_rate", fseen), "faults.clock_skew_rate",
-             f.clock_skew_rate);
-      fd.get_slot(fd.take("brownout_slot", fseen), "faults.brownout_slot",
-                  f.brownout_slot);
-      fd.get(fd.take("brownout_fraction", fseen), "faults.brownout_fraction",
-             f.brownout_fraction);
-      fd.get(fd.take("brownout_factor", fseen), "faults.brownout_factor",
-             f.brownout_factor);
-      fd.get(fd.take("cca_false_busy", fseen), "faults.cca_false_busy",
-             f.cca_false_busy);
-      fd.get(fd.take("cca_missed_detection", fseen),
-             "faults.cca_missed_detection", f.cca_missed_detection);
-      fd.get_u(fd.take("cca_ramp_slots", fseen), "faults.cca_ramp_slots",
-               f.cca_ramp_slots);
-      for (const auto& [key, value] : fv->as_object()) {
-        (void)value;
-        if (std::find(fseen.begin(), fseen.end(), key) == fseen.end()) {
-          fd.fail("faults." + key + ": unknown key");
-        }
-      }
-      if (!fd.ok) d.fail(fd.error);
-    }
-  }
-
-  for (const auto& [key, value] : parsed.value.as_object()) {
-    (void)value;
-    if (std::find(seen.begin(), seen.end(), key) == seen.end()) {
-      d.fail(key + ": unknown key");
-    }
-  }
-
-  if (!d.ok) {
+  Decoder d{r.scenario, parsed.value.as_object()};
+  visit_fields(d);
+  d.reject_unknown_keys();
+  if (!d.ok()) {
     r.error = d.error;
     return r;
   }
@@ -428,29 +415,19 @@ std::string validate_scenario(const Scenario& s) {
   }
   // Catch out-of-range fault knobs here, where callers can print a clean
   // diagnostic, instead of letting the FaultPlan constructor's contract
-  // abort trial 0.
-  const FaultConfig& f = s.faults;
-  const struct {
-    const char* name;
-    double value;
-  } rates[] = {
-      {"crash_rate", f.crash_rate},
-      {"restart_rate", f.restart_rate},
-      {"crash_fraction", f.crash_fraction},
-      {"loss_rate", f.loss_rate},
-      {"corruption_rate", f.corruption_rate},
-      {"clock_skew_rate", f.clock_skew_rate},
-      {"brownout_fraction", f.brownout_fraction},
-      {"brownout_factor", f.brownout_factor},
-      {"cca_false_busy", f.cca_false_busy},
-      {"cca_missed_detection", f.cca_missed_detection},
-  };
-  for (const auto& r : rates) {
-    if (!(r.value >= 0.0 && r.value <= 1.0)) {
-      return std::string(r.name) + " must be in [0, 1]";
+  // abort trial 0.  Every FaultConfig double is a rate, fraction or factor
+  // in [0, 1].
+  std::string bad_rate;
+  visit_fields([&]<typename C, typename T>(const char* key, T C::*field,
+                                           Wire = Wire::kPlain) {
+    if constexpr (std::is_same_v<C, FaultConfig> && std::is_same_v<T, double>) {
+      const double v = s.faults.*field;
+      if (bad_rate.empty() && !(v >= 0.0 && v <= 1.0)) {
+        bad_rate = std::string(key) + " must be in [0, 1]";
+      }
     }
-  }
-  return "";
+  });
+  return bad_rate;
 }
 
 TrialOutcome run_scenario_trial(const Scenario& s, std::uint64_t trial) {
