@@ -1,5 +1,6 @@
 #include "rcb/cli/flags.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -7,6 +8,15 @@
 #include "rcb/common/contracts.hpp"
 
 namespace rcb {
+namespace {
+
+std::string join_choices(const std::vector<std::string>& choices) {
+  std::string out;
+  for (const std::string& c : choices) out += (out.empty() ? "" : " | ") + c;
+  return out;
+}
+
+}  // namespace
 
 FlagSet::FlagSet(std::string program_description)
     : description_(std::move(program_description)) {}
@@ -65,6 +75,14 @@ void FlagSet::add_bool(const std::string& name, bool default_value,
   order_.push_back(name);
 }
 
+void FlagSet::add_choice(const std::string& name,
+                         std::vector<std::string> choices,
+                         const std::string& help) {
+  RCB_REQUIRE(!choices.empty());
+  add_string(name, choices.front(), help + ": " + join_choices(choices));
+  flags_.at(name).choices = std::move(choices);
+}
+
 bool FlagSet::set_value(const std::string& name, const std::string& value) {
   auto it = flags_.find(name);
   if (it == flags_.end()) {
@@ -76,6 +94,14 @@ bool FlagSet::set_value(const std::string& name, const std::string& value) {
   char* end = nullptr;
   switch (f.type) {
     case Type::kString:
+      if (!f.choices.empty() &&
+          std::find(f.choices.begin(), f.choices.end(), value) ==
+              f.choices.end()) {
+        std::fprintf(stderr, "--%s must be one of %s, got '%s'\n",
+                     name.c_str(), join_choices(f.choices).c_str(),
+                     value.c_str());
+        return false;
+      }
       f.string_value = value;
       return true;
     case Type::kInt: {

@@ -28,6 +28,11 @@ class FlagSet {
   void add_double(const std::string& name, double default_value,
                   std::string help);
   void add_bool(const std::string& name, bool default_value, std::string help);
+  /// A string flag that takes one of `choices`; the first is the default.
+  /// Any other value is rejected at parse time with a one-line error
+  /// naming the accepted values, which the help text lists after `help`.
+  void add_choice(const std::string& name, std::vector<std::string> choices,
+                  const std::string& help);
 
   /// Parses argv.  Returns false (after printing a message) on --help or on
   /// any malformed/unknown flag; the caller should exit.
@@ -54,6 +59,7 @@ class FlagSet {
     std::string help;
     std::string default_repr;
     std::string string_value;
+    std::vector<std::string> choices;  ///< empty: any string
     std::int64_t int_value = 0;
     std::int64_t int_min = INT64_MIN;
     std::int64_t int_max = INT64_MAX;

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Golden-output test for the command-line tools.  Runs one small
 # fixed-seed case of rcb_sim or rcb_sweep and compares its stdout byte for
-# byte with tests/cli_golden/<case>.out.  Each case is its own ctest and
-# works in its own temp dir, so the cases run safely under ctest -j.
+# byte with tests/cli_golden/<case>.out; a reject_* case must instead exit
+# 1 with empty stdout.  Each case is its own ctest and works in its own
+# temp dir, so the cases run safely under ctest -j.
 #
 #   tests/cli_golden.sh <case> <tools bin dir> <golden dir>          # compare
 #   tests/cli_golden.sh <case> <tools bin dir> <golden dir> print    # stdout
@@ -49,6 +50,22 @@ run_case() {
     sweep_checkpoint_digests)
       "$sweep" "${duel[@]}" --sweep=eps --values=0.1,0.01 --trials=40 \
         --seed=7 --fit=none --print_digests --checkpoint_dir="$work/ck" ;;
+    # Unknown choice values, and swept values the scalar flag refuses.
+    reject_sim_format) "$sim" "${bcast[@]}" --format=yaml ;;
+    reject_sim_config_format)
+      echo '{"format": "yaml"}' >"$work/config.json"
+      "$sim" --config="$work/config.json" ;;
+    reject_sweep_metric)
+      "$sweep" "${bcast[@]}" --sweep=budget --values=1024,4096 \
+        --metric=success_rate ;;
+    reject_sweep_fit) "$sweep" "${bcast[@]}" --fit=linear ;;
+    reject_sweep_format) "$sweep" "${bcast[@]}" --format=json ;;
+    reject_sweep_flag) "$sweep" "${bcast[@]}" --sweep=seed --values=1,2 ;;
+    reject_sweep_n_fraction) "$sweep" "${bcast[@]}" --sweep=n --values=8,4.7 ;;
+    reject_sweep_budget_negative)
+      "$sweep" "${bcast[@]}" --sweep=budget --values=1024,-1 ;;
+    reject_sweep_budget_huge)
+      "$sweep" "${bcast[@]}" --sweep=budget --values=1024,1e30 ;;
     *) echo "unknown case '$name'" >&2; return 2 ;;
   esac
 }
@@ -58,6 +75,14 @@ run_case >"$work/stdout" || rc=$?
 if [[ "$mode" == print ]]; then
   cat "$work/stdout"
   exit "$rc"
+fi
+if [[ "$name" == reject_* ]]; then
+  if [[ "$rc" -ne 1 || -s "$work/stdout" ]]; then
+    echo "case $name: exit $rc with $(wc -c <"$work/stdout") bytes of" \
+      "stdout, want exit 1 and none" >&2
+    exit 1
+  fi
+  exit 0
 fi
 if [[ "$rc" -ne 0 ]]; then
   echo "case $name exited $rc" >&2

@@ -130,6 +130,21 @@ TEST(FlagsTest, UnboundedIntStillAcceptsNegatives) {
   EXPECT_EQ(flags.get_int("count"), -42);
 }
 
+TEST(FlagsTest, ChoiceDefaultsToFirstAndRejectsOthers) {
+  // e.g. --metric=success_rate must fail loudly instead of silently
+  // fitting the default metric.
+  FlagSet flags("test tool");
+  flags.add_choice("format", {"csv", "table"}, "output format");
+  EXPECT_EQ(flags.get_string("format"), "csv");
+  const char* argv[] = {"prog", "--format=json"};
+  EXPECT_FALSE(flags.parse(2, argv));
+  EXPECT_EQ(flags.get_string("format"), "csv");  // default untouched
+  EXPECT_TRUE(flags.set("format", "table"));
+  EXPECT_EQ(flags.get_string("format"), "table");
+  EXPECT_NE(flags.help_text().find("output format: csv | table"),
+            std::string::npos);
+}
+
 TEST(FlagsDeathTest, DefaultOutsideBoundsRejected) {
   EXPECT_DEATH(
       {

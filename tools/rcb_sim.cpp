@@ -35,35 +35,13 @@ int run_tool(int argc, const char* const* argv) {
   FlagSet flags(
       "rcb_sim: Monte-Carlo simulator for resource-competitive broadcast "
       "(SPAA'14 reproduction)");
-  flags.add_string("protocol", "one_to_one",
-                   "one_to_one | ksy | combined | broadcast | naive | sqrt | "
-                   "mc_broadcast");
-  flags.add_string("adversary", "none",
-                   "1-to-1: none|send_phase|nack_phase|full_duel|both_views|"
-                   "sym_random|spoof; broadcast: none|suffix|fraction|random|"
-                   "burst; mc_broadcast: none|mc_uniform|mc_focus|mc_sweep");
-  flags.add_int("budget", 16384, "adversary energy budget (slot-units)", 0);
-  flags.add_double("q", 0.6, "blocking fraction for suffix-style adversaries");
-  flags.add_double("rate", 0.3, "per-slot rate for random jammers");
-  flags.add_int("n", 32, "number of nodes (broadcast protocols)", 1);
-  flags.add_double("eps", 0.01, "Fig. 1 failure parameter");
-  flags.add_int("trials", 100, "Monte-Carlo trials", 1);
-  flags.add_int("seed", 1, "master seed (trials derive independent streams)",
-                0);
-  flags.add_int("max_epoch_extra", 0,
-                "cap epochs at first_epoch + this (0 = protocol default; "
-                "needed for --adversary=spoof, which never lets Fig.1 halt)");
+  tools::add_shared_flags(flags, 100, {"table", "json", "csv"});
   flags.add_int("timeout", 0,
                 "wall-clock abort after this many slots (1-to-1 protocols; "
                 "0 = no timeout; aborted trials are reported, not failed)");
   flags.add_int("battery", 0,
                 "per-node battery capacity in slot-units (broadcast/naive "
                 "protocols; 0 = unlimited)");
-  flags.add_int("channels", 1,
-                "channel count C of the multi-channel slot model "
-                "(mc_broadcast protocol; C=1 is the single-channel "
-                "model)",
-                1, 64);
   flags.add_int("fault_seed", 0, "seed for the fault-injection RNG streams");
   flags.add_double("crash_rate", 0.0, "per-slot P(an up node crashes)");
   flags.add_double("restart_rate", 0.0,
@@ -80,28 +58,6 @@ int run_tool(int argc, const char* const* argv) {
                    "fraction of nodes hit by the brownout");
   flags.add_double("brownout_factor", 0.5,
                    "battery capacity multiplier after the brownout");
-  flags.add_string("checkpoint_dir", "",
-                   "journal completed trials into this directory so a killed "
-                   "run can be resumed (see --resume)");
-  flags.add_string("resume", "",
-                   "resume from the checkpoint in this directory; the "
-                   "checkpointed scenario is authoritative (scenario flags "
-                   "are ignored).  With no checkpoint present, starts fresh");
-  flags.add_double("trial_timeout", 0.0,
-                   "wall-clock watchdog per trial, seconds (0 = off); "
-                   "quarantines stuck trials as timed_out and keeps sweeping");
-  flags.add_int("trial_slot_budget", 0,
-                "deterministic per-trial budget in simulated slots (0 = "
-                "off); like --trial_timeout but reproducible bit-for-bit",
-                0);
-  flags.add_int("max_retries", 0,
-                "re-run a trial that dies on a contract failure or exception "
-                "up to this many times with a reseeded stream",
-                0);
-  flags.add_int("threads", 0,
-                "worker threads (0 = all CPUs in the process affinity mask)",
-                0, 4096);
-  flags.add_string("format", "table", "table | json | csv");
   flags.add_bool("histogram", false,
                  "print an ASCII histogram of per-trial max cost");
   flags.add_string("config", "",
@@ -165,31 +121,9 @@ int run_tool(int argc, const char* const* argv) {
 
   if (!flags.parse(argc, argv)) return 1;
 
-  const std::string protocol = flags.get_string("protocol");
-  const std::string adversary = flags.get_string("adversary");
-  const auto budget = static_cast<Cost>(flags.get_int("budget"));
-  const double q = flags.get_double("q");
-  const double rate = flags.get_double("rate");
-  const auto n = static_cast<std::uint32_t>(flags.get_int("n"));
-  const double eps = flags.get_double("eps");
-  const auto trials = static_cast<std::size_t>(flags.get_int("trials"));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  const auto extra = static_cast<std::uint32_t>(flags.get_int("max_epoch_extra"));
-  const std::string format = flags.get_string("format");
-  tools::SimConfig cfg;
-  cfg.protocol = protocol;
-  cfg.adversary = adversary;
-  cfg.budget = budget;
-  cfg.q = q;
-  cfg.rate = rate;
-  cfg.n = n;
-  cfg.eps = eps;
-  cfg.trials = trials;
-  cfg.seed = seed;
-  cfg.max_epoch_extra = extra;
+  Scenario cfg = tools::scenario_from_flags(flags);
   cfg.timeout_slots = static_cast<SlotCount>(flags.get_int("timeout"));
   cfg.battery = static_cast<Cost>(flags.get_int("battery"));
-  cfg.channels = static_cast<std::uint32_t>(flags.get_int("channels"));
   cfg.faults.seed = static_cast<std::uint64_t>(flags.get_int("fault_seed"));
   cfg.faults.crash_rate = flags.get_double("crash_rate");
   cfg.faults.restart_rate = flags.get_double("restart_rate");
@@ -203,39 +137,22 @@ int run_tool(int argc, const char* const* argv) {
   cfg.faults.brownout_fraction = flags.get_double("brownout_fraction");
   cfg.faults.brownout_factor = flags.get_double("brownout_factor");
 
-  SupervisorOptions sup;
-  sup.checkpoint_dir = flags.get_string("checkpoint_dir");
-  if (const std::string resume_dir = flags.get_string("resume");
-      !resume_dir.empty()) {
-    sup.checkpoint_dir = resume_dir;
-    sup.resume = true;
-  }
-  sup.trial_timeout_sec = flags.get_double("trial_timeout");
-  sup.trial_slot_budget =
-      static_cast<SlotCount>(flags.get_int("trial_slot_budget"));
-  sup.max_retries = static_cast<std::uint32_t>(flags.get_int("max_retries"));
-  const bool supervised = !sup.checkpoint_dir.empty() ||
-                          sup.trial_timeout_sec > 0.0 ||
-                          sup.trial_slot_budget != 0 || sup.max_retries != 0;
-
-  const auto thread_count =
-      static_cast<std::size_t>(flags.get_int("threads"));
+  const SupervisorOptions sup = tools::supervisor_from_flags(flags);
+  const bool supervised = tools::is_supervised(sup);
   std::optional<ThreadPool> own_pool;
-  if (thread_count != 0) own_pool.emplace(thread_count);
-  ThreadPool& pool = own_pool ? *own_pool : ThreadPool::global();
-
-  tools::SimAggregate agg;
-  if (supervised) {
-    install_sweep_signal_handlers();
-    agg = tools::run_sim(cfg, sup, pool);
-  } else {
-    agg = tools::run_sim(cfg, pool);
-    agg.scenario = cfg;
-    agg.completed_trials = cfg.trials;
-    agg.executed_trials = cfg.trials;
-  }
+  ThreadPool& pool = tools::pool_from_flags(flags, own_pool);
+  if (supervised) install_sweep_signal_handlers();
+  const tools::SimAggregate agg =
+      tools::aggregate_from_sweep(run_supervised_sweep(cfg, sup, pool));
   if (!agg.valid) {
     std::fprintf(stderr, "%s\n", agg.error.c_str());
+    return 1;
+  }
+  if (!supervised && (agg.timed_out_rate > 0.0 || agg.failed_rate > 0.0)) {
+    // Without checkpointing/retries the user asked for raw trials; a
+    // quarantined trial would silently skew the aggregate, so fail loudly
+    // (the RCB_REPRO record is already on stderr).
+    std::fprintf(stderr, "trials failed (see RCB_REPRO above)\n");
     return 1;
   }
 
@@ -253,6 +170,7 @@ int run_tool(int argc, const char* const* argv) {
     return 130;
   };
 
+  const std::string& format = flags.get_string("format");
   if (format == "json") {
     std::string out;
     JsonWriter json(out);

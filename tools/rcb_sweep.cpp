@@ -7,7 +7,8 @@
 //   rcb_sweep --protocol=one_to_one --adversary=full_duel ...
 //       --sweep=eps --values=0.3,0.1,0.03,0.01 --fit=none
 //
-// Sweepable flags: budget, q, rate, n, eps, trials.  The fit (when the
+// Sweepable flags: budget, q, rate, n, eps, trials, channels; each value
+// must pass the swept flag's own checks.  The fit (when the
 // sweep variable and the chosen y-metric are positive) reports the fitted
 // exponent of y ~ x^alpha — the quantity the paper's theorems are about.
 #include <cstdio>
@@ -39,52 +40,16 @@ std::vector<std::string> split_csv(const std::string& text) {
 
 int run_tool(int argc, const char* const* argv) {
   FlagSet flags("rcb_sweep: 1-D parameter sweeps with power-law fits");
-  flags.add_string("protocol", "one_to_one",
-                   "one_to_one | ksy | combined | broadcast | naive | sqrt | "
-                   "mc_broadcast");
-  flags.add_string("adversary", "none", "see rcb_sim --help");
-  flags.add_int("budget", 16384, "adversary energy budget", 0);
-  flags.add_double("q", 0.6, "blocking fraction");
-  flags.add_double("rate", 0.3, "random-jammer rate");
-  flags.add_int("n", 32, "number of nodes", 1);
-  flags.add_double("eps", 0.01, "Fig. 1 failure parameter");
-  flags.add_int("trials", 50, "Monte-Carlo trials per sweep point", 1);
-  flags.add_int("seed", 1, "master seed", 0);
-  flags.add_int("max_epoch_extra", 0, "epoch cap offset (0 = default)", 0);
-  flags.add_int("channels", 1,
-                "channel count C (mc_broadcast protocol only)", 1, 64);
-  flags.add_string("sweep", "budget",
-                   "flag to sweep: budget | q | rate | n | eps | trials | "
-                   "channels");
+  tools::add_shared_flags(flags, 50, {"csv", "table"});
+  flags.add_choice("sweep",
+                   {"budget", "q", "rate", "n", "eps", "trials", "channels"},
+                   "flag to sweep");
   flags.add_string("values", "4096,16384,65536",
                    "comma-separated sweep values");
-  flags.add_string("metric", "max_cost",
-                   "y for the fit: max_cost | mean_cost | latency");
-  flags.add_string("fit", "power",
-                   "power (fit y ~ x^alpha over the sweep) | none");
-  flags.add_string("format", "csv", "csv | table");
-  flags.add_string("checkpoint_dir", "",
-                   "journal completed trials under this directory (one "
-                   "point_<i> subdirectory per sweep point) so a killed "
-                   "sweep can be resumed (see --resume)");
-  flags.add_string("resume", "",
-                   "resume from the checkpoints under this directory; "
-                   "points (and trials within a point) already journaled "
-                   "are not re-run");
-  flags.add_double("trial_timeout", 0.0,
-                   "wall-clock watchdog per trial, seconds (0 = off)");
-  flags.add_int("trial_slot_budget", 0,
-                "deterministic per-trial budget in simulated slots (0 = off)",
-                0);
-  flags.add_int("max_retries", 0,
-                "retries (reseeded) for trials dying on contract failures "
-                "or exceptions",
-                0);
-  flags.add_int("threads", 0,
-                "worker threads for the sweep scheduler (0 = all CPUs in "
-                "the process affinity mask); with --workers, threads per "
-                "worker process",
-                0, 4096);
+  flags.add_choice("metric", {"max_cost", "mean_cost", "latency"},
+                   "y for the fit");
+  flags.add_choice("fit", {"power", "none"},
+                   "power fits y ~ x^alpha over the sweep; none skips it");
   flags.add_int("workers", 0,
                 "run the sweep across this many spawned worker *processes* "
                 "over sharded trial ranges, with crash detection and shard "
@@ -153,20 +118,6 @@ int run_tool(int argc, const char* const* argv) {
     return run_attached_worker(aopt);
   }
 
-  tools::SimConfig base;
-  base.protocol = flags.get_string("protocol");
-  base.adversary = flags.get_string("adversary");
-  base.budget = static_cast<Cost>(flags.get_int("budget"));
-  base.q = flags.get_double("q");
-  base.rate = flags.get_double("rate");
-  base.n = static_cast<std::uint32_t>(flags.get_int("n"));
-  base.eps = flags.get_double("eps");
-  base.trials = static_cast<std::size_t>(flags.get_int("trials"));
-  base.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  base.max_epoch_extra =
-      static_cast<std::uint32_t>(flags.get_int("max_epoch_extra"));
-  base.channels = static_cast<std::uint32_t>(flags.get_int("channels"));
-
   const std::string sweep = flags.get_string("sweep");
   const std::string metric = flags.get_string("metric");
   auto values = split_csv(flags.get_string("values"));
@@ -175,60 +126,23 @@ int run_tool(int argc, const char* const* argv) {
     return 1;
   }
 
-  SupervisorOptions sup_base;
-  sup_base.checkpoint_dir = flags.get_string("checkpoint_dir");
-  if (const std::string resume_dir = flags.get_string("resume");
-      !resume_dir.empty()) {
-    sup_base.checkpoint_dir = resume_dir;
-    sup_base.resume = true;
-  }
-  sup_base.trial_timeout_sec = flags.get_double("trial_timeout");
-  sup_base.trial_slot_budget =
-      static_cast<SlotCount>(flags.get_int("trial_slot_budget"));
-  sup_base.max_retries =
-      static_cast<std::uint32_t>(flags.get_int("max_retries"));
-  const bool supervised = !sup_base.checkpoint_dir.empty() ||
-                          sup_base.trial_timeout_sec > 0.0 ||
-                          sup_base.trial_slot_budget != 0 ||
-                          sup_base.max_retries != 0;
+  const SupervisorOptions sup_base = tools::supervisor_from_flags(flags);
+  const bool supervised = tools::is_supervised(sup_base);
   if (supervised) install_sweep_signal_handlers();
 
   // Build every sweep point up front: the scheduler flattens all
   // (point, trial) pairs into one submission, so trials of point i overlap
-  // with trials of point i+1 (no per-point pool barrier).
-  std::vector<tools::SimConfig> cfgs;
+  // with trials of point i+1 (no per-point pool barrier).  Each value goes
+  // through the swept flag, so it meets that flag's checks.
+  std::vector<Scenario> cfgs;
   std::vector<double> point_x;
   cfgs.reserve(values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
-    const std::string& value = values[i];
-    tools::SimConfig cfg = base;
-    cfg.seed = base.seed + static_cast<std::uint64_t>(i) * 1000003;
-    char* end = nullptr;
-    const double x = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0') {
-      std::fprintf(stderr, "sweep value '%s' is not numeric\n", value.c_str());
-      return 1;
-    }
-    if (sweep == "budget") {
-      cfg.budget = static_cast<Cost>(x);
-    } else if (sweep == "q") {
-      cfg.q = x;
-    } else if (sweep == "rate") {
-      cfg.rate = x;
-    } else if (sweep == "n") {
-      cfg.n = static_cast<std::uint32_t>(x);
-    } else if (sweep == "eps") {
-      cfg.eps = x;
-    } else if (sweep == "trials") {
-      cfg.trials = static_cast<std::size_t>(x);
-    } else if (sweep == "channels") {
-      cfg.channels = static_cast<std::uint32_t>(x);
-    } else {
-      std::fprintf(stderr, "unknown sweep flag '%s'\n", sweep.c_str());
-      return 1;
-    }
+    if (!flags.set(sweep, values[i])) return 1;
+    Scenario cfg = tools::scenario_from_flags(flags);
+    cfg.seed += static_cast<std::uint64_t>(i) * 1000003;
     cfgs.push_back(cfg);
-    point_x.push_back(x);
+    point_x.push_back(std::strtod(values[i].c_str(), nullptr));
   }
 
   const auto workers = static_cast<std::size_t>(flags.get_int("workers"));
@@ -294,11 +208,8 @@ int run_tool(int argc, const char* const* argv) {
     }
     aggs = std::move(sharded.points);
   } else {
-    const auto thread_count =
-        static_cast<std::size_t>(flags.get_int("threads"));
     std::optional<ThreadPool> own_pool;
-    if (thread_count != 0) own_pool.emplace(thread_count);
-    ThreadPool& pool = own_pool ? *own_pool : ThreadPool::global();
+    ThreadPool& pool = tools::pool_from_flags(flags, own_pool);
     aggs = tools::run_sweep_points(cfgs, sup_base, sup_base.checkpoint_dir,
                                    pool);
   }
