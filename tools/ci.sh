@@ -65,6 +65,9 @@ run_config() {
 #     quarantined by the deterministic slot-budget watchdog without
 #     stalling the sweep, and its RCB_REPRO record replays bounded under
 #     rcb_replay; a tampered record is refused with exit 3.
+#  4. Supervision must not change results: the reference args run without
+#     --checkpoint_dir print every key the checkpointed reference prints,
+#     with the same value, less the supervision block.
 chaos_supervisor() {
   local sim="$repo/build/tools/rcb_sim"
   local replay="$repo/build/tools/rcb_replay"
@@ -127,6 +130,15 @@ chaos_supervisor() {
   [[ "$rc" -eq 3 ]] ||
     { echo "chaos: tampered record exit $rc, want 3"; return 1; }
   echo "chaos: quarantined trial replays bounded; tampered record refused"
+
+  echo "--- chaos: unsupervised run of the reference args"
+  "$sim" "${args[@]}" >"$work/plain.json"
+  sed 's/"timed_out_rate":.*"aggregate_digest":"[0-9a-f]*",//' \
+    "$work/ref.json" >"$work/ref_plain.json"
+  cmp -s "$work/plain.json" "$work/ref_plain.json" ||
+    { echo "chaos: unsupervised run differs from the checkpointed reference"
+      diff "$work/ref_plain.json" "$work/plain.json"; return 1; }
+  echo "chaos: unsupervised aggregates equal the checkpointed reference's"
 }
 
 # Chaos: the work-stealing sweep scheduler's determinism and group-commit
