@@ -191,7 +191,7 @@ struct Decoder {
 
   Scenario& s;
   const JsonObject& top;
-  const JsonObject* faults = nullptr;  ///< once "faults" decodes as an object
+  const JsonObject* faults = nullptr;  ///< once the faults key is an object
   std::size_t top_found = 0;
   std::size_t faults_found = 0;
   std::string error;
@@ -199,6 +199,11 @@ struct Decoder {
   bool ok() const { return error.empty(); }
   void fail(std::string msg) {
     if (ok()) error = std::move(msg);
+  }
+  /// A key as errors name it: fault keys sit under "faults.".
+  template <typename C>
+  static std::string path(const std::string& key) {
+    return (std::is_same_v<C, FaultConfig> ? "faults." : "") + key;
   }
 
   template <typename C, typename T>
@@ -211,7 +216,7 @@ struct Decoder {
     ++(nested ? faults_found : top_found);
     const JsonValue& v = it->second;
     const auto bad = [&](const char* why) {
-      fail((nested ? "faults." : "") + std::string(key) + ": " + why);
+      fail(path<C>(key) + ": " + why);
     };
     if constexpr (std::is_same_v<T, FaultConfig>) {
       if (!v.is_object()) return bad("expected object");
@@ -239,13 +244,13 @@ struct Decoder {
   /// faults object first, then at the top level.
   void reject_unknown_keys() {
     if (faults != nullptr && faults_found != faults->size()) {
-      reject_unknown<FaultConfig>(*faults, "faults.");
+      reject_unknown<FaultConfig>(*faults);
     }
-    if (top_found != top.size()) reject_unknown<Scenario>(top, "");
+    if (top_found != top.size()) reject_unknown<Scenario>(top);
   }
 
   template <typename Owner>
-  void reject_unknown(const JsonObject& obj, const char* prefix) {
+  void reject_unknown(const JsonObject& obj) {
     for (const auto& [key, value] : obj) {
       (void)value;
       bool known = false;
@@ -253,7 +258,7 @@ struct Decoder {
                                                Wire = Wire::kPlain) {
         known = known || (std::is_same_v<C, Owner> && key == name);
       });
-      if (!known) return fail(prefix + key + ": unknown key");
+      if (!known) return fail(path<Owner>(key) + ": unknown key");
     }
   }
 };
