@@ -52,6 +52,7 @@ run_case() {
         --seed=7 --fit=none --print_digests --checkpoint_dir="$work/ck" ;;
     # Unknown choice values, and swept values the scalar flag refuses.
     reject_sim_format) "$sim" "${bcast[@]}" --format=yaml ;;
+    reject_sim_battery_negative) "$sim" "${bcast[@]}" --battery=-1 ;;
     reject_sim_config_format)
       echo '{"format": "yaml"}' >"$work/config.json"
       "$sim" --config="$work/config.json" ;;
@@ -61,7 +62,8 @@ run_case() {
     reject_sweep_fit) "$sweep" "${bcast[@]}" --fit=linear ;;
     reject_sweep_format) "$sweep" "${bcast[@]}" --format=json ;;
     reject_sweep_flag) "$sweep" "${bcast[@]}" --sweep=seed --values=1,2 ;;
-    reject_sweep_n_fraction) "$sweep" "${bcast[@]}" --sweep=n --values=8,4.7 ;;
+    reject_sweep_n_fraction)
+      "$sweep" "${bcast[@]}" --sweep=n --values=8,4.7 ;;
     reject_sweep_budget_negative)
       "$sweep" "${bcast[@]}" --sweep=budget --values=1024,-1 ;;
     reject_sweep_budget_huge)

@@ -38,11 +38,14 @@ int run_tool(int argc, const char* const* argv) {
   tools::add_shared_flags(flags, 100, {"table", "json", "csv"});
   flags.add_int("timeout", 0,
                 "wall-clock abort after this many slots (1-to-1 protocols; "
-                "0 = no timeout; aborted trials are reported, not failed)");
+                "0 = no timeout; aborted trials are reported, not failed)",
+                0);
   flags.add_int("battery", 0,
                 "per-node battery capacity in slot-units (broadcast/naive "
-                "protocols; 0 = unlimited)");
-  flags.add_int("fault_seed", 0, "seed for the fault-injection RNG streams");
+                "protocols; 0 = unlimited)",
+                0);
+  flags.add_int("fault_seed", 0, "seed for the fault-injection RNG streams",
+                0);
   flags.add_double("crash_rate", 0.0, "per-slot P(an up node crashes)");
   flags.add_double("restart_rate", 0.0,
                    "per-slot P(a crashed node restarts); 0 = crashes are "
