@@ -53,6 +53,7 @@ run_case() {
     # Unknown choice values, and swept values the scalar flag refuses.
     reject_sim_format) "$sim" "${bcast[@]}" --format=yaml ;;
     reject_sim_battery_negative) "$sim" "${bcast[@]}" --battery=-1 ;;
+    reject_sim_brownout_negative) "$sim" "${bcast[@]}" --brownout_slot=-7 ;;
     reject_sim_config_format)
       echo '{"format": "yaml"}' >"$work/config.json"
       "$sim" --config="$work/config.json" ;;

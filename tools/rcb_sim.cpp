@@ -56,7 +56,7 @@ int run_tool(int argc, const char* const* argv) {
   flags.add_double("corruption", 0.0, "P(m/nack reception garbles to noise)");
   flags.add_double("skew", 0.0, "per-phase P(a node is clock-desynchronised)");
   flags.add_int("brownout_slot", -1,
-                "global slot a battery brownout begins (-1 = never)");
+                "global slot a battery brownout begins (-1 = never)", -1);
   flags.add_double("brownout_fraction", 0.0,
                    "fraction of nodes hit by the brownout");
   flags.add_double("brownout_factor", 0.5,
@@ -136,7 +136,7 @@ int run_tool(int argc, const char* const* argv) {
   cfg.faults.clock_skew_rate = flags.get_double("skew");
   const std::int64_t brownout = flags.get_int("brownout_slot");
   cfg.faults.brownout_slot =
-      brownout < 0 ? kNoSlot : static_cast<SlotIndex>(brownout);
+      brownout == -1 ? kNoSlot : static_cast<SlotIndex>(brownout);
   cfg.faults.brownout_fraction = flags.get_double("brownout_fraction");
   cfg.faults.brownout_factor = flags.get_double("brownout_factor");
 
