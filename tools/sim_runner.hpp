@@ -100,7 +100,7 @@ inline void add_shared_flags(FlagSet& flags, std::int64_t trials,
   flags.add_int("max_retries", 0,
                 "re-run a trial that dies on a contract failure or exception "
                 "up to this many times with a reseeded stream",
-                0);
+                0, UINT32_MAX);
   flags.add_int("threads", 0,
                 "worker threads (0 = all CPUs in the process affinity mask); "
                 "with rcb_sweep --workers, threads per worker process",
