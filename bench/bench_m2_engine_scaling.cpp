@@ -478,10 +478,10 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
         ThreadPool::global().num_threads());
   }
 
-  // Journal commit strategy: N records through the synchronous per-record
-  // flushed append vs the asynchronous group-commit writer (one flush per
-  // drained batch).  Same bytes on disk either way (append_batch is framed
-  // identically); the difference is pure flush amortisation.
+  // Journal commit strategy: N records as N synchronous one-record batches
+  // (one flush each) vs the asynchronous group-commit writer (one flush per
+  // drained batch).  Same bytes on disk either way; the difference is pure
+  // flush amortisation.
   {
     const std::uint64_t n_records = full ? 16384 : 4096;
     Scenario s;
@@ -515,7 +515,9 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
           CheckpointWriter w;
           if (!w.create(dir, s).empty()) return std::uint64_t{0};
           for (std::uint64_t t = 0; t < n_records; ++t) {
-            if (!w.append(make_record(t)).empty()) return std::uint64_t{0};
+            if (!w.append_batch({make_record(t)}).empty()) {
+              return std::uint64_t{0};
+            }
           }
           w.sync();
           w.close();

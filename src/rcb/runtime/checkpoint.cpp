@@ -14,6 +14,7 @@
 #include "rcb/cli/json.hpp"
 #include "rcb/cli/json_parse.hpp"
 #include "rcb/common/mathutil.hpp"
+#include "rcb/runtime/frame.hpp"
 #include "rcb/runtime/retry_io.hpp"
 
 namespace rcb {
@@ -22,8 +23,6 @@ const char kCheckpointJournalFile[] = "journal.rcbj";
 const char kCheckpointManifestFile[] = "manifest.json";
 
 namespace {
-
-constexpr std::string_view kFramePrefix = "RCBJ ";
 
 std::string errno_string() { return std::strerror(errno); }
 
@@ -38,17 +37,6 @@ int injected_write_errno(std::size_t bytes) {
     hook = g_write_fault;
   }
   return hook ? hook(bytes) : 0;
-}
-
-bool read_file(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char buf[1 << 16];
-  std::size_t got;
-  while ((got = retry_fread(f, buf, sizeof buf)) > 0) out.append(buf, got);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
 }
 
 /// fsync a stdio stream (no-op on platforms without fileno/fsync).
@@ -336,10 +324,8 @@ CheckpointLoadResult load_checkpoint(const std::string& dir) {
   const std::string manifest_path =
       dir + "/" + kCheckpointManifestFile;
   std::string manifest;
-  if (!read_file(manifest_path, manifest)) {
-    r.error = "cannot read checkpoint manifest '" + manifest_path + "'";
-    return r;
-  }
+  r.error = read_file_fully(manifest_path, manifest, "checkpoint manifest");
+  if (!r.error.empty()) return r;
 
   const JsonParseResult parsed = json_parse(manifest);
   if (!parsed.ok || !parsed.value.is_object()) {
@@ -381,138 +367,67 @@ CheckpointLoadResult load_checkpoint(const std::string& dir) {
     return r;
   }
 
-  std::string journal;
   const std::string journal_path =
       dir + "/" + kCheckpointJournalFile;
-  if (!read_file(journal_path, journal)) {
-    // A manifest with no journal yet is a checkpoint that was killed
-    // between manifest creation and the first append — resumable, empty.
+  // A manifest with no journal yet is a checkpoint that was killed between
+  // manifest creation and the first append — resumable, empty.  A journal
+  // that exists but cannot be read is refused, never resumed as empty.
+  std::error_code ec;
+  if (!std::filesystem::exists(journal_path, ec)) {
     r.ok = true;
     return r;
   }
+  std::string journal;
+  r.error = read_file_fully(journal_path, journal, "checkpoint journal");
+  if (!r.error.empty()) return r;
 
   std::vector<bool> seen;  // trial-index bitmap for duplicate detection
   std::size_t off = 0;
-  std::size_t frame_index = 0;
   while (off < journal.size()) {
-    const std::string_view rest = std::string_view(journal).substr(off);
-    auto corrupt = [&](const std::string& why) {
-      r.ok = false;
-      r.error = "journal record " + std::to_string(frame_index) + ": " + why;
+    const auto corrupt = [&](const std::string& why) {
+      r.error =
+          "journal record " + std::to_string(r.records.size()) + ": " + why;
+      return std::move(r);
     };
-    // Header: "RCBJ <len> <hex16> ".  A frame that deviates from the
-    // grammar *before* EOF is corruption; one that runs out of bytes is a
-    // truncated tail (killed mid-append) and is recoverable.
-    const std::size_t avail = rest.size();
-    const std::size_t cmp = std::min(avail, kFramePrefix.size());
-    if (rest.substr(0, cmp) != kFramePrefix.substr(0, cmp)) {
-      corrupt("bad frame prefix");
-      return r;
+    // A frame cut short by EOF is a truncated tail (killed mid-append) and
+    // is recoverable; any other deviation from the grammar is corruption.
+    const FrameRead frame =
+        read_frame(std::string_view(journal).substr(off), kJournalFrameMagic);
+    if (frame.status == FrameRead::Status::kNeedMore) break;
+    if (frame.status == FrameRead::Status::kCorrupt) {
+      return corrupt(frame.error);
     }
-    if (avail < kFramePrefix.size()) break;  // truncated inside the prefix
-    std::size_t i = kFramePrefix.size();
-    std::uint64_t len = 0;
-    std::size_t len_digits = 0;
-    while (i < avail && rest[i] >= '0' && rest[i] <= '9') {
-      len = len * 10 + static_cast<std::uint64_t>(rest[i] - '0');
-      if (++len_digits > 9) {
-        corrupt("frame length out of range");
-        return r;
-      }
-      ++i;
-    }
-    if (i >= avail) break;  // truncated inside the length
-    if (len_digits == 0 || rest[i] != ' ') {
-      corrupt("malformed frame length");
-      return r;
-    }
-    ++i;
-    if (avail - i < 16) {
-      // Could still be a prefix of a valid digest: truncation only if every
-      // remaining byte is hex, corruption otherwise.
-      std::uint64_t ignored = 0;
-      if (avail == i || parse_hex_u64(rest.substr(i), ignored)) break;
-      corrupt("malformed frame digest");
-      return r;
-    }
-    std::uint64_t frame_digest = 0;
-    if (!parse_hex_u64(rest.substr(i, 16), frame_digest)) {
-      corrupt("malformed frame digest");
-      return r;
-    }
-    i += 16;
-    if (i >= avail) break;  // truncated before the payload separator
-    if (rest[i] != ' ') {
-      corrupt("malformed frame header");
-      return r;
-    }
-    ++i;
-    if (avail - i < len + 1) break;  // truncated inside the payload
-    const std::string_view payload = rest.substr(i, len);
-    if (rest[i + len] != '\n') {
-      corrupt("payload not newline-terminated");
-      return r;
-    }
-    if (fnv1a64(payload) != frame_digest) {
-      corrupt("payload digest mismatch (flipped byte?)");
-      return r;
-    }
-
     CheckpointRecord rec;
     std::uint64_t rec_digest = 0;
-    const std::string perr =
-        parse_journal_record_payload(payload, rec, rec_digest);
-    if (!perr.empty()) {
-      corrupt(perr);
-      return r;
+    if (const std::string perr =
+            parse_journal_record_payload(frame.payload, rec, rec_digest);
+        !perr.empty()) {
+      return corrupt(perr);
     }
     if (rec_digest != r.scenario_digest) {
-      corrupt(
+      return corrupt(
           "scenario digest mismatch: record was written for a different "
           "scenario than the manifest describes");
-      return r;
     }
     if (rec.trial >= r.scenario.trials) {
-      corrupt("trial index " + std::to_string(rec.trial) +
-              " out of range for " + std::to_string(r.scenario.trials) +
-              " trials");
-      return r;
+      return corrupt("trial index " + std::to_string(rec.trial) +
+                     " out of range for " +
+                     std::to_string(r.scenario.trials) + " trials");
     }
     if (seen.size() < r.scenario.trials) seen.resize(r.scenario.trials);
     if (seen[rec.trial]) {
-      corrupt("duplicate trial index " + std::to_string(rec.trial));
-      return r;
+      return corrupt("duplicate trial index " + std::to_string(rec.trial));
     }
     seen[rec.trial] = true;
 
     r.records.push_back(std::move(rec));
-    off += i + len + 1;
-    ++frame_index;
+    off += frame.consumed;
   }
   r.truncated_tail = off < journal.size();
   r.journal_valid_bytes = off;
   r.ok = true;
   return r;
 }
-
-namespace {
-
-/// Appends one framed record to `out` (shared by append / append_batch so
-/// the two paths are byte-identical by construction).
-void append_frame(std::string& out, const CheckpointRecord& rec,
-                  std::uint64_t scenario_dig) {
-  const std::string payload = journal_record_payload(rec, scenario_dig);
-  out.reserve(out.size() + payload.size() + 32);
-  out += kFramePrefix;
-  out += std::to_string(payload.size());
-  out += ' ';
-  out += to_hex16(fnv1a64(payload));
-  out += ' ';
-  out += payload;
-  out += '\n';
-}
-
-}  // namespace
 
 CheckpointWriter::~CheckpointWriter() { close(); }
 
@@ -596,27 +511,14 @@ std::string CheckpointWriter::open_for_append(const std::string& dir,
   return "";
 }
 
-std::string CheckpointWriter::append(const CheckpointRecord& rec) {
-  if (file_ == nullptr) return "checkpoint writer is not open";
-  std::string frame;
-  append_frame(frame, rec, scenario_digest_);
-  if (const int err = injected_write_errno(frame.size()); err != 0) {
-    return "journal append failed: " + std::string(std::strerror(err));
-  }
-  if (!retry_fwrite(file_, frame.data(), frame.size()) ||
-      retry_fflush(file_) != 0) {
-    return "journal append failed: " + errno_string();
-  }
-  return "";
-}
-
 std::string CheckpointWriter::append_batch(
     const std::vector<CheckpointRecord>& recs) {
   if (recs.empty()) return "";
   if (file_ == nullptr) return "checkpoint writer is not open";
   std::string frames;
   for (const CheckpointRecord& rec : recs) {
-    append_frame(frames, rec, scenario_digest_);
+    append_frame(frames, kJournalFrameMagic,
+                 journal_record_payload(rec, scenario_digest_));
   }
   if (const int err = injected_write_errno(frames.size()); err != 0) {
     return "journal append failed: " + std::string(std::strerror(err));

@@ -9,18 +9,19 @@
 //
 // The manifest is written atomically (temp file + fsync + rename), so a
 // reader either sees the complete manifest or none.  Journal records are
-// length/digest framed text lines:
+// frames of runtime/frame.hpp, the codec the control plane shares (digest
+// over the payload bytes, length at most kMaxFramePayload = 64 KiB):
 //
 //   RCBJ <payload-bytes> <fnv1a-hex16> <payload-json>\n
 //
-// where the digest covers the payload bytes.  A process killed mid-append
-// leaves at most one partial frame at the tail; the loader detects it,
-// reports it, and resumes from the last good record (the writer truncates
-// the partial tail before appending).  A flipped byte inside a *complete*
-// frame, a duplicate trial index, or a record whose scenario_digest does
-// not match the manifest are corruption, not truncation: the loader
-// refuses them, because silently resuming against the wrong data would
-// fabricate experiment results.
+// A process killed mid-append leaves at most one partial frame at the
+// tail, which the frame reader calls need-more; the loader reports a
+// truncated tail and resumes from the last good record (the writer
+// truncates the partial tail before appending).  A flipped byte inside a
+// *complete* frame, a length past the cap, a duplicate trial index, or a
+// record whose scenario_digest does not match the manifest are corruption,
+// not truncation: the loader refuses them, because silently resuming
+// against the wrong data would fabricate experiment results.
 //
 // The payload has one canonical layout, written by one writer
 // (journal_record_payload) and read by one strict reader
@@ -100,7 +101,7 @@ struct CheckpointLoadResult {
 };
 
 /// The canonical journal payload of `rec` (the layout above), stamped with
-/// `scenario_digest`.  The frame around it is added by CheckpointWriter.
+/// `scenario_digest`.  CheckpointWriter wraps it in an RCBJ frame.
 std::string journal_record_payload(const CheckpointRecord& rec,
                                    std::uint64_t scenario_digest);
 
@@ -118,7 +119,7 @@ std::string parse_journal_record_payload(std::string_view payload,
 CheckpointLoadResult load_checkpoint(const std::string& dir);
 
 /// Appends framed trial records to a checkpoint journal.  Not thread-safe;
-/// the supervisor serialises appends.  Each append is flushed to the OS
+/// the supervisor serialises appends.  Each batch is flushed to the OS
 /// (surviving process death); sync() additionally fsyncs (surviving power
 /// loss) and is called by the supervisor at shutdown/final flush.
 class CheckpointWriter {
@@ -142,13 +143,8 @@ class CheckpointWriter {
   std::string open_for_append(const std::string& dir, std::uint64_t digest,
                               std::uint64_t valid_bytes);
 
-  /// Appends one framed record and flushes it to the OS.
-  std::string append(const CheckpointRecord& rec);
-
-  /// Group commit: appends all records as consecutive frames with a single
-  /// flush at the end.  The journal bytes are identical to calling append()
-  /// once per record; the difference is one fwrite+fflush instead of n, so
-  /// the per-record durability cost is amortised across the batch.
+  /// Appends the records as consecutive frames with one fwrite+fflush.
+  /// The bytes do not depend on how records are grouped into batches.
   std::string append_batch(const std::vector<CheckpointRecord>& recs);
 
   /// fsyncs the journal file.

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstring>
 #include <mutex>
 
 namespace rcb {
@@ -157,20 +158,29 @@ int retry_fflush(std::FILE* f) {
   }
 }
 
-std::string read_file_fully(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return "cannot open " + path;
-  out.clear();
+std::string read_stream_fully(std::FILE* f, std::string& out) {
   char buf[1 << 16];
-  for (;;) {
-    const std::size_t got = retry_fread(f, buf, sizeof buf);
+  std::size_t got;
+  do {
+    got = retry_fread(f, buf, sizeof buf);
+    if (std::ferror(f) != 0) return std::strerror(errno);
     out.append(buf, got);
-    if (got < sizeof buf) break;
-  }
-  const bool bad = std::ferror(f) != 0;
-  std::fclose(f);
-  if (bad) return "read error on " + path;
+  } while (got == sizeof buf);
   return "";
+}
+
+std::string read_file_fully(const std::string& path, std::string& out,
+                            std::string_view what) {
+  out.clear();
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  const bool opened = f != nullptr;
+  const std::string err = opened ? read_stream_fully(f, out)
+                                 : std::string(std::strerror(errno));
+  if (opened) std::fclose(f);
+  if (err.empty()) return "";
+  return (opened ? "cannot read " : "cannot open ") +
+         (what.empty() ? "" : std::string(what) + " ") + "'" + path +
+         "': " + err;
 }
 
 }  // namespace rcb

@@ -1,6 +1,6 @@
 // EINTR- and short-transfer-safe I/O helpers shared by every runtime path
 // that touches file descriptors or stdio streams (checkpoint journals and
-// the worker control connections).
+// the worker control connections), and the one whole-file reader.
 //
 // POSIX read/write may transfer fewer bytes than asked or fail with EINTR
 // when a signal lands mid-call — and this codebase installs SIGINT/SIGTERM
@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <string_view>
 
 namespace rcb {
 
@@ -61,8 +62,13 @@ std::size_t retry_fread(std::FILE* f, void* buf, std::size_t n);
 /// fflush() retried on EINTR.  Returns 0 on success, EOF on error.
 int retry_fflush(std::FILE* f);
 
-/// Reads the whole file into `out` with EINTR-safe stdio.  Returns "" or
-/// an error description.
-std::string read_file_fully(const std::string& path, std::string& out);
+/// Appends everything left in `f` to `out` with EINTR-safe stdio.  Returns
+/// "" at EOF or the reason the read failed.
+std::string read_stream_fully(std::FILE* f, std::string& out);
+
+/// Replaces `out` with the file at `path`.  Returns "" or "cannot open|read
+/// <what> '<path>': <reason>" (a directory opens, then fails to read).
+std::string read_file_fully(const std::string& path, std::string& out,
+                            std::string_view what = {});
 
 }  // namespace rcb

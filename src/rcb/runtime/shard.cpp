@@ -161,10 +161,8 @@ ShardSpecLoadResult load_shard_spec(const std::string& root) {
   ShardSpecLoadResult out;
   const std::string path = shard_spec_path(root);
   std::string text;
-  if (const std::string err = read_file_fully(path, text); !err.empty()) {
-    out.error = err;
-    return out;
-  }
+  out.error = read_file_fully(path, text);
+  if (!out.error.empty()) return out;
   const JsonParseResult parsed = json_parse(text);
   if (!parsed.ok) {
     out.error = path + ": " + parsed.error;
@@ -566,17 +564,8 @@ ShardMergeResult merge_shard_journals(const std::string& root,
   for (std::size_t p = 0; p < out.points.size(); ++p) {
     SweepResult& res = out.points[p];
     res.scenario = spec.points[p];
-    std::sort(res.records.begin(), res.records.end(),
-              [](const CheckpointRecord& a, const CheckpointRecord& b) {
-                return a.trial < b.trial;
-              });
     res.resumed = res.records.size();
-    for (const CheckpointRecord& rec : res.records) {
-      if (rec.status == "timed_out") ++res.timed_out;
-      if (rec.status == "failed") ++res.failed_trials;
-    }
-    res.aggregate_digest = aggregate_digest(res.records);
-    res.ok = true;
+    finalize_sweep_result(res);
   }
   out.ok = true;
   return out;

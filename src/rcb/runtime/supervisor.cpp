@@ -200,6 +200,19 @@ std::uint64_t aggregate_digest(const std::vector<CheckpointRecord>& records) {
   return h;
 }
 
+void finalize_sweep_result(SweepResult& res) {
+  std::sort(res.records.begin(), res.records.end(),
+            [](const CheckpointRecord& a, const CheckpointRecord& b) {
+              return a.trial < b.trial;
+            });
+  for (const CheckpointRecord& rec : res.records) {
+    if (rec.status == "timed_out") ++res.timed_out;
+    if (rec.status == "failed") ++res.failed_trials;
+  }
+  res.aggregate_digest = aggregate_digest(res.records);
+  res.ok = true;
+}
+
 void request_sweep_shutdown() {
   g_shutdown.store(true, std::memory_order_release);
 }
@@ -423,17 +436,8 @@ void finalize_point(PointState& st, SweepResult& result) {
   result.records.insert(result.records.end(),
                         std::make_move_iterator(st.fresh.begin()),
                         std::make_move_iterator(st.fresh.end()));
-  std::sort(result.records.begin(), result.records.end(),
-            [](const CheckpointRecord& a, const CheckpointRecord& b) {
-              return a.trial < b.trial;
-            });
-  for (const CheckpointRecord& rec : result.records) {
-    if (rec.status == "timed_out") ++result.timed_out;
-    if (rec.status == "failed") ++result.failed_trials;
-  }
   result.interrupted = result.records.size() < (st.end - st.begin);
-  result.aggregate_digest = aggregate_digest(result.records);
-  result.ok = true;
+  finalize_sweep_result(result);
 }
 
 }  // namespace

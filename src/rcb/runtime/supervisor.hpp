@@ -160,6 +160,11 @@ std::vector<SweepResult> run_supervised_sweep_points(
 /// FNV-1a over (trial, digest) pairs; `records` must be sorted by trial.
 std::uint64_t aggregate_digest(const std::vector<CheckpointRecord>& records);
 
+/// Sorts `res.records` by trial, counts the timed_out and failed ones, sets
+/// aggregate_digest and marks `res` ok: the last step of every per-point
+/// result, run in-process or merged from shard journals.
+void finalize_sweep_result(SweepResult& res);
+
 /// Asks every running supervised sweep to stop dispatching new trials.
 /// Async-signal-safe.
 void request_sweep_shutdown();

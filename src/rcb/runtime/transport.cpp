@@ -8,65 +8,41 @@
 #include <sys/prctl.h>
 #endif
 
-#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 #include "rcb/cli/json.hpp"
 #include "rcb/cli/json_parse.hpp"
 #include "rcb/common/mathutil.hpp"
 #include "rcb/rng/rng.hpp"
+#include "rcb/runtime/frame.hpp"
 
 namespace rcb {
 
 // ---------------------------------------------------------------------------
 // Control-frame codec.
 
-const char* ctrl_type_name(CtrlType type) {
-  switch (type) {
-    case CtrlType::kHello:
-      return "hello";
-    case CtrlType::kHeartbeat:
-      return "heartbeat";
-    case CtrlType::kProgress:
-      return "progress";
-    case CtrlType::kComplete:
-      return "complete";
-    case CtrlType::kFailed:
-      return "failed";
-    case CtrlType::kAssign:
-      return "assign";
-    case CtrlType::kAck:
-      return "ack";
-    case CtrlType::kAbandon:
-      return "abandon";
-    case CtrlType::kShutdown:
-      return "shutdown";
-  }
-  return "?";
-}
-
 namespace {
 
+/// Wire names, in CtrlType order.
+constexpr const char* kCtrlTypeNames[] = {
+    "hello",    "heartbeat", "progress", "complete", "failed",
+    "assign",   "ack",       "abandon",  "shutdown",
+};
+static_assert(std::size(kCtrlTypeNames) ==
+              static_cast<std::size_t>(CtrlType::kShutdown) + 1);
+
 bool ctrl_type_from_name(std::string_view name, CtrlType& out) {
-  static constexpr CtrlType kAll[] = {
-      CtrlType::kHello,  CtrlType::kHeartbeat, CtrlType::kProgress,
-      CtrlType::kComplete, CtrlType::kFailed,  CtrlType::kAssign,
-      CtrlType::kAck,    CtrlType::kAbandon,   CtrlType::kShutdown,
-  };
-  for (const CtrlType t : kAll) {
-    if (name == ctrl_type_name(t)) {
-      out = t;
+  for (std::size_t i = 0; i < std::size(kCtrlTypeNames); ++i) {
+    if (name == kCtrlTypeNames[i]) {
+      out = static_cast<CtrlType>(i);
       return true;
     }
   }
   return false;
 }
-
-/// Payload limit: control messages are a few hundred bytes (the largest
-/// carries a filesystem path); anything bigger is a framing desync.
-constexpr std::size_t kMaxCtrlPayload = 1 << 16;
 
 std::string decode_ctrl_payload(std::string_view payload, CtrlMessage& out) {
   const JsonParseResult parsed = json_parse(payload);
@@ -110,6 +86,11 @@ std::string decode_ctrl_payload(std::string_view payload, CtrlMessage& out) {
 
 }  // namespace
 
+const char* ctrl_type_name(CtrlType type) {
+  const auto i = static_cast<std::size_t>(type);
+  return i < std::size(kCtrlTypeNames) ? kCtrlTypeNames[i] : "?";
+}
+
 std::string encode_ctrl_frame(const CtrlMessage& m) {
   std::string payload;
   JsonWriter w(payload);
@@ -125,13 +106,8 @@ std::string encode_ctrl_frame(const CtrlMessage& m) {
   if (!m.root.empty()) w.key("root").value(m.root);
   if (!m.error.empty()) w.key("err").value(m.error);
   w.end_object();
-  std::string frame = "RCBC ";
-  frame += std::to_string(payload.size());
-  frame += ' ';
-  frame += to_hex16(fnv1a64(payload));
-  frame += ' ';
-  frame += payload;
-  frame += '\n';
+  std::string frame;
+  append_frame(frame, kControlFrameMagic, payload);
   return frame;
 }
 
@@ -140,62 +116,21 @@ void CtrlFrameDecoder::feed(const char* data, std::size_t n) {
 }
 
 int CtrlFrameDecoder::next(CtrlMessage& out, std::string& error) {
-  const std::string_view v(buf_.data() + off_, buf_.size() - off_);
-  if (v.size() < 5) return 0;
-  if (v.substr(0, 5) != "RCBC ") {
-    error = "control frame: bad magic";
-    return -1;
-  }
-  std::size_t i = 5;
-  std::size_t len = 0;
-  std::size_t digits = 0;
-  while (i < v.size() &&
-         std::isdigit(static_cast<unsigned char>(v[i])) != 0) {
-    len = len * 10 + static_cast<std::size_t>(v[i] - '0');
-    ++i;
-    if (++digits > 7) {
-      error = "control frame: oversized length field";
-      return -1;
-    }
-  }
-  if (i >= v.size()) return 0;
-  if (digits == 0 || v[i] != ' ') {
-    error = "control frame: malformed length";
-    return -1;
-  }
-  if (len > kMaxCtrlPayload) {
-    error = "control frame: payload too large";
-    return -1;
-  }
-  ++i;
-  if (v.size() - i < 17) return 0;
-  std::uint64_t sum = 0;
-  if (!parse_hex_u64(v.substr(i, 16), sum)) {
-    error = "control frame: malformed checksum";
-    return -1;
-  }
-  i += 16;
-  if (v[i] != ' ') {
-    error = "control frame: malformed header";
-    return -1;
-  }
-  ++i;
-  if (v.size() - i < len + 1) return 0;
-  const std::string_view payload = v.substr(i, len);
-  if (v[i + len] != '\n') {
-    error = "control frame: missing terminator";
-    return -1;
-  }
-  if (fnv1a64(payload) != sum) {
-    error = "control frame: checksum mismatch";
+  const FrameRead frame = read_frame(
+      std::string_view(buf_.data() + off_, buf_.size() - off_),
+      kControlFrameMagic);
+  if (frame.status == FrameRead::Status::kNeedMore) return 0;
+  if (frame.status == FrameRead::Status::kCorrupt) {
+    error = std::string("control frame: ") + frame.error;
     return -1;
   }
   out = CtrlMessage{};
-  if (std::string err = decode_ctrl_payload(payload, out); !err.empty()) {
+  if (std::string err = decode_ctrl_payload(frame.payload, out);
+      !err.empty()) {
     error = std::move(err);
     return -1;
   }
-  off_ += i + len + 1;
+  off_ += frame.consumed;
   if (off_ > (1u << 16)) {
     buf_.erase(0, off_);
     off_ = 0;
@@ -225,21 +160,11 @@ NetFaultConfig NetFaultConfig::chaos(std::uint64_t seed, double rate) {
 }
 
 const char* net_fault_action_name(NetFaultAction a) {
-  switch (a) {
-    case NetFaultAction::kDeliver:
-      return "deliver";
-    case NetFaultAction::kDrop:
-      return "drop";
-    case NetFaultAction::kDelay:
-      return "delay";
-    case NetFaultAction::kDuplicate:
-      return "duplicate";
-    case NetFaultAction::kReorder:
-      return "reorder";
-    case NetFaultAction::kClose:
-      return "close";
-  }
-  return "?";
+  // In NetFaultAction order.
+  static constexpr const char* kNames[] = {"deliver",   "drop",    "delay",
+                                           "duplicate", "reorder", "close"};
+  const auto i = static_cast<std::size_t>(a);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 NetFaultAction NetFaultPlan::next(CtrlType type) {

@@ -15,14 +15,15 @@
 //
 // Control protocol
 //
-// Every message is one frame, reusing the RCBJ journal framing grammar:
+// Every message is one frame of runtime/frame.hpp, with the journal's
+// limits (length at most kMaxFramePayload = 64 KiB) under its own magic:
 //
 //   RCBC <payload-bytes> <fnv1a-hex16> <payload-json>\n
 //
 // A frame that fails its checksum or deviates from the grammar poisons the
 // connection (an attached peer reconnects and state reconciles, a spawned
-// one is replaced); a frame cut short by a partition simply waits for more
-// bytes.  Messages are *idempotent
+// one is replaced); a frame cut short by a partition reads as need-more
+// and waits for more bytes.  Messages are *idempotent
 // status reconciliation*, not RPCs: workers retransmit their state with
 // every heartbeat tick, and the coordinator re-issues directives whenever
 // a worker's claimed state disagrees with its own — so any individual

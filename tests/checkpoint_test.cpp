@@ -100,12 +100,13 @@ class CheckpointTest : public ::testing::Test {
     out << text;
   }
 
-  /// Creates a checkpoint holding records for the given trials.
+  /// Creates a checkpoint holding records for the given trials, appended
+  /// one record per batch (one flushed append each).
   void make_checkpoint(const std::vector<std::uint64_t>& trials) {
     CheckpointWriter writer;
     ASSERT_EQ(writer.create(dir_, test_scenario()), "");
     for (const std::uint64_t t : trials) {
-      ASSERT_EQ(writer.append(test_record(t)), "");
+      ASSERT_EQ(writer.append_batch({test_record(t)}), "");
     }
     writer.close();
   }
@@ -163,6 +164,19 @@ TEST_F(CheckpointTest, MissingJournalLoadsEmpty) {
   EXPECT_FALSE(loaded.truncated_tail);
 }
 
+TEST_F(CheckpointTest, UnreadableJournalIsRefusedNotLoadedEmpty) {
+  // Loaded as empty, a journal that exists but cannot be read would be
+  // truncated to zero by the resuming writer.
+  make_checkpoint({0, 1});
+  fs::remove(journal_path());
+  fs::create_directory(journal_path());
+  const CheckpointLoadResult loaded = load_checkpoint(dir_);
+  EXPECT_FALSE(loaded.ok);
+  EXPECT_NE(loaded.error.find("cannot read checkpoint journal"),
+            std::string::npos)
+      << loaded.error;
+}
+
 TEST_F(CheckpointTest, MissingManifestFails) {
   const CheckpointLoadResult loaded = load_checkpoint(dir_);
   EXPECT_FALSE(loaded.ok);
@@ -186,7 +200,7 @@ TEST_F(CheckpointTest, TruncatedTailIsRecoverable) {
   ASSERT_EQ(writer.open_for_append(dir_, loaded.scenario_digest,
                                    loaded.journal_valid_bytes),
             "");
-  ASSERT_EQ(writer.append(test_record(2)), "");
+  ASSERT_EQ(writer.append_batch({test_record(2)}), "");
   writer.close();
   const CheckpointLoadResult reloaded = load_checkpoint(dir_);
   ASSERT_TRUE(reloaded.ok) << reloaded.error;
@@ -280,8 +294,8 @@ TEST_F(CheckpointTest, GarbagePrefixIsCorruptionNotTruncation) {
 }
 
 TEST_F(CheckpointTest, AppendBatchBytesMatchPerRecordAppends) {
-  // Group commit must not change the on-disk format: one append_batch and
-  // n appends have to produce identical journals.
+  // Group commit must not change the on-disk format: one N-record batch
+  // and N one-record batches have to produce identical journals.
   make_checkpoint({0, 3, 5, 1});
   const std::string per_record = read_file(journal_path());
 
@@ -301,7 +315,7 @@ TEST_F(CheckpointTest, WriterIsMovable) {
   CheckpointWriter b = std::move(a);
   EXPECT_FALSE(a.active());  // NOLINT(bugprone-use-after-move): tested
   ASSERT_TRUE(b.active());
-  ASSERT_EQ(b.append(test_record(0)), "");
+  ASSERT_EQ(b.append_batch({test_record(0)}), "");
   b.close();
   const CheckpointLoadResult loaded = load_checkpoint(dir_);
   ASSERT_TRUE(loaded.ok) << loaded.error;
@@ -394,11 +408,11 @@ TEST_F(CheckpointTest, StaleManifestTmpFromCrashWindowIsCleanedUp) {
 TEST_F(CheckpointTest, InjectedWriteFaultFailsAppendWithoutWriting) {
   CheckpointWriter writer;
   ASSERT_EQ(writer.create(dir_, test_scenario()), "");
-  ASSERT_EQ(writer.append(test_record(0)), "");
+  ASSERT_EQ(writer.append_batch({test_record(0)}), "");
   const std::string before = read_file(journal_path());
 
   set_checkpoint_write_fault([](std::size_t) { return ENOSPC; });
-  const std::string err = writer.append(test_record(1));
+  const std::string err = writer.append_batch({test_record(1)});
   set_checkpoint_write_fault(nullptr);
   EXPECT_NE(err.find("journal append failed"), std::string::npos) << err;
   EXPECT_EQ(read_file(journal_path()), before);  // failed write wrote nothing
@@ -478,9 +492,7 @@ TEST_F(CheckpointTest, FixtureJournalReEncodesByteIdentically) {
 
   CheckpointWriter writer;
   ASSERT_EQ(writer.create(dir_, fixture.scenario), "");
-  for (const CheckpointRecord& rec : fixture.records) {
-    ASSERT_EQ(writer.append(rec), "");
-  }
+  ASSERT_EQ(writer.append_batch(fixture.records), "");
   writer.close();
   EXPECT_EQ(read_file(manifest_path()),
             read_file((kFixtureDir / kCheckpointManifestFile).string()));

@@ -2,8 +2,9 @@
 # Golden-output test for the command-line tools.  Runs one small
 # fixed-seed case of rcb_sim or rcb_sweep and compares its stdout byte for
 # byte with tests/cli_golden/<case>.out; a reject_* case must instead exit
-# 1 with empty stdout.  Each case is its own ctest and works in its own
-# temp dir, so the cases run safely under ctest -j.
+# 1 with empty stdout, and with `want_err` in its stderr when the case sets
+# it.  Each case is its own ctest and works in its own temp dir, so the
+# cases run safely under ctest -j.
 #
 #   tests/cli_golden.sh <case> <tools bin dir> <golden dir>          # compare
 #   tests/cli_golden.sh <case> <tools bin dir> <golden dir> print    # stdout
@@ -69,12 +70,22 @@ run_case() {
       "$sweep" "${bcast[@]}" --sweep=budget --values=1024,-1 ;;
     reject_sweep_budget_huge)
       "$sweep" "${bcast[@]}" --sweep=budget --values=1024,1e30 ;;
+    # A file that opens but cannot be read is named as such, not parsed as
+    # empty input.
+    reject_sim_config_dir)
+      want_err="cannot read config file '$work': "
+      "$sim" --config="$work" ;;
+    reject_replay_record_dir)
+      want_err="cannot read record file '$work': "
+      "$bin/rcb_replay" --record="$work" ;;
     *) echo "unknown case '$name'" >&2; return 2 ;;
   esac
 }
 
 rc=0
-run_case >"$work/stdout" || rc=$?
+want_err=""
+run_case >"$work/stdout" 2>"$work/stderr" || rc=$?
+cat "$work/stderr" >&2
 if [[ "$mode" == print ]]; then
   cat "$work/stdout"
   exit "$rc"
@@ -83,6 +94,10 @@ if [[ "$name" == reject_* ]]; then
   if [[ "$rc" -ne 1 || -s "$work/stdout" ]]; then
     echo "case $name: exit $rc with $(wc -c <"$work/stdout") bytes of" \
       "stdout, want exit 1 and none" >&2
+    exit 1
+  fi
+  if [[ -n "$want_err" ]] && ! grep -qF -- "$want_err" "$work/stderr"; then
+    echo "case $name: stderr does not contain \"$want_err\"" >&2
     exit 1
   fi
   exit 0

@@ -450,7 +450,7 @@ TEST_F(SupervisorTest, ClaimingTasksRunEveryMissingTrialExactlyOnce) {
         CheckpointRecord rec;
         rec.trial = t;
         rec.outcome = run_scenario_trial(resumed, t);
-        ASSERT_EQ(writer.append(rec), "");
+        ASSERT_EQ(writer.append_batch({rec}), "");
         journaled.insert(t);
       }
       ASSERT_EQ(writer.sync(), "");

@@ -322,7 +322,7 @@ TEST_F(EintrStormTest, JournalAppendsSurviveStorm) {
     CheckpointRecord rec;
     rec.trial = t;
     rec.outcome = run_scenario_trial(s, t);
-    ASSERT_EQ(w.append(rec), "");
+    ASSERT_EQ(w.append_batch({rec}), "");
   }
   set_io_fault(nullptr);
 
@@ -542,7 +542,7 @@ TEST_F(AdoptedScanTest, AppendToAdoptedJournalIsRefused) {
   CheckpointRecord rec;
   rec.trial = 0;
   rec.outcome = run_scenario_trial(spec_.points[0], 0);
-  ASSERT_EQ(w.append(rec), "");
+  ASSERT_EQ(w.append_batch({rec}), "");
   w.close();
 
   const ShardMergeResult merged =

@@ -21,6 +21,7 @@
 
 #include "rcb/cli/flags.hpp"
 #include "rcb/cli/json_parse.hpp"
+#include "rcb/runtime/retry_io.hpp"
 #include "rcb/stats/table.hpp"
 
 namespace rcb {
@@ -33,21 +34,11 @@ struct Entry {
   double events_per_sec = 0;
 };
 
-bool read_file(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char buf[4096];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, got);
-  std::fclose(f);
-  return true;
-}
-
 /// Loads a report; returns false after a diagnostic on any malformed input.
 bool load_report(const std::string& path, std::map<std::string, Entry>& out) {
   std::string text;
-  if (!read_file(path, text)) {
-    std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
+  if (const std::string err = read_file_fully(path, text); !err.empty()) {
+    std::fprintf(stderr, "%s\n", err.c_str());
     return false;
   }
   const JsonParseResult parsed = json_parse(text);

@@ -3,8 +3,8 @@
 # then take a quick perf reading and diff it against the committed baseline.
 #
 #   tools/ci.sh            # all configs + quick bench + quick fuzz
-#   tools/ci.sh plain      # RelWithDebInfo only (+ quick bench + quick fuzz
-#                          #   + perfbench pinned digests)
+#   tools/ci.sh plain      # header lint, then RelWithDebInfo (+ quick bench
+#                          #   + quick fuzz + perfbench pinned digests)
 #   tools/ci.sh sanitize   # ASan+UBSan only (no bench — numbers meaningless)
 #   tools/ci.sh tsan       # ThreadSanitizer, concurrency test binaries only
 #   tools/ci.sh chaos_net  # control-plane chaos only (needs build/)
@@ -443,6 +443,18 @@ fuzz_stage() {
   fi
 }
 
+# Header reachability: a src/rcb/ header that only its own .cpp includes
+# (in src/, tools/, bench/, examples/ or perfbench/) is code no program runs.
+header_reachability() {
+  local h n unreached=0
+  for h in $(cd "$repo/src" && find rcb -name '*.hpp' | sort); do
+    n=$(cd "$repo" && grep -rlF --include='*.[ch]pp' "#include \"$h\"" src \
+          tools bench examples perfbench | grep -cvxF "src/${h%.hpp}.cpp" || true)
+    [[ "$n" != 0 ]] || { echo "lint: src/$h has no includer"; unreached=1; }
+  done
+  return "$unreached"
+}
+
 # perfbench pins: build the end-to-end benchmark from this checkout into
 # build/perfbench and run every workload untraced for its minimum three
 # sweeps.  rcb_perfbench exits non-zero when any check fails (a pinned
@@ -461,6 +473,8 @@ perfbench_pins() {
 }
 
 if [[ "$what" == "all" || "$what" == "plain" ]]; then
+  echo "=== [plain] lint: header reachability ==="
+  header_reachability
   run_config plain "$repo/build" -DRCB_WERROR=ON
   echo "=== [plain] chaos: supervisor kill/resume ==="
   chaos_supervisor

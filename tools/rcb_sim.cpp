@@ -24,6 +24,7 @@
 #include "rcb/cli/json.hpp"
 #include "rcb/cli/json_parse.hpp"
 #include "rcb/common/mathutil.hpp"
+#include "rcb/runtime/retry_io.hpp"
 #include "rcb/stats/histogram.hpp"
 #include "rcb/stats/table.hpp"
 #include "sim_runner.hpp"
@@ -80,18 +81,12 @@ int run_tool(int argc, const char* const* argv) {
     } else {
       continue;
     }
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open config file '%s'\n", path.c_str());
+    std::string text;
+    if (const std::string err = read_file_fully(path, text, "config file");
+        !err.empty()) {
+      std::fprintf(stderr, "%s\n", err.c_str());
       return 1;
     }
-    std::string text;
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
-      text.append(buf, got);
-    }
-    std::fclose(f);
     const JsonParseResult parsed = json_parse(text);
     if (!parsed.ok) {
       std::fprintf(stderr, "config '%s': %s at offset %zu\n", path.c_str(),

@@ -28,20 +28,11 @@
 #include "rcb/cli/flags.hpp"
 #include "rcb/common/mathutil.hpp"
 #include "rcb/runtime/cancel.hpp"
+#include "rcb/runtime/retry_io.hpp"
 #include "rcb/runtime/scenario.hpp"
 
 namespace rcb {
 namespace {
-
-bool read_file(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char buf[4096];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, got);
-  std::fclose(f);
-  return true;
-}
 
 void print_outcome(const TrialOutcome& out) {
   std::printf("max_cost        %.0f\n", out.max_cost);
@@ -82,14 +73,12 @@ int run_tool(int argc, const char* const* argv) {
     return 1;
   }
   std::string text;
-  if (path == "-") {
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof buf, stdin)) > 0) {
-      text.append(buf, got);
-    }
-  } else if (!read_file(path, text)) {
-    std::fprintf(stderr, "cannot open record file '%s'\n", path.c_str());
+  const std::string read_error =
+      path == "-" ? read_stream_fully(stdin, text)
+                  : read_file_fully(path, text, "record file");
+  if (!read_error.empty()) {
+    std::fprintf(stderr, "%s%s\n", path == "-" ? "cannot read stdin: " : "",
+                 read_error.c_str());
     return 1;
   }
 
