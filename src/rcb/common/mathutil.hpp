@@ -74,16 +74,23 @@ inline std::uint64_t fnv1a64(std::string_view bytes) {
   return h;
 }
 
-/// Fixed-width lowercase hex encoding of a u64 (16 chars, zero-padded).
-/// Digests travel through JSON as hex strings because JSON numbers are
-/// doubles and lose u64 precision above 2^53.
-inline std::string to_hex16(std::uint64_t v) {
+/// Appends the fixed-width lowercase hex encoding of a u64 (16 chars,
+/// zero-padded) to `out`.  Digests travel through JSON as hex strings
+/// because JSON numbers are doubles and lose u64 precision above 2^53.
+inline void append_hex16(std::string& out, std::uint64_t v) {
   static constexpr char kDigits[] = "0123456789abcdef";
-  std::string s(16, '0');
+  char buf[16];
   for (int i = 15; i >= 0; --i) {
-    s[static_cast<std::size_t>(i)] = kDigits[v & 0xf];
+    buf[i] = kDigits[v & 0xf];
     v >>= 4;
   }
+  out.append(buf, sizeof buf);
+}
+
+/// append_hex16 into a fresh string.
+inline std::string to_hex16(std::uint64_t v) {
+  std::string s;
+  append_hex16(s, v);
   return s;
 }
 

@@ -11,7 +11,6 @@
 #include <unistd.h>
 #endif
 
-#include "rcb/cli/json.hpp"
 #include "rcb/cli/json_parse.hpp"
 #include "rcb/common/mathutil.hpp"
 #include "rcb/runtime/frame.hpp"
@@ -243,31 +242,87 @@ std::string write_file_atomic(const std::string& path,
   return "";
 }
 
-// 64-bit digests travel as hex strings; counts stay JSON numbers (bounded
-// by fleet size and attempt caps, far below 2^53).
+namespace {
+
+/// A record payload is ~250-320 bytes: no regrowth while writing one.
+constexpr std::size_t kRecordPayloadReserve = 384;
+
+void append_count(std::string& out, std::uint64_t v) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// "%.17g" (to_chars, general, precision 17): round-trips every finite
+/// double.  JSON has no inf/nan, so a non-finite double is null.
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[32];  // the longest "%.17g" text is 24 chars
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                std::chars_format::general, 17)
+                      .ptr);
+}
+
+void append_quoted_hex16(std::string& out, std::uint64_t v) {
+  out += '"';
+  append_hex16(out, v);
+  out += '"';
+}
+
+/// The canonical payload, byte for byte in the order parse_journal_record_
+/// payload reads it.  The status is written as is: the supervisor only
+/// journals the three statuses, none of which needs escaping.
+void append_record_payload(std::string& out, const CheckpointRecord& rec,
+                           std::uint64_t scenario_digest) {
+  const TrialOutcome& o = rec.outcome;
+  out += "{\"trial\":";
+  append_count(out, rec.trial);
+  out += ",\"status\":\"";
+  out += rec.status;
+  out += "\",\"attempts\":";
+  append_count(out, rec.attempts);
+  out += ",\"scenario_digest\":";
+  append_quoted_hex16(out, scenario_digest);
+  out += ",\"outcome\":{\"max_cost\":";
+  append_number(out, o.max_cost);
+  out += ",\"mean_cost\":";
+  append_number(out, o.mean_cost);
+  out += ",\"adversary_cost\":";
+  append_number(out, o.adversary_cost);
+  out += ",\"latency\":";
+  append_number(out, o.latency);
+  out += o.success ? ",\"success\":true" : ",\"success\":false";
+  out += o.aborted ? ",\"aborted\":true" : ",\"aborted\":false";
+  out += ",\"dead_count\":";
+  append_count(out, o.dead_count);
+  out += ",\"crashed_count\":";
+  append_count(out, o.crashed_count);
+  out += ",\"digest\":";
+  append_quoted_hex16(out, o.digest);
+  out += "}}";
+}
+
+}  // namespace
+
+void append_journal_frames(std::string& out,
+                           std::span<const CheckpointRecord> recs,
+                           std::uint64_t scenario_digest) {
+  std::string payload;
+  payload.reserve(kRecordPayloadReserve);
+  for (const CheckpointRecord& rec : recs) {
+    payload.clear();
+    append_record_payload(payload, rec, scenario_digest);
+    append_frame(out, kJournalFrameMagic, payload);
+  }
+}
+
 std::string journal_record_payload(const CheckpointRecord& rec,
                                    std::uint64_t scenario_digest) {
   std::string out;
-  out.reserve(384);  // a record is ~250-320 bytes: no regrowth while writing
-  JsonWriter w(out);
-  w.begin_object();
-  w.key("trial").value(static_cast<std::uint64_t>(rec.trial));
-  w.key("status").value(rec.status);
-  w.key("attempts").value(static_cast<std::uint64_t>(rec.attempts));
-  w.key("scenario_digest").value(to_hex16(scenario_digest));
-  const TrialOutcome& o = rec.outcome;
-  w.key("outcome").begin_object();
-  w.key("max_cost").value(o.max_cost);
-  w.key("mean_cost").value(o.mean_cost);
-  w.key("adversary_cost").value(o.adversary_cost);
-  w.key("latency").value(o.latency);
-  w.key("success").value(o.success);
-  w.key("aborted").value(o.aborted);
-  w.key("dead_count").value(o.dead_count);
-  w.key("crashed_count").value(o.crashed_count);
-  w.key("digest").value(to_hex16(o.digest));
-  w.end_object();
-  w.end_object();
+  out.reserve(kRecordPayloadReserve);
+  append_record_payload(out, rec, scenario_digest);
   return out;
 }
 
@@ -511,15 +566,9 @@ std::string CheckpointWriter::open_for_append(const std::string& dir,
   return "";
 }
 
-std::string CheckpointWriter::append_batch(
-    const std::vector<CheckpointRecord>& recs) {
-  if (recs.empty()) return "";
+std::string CheckpointWriter::append_frames(std::string_view frames) {
+  if (frames.empty()) return "";
   if (file_ == nullptr) return "checkpoint writer is not open";
-  std::string frames;
-  for (const CheckpointRecord& rec : recs) {
-    append_frame(frames, kJournalFrameMagic,
-                 journal_record_payload(rec, scenario_digest_));
-  }
   if (const int err = injected_write_errno(frames.size()); err != 0) {
     return "journal append failed: " + std::string(std::strerror(err));
   }
@@ -530,88 +579,17 @@ std::string CheckpointWriter::append_batch(
   return "";
 }
 
+std::string CheckpointWriter::append_batch(
+    const std::vector<CheckpointRecord>& recs) {
+  std::string frames;
+  append_journal_frames(frames, recs, scenario_digest_);
+  return append_frames(frames);
+}
+
 std::string CheckpointWriter::sync() {
   if (file_ == nullptr) return "checkpoint writer is not open";
   if (!sync_stream(file_)) return "journal fsync failed: " + errno_string();
   return "";
-}
-
-AsyncJournalWriter::AsyncJournalWriter(CheckpointWriter writer,
-                                       std::size_t capacity)
-    : writer_(std::move(writer)),
-      capacity_(capacity == 0 ? 1 : capacity),
-      thread_([this] { writer_loop(); }) {}
-
-AsyncJournalWriter::~AsyncJournalWriter() { finish(); }
-
-bool AsyncJournalWriter::enqueue(CheckpointRecord rec) {
-  std::unique_lock lock(mutex_);
-  not_full_.wait(lock, [this] {
-    return queue_.size() < capacity_ || finishing_ || !first_error_.empty();
-  });
-  if (finishing_ || !first_error_.empty()) return false;
-  queue_.push_back(std::move(rec));
-  work_available_.notify_one();
-  return true;
-}
-
-std::uint64_t AsyncJournalWriter::acked_count() const {
-  return acked_.load(std::memory_order_acquire);
-}
-
-void AsyncJournalWriter::writer_loop() {
-  std::vector<CheckpointRecord> batch;
-  for (;;) {
-    {
-      std::unique_lock lock(mutex_);
-      work_available_.wait(
-          lock, [this] { return !queue_.empty() || finishing_; });
-      if (queue_.empty() && finishing_) return;
-      // Take everything queued so far as one group commit; producers that
-      // arrive during the write form the next batch.
-      batch.assign(std::make_move_iterator(queue_.begin()),
-                   std::make_move_iterator(queue_.end()));
-      queue_.clear();
-      not_full_.notify_all();
-    }
-    const std::string err = writer_.append_batch(batch);
-    if (!err.empty()) {
-      std::unique_lock lock(mutex_);
-      if (first_error_.empty()) first_error_ = err;
-      queue_.clear();  // nothing more will be written; unblock producers
-      not_full_.notify_all();
-      return;
-    }
-    // The batch is flushed to the OS: acknowledge every record in it.
-    acked_.fetch_add(batch.size(), std::memory_order_release);
-    batch.clear();
-  }
-}
-
-std::string AsyncJournalWriter::finish() {
-  {
-    std::unique_lock lock(mutex_);
-    if (finished_) return finish_result_;
-    finished_ = true;
-    finishing_ = true;
-    work_available_.notify_all();
-    not_full_.notify_all();
-  }
-  thread_.join();
-  std::string result;
-  {
-    std::unique_lock lock(mutex_);
-    result = first_error_;
-  }
-  if (result.empty()) {
-    result = writer_.sync();
-  }
-  writer_.close();
-  {
-    std::unique_lock lock(mutex_);
-    finish_result_ = result;
-  }
-  return result;
 }
 
 }  // namespace rcb

@@ -4,8 +4,9 @@
 //
 //   manifest.json   {"rcb_checkpoint":1,"scenario_digest":"<hex16>",
 //                    "journal":"journal.rcbj","scenario":{...}}
-//   journal.rcbj    one framed record per completed trial, appended as
-//                   trials finish (any order; records carry their index)
+//   journal.rcbj    one framed record per completed trial, appended in
+//                   batches as trials finish (any order; records carry
+//                   their index)
 //
 // The manifest is written atomically (temp file + fsync + rename), so a
 // reader either sees the complete manifest or none.  Journal records are
@@ -18,14 +19,20 @@
 // tail, which the frame reader calls need-more; the loader reports a
 // truncated tail and resumes from the last good record (the writer
 // truncates the partial tail before appending).  A flipped byte inside a
-// *complete* frame, a length past the cap, a duplicate trial index, or a
-// record whose scenario_digest does not match the manifest are corruption,
-// not truncation: the loader refuses them, because silently resuming
-// against the wrong data would fabricate experiment results.
+// *complete* frame, a length past the cap, a newline before a frame's
+// declared end, a duplicate trial index, or a record whose scenario_digest
+// does not match the manifest are corruption, not truncation: the loader
+// refuses them, because silently resuming against the wrong data would
+// fabricate experiment results.
 //
-// The payload has one canonical layout, written by one writer
-// (journal_record_payload) and read by one strict reader
-// (parse_journal_record_payload):
+// The sweep supervisor's trial tasks append their own records, one
+// write+flush per batch of at most 64 records or 1 ms of trials, so a kill
+// loses at most that much per task; a point reports ok only after its
+// journal is fsynced (supervisor.hpp, "Durability").
+//
+// The payload has one canonical layout, written by one encoder
+// (append_journal_frames, which journal_record_payload exposes for one
+// record) and read by one strict reader (parse_journal_record_payload):
 //
 //   {"trial":N,"status":"ok|timed_out|failed","attempts":N,
 //    "scenario_digest":"<hex16>","outcome":{"max_cost":D,"mean_cost":D,
@@ -35,7 +42,8 @@
 // on one line, keys in exactly this order, no whitespace.  Counts N are
 // plain integers no larger than 2^53; doubles D are printed as by printf
 // "%.17g" (std::to_chars, general, precision 17), so they round-trip
-// exactly; u64 digests travel as 16 lowercase hex digits.  An aggregate
+// exactly (a non-finite double is written as null, which the reader
+// refuses); u64 digests travel as 16 lowercase hex digits.  An aggregate
 // recomputed from the journal is therefore bit-identical to the
 // uninterrupted run — the property the supervisor's kill/resume tests pin.
 // The reader accepts nothing but this layout: a payload that is valid JSON
@@ -43,16 +51,12 @@
 // for a count) is corruption, refused like a flipped byte, never repaired.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <functional>
-#include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "rcb/runtime/scenario.hpp"
@@ -100,8 +104,14 @@ struct CheckpointLoadResult {
   std::uint64_t journal_valid_bytes = 0;
 };
 
-/// The canonical journal payload of `rec` (the layout above), stamped with
-/// `scenario_digest`.  CheckpointWriter wraps it in an RCBJ frame.
+/// Appends `recs` to `out` as consecutive RCBJ frames around their
+/// canonical payloads (the layout above), stamped with `scenario_digest`.
+/// The bytes do not depend on how records are grouped into calls.
+void append_journal_frames(std::string& out,
+                           std::span<const CheckpointRecord> recs,
+                           std::uint64_t scenario_digest);
+
+/// The canonical payload of one record, unframed (tests and benchmarks).
 std::string journal_record_payload(const CheckpointRecord& rec,
                                    std::uint64_t scenario_digest);
 
@@ -119,9 +129,9 @@ std::string parse_journal_record_payload(std::string_view payload,
 CheckpointLoadResult load_checkpoint(const std::string& dir);
 
 /// Appends framed trial records to a checkpoint journal.  Not thread-safe;
-/// the supervisor serialises appends.  Each batch is flushed to the OS
-/// (surviving process death); sync() additionally fsyncs (surviving power
-/// loss) and is called by the supervisor at shutdown/final flush.
+/// the supervisor serialises appends.  Each append is one write flushed to
+/// the OS (surviving process death); sync() additionally fsyncs (surviving
+/// power loss) and is called by the supervisor when a point finishes.
 class CheckpointWriter {
  public:
   CheckpointWriter() = default;
@@ -143,8 +153,13 @@ class CheckpointWriter {
   std::string open_for_append(const std::string& dir, std::uint64_t digest,
                               std::uint64_t valid_bytes);
 
-  /// Appends the records as consecutive frames with one fwrite+fflush.
-  /// The bytes do not depend on how records are grouped into batches.
+  /// Appends `frames` (append_journal_frames output, stamped with
+  /// digest()) with one fwrite+fflush.  After an error a prefix of the
+  /// bytes may be on disk: whole frames, then at most one partial frame
+  /// that the loader reads as a truncated tail.
+  std::string append_frames(std::string_view frames);
+
+  /// Encodes `recs` and appends them with one append_frames.
   std::string append_batch(const std::vector<CheckpointRecord>& recs);
 
   /// fsyncs the journal file.
@@ -153,74 +168,13 @@ class CheckpointWriter {
   void close();
   bool active() const { return file_ != nullptr; }
   const std::string& dir() const { return dir_; }
+  /// The scenario digest every record appended here is stamped with.
+  std::uint64_t digest() const { return scenario_digest_; }
 
  private:
   std::string dir_;
   std::uint64_t scenario_digest_ = 0;
   std::FILE* file_ = nullptr;
-};
-
-/// Asynchronous group-commit front end for a CheckpointWriter.
-///
-/// Workers enqueue completed CheckpointRecords into a bounded MPSC queue;
-/// a dedicated writer thread drains the queue in batches and commits each
-/// batch with CheckpointWriter::append_batch (one flush per batch).  This
-/// removes journal I/O from the trial workers' critical path — under the
-/// old design every worker serialised on a mutex around a flushed append.
-///
-/// Durability contract (same as the synchronous writer, batched):
-///   - a record counts as *acknowledged* (acked_count()) only after the
-///     flush covering its batch returned, i.e. after its bytes reached the
-///     OS and will survive process death;
-///   - finish() drains every enqueued record, fsyncs (power-loss durable)
-///     and closes — callers report results only after finish() succeeds,
-///     so no reported record can be lost to a crash;
-///   - a write error taints the writer: the writer thread stops, further
-///     enqueue() calls return false, and finish() returns the first error.
-///     The error reaches whoever finishes the sweep, not just the caller
-///     whose record happened to hit the bad write.
-///
-/// Thread-safe for concurrent enqueue(); finish() must be called by one
-/// thread after all producers are done.
-class AsyncJournalWriter {
- public:
-  /// Takes ownership of an open CheckpointWriter.  `capacity` bounds the
-  /// queue; enqueue() blocks when full (back-pressure, not data loss).
-  explicit AsyncJournalWriter(CheckpointWriter writer,
-                              std::size_t capacity = 1024);
-  ~AsyncJournalWriter();
-  AsyncJournalWriter(const AsyncJournalWriter&) = delete;
-  AsyncJournalWriter& operator=(const AsyncJournalWriter&) = delete;
-
-  /// Queues one record for the next group commit.  Blocks while the queue
-  /// is full.  Returns false iff the writer has failed (or finish() was
-  /// already called); the record is then dropped and the error is
-  /// available from finish().
-  bool enqueue(CheckpointRecord rec);
-
-  /// Records flushed to the OS so far (monotonic; for tests/diagnostics).
-  std::uint64_t acked_count() const;
-
-  /// Drains the queue, fsyncs the journal, closes it, and joins the writer
-  /// thread.  Returns "" on success or the first error encountered by any
-  /// append/flush/sync.  Idempotent.
-  std::string finish();
-
- private:
-  void writer_loop();
-
-  CheckpointWriter writer_;
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable not_full_;
-  std::condition_variable work_available_;
-  std::deque<CheckpointRecord> queue_;
-  bool finishing_ = false;
-  std::string first_error_;
-  std::atomic<std::uint64_t> acked_{0};
-  bool finished_ = false;
-  std::string finish_result_;
-  std::thread thread_;
 };
 
 /// Journal file name inside a checkpoint directory (exposed for tests and

@@ -1,19 +1,24 @@
 #include "rcb/runtime/frame.hpp"
 
+#include <charconv>
 #include <cstdint>
 
+#include "rcb/common/contracts.hpp"
 #include "rcb/common/mathutil.hpp"
 
 namespace rcb {
 
 void append_frame(std::string& out, std::string_view magic,
                   std::string_view payload) {
+  RCB_REQUIRE(payload.size() <= kMaxFramePayload);
+  RCB_REQUIRE(payload.find('\n') == std::string_view::npos);
   out.reserve(out.size() + magic.size() + payload.size() + 32);
   out += magic;
   out += ' ';
-  out += std::to_string(payload.size());
+  char len[8];
+  out.append(len, std::to_chars(len, len + sizeof len, payload.size()).ptr);
   out += ' ';
-  out += to_hex16(fnv1a64(payload));
+  append_hex16(out, fnv1a64(payload));
   out += ' ';
   out += payload;
   out += '\n';
@@ -63,6 +68,9 @@ FrameRead read_frame(std::string_view bytes, std::string_view magic) {
   }
   if (i == n) return {};
   if (bytes[i++] != ' ') return corrupt("malformed frame header");
+  if (bytes.substr(i, len).find('\n') != std::string_view::npos) {
+    return corrupt("newline inside frame payload");
+  }
   if (n - i < len + 1) return {};
   if (bytes[i + len] != '\n') return corrupt("payload not newline-terminated");
   if (fnv1a64(bytes.substr(i, len)) != digest) {

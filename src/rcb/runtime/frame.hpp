@@ -4,12 +4,16 @@
 //   <magic> <payload-bytes> <fnv1a-hex16> <payload>\n
 //
 // and its limits: a canonical decimal length (no leading zero) of at most
-// kMaxFramePayload, and the FNV-1a 64 of the payload in 16 lowercase hex
-// digits.  read_frame checks each byte as soon as it is present, so it
+// kMaxFramePayload, the FNV-1a 64 of the payload in 16 lowercase hex
+// digits, and a payload that holds no '\n' (both users write JSON, which
+// escapes it).  read_frame checks each byte as soon as it is present, so it
 // reads need-more only while the bytes are a strict prefix of a valid frame
 // (a kill mid-append, a short socket read), and no single-byte flip of a
 // frame is read as a payload that was not written.  A killed writer leaves
-// a prefix of a valid length field, so a length past the cap is corruption.
+// a prefix of a valid length field, so a length past the cap is corruption;
+// it leaves no '\n' inside a payload, so one before the declared end is
+// corruption too (a length digit flipped upward, say, which would otherwise
+// read as need-more up to some later frame's newline).
 #pragma once
 
 #include <cstddef>
@@ -23,7 +27,8 @@ inline constexpr std::string_view kControlFrameMagic = "RCBC";
 
 inline constexpr std::size_t kMaxFramePayload = 1 << 16;  // records are < 1 KiB
 
-/// Appends one frame around `payload` (at most kMaxFramePayload bytes).
+/// Appends one frame around `payload` (at most kMaxFramePayload bytes, no
+/// '\n'; both are contract checks).
 void append_frame(std::string& out, std::string_view magic,
                   std::string_view payload);
 

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -244,21 +245,24 @@ struct PointState {
   std::vector<bool> have;                  ///< trial-index completion bitmap
   /// Next trial index to claim; the point's tasks share it.
   std::atomic<std::uint64_t> cursor{0};
-  std::unique_ptr<AsyncJournalWriter> journal;  ///< null when not checkpointing
-  std::mutex fresh_mutex;
+  /// Guards the journal appends, journal_error and fresh: a task's batch
+  /// is on disk before it counts.
+  std::mutex merge_mutex;
+  CheckpointWriter journal;                ///< not active when not checkpointing
+  std::string journal_error;               ///< the first failed append
   std::vector<CheckpointRecord> fresh;     ///< trials run by this invocation
   /// Set on a journal failure: the point's remaining trials are skipped
   /// (running them would complete work that can never be made durable).
   std::atomic<bool> abort{false};
 };
 
-/// Phase-1 setup for one point: resume or create its checkpoint and hand
-/// the open writer to an AsyncJournalWriter.  Returns "" or an error.
+/// Phase-1 setup for one point: resume or create its checkpoint and open
+/// its journal for append.  Returns "" or an error.
 std::string setup_point(const SweepPoint& point, const SupervisorOptions& opt,
                         SweepResult& result, PointState& st) {
   result.scenario = point.scenario;
   const bool checkpointing = !point.checkpoint_dir.empty();
-  CheckpointWriter writer;
+  CheckpointWriter& writer = st.journal;
 
   if (checkpointing && opt.resume) {
     std::error_code ec;
@@ -310,18 +314,12 @@ std::string setup_point(const SweepPoint& point, const SupervisorOptions& opt,
     st.have[rec.trial - st.begin] = true;
   }
   st.cursor.store(st.begin, std::memory_order_relaxed);
-  if (writer.active()) {
-    st.journal = std::make_unique<AsyncJournalWriter>(std::move(writer));
-  }
   return "";
 }
 
 /// Runs trial `t` of the point with watchdog, slot budget and
-/// retry-with-reseed, then hands the record to the point's group-commit
-/// journal.  Returns false, and sets the point's abort flag, when the
-/// journal is broken: the record can never be made durable, so it must
-/// not count as completed.
-bool run_point_trial(PointState& st, std::uint64_t t,
+/// retry-with-reseed into `rec`.
+void run_point_trial(PointState& st, std::uint64_t t,
                      const SupervisorOptions& opt, const TrialRunner& runner,
                      Watchdog* watchdog, CheckpointRecord& rec) {
   const Scenario& s = st.scenario;
@@ -372,35 +370,51 @@ bool run_point_trial(PointState& st, std::uint64_t t,
   t_in_supervised_trial = false;
   if (watchdog != nullptr) watchdog->unwatch(&token);
   rec.attempts = attempt + 1;
-
-  if (st.journal != nullptr) {
-    // Group commit: the writer thread batches this with its neighbours and
-    // flushes once.
-    if (!st.journal->enqueue(rec)) {
-      st.abort.store(true, std::memory_order_relaxed);
-      return false;
-    }
-  }
-  return true;
 }
 
-/// Records a claiming task holds before merging them into `fresh`: enough
-/// to make the mutex rare, few enough that no task holds a second copy of
-/// the point's records.
+/// Records a claiming task holds before journaling and merging them: enough
+/// to make the mutex and the write rare, few enough that no task holds a
+/// second copy of the point's records.
 constexpr std::size_t kMergeBatch = 64;
+/// A batch whose first trial began this long ago is merged after its
+/// current trial even if it is not full, so a trial that runs this long is
+/// on disk before its task starts another.
+constexpr std::chrono::milliseconds kMergeAge{1};
+
+/// Journals `batch` and merges it into `fresh`.  The frames are encoded
+/// outside the lock into `frames` (reused across batches) and appended
+/// under it with one write+flush.  A failed append records the point's
+/// first error and aborts the point; that batch, and every later one, is
+/// dropped, so no record that is not on disk counts as completed.
+void merge_batch(PointState& st, std::vector<CheckpointRecord>& batch,
+                 std::string& frames) {
+  const bool journaling = st.journal.active();
+  if (journaling) {
+    frames.clear();
+    append_journal_frames(frames, batch, st.journal.digest());
+  }
+  std::lock_guard<std::mutex> lock(st.merge_mutex);
+  if (journaling && st.journal_error.empty()) {
+    st.journal_error = st.journal.append_frames(frames);
+  }
+  if (st.journal_error.empty()) {
+    st.fresh.insert(st.fresh.end(), std::make_move_iterator(batch.begin()),
+                    std::make_move_iterator(batch.end()));
+  } else {
+    st.abort.store(true, std::memory_order_relaxed);
+  }
+  batch.clear();
+}
 
 /// One of a point's claiming tasks: takes trial indices from the point's
 /// cursor until its range is exhausted, runs those not yet journaled, and
-/// merges their records into `fresh` in batches.
+/// journals and merges their records in batches.
 void run_point_tasks(PointState& st, const SupervisorOptions& opt,
                      const TrialRunner& runner, Watchdog* watchdog) {
+  using Clock = std::chrono::steady_clock;
   std::vector<CheckpointRecord> batch;
-  const auto merge = [&st, &batch] {
-    std::lock_guard<std::mutex> lock(st.fresh_mutex);
-    st.fresh.insert(st.fresh.end(), std::make_move_iterator(batch.begin()),
-                    std::make_move_iterator(batch.end()));
-    batch.clear();
-  };
+  std::string frames;
+  Clock::time_point batch_began;
   for (;;) {
     // Trials not yet started when shutdown (or a journal write error) hits
     // are skipped, not run: the journal must only ever contain records
@@ -412,26 +426,29 @@ void run_point_tasks(PointState& st, const SupervisorOptions& opt,
     const std::uint64_t t = st.cursor.fetch_add(1, std::memory_order_relaxed);
     if (t >= st.end) break;
     if (st.have[t - st.begin]) continue;
-    CheckpointRecord rec;
-    if (!run_point_trial(st, t, opt, runner, watchdog, rec)) break;
-    batch.push_back(std::move(rec));
-    if (batch.size() == kMergeBatch) merge();
+    if (batch.empty()) batch_began = Clock::now();
+    run_point_trial(st, t, opt, runner, watchdog, batch.emplace_back());
+    if (batch.size() == kMergeBatch ||
+        Clock::now() - batch_began >= kMergeAge) {
+      merge_batch(st, batch, frames);
+    }
   }
-  if (!batch.empty()) merge();
+  if (!batch.empty()) merge_batch(st, batch, frames);
 }
 
-/// Phase-3 finalisation for one point: drain+fsync the journal, then
+/// Phase-3 finalisation for one point: fsync and close the journal, then
 /// reduce records in trial order (sorting makes the aggregate digest
 /// independent of completion order, hence of thread count).
 void finalize_point(PointState& st, SweepResult& result) {
-  if (st.journal != nullptr) {
-    const std::string err = st.journal->finish();
-    if (!err.empty()) {
-      result.error = "checkpoint journal failed: " + err;
-      return;
-    }
-  }
   result.executed = st.fresh.size();
+  if (st.journal.active() && st.journal_error.empty()) {
+    st.journal_error = st.journal.sync();
+  }
+  st.journal.close();
+  if (!st.journal_error.empty()) {
+    result.error = "checkpoint journal failed: " + st.journal_error;
+    return;
+  }
   result.records = std::move(st.resumed);
   result.records.insert(result.records.end(),
                         std::make_move_iterator(st.fresh.begin()),

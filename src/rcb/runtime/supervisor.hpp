@@ -2,8 +2,8 @@
 // graceful shutdown for long Monte-Carlo runs.
 //
 // run_supervised_sweep executes every trial of a Scenario on the thread
-// pool, journaling each completed trial to a checkpoint directory
-// (runtime/checkpoint.hpp) as it finishes.  Because every trial is a pure
+// pool, journaling completed trials to a checkpoint directory
+// (runtime/checkpoint.hpp) in small batches.  Because every trial is a pure
 // function of (scenario, trial index), a killed process resumes by loading
 // the journal, skipping completed indices, and re-running only the rest —
 // and the recomputed aggregates are bit-identical to an uninterrupted run.
@@ -30,8 +30,8 @@
 // Multi-point sweeps (run_supervised_sweep_points) give every point up to
 // one task per pool thread; the tasks claim the point's trial indices from
 // a shared cursor, so a short trial costs no pool submission of its own.
-// Records journal through per-point asynchronous group-commit writers —
-// see docs/model.md §Concurrency architecture for the full design and the
+// The same tasks journal their records, one append per batch — see
+// docs/model.md §Concurrency architecture for the full design and the
 // determinism argument.
 //
 // Neither entry point may be called from inside a task already running on
@@ -77,7 +77,9 @@ struct SweepResult {
   /// `records` then holds only the completed prefix of trials.
   bool interrupted = false;
   std::size_t resumed = 0;        ///< trials loaded from the journal
-  std::size_t executed = 0;       ///< trials run by this invocation
+  /// Trials run by this invocation.  After a journal failure, only those
+  /// whose records reached the journal.
+  std::size_t executed = 0;
   std::size_t timed_out = 0;      ///< watchdog / slot-budget quarantines
   std::size_t failed_trials = 0;  ///< exhausted the retry budget
   /// All completed trials, sorted by trial index.
@@ -139,16 +141,22 @@ struct SweepPoint {
 /// order).  `opt.checkpoint_dir` is ignored; the per-point directories are
 /// authoritative.
 ///
-/// Durability: each checkpointing point gets an asynchronous group-commit
-/// journal (checkpoint.hpp AsyncJournalWriter); workers hand completed
-/// records to the writer thread instead of serialising on a flushed
-/// append.  A point's result is reported ok only after its journal has
-/// drained and fsynced, so a reported record is always recoverable.
+/// Durability: the claiming tasks journal their own records.  A task holds
+/// at most 64 records, and commits them once the batch is full, after a
+/// trial once 1 ms has passed since the batch's first trial began, and when
+/// it ends: it encodes the frames outside any lock, then appends them with
+/// one write+flush under the point's lock, and only then counts them.  So
+/// a kill loses at most 64 records or 1 ms of trials per task, a trial that
+/// runs 1 ms or more is on disk before its task starts another, and a
+/// point's result is reported ok only after its journal has been fsynced,
+/// so a reported record is always recoverable.
 ///
 /// Setup (load/validate/create) runs sequentially for every point before
 /// any trial is submitted; a setup failure aborts the whole sweep with no
 /// trials run (the failing point's result carries the error).  A journal
-/// *write* failure mid-run aborts only that point's remaining trials.
+/// *write* failure mid-run aborts only that point's remaining trials: the
+/// failed batch and every later one are dropped, and the point's result
+/// carries "checkpoint journal failed: <error>".
 std::vector<SweepResult> run_supervised_sweep_points(
     const std::vector<SweepPoint>& points, const SupervisorOptions& opt,
     ThreadPool& pool, const TrialRunner& runner);

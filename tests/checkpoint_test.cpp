@@ -6,24 +6,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <random>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "rcb/cli/json_parse.hpp"
 #include "rcb/common/mathutil.hpp"
 #include "rcb/runtime/supervisor.hpp"
+#include "test_dir.hpp"
 
 #ifndef RCB_CORPUS_DIR
 #error "RCB_CORPUS_DIR must be defined by the build (tests/CMakeLists.txt)"
@@ -73,13 +71,7 @@ CheckpointRecord test_record(std::uint64_t trial) {
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("rcb_ckpt_test_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name())))
-               .string();
-    fs::remove_all(dir_);
+    dir_ = make_test_dir("rcb_ckpt_test");
   }
   void TearDown() override { fs::remove_all(dir_); }
 
@@ -240,6 +232,26 @@ TEST_F(CheckpointTest, FlippedPayloadByteIsCorruption) {
   EXPECT_NE(loaded.error.find("digest"), std::string::npos) << loaded.error;
 }
 
+TEST_F(CheckpointTest, LengthFlippedUpwardIsCorruptionNotTruncation) {
+  // Read as need-more, "RCBJ 238" -> "RCBJ 938" would make a truncated
+  // tail of the first record, and a resume would cut the journal there and
+  // re-run every record after it.  The frame's own newline lies before the
+  // declared end, so it is refused instead.
+  make_checkpoint({0, 1, 2});
+  std::string bytes = read_file(journal_path());
+  ASSERT_EQ(bytes.substr(0, 5), "RCBJ ");
+  ASSERT_LT(bytes[5], '9');
+  bytes[5] = '9';
+  write_file(journal_path(), bytes);
+
+  const CheckpointLoadResult loaded = load_checkpoint(dir_);
+  EXPECT_FALSE(loaded.ok);
+  EXPECT_FALSE(loaded.truncated_tail);
+  EXPECT_NE(loaded.error.find("journal record 0: newline inside frame"),
+            std::string::npos)
+      << loaded.error;
+}
+
 TEST_F(CheckpointTest, DuplicateTrialIsCorruption) {
   make_checkpoint({0, 1, 1});
   const CheckpointLoadResult loaded = load_checkpoint(dir_);
@@ -322,63 +334,6 @@ TEST_F(CheckpointTest, WriterIsMovable) {
   ASSERT_EQ(loaded.records.size(), 1u);
 }
 
-TEST_F(CheckpointTest, AsyncJournalWriterRoundTripsConcurrentProducers) {
-  CheckpointWriter writer;
-  Scenario s = test_scenario();
-  s.trials = 64;
-  ASSERT_EQ(writer.create(dir_, s), "");
-  AsyncJournalWriter journal(std::move(writer), /*capacity=*/8);
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&journal, p] {
-      for (std::uint64_t t = static_cast<std::uint64_t>(p); t < 64; t += 4) {
-        CheckpointRecord rec;
-        rec.trial = t;
-        rec.outcome = test_outcome(t);
-        ASSERT_TRUE(journal.enqueue(std::move(rec)));
-      }
-    });
-  }
-  for (auto& th : producers) th.join();
-  ASSERT_EQ(journal.finish(), "");
-  EXPECT_EQ(journal.acked_count(), 64u);
-
-  const CheckpointLoadResult loaded = load_checkpoint(dir_);
-  ASSERT_TRUE(loaded.ok) << loaded.error;
-  ASSERT_EQ(loaded.records.size(), 64u);
-  std::vector<bool> seen(64, false);
-  for (const CheckpointRecord& rec : loaded.records) {
-    EXPECT_EQ(rec.outcome.digest, test_outcome(rec.trial).digest);
-    seen[rec.trial] = true;
-  }
-  for (std::size_t t = 0; t < 64; ++t) EXPECT_TRUE(seen[t]) << t;
-}
-
-TEST_F(CheckpointTest, AsyncJournalWriterAckedRecordsAreLoadable) {
-  // The group-commit ack contract: once acked_count() covers a record, the
-  // journal on disk must already parse to a prefix containing it — even
-  // before finish() — so a SIGKILL after the ack can always replay it.
-  CheckpointWriter writer;
-  Scenario s = test_scenario();
-  s.trials = 16;
-  ASSERT_EQ(writer.create(dir_, s), "");
-  AsyncJournalWriter journal(std::move(writer));
-  for (std::uint64_t t = 0; t < 16; ++t) {
-    CheckpointRecord rec;
-    rec.trial = t;
-    rec.outcome = test_outcome(t);
-    ASSERT_TRUE(journal.enqueue(std::move(rec)));
-  }
-  while (journal.acked_count() < 16) std::this_thread::yield();
-
-  const CheckpointLoadResult loaded = load_checkpoint(dir_);
-  ASSERT_TRUE(loaded.ok) << loaded.error;
-  EXPECT_FALSE(loaded.truncated_tail);
-  EXPECT_EQ(loaded.records.size(), 16u);
-  ASSERT_EQ(journal.finish(), "");
-}
-
 TEST_F(CheckpointTest, StaleManifestTmpFromCrashWindowIsCleanedUp) {
   // A crash between the temp-file write and the rename leaves
   // "manifest.json.tmp" next to the manifest.  It must not survive
@@ -421,57 +376,6 @@ TEST_F(CheckpointTest, InjectedWriteFaultFailsAppendWithoutWriting) {
   const CheckpointLoadResult loaded = load_checkpoint(dir_);
   ASSERT_TRUE(loaded.ok) << loaded.error;
   EXPECT_EQ(loaded.records.size(), 1u);
-}
-
-TEST_F(CheckpointTest, DiskFullTaintsAsyncWriterAndSurfacesFromFinish) {
-  // ENOSPC-style fault mid-sweep: the first failed group commit must taint
-  // the writer (later enqueues refused, nothing silently dropped) and the
-  // error must surface from finish() — the path the sweep supervisor
-  // reports from.
-  CheckpointWriter writer;
-  Scenario s = test_scenario();
-  s.trials = 64;
-  ASSERT_EQ(writer.create(dir_, s), "");
-
-  std::atomic<int> writes_left{2};
-  set_checkpoint_write_fault([&writes_left](std::size_t) {
-    return writes_left.fetch_sub(1) <= 0 ? ENOSPC : 0;
-  });
-  AsyncJournalWriter journal(std::move(writer));
-  std::size_t accepted = 0;
-  for (std::uint64_t t = 0; t < 64; ++t) {
-    CheckpointRecord rec;
-    rec.trial = t;
-    rec.outcome = test_outcome(t);
-    if (journal.enqueue(std::move(rec))) ++accepted;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const std::string err = journal.finish();
-  set_checkpoint_write_fault(nullptr);
-
-  EXPECT_NE(err.find("journal append failed"), std::string::npos) << err;
-  EXPECT_LT(accepted, 64u);            // the taint refused later producers
-  EXPECT_LT(journal.acked_count(), 64u);  // nothing past the fault was acked
-  EXPECT_FALSE(journal.enqueue(CheckpointRecord{}));
-
-  // Whatever was acked before the disk filled up is still replayable.
-  const CheckpointLoadResult loaded = load_checkpoint(dir_);
-  ASSERT_TRUE(loaded.ok) << loaded.error;
-  EXPECT_EQ(loaded.records.size(), journal.acked_count());
-}
-
-TEST_F(CheckpointTest, AsyncJournalWriterSurfacesWriteErrors) {
-  // An unopened writer fails the first batch; the error must reach the
-  // finisher, and later producers must see enqueue() == false instead of
-  // silently queueing records that can never be durable.
-  AsyncJournalWriter journal{CheckpointWriter{}};
-  CheckpointRecord rec;
-  rec.trial = 0;
-  journal.enqueue(rec);  // may report true; the batch fails asynchronously
-  std::string err = journal.finish();
-  EXPECT_NE(err.find("not open"), std::string::npos) << err;
-  EXPECT_EQ(journal.acked_count(), 0u);
-  EXPECT_FALSE(journal.enqueue(rec));
 }
 
 // ---------------------------------------------------------------------------

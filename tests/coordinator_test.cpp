@@ -32,6 +32,7 @@
 #include "rcb/runtime/shard.hpp"
 #include "rcb/runtime/supervisor.hpp"
 #include "rcb/runtime/transport_socket.hpp"
+#include "test_dir.hpp"
 
 namespace {
 std::string g_self_exe;  // argv[0]; workers re-exec this test binary
@@ -87,13 +88,7 @@ class CoordinatorTest : public ::testing::Test {
  protected:
   void SetUp() override {
     reset_sweep_shutdown();
-    root_ = (fs::temp_directory_path() /
-             ("rcb_coord_test_" +
-              std::string(::testing::UnitTest::GetInstance()
-                              ->current_test_info()
-                              ->name())))
-                .string();
-    fs::remove_all(root_);
+    root_ = make_test_dir("rcb_coord_test");
   }
   void TearDown() override {
     reap_attached(/*kill_first=*/true);
@@ -213,9 +208,7 @@ TEST(ShardPlanTest, OneShardPerPointWhenTargetIsSmall) {
 }
 
 TEST(ShardSpecTest, RoundTripsThroughDisk) {
-  const std::string root =
-      (fs::temp_directory_path() / "rcb_shard_spec_roundtrip").string();
-  fs::remove_all(root);
+  const std::string root = make_test_dir("rcb_shard_spec");
   ShardSpec spec = make_spec({fast_scenario(7, 9), fast_scenario(9, 4)}, 4);
   spec.trial_timeout_sec = 1.5;
   spec.trial_slot_budget = 100000;
@@ -244,8 +237,7 @@ TEST(ShardSpecTest, RoundTripsThroughDisk) {
 TEST(ShardSpecTest, RefusesIntegersNoDoubleHoldsExactly) {
   // 1e30 overflows u64 (converting it was undefined behaviour) and
   // 2^53 + 2 is past the largest integer a JSON number holds exactly.
-  const std::string root =
-      (fs::temp_directory_path() / "rcb_shard_spec_inexact").string();
+  const std::string root = make_test_dir("rcb_shard_spec");
   for (const char* bad : {"1e30", "9007199254740994", "-1", "2.5"}) {
     SCOPED_TRACE(bad);
     fs::remove_all(root);

@@ -1,8 +1,9 @@
 // Tests for the frame codec (runtime/frame.hpp) that the checkpoint journal
 // and the worker control plane share, run under both magics: the exact
 // bytes append_frame writes, need-more on every strict prefix, corrupt on
-// a length past the cap or a foreign magic, and no single-byte flip ever
-// turning into an accepted payload that was not written.
+// a length past the cap, a foreign magic or a newline inside the payload,
+// and no single-byte flip ever turning into an accepted payload that was
+// not written.
 #include "rcb/runtime/frame.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "rcb/common/contracts.hpp"
 #include "rcb/common/mathutil.hpp"
 
 namespace rcb {
@@ -33,15 +35,20 @@ class FrameTest : public ::testing::TestWithParam<std::string_view> {
   }
 };
 
-/// Payloads shaped like what each magic carries, plus the edge cases the
-/// grammar allows: empty, and a newline inside (the length governs).
+/// Payloads shaped like what each magic carries, plus the edge case the
+/// grammar allows: empty.
 const std::vector<std::string> kPayloads = {
     R"({"trial":12,"status":"ok","attempts":1,"scenario_digest":)"
     R"("0123456789abcdef","outcome":{"max_cost":1234,"mean_cost":0.1}})",
     R"({"t":"assign","uid":"deadbeefcafef00d","root":"/a b/c"})",
     "",
-    "two\nlines",
 };
+
+struct ContractFailed {};
+
+[[noreturn]] void throw_contract_failure(std::string_view) {
+  throw ContractFailed{};
+}
 
 TEST_P(FrameTest, AppendWritesTheGrammar) {
   const std::string payload = "hello";
@@ -114,6 +121,45 @@ TEST_P(FrameTest, NonCanonicalHeadersAreCorrupt) {
         " hello\n", m + " 5  " + digest + "hello\n",
         m + " 5 " + digest + " hello!"}) {
     EXPECT_EQ(read_frame(bytes, magic()).status, Status::kCorrupt) << bytes;
+  }
+}
+
+TEST_P(FrameTest, NewlineInsideThePayloadIsCorrupt) {
+  const std::string payload = "two\nlines";
+  const std::string bytes = std::string(magic()) + " " +
+                            std::to_string(payload.size()) + " " +
+                            to_hex16(fnv1a64(payload)) + " " + payload + "\n";
+  // Complete, or cut short anywhere after the newline: never need-more.
+  for (std::size_t keep = bytes.find('\n') + 1; keep <= bytes.size();
+       ++keep) {
+    const FrameRead r =
+        read_frame(std::string_view(bytes).substr(0, keep), magic());
+    EXPECT_EQ(r.status, Status::kCorrupt) << keep;
+    EXPECT_EQ(std::string(r.error), "newline inside frame payload") << keep;
+  }
+  const ContractFailureHandler previous =
+      set_contract_failure_handler(&throw_contract_failure);
+  std::string out;
+  EXPECT_THROW(append_frame(out, magic(), payload), ContractFailed);
+  set_contract_failure_handler(previous);
+}
+
+TEST_P(FrameTest, EveryUpwardLengthFlipIsCorruptWhenAFrameFollows) {
+  // A length digit flipped upward must not read as need-more: the loader
+  // would take it for a truncated tail and drop every record after it.
+  for (const std::string& payload : kPayloads) {
+    const std::string stream = frame(payload) + frame(kPayloads[1]);
+    const std::size_t len_at = magic().size() + 1;
+    for (std::size_t at = len_at; stream[at] != ' '; ++at) {
+      for (char d = static_cast<char>(stream[at] + 1); d <= '9'; ++d) {
+        std::string bytes = stream;
+        bytes[at] = d;
+        const FrameRead r = read_frame(bytes, magic());
+        EXPECT_EQ(r.status, Status::kCorrupt)
+            << "length digit " << at - len_at << " flipped to " << d
+            << " in front of payload \"" << payload << "\"";
+      }
+    }
   }
 }
 

@@ -1,12 +1,16 @@
 // Tests for the crash-safe sweep supervisor: resume determinism, watchdog
 // quarantine, deterministic slot budgets, retry-with-reseed, contract
-// capture, and graceful shutdown.
+// capture, graceful shutdown, and the trial tasks' journal appends.
 #include "rcb/runtime/supervisor.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <set>
@@ -14,11 +18,13 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "rcb/common/contracts.hpp"
 #include "rcb/runtime/cancel.hpp"
+#include "test_dir.hpp"
 
 namespace rcb {
 namespace {
@@ -39,13 +45,7 @@ class SupervisorTest : public ::testing::Test {
  protected:
   void SetUp() override {
     reset_sweep_shutdown();
-    dir_ = (fs::temp_directory_path() /
-            ("rcb_sup_test_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name())))
-               .string();
-    fs::remove_all(dir_);
+    dir_ = make_test_dir("rcb_sup_test");
   }
   void TearDown() override {
     reset_sweep_shutdown();
@@ -574,6 +574,96 @@ TEST_F(SupervisorTest, MultiPointCheckpointedDigestsStableAcrossPoolSizes) {
     ASSERT_TRUE(b[i].ok) << b[i].error;
     EXPECT_EQ(a[i].aggregate_digest, b[i].aggregate_digest) << "point " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The journal is written by the claiming tasks themselves: each commits its
+// batch with one append at 64 records, after a trial once the batch is
+// 1 ms old, and when the task ends.
+
+/// The journal's frames, one per line, sorted (journal order is completion
+/// order; payloads hold no newline).
+std::vector<std::string> sorted_frames(const std::string& dir) {
+  std::ifstream in(fs::path(dir) / kCheckpointJournalFile, std::ios::binary);
+  std::vector<std::string> frames;
+  for (std::string line; std::getline(in, line);) frames.push_back(line);
+  std::sort(frames.begin(), frames.end());
+  return frames;
+}
+
+TEST_F(SupervisorTest, JournalHoldsEveryRecordOnceForAnyThreadCount) {
+  const Scenario s = fast_scenario(1000);
+  SupervisorOptions opt;
+  opt.checkpoint_dir = dir_ + "/four";
+  const SweepResult four = run_supervised_sweep(s, opt, pool_);
+  ASSERT_TRUE(four.ok) << four.error;
+  ThreadPool pool1(1);
+  opt.checkpoint_dir = dir_ + "/one";
+  const SweepResult one = run_supervised_sweep(s, opt, pool1);
+  ASSERT_TRUE(one.ok) << one.error;
+
+  const CheckpointLoadResult loaded = load_checkpoint(dir_ + "/four");
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  EXPECT_FALSE(loaded.truncated_tail);
+  ASSERT_EQ(loaded.records.size(), s.trials);
+  std::set<std::uint64_t> trials;
+  for (const CheckpointRecord& rec : loaded.records) trials.insert(rec.trial);
+  EXPECT_EQ(trials.size(), s.trials);
+  const std::vector<std::string> frames = sorted_frames(dir_ + "/four");
+  EXPECT_EQ(frames.size(), s.trials);
+  EXPECT_EQ(frames, sorted_frames(dir_ + "/one"));
+  EXPECT_EQ(four.aggregate_digest, one.aggregate_digest);
+}
+
+TEST_F(SupervisorTest, SlowTrialIsJournaledBeforeItsTaskStartsAnother) {
+  const Scenario s = fast_scenario(2);
+  SupervisorOptions opt;
+  opt.checkpoint_dir = dir_;
+  bool trial0_on_disk = false;
+  const TrialRunner runner = [&](const Scenario& sc, std::uint64_t t,
+                                 std::uint32_t) {
+    if (t == 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (t == 1) trial0_on_disk = journaled_trials(dir_).count(0) == 1;
+    return run_scenario_trial(sc, t);
+  };
+  ThreadPool pool1(1);
+  const SweepResult sweep = run_supervised_sweep(s, opt, pool1, runner);
+  ASSERT_TRUE(sweep.ok) << sweep.error;
+  EXPECT_TRUE(trial0_on_disk);
+}
+
+TEST_F(SupervisorTest, FailedJournalAppendFailsThePointAndDropsItsBatch) {
+  // ENOSPC at the second journal append (the first checkpoint write is the
+  // manifest).  The point fails with the append's error, the journal still
+  // loads as a clean prefix holding exactly the appends that succeeded, and
+  // only their records count as executed.
+  const Scenario s = fast_scenario(1000);
+  SupervisorOptions opt;
+  opt.checkpoint_dir = dir_;
+  std::atomic<int> writes{0};
+  std::atomic<std::size_t> bytes_written{0};
+  set_checkpoint_write_fault([&](std::size_t bytes) {
+    const int n = ++writes;
+    if (n == 3) return ENOSPC;
+    if (n > 1) bytes_written += bytes;
+    return 0;
+  });
+  const SweepResult sweep = run_supervised_sweep(s, opt, pool_);
+  set_checkpoint_write_fault(nullptr);
+
+  EXPECT_FALSE(sweep.ok);
+  EXPECT_NE(sweep.error.find("checkpoint journal failed: journal append "
+                             "failed: "),
+            std::string::npos)
+      << sweep.error;
+  const CheckpointLoadResult loaded = load_checkpoint(dir_);
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  EXPECT_FALSE(loaded.truncated_tail);
+  EXPECT_EQ(fs::file_size(fs::path(dir_) / kCheckpointJournalFile),
+            bytes_written.load());
+  EXPECT_GT(loaded.records.size(), 0u);
+  EXPECT_LT(loaded.records.size(), s.trials);
+  EXPECT_EQ(sweep.executed, loaded.records.size());
 }
 
 }  // namespace

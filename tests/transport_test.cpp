@@ -28,6 +28,7 @@
 #include "rcb/runtime/retry_io.hpp"
 #include "rcb/runtime/shard.hpp"
 #include "rcb/runtime/transport_socket.hpp"
+#include "test_dir.hpp"
 
 namespace rcb {
 namespace {
@@ -305,9 +306,7 @@ TEST_F(EintrStormTest, RetryWriteAndReadSurviveStorm) {
 }
 
 TEST_F(EintrStormTest, JournalAppendsSurviveStorm) {
-  const std::string dir =
-      (fs::temp_directory_path() / "rcb_eintr_journal_storm").string();
-  fs::remove_all(dir);
+  const std::string dir = make_test_dir("rcb_eintr_journal_storm");
   Scenario s;
   s.protocol = "one_to_one";
   s.adversary = "full_duel";
@@ -346,13 +345,7 @@ TEST_F(EintrStormTest, JournalAppendsSurviveStorm) {
 class DuplicateCompletionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = (fs::temp_directory_path() /
-             ("rcb_dup_complete_" +
-              std::string(::testing::UnitTest::GetInstance()
-                              ->current_test_info()
-                              ->name())))
-                .string();
-    fs::remove_all(root_);
+    root_ = make_test_dir("rcb_dup_complete");
     Scenario s;
     s.protocol = "one_to_one";
     s.adversary = "full_duel";

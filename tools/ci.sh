@@ -146,10 +146,10 @@ chaos_supervisor() {
 #  1. An 8-point heavy-tailed budget sweep must print bit-identical
 #     per-point digests for --threads=1, --threads=4, and --threads=0
 #     (affinity-mask sizing) — the schedule must not leak into results.
-#  2. SIGKILL the checkpointed sweep mid-run (after the async journals have
-#     acknowledged some records), resume with a different thread count, and
-#     require the resumed digests to equal the reference: group commit must
-#     never acknowledge a record a post-kill recovery cannot replay.
+#  2. SIGKILL the checkpointed sweep mid-run (after the trial tasks have
+#     appended some record batches), resume with a different thread count,
+#     and require the resumed digests to equal the reference: no record may
+#     count as completed before a post-kill recovery can replay it.
 chaos_sweep_scheduler() {
   local sweep="$repo/build/tools/rcb_sweep"
   local work="$repo/build/chaos-sched"
@@ -174,7 +174,7 @@ chaos_sweep_scheduler() {
   "$sweep" "${args[@]}" --threads=4 --checkpoint_dir="$work/ck" \
     >"$work/ck.out" 2>"$work/ck.err" &
   local pid=$!
-  # Strike once the group-commit journals have flushed a few records.
+  # Strike once the trial tasks have flushed a few record batches.
   local f bytes
   for _ in $(seq 1 400); do
     bytes=0
@@ -565,9 +565,9 @@ fi
 
 if [[ "$what" == "all" || "$what" == "tsan" ]]; then
   # TSan instruments only what it needs: the concurrency-bearing binaries
-  # (pool, supervisor/scheduler with its claiming cursors and batched
-  # merges, async journal, and replay_test for the per-thread
-  # scenario_to_json memo).  A full test run under TSan is ~10x slower for
+  # (pool, supervisor/scheduler with its claiming cursors and the batched
+  # journal appends and merges its trial tasks make, and replay_test for
+  # the per-thread scenario_to_json memo).  A full test run under TSan is ~10x slower for
   # no extra thread coverage.
   echo "=== [tsan] configure ==="
   cmake -B "$repo/build-tsan" -S "$repo" -DRCB_TSAN=ON
