@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cctype>
 #include <cerrno>
@@ -376,6 +377,60 @@ TEST_F(CheckpointTest, InjectedWriteFaultFailsAppendWithoutWriting) {
   const CheckpointLoadResult loaded = load_checkpoint(dir_);
   ASSERT_TRUE(loaded.ok) << loaded.error;
   EXPECT_EQ(loaded.records.size(), 1u);
+}
+
+TEST_F(CheckpointTest, DiskFullTaintsAsyncWriterAndSurfacesFromFinish) {
+  // The disk fills up mid-sweep and stays full: the manifest and the first
+  // journal append succeed, every later write fails with ENOSPC.  The first
+  // failed append taints the point's journal, so no task attempts another
+  // (exactly one write is refused, nothing is silently dropped), and the
+  // error surfaces from the point's finalisation as the sweep's error.
+  Scenario s = test_scenario();
+  s.trials = 1000;
+  SupervisorOptions opt;
+  opt.checkpoint_dir = dir_;
+  std::atomic<int> writes_left{2};
+  std::atomic<int> refused{0};
+  set_checkpoint_write_fault([&](std::size_t) {
+    if (writes_left.fetch_sub(1) > 0) return 0;
+    ++refused;
+    return ENOSPC;
+  });
+  ThreadPool pool(4);
+  const SweepResult sweep = run_supervised_sweep(s, opt, pool);
+  set_checkpoint_write_fault(nullptr);
+
+  EXPECT_FALSE(sweep.ok);
+  EXPECT_NE(sweep.error.find("journal append failed"), std::string::npos)
+      << sweep.error;
+  EXPECT_EQ(refused.load(), 1);
+
+  // Whatever was appended before the disk filled up is still replayable,
+  // and only those records count as executed.
+  const CheckpointLoadResult loaded = load_checkpoint(dir_);
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  EXPECT_FALSE(loaded.truncated_tail);
+  EXPECT_GT(loaded.records.size(), 0u);
+  EXPECT_LT(loaded.records.size(), s.trials);
+  EXPECT_EQ(sweep.executed, loaded.records.size());
+}
+
+TEST_F(CheckpointTest, AsyncJournalWriterSurfacesWriteErrors) {
+  // A writer that was never opened must refuse every write with an error
+  // its caller reports, rather than accept records that can never be
+  // durable.
+  CheckpointWriter writer;
+  EXPECT_FALSE(writer.active());
+  std::string err = writer.append_batch({test_record(0)});
+  EXPECT_NE(err.find("not open"), std::string::npos) << err;
+  std::string frames;
+  const CheckpointRecord rec = test_record(1);
+  append_journal_frames(frames, {&rec, 1}, writer.digest());
+  err = writer.append_frames(frames);
+  EXPECT_NE(err.find("not open"), std::string::npos) << err;
+  err = writer.sync();
+  EXPECT_NE(err.find("not open"), std::string::npos) << err;
+  EXPECT_FALSE(fs::exists(journal_path()));
 }
 
 // ---------------------------------------------------------------------------
