@@ -480,7 +480,7 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
 
   // Journal commit strategy: N records as N one-record appends (one flush
   // each) vs the 64-record batches a sweep's claiming tasks commit (encode
-  // into a reused buffer, then one append).  Same bytes on disk either
+  // into a reused buffer with encode_frames, then one append).  Same bytes on disk either
   // way; the difference is pure flush amortisation.
   {
     const std::uint64_t n_records = full ? 16384 : 4096;
@@ -536,7 +536,7 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
             batch.push_back(make_record(t));
             if (batch.size() < 64 && t + 1 < n_records) continue;
             frames.clear();
-            append_journal_frames(frames, batch, w.digest());
+            w.encode_frames(frames, batch);
             if (!w.append_frames(frames).empty()) return std::uint64_t{0};
             batch.clear();
           }

@@ -1,5 +1,7 @@
 #include "rcb/runtime/checkpoint.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -20,6 +22,18 @@ namespace rcb {
 
 const char kCheckpointJournalFile[] = "journal.rcbj";
 const char kCheckpointManifestFile[] = "manifest.json";
+
+std::string_view trial_status_name(TrialStatus status) {
+  switch (status) {
+    case TrialStatus::kOk:
+      return "ok";
+    case TrialStatus::kTimedOut:
+      return "timed_out";
+    case TrialStatus::kFailed:
+      return "failed";
+  }
+  return "ok";  // unreachable: every enumerator is handled above
+}
 
 namespace {
 
@@ -64,9 +78,16 @@ bool sync_directory(const std::string& dir) {
 #endif
 }
 
-/// One-pass cursor over the exact byte layout journal_record_payload
-/// writes.  Each method consumes one token or fails; nothing is skipped,
-/// reordered or repaired.
+/// True when `v` is written in version 2 as a decimal count: an integer
+/// in [0, 2^53) that is not -0.0.
+bool has_decimal_form(double v) {
+  return !std::signbit(v) && v < 0x1p53 &&
+         static_cast<double>(static_cast<std::uint64_t>(v)) == v;
+}
+
+/// One-pass cursor over the exact bytes a record encoder writes.  Each
+/// method consumes one token or fails; nothing is skipped, reordered or
+/// repaired.
 class PayloadCursor {
  public:
   explicit PayloadCursor(std::string_view text) : text_(text) {}
@@ -81,19 +102,34 @@ class PayloadCursor {
     return true;
   }
 
+  bool lit(char expected) {
+    if (pos_ == text_.size() || text_[pos_] != expected) return false;
+    ++pos_;
+    return true;
+  }
+
   /// An unsigned integer with no sign, fraction, exponent or leading zero,
-  /// no larger than kMaxExactJsonInt.
+  /// no larger than kMaxExactJsonInt.  Reads at most 17 digits: every
+  /// longer run is too large anyway (2^53 has 16).
   bool count(std::uint64_t& out) {
-    const char* first = text_.data() + pos_;
-    if (!int_digits()) return false;
-    const auto r = std::from_chars(first, text_.data() + pos_, out);
-    return r.ec == std::errc() && out <= kMaxExactJsonInt;
+    const std::size_t start = pos_;
+    const std::size_t stop = std::min(text_.size(), start + 17);
+    std::uint64_t v = 0;
+    for (; pos_ < stop && text_[pos_] >= '0' && text_[pos_] <= '9'; ++pos_) {
+      v = v * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
+    }
+    const std::size_t n = pos_ - start;
+    if (n == 0 || (n > 1 && text_[start] == '0') || v > kMaxExactJsonInt) {
+      return false;
+    }
+    out = v;
+    return true;
   }
 
   /// A finite JSON number (RFC 8259 grammar).  from_chars rounds
   /// correctly, so it reads the value strtod would, and every "%.17g"
   /// text back to the double it was printed from.
-  bool number(double& out) {
+  bool json_number(double& out) {
     const char* first = text_.data() + pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     if (!int_digits()) return false;
@@ -113,7 +149,22 @@ class PayloadCursor {
     return r.ec == std::errc() && r.ptr == last && std::isfinite(out);
   }
 
-  bool flag(bool& out) {
+  /// A version-2 double: the decimal count of an integer in [0, 2^53), or
+  /// 'x' and the bits of a finite double that has no such form.
+  bool exact_double(double& out) {
+    if (lit('x')) {
+      std::uint64_t bits = 0;
+      if (!hex16(bits)) return false;
+      out = std::bit_cast<double>(bits);
+      return std::isfinite(out) && !has_decimal_form(out);
+    }
+    std::uint64_t v = 0;
+    if (!count(v) || v == kMaxExactJsonInt) return false;
+    out = static_cast<double>(v);
+    return true;
+  }
+
+  bool json_flag(bool& out) {
     if (lit("true")) {
       out = true;
       return true;
@@ -125,14 +176,20 @@ class PayloadCursor {
     return false;
   }
 
-  /// A quoted 16-digit lowercase hex u64 (to_hex16's output).
-  bool hex16(std::uint64_t& out) {
-    if (text_.size() - pos_ < 18 || text_[pos_] != '"' ||
-        text_[pos_ + 17] != '"') {
+  /// A version-2 flag: 0 or 1.
+  bool bit(bool& out) {
+    if (pos_ == text_.size() || (text_[pos_] != '0' && text_[pos_] != '1')) {
       return false;
     }
+    out = text_[pos_++] == '1';
+    return true;
+  }
+
+  /// 16 lowercase hex digits (append_hex16's output).
+  bool hex16(std::uint64_t& out) {
+    if (text_.size() - pos_ < 16) return false;
     std::uint64_t v = 0;
-    for (std::size_t i = pos_ + 1; i < pos_ + 17; ++i) {
+    for (std::size_t i = pos_; i < pos_ + 16; ++i) {
       const char c = text_[i];
       if (c >= '0' && c <= '9') {
         v = (v << 4) | static_cast<std::uint64_t>(c - '0');
@@ -142,21 +199,24 @@ class PayloadCursor {
         return false;
       }
     }
-    pos_ += 18;
+    pos_ += 16;
     out = v;
     return true;
   }
 
-  /// One of the three statuses the supervisor journals.
-  bool status(std::string& out) {
-    for (const std::string_view quoted :
-         {"\"ok\"", "\"timed_out\"", "\"failed\""}) {
-      if (lit(quoted)) {
-        out = quoted.substr(1, quoted.size() - 2);
-        return true;
+  /// A status name, in double quotes when `quoted` (version 1).
+  bool status(TrialStatus& out, bool quoted) {
+    if (quoted && !lit('"')) return false;
+    bool found = false;
+    for (const TrialStatus s :
+         {TrialStatus::kOk, TrialStatus::kTimedOut, TrialStatus::kFailed}) {
+      if (lit(trial_status_name(s))) {
+        out = s;
+        found = true;
+        break;
       }
     }
-    return false;
+    return found && (!quoted || lit('"'));
   }
 
  private:
@@ -182,7 +242,7 @@ class PayloadCursor {
 std::string manifest_json(const Scenario& s) {
   // The scenario is the last key so loaders can slice its exact text out
   // (the digest is over that text; see load_manifest).
-  std::string m = "{\"rcb_checkpoint\":1,\"scenario_digest\":\"";
+  std::string m = "{\"rcb_checkpoint\":2,\"scenario_digest\":\"";
   const std::string scenario = scenario_to_json(s);
   m += to_hex16(fnv1a64(scenario));
   m += "\",\"journal\":\"";
@@ -244,7 +304,8 @@ std::string write_file_atomic(const std::string& path,
 
 namespace {
 
-/// A record payload is ~250-320 bytes: no regrowth while writing one.
+/// A version-1 payload is ~250-320 bytes, a version-2 one under 120 for a
+/// typical trial: no regrowth while writing one.
 constexpr std::size_t kRecordPayloadReserve = 384;
 
 void append_count(std::string& out, std::uint64_t v) {
@@ -254,7 +315,7 @@ void append_count(std::string& out, std::uint64_t v) {
 
 /// "%.17g" (to_chars, general, precision 17): round-trips every finite
 /// double.  JSON has no inf/nan, so a non-finite double is null.
-void append_number(std::string& out, double v) {
+void append_json_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";
     return;
@@ -271,28 +332,26 @@ void append_quoted_hex16(std::string& out, std::uint64_t v) {
   out += '"';
 }
 
-/// The canonical payload, byte for byte in the order parse_journal_record_
-/// payload reads it.  The status is written as is: the supervisor only
-/// journals the three statuses, none of which needs escaping.
-void append_record_payload(std::string& out, const CheckpointRecord& rec,
-                           std::uint64_t scenario_digest) {
+/// The version-1 payload, byte for byte in the order its reader reads it.
+void append_payload_v1(std::string& out, const CheckpointRecord& rec,
+                       std::uint64_t scenario_digest) {
   const TrialOutcome& o = rec.outcome;
   out += "{\"trial\":";
   append_count(out, rec.trial);
   out += ",\"status\":\"";
-  out += rec.status;
+  out += trial_status_name(rec.status);
   out += "\",\"attempts\":";
   append_count(out, rec.attempts);
   out += ",\"scenario_digest\":";
   append_quoted_hex16(out, scenario_digest);
   out += ",\"outcome\":{\"max_cost\":";
-  append_number(out, o.max_cost);
+  append_json_number(out, o.max_cost);
   out += ",\"mean_cost\":";
-  append_number(out, o.mean_cost);
+  append_json_number(out, o.mean_cost);
   out += ",\"adversary_cost\":";
-  append_number(out, o.adversary_cost);
+  append_json_number(out, o.adversary_cost);
   out += ",\"latency\":";
-  append_number(out, o.latency);
+  append_json_number(out, o.latency);
   out += o.success ? ",\"success\":true" : ",\"success\":false";
   out += o.aborted ? ",\"aborted\":true" : ",\"aborted\":false";
   out += ",\"dead_count\":";
@@ -304,31 +363,70 @@ void append_record_payload(std::string& out, const CheckpointRecord& rec,
   out += "}}";
 }
 
-}  // namespace
+/// Version-2 field writers: each appends one field and the space after it.
+char* put_count(char* p, std::uint64_t v) {
+  p = std::to_chars(p, p + 20, v).ptr;
+  *p = ' ';
+  return p + 1;
+}
 
-void append_journal_frames(std::string& out,
-                           std::span<const CheckpointRecord> recs,
-                           std::uint64_t scenario_digest) {
-  std::string payload;
-  payload.reserve(kRecordPayloadReserve);
-  for (const CheckpointRecord& rec : recs) {
-    payload.clear();
-    append_record_payload(payload, rec, scenario_digest);
-    append_frame(out, kJournalFrameMagic, payload);
+char* put_hex16(char* p, std::uint64_t v) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  for (int i = 15; i >= 0; --i) {
+    p[i] = kDigits[v & 0xf];
+    v >>= 4;
+  }
+  p[16] = ' ';
+  return p + 17;
+}
+
+char* put_double(char* p, double v) {
+  if (has_decimal_form(v)) {
+    return put_count(p, static_cast<std::uint64_t>(v));
+  }
+  *p = 'x';
+  return put_hex16(p + 1, std::bit_cast<std::uint64_t>(v));
+}
+
+/// The version-2 payload, written in place into `out`.
+void append_payload_v2(std::string& out, const CheckpointRecord& rec,
+                       std::uint64_t scenario_digest) {
+  // Each field is at most 20 digits, or 17 bytes, plus its space.
+  constexpr std::size_t kPayloadBound = 15 * 21;
+  const TrialOutcome& o = rec.outcome;
+  const std::string_view status = trial_status_name(rec.status);
+  const std::size_t at = out.size();
+  out.resize(at + kPayloadBound);
+  char* p = put_count(out.data() + at, rec.trial);
+  p = std::copy(status.begin(), status.end(), p);
+  *p++ = ' ';
+  p = put_count(p, rec.attempts);
+  p = put_hex16(p, scenario_digest);
+  p = put_double(p, o.max_cost);
+  p = put_double(p, o.mean_cost);
+  p = put_double(p, o.adversary_cost);
+  p = put_double(p, o.latency);
+  p = put_count(p, o.success ? 1 : 0);
+  p = put_count(p, o.aborted ? 1 : 0);
+  p = put_count(p, o.dead_count);
+  p = put_count(p, o.crashed_count);
+  p = put_hex16(p, o.digest);
+  p = put_double(p, o.alice_cost);
+  p = put_double(p, o.bob_cost);
+  out.resize(static_cast<std::size_t>(p - out.data()) - 1);  // last space
+}
+
+void append_payload(std::string& out, const CheckpointRecord& rec,
+                    std::uint64_t scenario_digest, JournalFormat format) {
+  if (format == JournalFormat::kV1) {
+    append_payload_v1(out, rec, scenario_digest);
+  } else {
+    append_payload_v2(out, rec, scenario_digest);
   }
 }
 
-std::string journal_record_payload(const CheckpointRecord& rec,
-                                   std::uint64_t scenario_digest) {
-  std::string out;
-  out.reserve(kRecordPayloadReserve);
-  append_record_payload(out, rec, scenario_digest);
-  return out;
-}
-
-std::string parse_journal_record_payload(std::string_view payload,
-                                         CheckpointRecord& rec,
-                                         std::uint64_t& scenario_digest) {
+std::string parse_payload_v1(std::string_view payload, CheckpointRecord& rec,
+                             std::uint64_t& scenario_digest) {
   PayloadCursor c(payload);
   const auto bad = [&](const char* field) {
     return std::string("bad ") + field + " field at byte " +
@@ -337,7 +435,7 @@ std::string parse_journal_record_payload(std::string_view payload,
   std::uint64_t attempts = 0;
   TrialOutcome& o = rec.outcome;
   if (!c.lit("{\"trial\":") || !c.count(rec.trial)) return bad("trial");
-  if (!c.lit(",\"status\":") || !c.status(rec.status)) {
+  if (!c.lit(",\"status\":") || !c.status(rec.status, true)) {
     return bad("status") + " (want \"ok\", \"timed_out\" or \"failed\")";
   }
   if (!c.lit(",\"attempts\":") || !c.count(attempts) || attempts == 0 ||
@@ -345,33 +443,118 @@ std::string parse_journal_record_payload(std::string_view payload,
     return bad("attempts");
   }
   rec.attempts = static_cast<std::uint32_t>(attempts);
-  if (!c.lit(",\"scenario_digest\":") || !c.hex16(scenario_digest)) {
+  if (!c.lit(",\"scenario_digest\":\"") || !c.hex16(scenario_digest) ||
+      !c.lit('"')) {
     return bad("scenario_digest");
   }
-  if (!c.lit(",\"outcome\":{\"max_cost\":") || !c.number(o.max_cost)) {
+  if (!c.lit(",\"outcome\":{\"max_cost\":") || !c.json_number(o.max_cost)) {
     return bad("max_cost");
   }
-  if (!c.lit(",\"mean_cost\":") || !c.number(o.mean_cost)) {
+  if (!c.lit(",\"mean_cost\":") || !c.json_number(o.mean_cost)) {
     return bad("mean_cost");
   }
-  if (!c.lit(",\"adversary_cost\":") || !c.number(o.adversary_cost)) {
+  if (!c.lit(",\"adversary_cost\":") || !c.json_number(o.adversary_cost)) {
     return bad("adversary_cost");
   }
-  if (!c.lit(",\"latency\":") || !c.number(o.latency)) return bad("latency");
-  if (!c.lit(",\"success\":") || !c.flag(o.success)) return bad("success");
-  if (!c.lit(",\"aborted\":") || !c.flag(o.aborted)) return bad("aborted");
+  if (!c.lit(",\"latency\":") || !c.json_number(o.latency)) {
+    return bad("latency");
+  }
+  if (!c.lit(",\"success\":") || !c.json_flag(o.success)) {
+    return bad("success");
+  }
+  if (!c.lit(",\"aborted\":") || !c.json_flag(o.aborted)) {
+    return bad("aborted");
+  }
   if (!c.lit(",\"dead_count\":") || !c.count(o.dead_count)) {
     return bad("dead_count");
   }
   if (!c.lit(",\"crashed_count\":") || !c.count(o.crashed_count)) {
     return bad("crashed_count");
   }
-  if (!c.lit(",\"digest\":") || !c.hex16(o.digest)) return bad("digest");
+  if (!c.lit(",\"digest\":\"") || !c.hex16(o.digest) || !c.lit('"')) {
+    return bad("digest");
+  }
   if (!c.lit("}}") || !c.at_end()) {
     return "payload does not end after the outcome object (byte " +
            std::to_string(c.pos()) + ")";
   }
+  o.alice_cost = 0.0;
+  o.bob_cost = 0.0;
   return "";
+}
+
+std::string parse_payload_v2(std::string_view payload, CheckpointRecord& rec,
+                             std::uint64_t& scenario_digest) {
+  PayloadCursor c(payload);
+  const auto bad = [&](const char* field) {
+    return std::string("bad ") + field + " field at byte " +
+           std::to_string(c.pos());
+  };
+  std::uint64_t attempts = 0;
+  TrialOutcome& o = rec.outcome;
+  if (!c.count(rec.trial)) return bad("trial");
+  if (!c.lit(' ') || !c.status(rec.status, false)) {
+    return bad("status") + " (want ok, timed_out or failed)";
+  }
+  if (!c.lit(' ') || !c.count(attempts) || attempts == 0 ||
+      attempts > UINT32_MAX) {
+    return bad("attempts");
+  }
+  rec.attempts = static_cast<std::uint32_t>(attempts);
+  if (!c.lit(' ') || !c.hex16(scenario_digest)) {
+    return bad("scenario_digest");
+  }
+  if (!c.lit(' ') || !c.exact_double(o.max_cost)) return bad("max_cost");
+  if (!c.lit(' ') || !c.exact_double(o.mean_cost)) return bad("mean_cost");
+  if (!c.lit(' ') || !c.exact_double(o.adversary_cost)) {
+    return bad("adversary_cost");
+  }
+  if (!c.lit(' ') || !c.exact_double(o.latency)) return bad("latency");
+  if (!c.lit(' ') || !c.bit(o.success)) return bad("success");
+  if (!c.lit(' ') || !c.bit(o.aborted)) return bad("aborted");
+  if (!c.lit(' ') || !c.count(o.dead_count)) return bad("dead_count");
+  if (!c.lit(' ') || !c.count(o.crashed_count)) return bad("crashed_count");
+  if (!c.lit(' ') || !c.hex16(o.digest)) return bad("digest");
+  if (!c.lit(' ') || !c.exact_double(o.alice_cost)) return bad("alice_cost");
+  if (!c.lit(' ') || !c.exact_double(o.bob_cost)) return bad("bob_cost");
+  if (!c.at_end()) {
+    return "payload does not end after bob_cost (byte " +
+           std::to_string(c.pos()) + ")";
+  }
+  return "";
+}
+
+}  // namespace
+
+void append_journal_frames(std::string& out,
+                           std::span<const CheckpointRecord> recs,
+                           std::uint64_t scenario_digest,
+                           JournalFormat format) {
+  std::string payload;
+  payload.reserve(kRecordPayloadReserve);
+  for (const CheckpointRecord& rec : recs) {
+    payload.clear();
+    append_payload(payload, rec, scenario_digest, format);
+    append_frame(out, kJournalFrameMagic, payload);
+  }
+}
+
+std::string journal_record_payload(const CheckpointRecord& rec,
+                                   std::uint64_t scenario_digest,
+                                   JournalFormat format) {
+  std::string out;
+  out.reserve(kRecordPayloadReserve);
+  append_payload(out, rec, scenario_digest, format);
+  return out;
+}
+
+std::string parse_journal_record_payload(std::string_view payload,
+                                         JournalFormat format,
+                                         CheckpointRecord& rec,
+                                         std::uint64_t& scenario_digest) {
+  return format == JournalFormat::kV1
+             ? parse_payload_v1(payload, rec, scenario_digest)
+             : parse_payload_v2(payload, rec, scenario_digest);
 }
 
 CheckpointLoadResult load_checkpoint(const std::string& dir) {
@@ -389,10 +572,13 @@ CheckpointLoadResult load_checkpoint(const std::string& dir) {
   }
   const JsonValue* marker = parsed.value.find("rcb_checkpoint");
   if (marker == nullptr || !marker->is_number() ||
-      marker->as_number() != 1.0) {
-    r.error = "not an rcb checkpoint manifest (missing rcb_checkpoint:1)";
+      (marker->as_number() != 1.0 && marker->as_number() != 2.0)) {
+    r.error =
+        "not an rcb checkpoint manifest (missing rcb_checkpoint:1 or 2)";
     return r;
   }
+  r.format = marker->as_number() == 1.0 ? JournalFormat::kV1
+                                        : JournalFormat::kV2;
   const JsonValue* digest_field = parsed.value.find("scenario_digest");
   if (digest_field == nullptr || !digest_field->is_string() ||
       !parse_hex_u64(digest_field->as_string(), r.scenario_digest)) {
@@ -436,6 +622,10 @@ CheckpointLoadResult load_checkpoint(const std::string& dir) {
   r.error = read_file_fully(journal_path, journal, "checkpoint journal");
   if (!r.error.empty()) return r;
 
+  // Every frame ends in the journal's only kind of newline, so their count
+  // bounds the records: one allocation, no regrowth copies.
+  r.records.reserve(static_cast<std::size_t>(
+      std::count(journal.begin(), journal.end(), '\n')));
   std::vector<bool> seen;  // trial-index bitmap for duplicate detection
   std::size_t off = 0;
   while (off < journal.size()) {
@@ -454,8 +644,8 @@ CheckpointLoadResult load_checkpoint(const std::string& dir) {
     }
     CheckpointRecord rec;
     std::uint64_t rec_digest = 0;
-    if (const std::string perr =
-            parse_journal_record_payload(frame.payload, rec, rec_digest);
+    if (const std::string perr = parse_journal_record_payload(
+            frame.payload, r.format, rec, rec_digest);
         !perr.empty()) {
       return corrupt(perr);
     }
@@ -487,22 +677,10 @@ CheckpointLoadResult load_checkpoint(const std::string& dir) {
 CheckpointWriter::~CheckpointWriter() { close(); }
 
 CheckpointWriter::CheckpointWriter(CheckpointWriter&& other) noexcept
-    : dir_(std::move(other.dir_)),
-      scenario_digest_(other.scenario_digest_),
+    : scenario_digest_(other.scenario_digest_),
+      format_(other.format_),
       file_(other.file_) {
   other.file_ = nullptr;
-}
-
-CheckpointWriter& CheckpointWriter::operator=(
-    CheckpointWriter&& other) noexcept {
-  if (this != &other) {
-    close();
-    dir_ = std::move(other.dir_);
-    scenario_digest_ = other.scenario_digest_;
-    file_ = other.file_;
-    other.file_ = nullptr;
-  }
-  return *this;
 }
 
 void CheckpointWriter::close() {
@@ -527,8 +705,8 @@ std::string CheckpointWriter::create(const std::string& dir,
     return err;
   }
 
-  dir_ = dir;
   scenario_digest_ = scenario_digest(s);
+  format_ = JournalFormat::kV2;
   const std::string journal_path = dir + "/" + kCheckpointJournalFile;
   file_ = std::fopen(journal_path.c_str(), "wb");
   if (file_ == nullptr) {
@@ -537,12 +715,11 @@ std::string CheckpointWriter::create(const std::string& dir,
   return "";
 }
 
-std::string CheckpointWriter::open_for_append(const std::string& dir,
-                                              std::uint64_t digest,
-                                              std::uint64_t valid_bytes) {
+std::string CheckpointWriter::open_for_append(
+    const std::string& dir, const CheckpointLoadResult& loaded) {
   close();
-  dir_ = dir;
-  scenario_digest_ = digest;
+  scenario_digest_ = loaded.scenario_digest;
+  format_ = loaded.format;
   // A crash between the manifest temp-write and its rename leaves a stale
   // "manifest.json.tmp" next to the (old or absent) manifest.  It carries
   // no information the real manifest lacks, and left alone it would linger
@@ -553,7 +730,8 @@ std::string CheckpointWriter::open_for_append(const std::string& dir,
   const std::string journal_path = dir + "/" + kCheckpointJournalFile;
   // Drop any partial tail frame before appending: resize, then append.
   if (std::filesystem::exists(journal_path, ec)) {
-    std::filesystem::resize_file(journal_path, valid_bytes, ec);
+    std::filesystem::resize_file(journal_path, loaded.journal_valid_bytes,
+                                 ec);
     if (ec) {
       return "cannot truncate journal '" + journal_path +
              "': " + ec.message();
@@ -579,10 +757,15 @@ std::string CheckpointWriter::append_frames(std::string_view frames) {
   return "";
 }
 
+void CheckpointWriter::encode_frames(
+    std::string& out, std::span<const CheckpointRecord> recs) const {
+  append_journal_frames(out, recs, scenario_digest_, format_);
+}
+
 std::string CheckpointWriter::append_batch(
     const std::vector<CheckpointRecord>& recs) {
   std::string frames;
-  append_journal_frames(frames, recs, scenario_digest_);
+  encode_frames(frames, recs);
   return append_frames(frames);
 }
 

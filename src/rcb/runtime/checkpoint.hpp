@@ -2,7 +2,7 @@
 //
 // A checkpoint directory holds two files:
 //
-//   manifest.json   {"rcb_checkpoint":1,"scenario_digest":"<hex16>",
+//   manifest.json   {"rcb_checkpoint":2,"scenario_digest":"<hex16>",
 //                    "journal":"journal.rcbj","scenario":{...}}
 //   journal.rcbj    one framed record per completed trial, appended in
 //                   batches as trials finish (any order; records carry
@@ -13,7 +13,7 @@
 // frames of runtime/frame.hpp, the codec the control plane shares (digest
 // over the payload bytes, length at most kMaxFramePayload = 64 KiB):
 //
-//   RCBJ <payload-bytes> <fnv1a-hex16> <payload-json>\n
+//   RCBJ <payload-bytes> <fnv1a-hex16> <payload>\n
 //
 // A process killed mid-append leaves at most one partial frame at the
 // tail, which the frame reader calls need-more; the loader reports a
@@ -30,9 +30,27 @@
 // loses at most that much per task; a point reports ok only after its
 // journal is fsynced (supervisor.hpp, "Durability").
 //
-// The payload has one canonical layout, written by one encoder
-// (append_journal_frames, which journal_record_payload exposes for one
-// record) and read by one strict reader (parse_journal_record_payload):
+// The manifest's "rcb_checkpoint" names the record layout of its journal
+// (JournalFormat).  New checkpoints are version 2; a version-1 checkpoint
+// still loads, and a writer resuming it appends version-1 records, so a
+// journal never mixes layouts.  Each layout has one encoder
+// (append_journal_frames; journal_record_payload gives one record's
+// payload) and one strict reader (parse_journal_record_payload).
+//
+// Version 2 is fifteen fields separated by single spaces, no key names:
+//
+//   <trial> ok|timed_out|failed <attempts> <scenario_digest> <max_cost>
+//   <mean_cost> <adversary_cost> <latency> <success> <aborted>
+//   <dead_count> <crashed_count> <digest> <alice_cost> <bob_cost>
+//
+// Counts (trial, attempts, dead_count, crashed_count) are canonical
+// decimal no larger than 2^53; success and aborted are 0 or 1; u64
+// digests are 16 lowercase hex digits.  A double that is an integer in
+// [0, 2^53) and not -0.0 is its decimal count; every other finite double
+// is 'x' followed by the 16 hex digits of its bit pattern.  A non-finite
+// double is written as its bits too, and refused by the reader.
+//
+// Version 1 is one JSON object per record:
 //
 //   {"trial":N,"status":"ok|timed_out|failed","attempts":N,
 //    "scenario_digest":"<hex16>","outcome":{"max_cost":D,"mean_cost":D,
@@ -40,15 +58,18 @@
 //    "dead_count":N,"crashed_count":N,"digest":"<hex16>"}}
 //
 // on one line, keys in exactly this order, no whitespace.  Counts N are
-// plain integers no larger than 2^53; doubles D are printed as by printf
-// "%.17g" (std::to_chars, general, precision 17), so they round-trip
-// exactly (a non-finite double is written as null, which the reader
-// refuses); u64 digests travel as 16 lowercase hex digits.  An aggregate
-// recomputed from the journal is therefore bit-identical to the
-// uninterrupted run — the property the supervisor's kill/resume tests pin.
-// The reader accepts nothing but this layout: a payload that is valid JSON
-// but not canonical (reordered keys, whitespace, an unknown status, "1.0"
-// for a count) is corruption, refused like a flipped byte, never repaired.
+// as in version 2; doubles D are printed as by printf "%.17g"
+// (std::to_chars, general, precision 17; a non-finite double is null,
+// which the reader refuses).  Version 1 has no per-party costs: they load
+// as 0.
+//
+// Both layouts round-trip every record bit for bit, so an aggregate
+// recomputed from the journal is bit-identical to the uninterrupted run —
+// the property the supervisor's kill/resume tests pin.  Each reader
+// accepts nothing but its layout: a payload that the writer would not
+// have produced (reordered fields, extra whitespace, a leading zero, an
+// unknown status, an 'x' form for a double that has a decimal one) is
+// corruption, refused like a flipped byte, never repaired.
 #pragma once
 
 #include <cstdint>
@@ -81,12 +102,24 @@ std::string write_file_atomic(const std::string& path,
 using WriteFaultHook = std::function<int(std::size_t bytes)>;
 void set_checkpoint_write_fault(WriteFaultHook hook);
 
+/// The record layout of a journal, named by its manifest's
+/// "rcb_checkpoint".  CheckpointWriter::create writes kV2.
+enum class JournalFormat { kV1 = 1, kV2 = 2 };
+
+/// How the supervisor got a trial's outcome.
+enum class TrialStatus : std::uint8_t {
+  kOk,        ///< the trial runner returned it
+  kTimedOut,  ///< watchdog or slot-budget quarantine (synthetic outcome)
+  kFailed,    ///< exhausted the retry budget (synthetic outcome)
+};
+
+/// The status as journals spell it: "ok", "timed_out" or "failed".
+std::string_view trial_status_name(TrialStatus status);
+
 /// One journaled trial: the outcome plus how the supervisor got it.
 struct CheckpointRecord {
   std::uint64_t trial = 0;
-  /// "ok" | "timed_out" (watchdog/slot-budget quarantine) | "failed"
-  /// (exhausted the retry budget).
-  std::string status = "ok";
+  TrialStatus status = TrialStatus::kOk;
   std::uint32_t attempts = 1;  ///< 1 = first attempt succeeded
   TrialOutcome outcome;
 };
@@ -96,6 +129,7 @@ struct CheckpointLoadResult {
   std::string error;
   Scenario scenario;                   ///< from the manifest
   std::uint64_t scenario_digest = 0;   ///< digest of the manifest scenario
+  JournalFormat format = JournalFormat::kV2;  ///< from the manifest
   std::vector<CheckpointRecord> records;  ///< journal order
   /// True when the journal ended in a partial frame (killed mid-append).
   /// Recoverable: `records` holds everything up to the last good frame and
@@ -105,20 +139,24 @@ struct CheckpointLoadResult {
 };
 
 /// Appends `recs` to `out` as consecutive RCBJ frames around their
-/// canonical payloads (the layout above), stamped with `scenario_digest`.
-/// The bytes do not depend on how records are grouped into calls.
+/// payloads in `format` (the layouts above), stamped with
+/// `scenario_digest`.  The bytes do not depend on how records are grouped
+/// into calls.
 void append_journal_frames(std::string& out,
                            std::span<const CheckpointRecord> recs,
-                           std::uint64_t scenario_digest);
+                           std::uint64_t scenario_digest,
+                           JournalFormat format);
 
-/// The canonical payload of one record, unframed (tests and benchmarks).
+/// The payload of one record in `format`, unframed (tests and benchmarks).
 std::string journal_record_payload(const CheckpointRecord& rec,
-                                   std::uint64_t scenario_digest);
+                                   std::uint64_t scenario_digest,
+                                   JournalFormat format);
 
-/// Decodes a payload in the canonical layout into `rec` and the stamped
+/// Decodes a payload in `format` into `rec` and the stamped
 /// `scenario_digest`, in one pass.  Returns "" or a description of the
 /// first deviation from the layout (with its byte offset).
 std::string parse_journal_record_payload(std::string_view payload,
+                                         JournalFormat format,
                                          CheckpointRecord& rec,
                                          std::uint64_t& scenario_digest);
 
@@ -139,24 +177,29 @@ class CheckpointWriter {
   CheckpointWriter(const CheckpointWriter&) = delete;
   CheckpointWriter& operator=(const CheckpointWriter&) = delete;
   CheckpointWriter(CheckpointWriter&& other) noexcept;
-  CheckpointWriter& operator=(CheckpointWriter&& other) noexcept;
 
-  /// Starts a fresh checkpoint: creates `dir` (and parents), writes the
-  /// manifest atomically, and truncates the journal.  Returns "" or an
-  /// error description.
+  /// Starts a fresh version-2 checkpoint: creates `dir` (and parents),
+  /// writes the manifest atomically, and truncates the journal.  Returns
+  /// "" or an error description.
   std::string create(const std::string& dir, const Scenario& s);
 
-  /// Resumes an existing checkpoint: truncates the journal to
-  /// `valid_bytes` (dropping a partial tail reported by load_checkpoint)
-  /// and opens it for append.  `digest` is the manifest scenario digest
-  /// stamped into every appended record.
-  std::string open_for_append(const std::string& dir, std::uint64_t digest,
-                              std::uint64_t valid_bytes);
+  /// Resumes the checkpoint in `dir` that load_checkpoint read as
+  /// `loaded`: truncates the journal to loaded.journal_valid_bytes
+  /// (dropping a partial tail) and opens it for append.  Records appended
+  /// here are stamped with loaded.scenario_digest and written in
+  /// loaded.format, the layout the journal already holds.
+  std::string open_for_append(const std::string& dir,
+                              const CheckpointLoadResult& loaded);
 
-  /// Appends `frames` (append_journal_frames output, stamped with
-  /// digest()) with one fwrite+fflush.  After an error a prefix of the
-  /// bytes may be on disk: whole frames, then at most one partial frame
-  /// that the loader reads as a truncated tail.
+  /// Appends `recs` to `out` as this journal's frames (its format, its
+  /// scenario digest), ready for append_frames.
+  void encode_frames(std::string& out,
+                     std::span<const CheckpointRecord> recs) const;
+
+  /// Appends `frames` (encode_frames output) with one fwrite+fflush.
+  /// After an error a prefix of the bytes may be on disk: whole frames,
+  /// then at most one partial frame that the loader reads as a truncated
+  /// tail.
   std::string append_frames(std::string_view frames);
 
   /// Encodes `recs` and appends them with one append_frames.
@@ -167,13 +210,10 @@ class CheckpointWriter {
 
   void close();
   bool active() const { return file_ != nullptr; }
-  const std::string& dir() const { return dir_; }
-  /// The scenario digest every record appended here is stamped with.
-  std::uint64_t digest() const { return scenario_digest_; }
 
  private:
-  std::string dir_;
   std::uint64_t scenario_digest_ = 0;
+  JournalFormat format_ = JournalFormat::kV2;
   std::FILE* file_ = nullptr;
 };
 

@@ -526,6 +526,8 @@ TrialOutcome run_scenario_trial(const Scenario& s, std::uint64_t trial) {
     out.latency = static_cast<double>(r.latency);
     out.success = r.delivered;
     out.aborted = r.aborted;
+    out.alice_cost = static_cast<double>(r.alice_cost);
+    out.bob_cost = static_cast<double>(r.bob_cost);
     dig.mix(r.alice_cost);
     dig.mix(r.bob_cost);
     dig.mix(r.alice_halted);

@@ -122,6 +122,11 @@ struct TrialOutcome {
   /// statuses, epochs) — two executions with equal digests took the same
   /// per-node trajectory.
   std::uint64_t digest = 0;
+  /// A duel's per-party costs E(A) and E(B) (one_to_one, ksy, combined);
+  /// 0 for the other protocols.  Not mixed into `digest`: they are the
+  /// node costs the duel digest already covers.
+  double alice_cost = 0.0;
+  double bob_cost = 0.0;
 };
 
 /// Executes trial `trial` of `s` (precondition: validate_scenario(s) is

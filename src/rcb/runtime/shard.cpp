@@ -512,6 +512,10 @@ ShardMergeResult merge_shard_journals(const std::string& root,
     out.error = err;
     return out;
   }
+  // Each record goes to its trial index, so a complete merge is already
+  // in trial order and finalize_sweep_result does not sort it.  A point's
+  // records grow to the end of each shard as it is merged, so memory is
+  // touched as the shards' own records are freed, not all up front.
   out.points.resize(spec.points.size());
   std::vector<std::vector<bool>> seen(spec.points.size());
   for (std::size_t p = 0; p < spec.points.size(); ++p) {
@@ -544,6 +548,8 @@ ShardMergeResult merge_shard_journals(const std::string& root,
         break;
     }
     const std::size_t p = spec.shards[i].point;
+    std::vector<CheckpointRecord>& records = out.points[p].records;
+    records.resize(std::max<std::size_t>(records.size(), spec.shards[i].end));
     for (CheckpointRecord& rec : scan.records) {
       // Cross-journal duplicates cannot happen under a tiled plan with
       // in-range records, but the merge is the last line of defence against
@@ -557,7 +563,7 @@ ShardMergeResult merge_shard_journals(const std::string& root,
         return out;
       }
       seen[p][rec.trial] = true;
-      out.points[p].records.push_back(std::move(rec));
+      records[rec.trial] = std::move(rec);
     }
   }
 

@@ -202,13 +202,16 @@ std::uint64_t aggregate_digest(const std::vector<CheckpointRecord>& records) {
 }
 
 void finalize_sweep_result(SweepResult& res) {
-  std::sort(res.records.begin(), res.records.end(),
-            [](const CheckpointRecord& a, const CheckpointRecord& b) {
-              return a.trial < b.trial;
-            });
+  const auto by_trial = [](const CheckpointRecord& a,
+                           const CheckpointRecord& b) {
+    return a.trial < b.trial;
+  };
+  if (!std::is_sorted(res.records.begin(), res.records.end(), by_trial)) {
+    std::sort(res.records.begin(), res.records.end(), by_trial);
+  }
   for (const CheckpointRecord& rec : res.records) {
-    if (rec.status == "timed_out") ++res.timed_out;
-    if (rec.status == "failed") ++res.failed_trials;
+    if (rec.status == TrialStatus::kTimedOut) ++res.timed_out;
+    if (rec.status == TrialStatus::kFailed) ++res.failed_trials;
   }
   res.aggregate_digest = aggregate_digest(res.records);
   res.ok = true;
@@ -276,8 +279,7 @@ std::string setup_point(const SweepPoint& point, const SupervisorOptions& opt,
       result.scenario = loaded.scenario;
       st.resumed = std::move(loaded.records);
       const std::string err =
-          writer.open_for_append(point.checkpoint_dir, loaded.scenario_digest,
-                                 loaded.journal_valid_bytes);
+          writer.open_for_append(point.checkpoint_dir, loaded);
       if (!err.empty()) return err;
     }
   }
@@ -333,9 +335,9 @@ void run_point_trial(PointState& st, std::uint64_t t,
     if (watchdog != nullptr) watchdog->watch(&token);
     try {
       rec.outcome = runner(s, t, attempt);
-      rec.status = "ok";
+      rec.status = TrialStatus::kOk;
     } catch (const TrialCancelled& cancelled) {
-      rec.status = "timed_out";
+      rec.status = TrialStatus::kTimedOut;
       rec.outcome = synthetic_outcome("timed_out", t);
       emit_repro("timeout",
                  "trial exceeded its " + cancelled.reason() + " budget", s, t,
@@ -346,7 +348,7 @@ void run_point_trial(PointState& st, std::uint64_t t,
         ++attempt;
         continue;
       }
-      rec.status = "failed";
+      rec.status = TrialStatus::kFailed;
       rec.outcome = synthetic_outcome("failed", t);
     } catch (const std::exception& ex) {
       emit_repro("exception", ex.what(), s, t, st.scenario_json);
@@ -354,7 +356,7 @@ void run_point_trial(PointState& st, std::uint64_t t,
         ++attempt;
         continue;
       }
-      rec.status = "failed";
+      rec.status = TrialStatus::kFailed;
       rec.outcome = synthetic_outcome("failed", t);
     } catch (...) {
       emit_repro("exception", "unknown exception", s, t, st.scenario_json);
@@ -362,7 +364,7 @@ void run_point_trial(PointState& st, std::uint64_t t,
         ++attempt;
         continue;
       }
-      rec.status = "failed";
+      rec.status = TrialStatus::kFailed;
       rec.outcome = synthetic_outcome("failed", t);
     }
     break;
@@ -391,7 +393,7 @@ void merge_batch(PointState& st, std::vector<CheckpointRecord>& batch,
   const bool journaling = st.journal.active();
   if (journaling) {
     frames.clear();
-    append_journal_frames(frames, batch, st.journal.digest());
+    st.journal.encode_frames(frames, batch);
   }
   std::lock_guard<std::mutex> lock(st.merge_mutex);
   if (journaling && st.journal_error.empty()) {

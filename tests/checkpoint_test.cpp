@@ -1,6 +1,7 @@
 // Tests for the crash-safe checkpoint journal (runtime/checkpoint.hpp):
-// round-trip fidelity, the truncation-vs-corruption decision tree, and
-// resume-after-truncation.
+// round-trip fidelity of both record layouts, the truncation-vs-corruption
+// decision tree, resume-after-truncation, and version-1 journals that load
+// and resume as version 1.
 #include "rcb/runtime/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <random>
 #include <string>
 #include <utility>
@@ -21,6 +24,9 @@
 
 #include "rcb/cli/json_parse.hpp"
 #include "rcb/common/mathutil.hpp"
+#include "rcb/runtime/coordinator.hpp"
+#include "rcb/runtime/frame.hpp"
+#include "rcb/runtime/shard.hpp"
 #include "rcb/runtime/supervisor.hpp"
 #include "test_dir.hpp"
 
@@ -57,13 +63,15 @@ TrialOutcome test_outcome(std::uint64_t trial) {
   o.dead_count = trial * 7;
   o.crashed_count = trial;
   o.digest = 0x123456789abcdef0ull ^ (trial * 0x9e3779b97f4a7c15ull);
+  o.alice_cost = 1234.0 + static_cast<double>(trial);
+  o.bob_cost = 1000.5 - static_cast<double>(trial);
   return o;
 }
 
 CheckpointRecord test_record(std::uint64_t trial) {
   CheckpointRecord rec;
   rec.trial = trial;
-  rec.status = trial == 3 ? "timed_out" : "ok";
+  rec.status = trial == 3 ? TrialStatus::kTimedOut : TrialStatus::kOk;
   rec.attempts = trial == 5 ? 2 : 1;
   rec.outcome = test_outcome(trial);
   return rec;
@@ -118,6 +126,94 @@ class CheckpointTest : public ::testing::Test {
   std::string dir_;
 };
 
+void expect_same_record(const CheckpointRecord& a, std::uint64_t a_dig,
+                        const CheckpointRecord& b, std::uint64_t b_dig,
+                        const std::string& what);
+
+/// The single-space fields of a canonical version-2 payload.
+std::vector<std::string> v2_fields(const std::string& payload) {
+  std::vector<std::string> fields(1);
+  for (const char c : payload) {
+    if (c == ' ') {
+      fields.emplace_back();
+    } else {
+      fields.back() += c;
+    }
+  }
+  return fields;
+}
+
+std::string join_fields(const std::vector<std::string>& fields) {
+  std::string out;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) out += ' ';
+    out += fields[i];
+  }
+  return out;
+}
+
+/// The status named `name` as journals spell it.
+bool status_from_name(std::string_view name, TrialStatus& out) {
+  for (const TrialStatus s :
+       {TrialStatus::kOk, TrialStatus::kTimedOut, TrialStatus::kFailed}) {
+    if (trial_status_name(s) == name) {
+      out = s;
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Rewrites the manifest in `dir` to name record layout `version`.  The
+/// scenario digest covers only the scenario object, so the manifest stays
+/// valid.
+void set_manifest_version(const std::string& dir, char version) {
+  const fs::path path = fs::path(dir) / kCheckpointManifestFile;
+  std::string m;
+  {
+    std::ifstream in(path, std::ios::binary);
+    m.assign(std::istreambuf_iterator<char>(in),
+             std::istreambuf_iterator<char>());
+  }
+  const std::string key = "{\"rcb_checkpoint\":";
+  ASSERT_EQ(m.rfind(key, 0), 0u) << m;
+  m[key.size()] = version;
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << m;
+}
+
+/// A version-1 checkpoint of `s` in `dir` holding `recs`, written the way
+/// a writer resuming a version-1 journal appends.
+void write_v1_checkpoint(const std::string& dir, const Scenario& s,
+                         const std::vector<CheckpointRecord>& recs) {
+  CheckpointWriter writer;
+  ASSERT_EQ(writer.create(dir, s), "");
+  writer.close();
+  set_manifest_version(dir, '1');
+  const CheckpointLoadResult loaded = load_checkpoint(dir);
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  ASSERT_EQ(loaded.format, JournalFormat::kV1);
+  ASSERT_EQ(writer.open_for_append(dir, loaded), "");
+  ASSERT_EQ(writer.append_batch(recs), "");
+}
+
+/// Fails the test unless every frame of `journal` is complete and its
+/// payload reads in `format`.  Returns the number of frames.
+std::size_t expect_frames_in(std::string_view journal, JournalFormat format) {
+  std::size_t frames = 0;
+  while (!journal.empty()) {
+    const FrameRead r = read_frame(journal, kJournalFrameMagic);
+    EXPECT_EQ(r.status, FrameRead::Status::kFrame) << "frame " << frames;
+    if (r.status != FrameRead::Status::kFrame) break;
+    CheckpointRecord rec;
+    std::uint64_t dig = 0;
+    EXPECT_EQ(parse_journal_record_payload(r.payload, format, rec, dig), "")
+        << r.payload;
+    journal.remove_prefix(r.consumed);
+    ++frames;
+  }
+  return frames;
+}
+
 TEST_F(CheckpointTest, RoundTripsRecordsExactly) {
   make_checkpoint({0, 3, 5, 1});
   const CheckpointLoadResult loaded = load_checkpoint(dir_);
@@ -145,6 +241,8 @@ TEST_F(CheckpointTest, RoundTripsRecordsExactly) {
     EXPECT_EQ(rec.outcome.dead_count, ref.outcome.dead_count);
     EXPECT_EQ(rec.outcome.crashed_count, ref.outcome.crashed_count);
     EXPECT_EQ(rec.outcome.digest, ref.outcome.digest);
+    EXPECT_EQ(rec.outcome.alice_cost, ref.outcome.alice_cost);
+    EXPECT_EQ(rec.outcome.bob_cost, ref.outcome.bob_cost);
   }
 }
 
@@ -190,9 +288,7 @@ TEST_F(CheckpointTest, TruncatedTailIsRecoverable) {
   // A resuming writer truncates to the last good byte and appends; the
   // journal then reloads clean with all three records.
   CheckpointWriter writer;
-  ASSERT_EQ(writer.open_for_append(dir_, loaded.scenario_digest,
-                                   loaded.journal_valid_bytes),
-            "");
+  ASSERT_EQ(writer.open_for_append(dir_, loaded), "");
   ASSERT_EQ(writer.append_batch({test_record(2)}), "");
   writer.close();
   const CheckpointLoadResult reloaded = load_checkpoint(dir_);
@@ -347,9 +443,7 @@ TEST_F(CheckpointTest, StaleManifestTmpFromCrashWindowIsCleanedUp) {
   CheckpointLoadResult loaded = load_checkpoint(dir_);
   ASSERT_TRUE(loaded.ok) << loaded.error;  // the real manifest is intact
   CheckpointWriter writer;
-  ASSERT_EQ(writer.open_for_append(dir_, loaded.scenario_digest,
-                                   loaded.journal_valid_bytes),
-            "");
+  ASSERT_EQ(writer.open_for_append(dir_, loaded), "");
   writer.close();
   EXPECT_FALSE(fs::exists(tmp)) << "stale manifest temp file survived resume";
 
@@ -425,7 +519,7 @@ TEST_F(CheckpointTest, AsyncJournalWriterSurfacesWriteErrors) {
   EXPECT_NE(err.find("not open"), std::string::npos) << err;
   std::string frames;
   const CheckpointRecord rec = test_record(1);
-  append_journal_frames(frames, {&rec, 1}, writer.digest());
+  writer.encode_frames(frames, {&rec, 1});
   err = writer.append_frames(frames);
   EXPECT_NE(err.find("not open"), std::string::npos) << err;
   err = writer.sync();
@@ -446,17 +540,35 @@ const fs::path kFixtureDir = fs::path(RCB_CORPUS_DIR) / "journal_v1";
 TEST_F(CheckpointTest, FixtureJournalReEncodesByteIdentically) {
   const CheckpointLoadResult fixture = load_checkpoint(kFixtureDir.string());
   ASSERT_TRUE(fixture.ok) << fixture.error;
+  EXPECT_EQ(fixture.format, JournalFormat::kV1);
   EXPECT_FALSE(fixture.truncated_tail);
   ASSERT_EQ(fixture.records.size(), 20u);
+  const std::string fixture_manifest =
+      read_file((kFixtureDir / kCheckpointManifestFile).string());
+  const std::string fixture_journal =
+      read_file((kFixtureDir / kCheckpointJournalFile).string());
 
+  // A new checkpoint of the fixture's scenario differs from the fixture's
+  // manifest in the version digit alone.
   CheckpointWriter writer;
   ASSERT_EQ(writer.create(dir_, fixture.scenario), "");
+  writer.close();
+  set_manifest_version(dir_, '1');
+  EXPECT_EQ(read_file(manifest_path()), fixture_manifest);
+
+  // The writer reaches the version-1 encoder only by resuming a version-1
+  // checkpoint: a copy of the fixture manifest with an empty journal.
+  write_file(manifest_path(), fixture_manifest);
+  fs::remove(journal_path());
+  const CheckpointLoadResult empty = load_checkpoint(dir_);
+  ASSERT_TRUE(empty.ok) << empty.error;
+  ASSERT_EQ(empty.format, JournalFormat::kV1);
+  ASSERT_TRUE(empty.records.empty());
+  ASSERT_EQ(writer.open_for_append(dir_, empty), "");
   ASSERT_EQ(writer.append_batch(fixture.records), "");
   writer.close();
-  EXPECT_EQ(read_file(manifest_path()),
-            read_file((kFixtureDir / kCheckpointManifestFile).string()));
-  EXPECT_EQ(read_file(journal_path()),
-            read_file((kFixtureDir / kCheckpointJournalFile).string()));
+  EXPECT_EQ(read_file(manifest_path()), fixture_manifest);
+  EXPECT_EQ(read_file(journal_path()), fixture_journal);
 }
 
 TEST_F(CheckpointTest, FixtureCheckpointResumes) {
@@ -464,6 +576,7 @@ TEST_F(CheckpointTest, FixtureCheckpointResumes) {
   for (const char* f : {kCheckpointManifestFile, kCheckpointJournalFile}) {
     fs::copy_file(kFixtureDir / f, fs::path(dir_) / f);
   }
+  const std::string manifest = read_file(manifest_path());
   const std::string before = read_file(journal_path());
   SupervisorOptions opt;
   opt.checkpoint_dir = dir_;
@@ -480,17 +593,184 @@ TEST_F(CheckpointTest, FixtureCheckpointResumes) {
     EXPECT_EQ(sweep.records[t].outcome.digest,
               run_scenario_trial(sweep.scenario, t).digest);
   }
-  // The resumed run appends; the journaled prefix stays untouched.
-  EXPECT_EQ(read_file(journal_path()).substr(0, before.size()), before);
+  // The resumed run appends version-1 frames; the journaled prefix and the
+  // manifest stay untouched.
+  const std::string after = read_file(journal_path());
+  EXPECT_EQ(after.substr(0, before.size()), before);
+  EXPECT_EQ(expect_frames_in(std::string_view(after).substr(before.size()),
+                             JournalFormat::kV1),
+            4u);
+  EXPECT_EQ(read_file(manifest_path()), manifest);
+  const CheckpointLoadResult reloaded = load_checkpoint(dir_);
+  ASSERT_TRUE(reloaded.ok) << reloaded.error;
+  EXPECT_EQ(reloaded.format, JournalFormat::kV1);
+  EXPECT_EQ(reloaded.records.size(), 24u);
+}
+
+TEST_F(CheckpointTest, NewCheckpointsAreV2) {
+  make_checkpoint({0, 3, 5});
+  EXPECT_EQ(read_file(manifest_path()).rfind("{\"rcb_checkpoint\":2,", 0), 0u);
+  EXPECT_EQ(expect_frames_in(read_file(journal_path()), JournalFormat::kV2),
+            3u);
+  const CheckpointLoadResult loaded = load_checkpoint(dir_);
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  EXPECT_EQ(loaded.format, JournalFormat::kV2);
+}
+
+TEST_F(CheckpointTest, UnknownManifestVersionIsRefused) {
+  make_checkpoint({0});
+  for (const char version : {'0', '3'}) {
+    set_manifest_version(dir_, version);
+    const CheckpointLoadResult loaded = load_checkpoint(dir_);
+    EXPECT_FALSE(loaded.ok) << version;
+    EXPECT_NE(loaded.error.find("rcb_checkpoint"), std::string::npos)
+        << loaded.error;
+  }
+}
+
+TEST_F(CheckpointTest, SupervisedRecordsCarryPerPartyCosts) {
+  // A duel journals E(A) and E(B); they survive a reload, sum to twice the
+  // mean cost, and leave the trial digest as it was.
+  Scenario s = test_scenario();
+  SupervisorOptions opt;
+  opt.checkpoint_dir = dir_;
+  ThreadPool pool(2);
+  const SweepResult sweep = run_supervised_sweep(s, opt, pool);
+  ASSERT_TRUE(sweep.ok) << sweep.error;
+  const CheckpointLoadResult loaded = load_checkpoint(dir_);
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  ASSERT_EQ(loaded.records.size(), s.trials);
+  double spent = 0.0;
+  for (const CheckpointRecord& rec : loaded.records) {
+    const TrialOutcome& o = rec.outcome;
+    const TrialOutcome ref = run_scenario_trial(s, rec.trial);
+    EXPECT_EQ(o.alice_cost, ref.alice_cost);
+    EXPECT_EQ(o.bob_cost, ref.bob_cost);
+    EXPECT_EQ(o.alice_cost + o.bob_cost, 2.0 * o.mean_cost);
+    EXPECT_EQ(std::max(o.alice_cost, o.bob_cost), o.max_cost);
+    spent += o.alice_cost;
+  }
+  EXPECT_GT(spent, 0.0);
+
+  Scenario b;
+  b.protocol = "broadcast";
+  b.n = 8;
+  const TrialOutcome bo = run_scenario_trial(b, 0);
+  EXPECT_EQ(bo.alice_cost, 0.0);
+  EXPECT_EQ(bo.bob_cost, 0.0);
+}
+
+TEST_F(CheckpointTest, EverySingleByteFlipOfAV2JournalIsCaught) {
+  // Each byte of a 3-record journal, with each of its bits flipped and
+  // replaced by each byte the grammar gives a meaning to: the load is
+  // refused, reads a truncated tail, or loads the records unchanged.  It
+  // never loads a record that was not written.
+  make_checkpoint({0, 3, 5});
+  const std::string journal = read_file(journal_path());
+  const CheckpointLoadResult clean = load_checkpoint(dir_);
+  ASSERT_TRUE(clean.ok) << clean.error;
+  ASSERT_EQ(clean.records.size(), 3u);
+  const std::string_view kSignificant = "0123456789abcdefx \n";
+  std::size_t refused = 0, truncated = 0, unchanged = 0;
+  for (std::size_t at = 0; at < journal.size(); ++at) {
+    std::vector<char> values(kSignificant.begin(), kSignificant.end());
+    for (int bit = 0; bit < 8; ++bit) {
+      values.push_back(static_cast<char>(journal[at] ^ (1 << bit)));
+    }
+    for (const char v : values) {
+      if (v == journal[at]) continue;
+      std::string bytes = journal;
+      bytes[at] = v;
+      write_file(journal_path(), bytes);
+      const CheckpointLoadResult loaded = load_checkpoint(dir_);
+      if (!loaded.ok) {
+        ASSERT_EQ(loaded.error.rfind("journal record ", 0), 0u)
+            << loaded.error;
+        ++refused;
+        continue;
+      }
+      ASSERT_LE(loaded.records.size(), 3u);
+      for (std::size_t k = 0; k < loaded.records.size(); ++k) {
+        expect_same_record(loaded.records[k], loaded.scenario_digest,
+                           clean.records[k], clean.scenario_digest,
+                           "byte " + std::to_string(at) + " set to " +
+                               std::to_string(static_cast<int>(v)));
+      }
+      if (HasFailure()) return;
+      if (loaded.records.size() < 3) {
+        ASSERT_TRUE(loaded.truncated_tail)
+            << "byte " << at << " set to " << static_cast<int>(v);
+        ++truncated;
+      } else {
+        ++unchanged;
+      }
+    }
+  }
+  EXPECT_GT(refused, 0u);
+  RecordProperty("refused", static_cast<int>(refused));
+  RecordProperty("truncated", static_cast<int>(truncated));
+  RecordProperty("unchanged", static_cast<int>(unchanged));
+}
+
+TEST_F(CheckpointTest, ShardedResumeOverV1JournalsKeepsDigests) {
+  // A sharded root written before version 2: shard 0 complete, shard 1
+  // half done.  Resuming carries shard 1's journal into a try_<k> by byte
+  // copy and finishes it in version 1; the merge gives the digest of a run
+  // that never journaled.
+  Scenario s = test_scenario();
+  s.trials = 24;
+  ThreadPool pool(2);
+  const SweepResult reference =
+      run_supervised_sweep(s, SupervisorOptions{}, pool);
+  ASSERT_TRUE(reference.ok) << reference.error;
+
+  ShardSpec spec;
+  spec.worker_threads = 2;
+  spec.points = {s};
+  spec.shards = make_shard_plan({s.trials}, 2);
+  ASSERT_EQ(spec.shards.size(), 2u);
+  const std::string root = dir_ + "/root";
+  ASSERT_EQ(write_shard_spec(root, spec), "");
+  for (std::size_t i = 0; i < spec.shards.size(); ++i) {
+    const ShardAssignment& a = spec.shards[i];
+    std::vector<CheckpointRecord> recs;
+    for (std::uint64_t t = a.begin; t < (i == 0 ? a.end : a.begin + 5); ++t) {
+      CheckpointRecord& rec = recs.emplace_back();
+      rec.trial = t;
+      rec.outcome = run_scenario_trial(s, t);
+    }
+    write_v1_checkpoint(shard_dir(root, i), s, recs);
+  }
+
+  const std::uint32_t attempt = next_shard_attempt(root, 1);
+  ASSERT_EQ(prepare_shard_attempt(root, spec, 1, attempt), "");
+  const std::string try_dir = shard_attempt_dir(root, 1, attempt);
+  const SweepResult finished = run_shard_attempt(spec, 1, try_dir, {}, pool);
+  ASSERT_TRUE(finished.ok) << finished.error;
+  EXPECT_EQ(finished.resumed, 5u);
+  const CheckpointLoadResult carried = load_checkpoint(try_dir);
+  ASSERT_TRUE(carried.ok) << carried.error;
+  EXPECT_EQ(carried.format, JournalFormat::kV1);
+  EXPECT_EQ(expect_frames_in(
+                read_file(try_dir + "/" + kCheckpointJournalFile),
+                JournalFormat::kV1),
+            spec.shards[1].end - spec.shards[1].begin);
+
+  const ShardMergeResult merged = merge_shard_journals(root, spec);
+  ASSERT_TRUE(merged.ok) << merged.error;
+  ASSERT_EQ(merged.points.size(), 1u);
+  EXPECT_EQ(merged.points[0].aggregate_digest, reference.aggregate_digest);
+  EXPECT_EQ(merged.points[0].records.size(), s.trials);
 }
 
 TEST_F(CheckpointTest, UnknownStatusIsCorruption) {
   make_checkpoint({});
-  CheckpointRecord rec = test_record(1);
-  rec.status = "bogus";
-  write_framed({journal_record_payload(test_record(0),
-                                       scenario_digest(test_scenario())),
-                journal_record_payload(rec, scenario_digest(test_scenario()))});
+  const std::uint64_t dig = scenario_digest(test_scenario());
+  std::vector<std::string> fields = v2_fields(
+      journal_record_payload(test_record(1), dig, JournalFormat::kV2));
+  fields[1] = "bogus";
+  write_framed({journal_record_payload(test_record(0), dig, JournalFormat::kV2),
+                join_fields(fields)});
   const CheckpointLoadResult loaded = load_checkpoint(dir_);
   EXPECT_FALSE(loaded.ok);
   EXPECT_NE(loaded.error.find("journal record 1: bad status field"),
@@ -513,8 +793,10 @@ std::string dom_parse_payload(std::string_view payload, CheckpointRecord& rec,
   };
   if (!exact(v.find("trial"), rec.trial)) return "bad trial field";
   const JsonValue* status = v.find("status");
-  if (status == nullptr || !status->is_string()) return "bad status field";
-  rec.status = status->as_string();
+  if (status == nullptr || !status->is_string() ||
+      !status_from_name(status->as_string(), rec.status)) {
+    return "bad status field";
+  }
   std::uint64_t attempts = 0;
   if (!exact(v.find("attempts"), attempts) || attempts == 0 ||
       attempts > UINT32_MAX) {
@@ -584,6 +866,10 @@ void expect_same_record(const CheckpointRecord& a, std::uint64_t a_dig,
   EXPECT_EQ(x.dead_count, y.dead_count);
   EXPECT_EQ(x.crashed_count, y.crashed_count);
   EXPECT_EQ(x.digest, y.digest);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(x.alice_cost),
+            std::bit_cast<std::uint64_t>(y.alice_cost));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(x.bob_cost),
+            std::bit_cast<std::uint64_t>(y.bob_cost));
 }
 
 /// A finite double from a random bit pattern (subnormals and signed zeros
@@ -595,8 +881,11 @@ double random_finite(std::mt19937_64& rng) {
   }
 }
 
-CheckpointRecord random_record(std::mt19937_64& rng) {
-  static const char* const kStatuses[] = {"ok", "timed_out", "failed"};
+/// A random record; version 1 has no per-party costs, so they stay 0
+/// unless `per_party`.
+CheckpointRecord random_record(std::mt19937_64& rng, bool per_party) {
+  static const TrialStatus kStatuses[] = {
+      TrialStatus::kOk, TrialStatus::kTimedOut, TrialStatus::kFailed};
   CheckpointRecord rec;
   rec.trial = rng() % (kMaxExactJsonInt + 1);
   rec.status = kStatuses[rng() % 3];
@@ -614,6 +903,12 @@ CheckpointRecord random_record(std::mt19937_64& rng) {
   o.dead_count = rng() % 3 == 0 ? kMaxExactJsonInt : rng() % 64;
   o.crashed_count = rng() % 64;
   o.digest = rng();
+  if (per_party) {
+    o.alice_cost = small ? static_cast<double>(rng() % 100000)
+                         : random_finite(rng);
+    o.bob_cost = rng() % 2 == 0 ? static_cast<double>(rng() % 100000) / 2.0
+                                : random_finite(rng);
+  }
   return rec;
 }
 
@@ -720,12 +1015,15 @@ std::string mutate(const std::string& p, std::mt19937_64& rng) {
 TEST(JournalCodecTest, CanonicalPayloadsDecodeBitExactly) {
   std::mt19937_64 rng(20140623);
   for (int i = 0; i < 20000; ++i) {
-    const CheckpointRecord rec = random_record(rng);
+    const CheckpointRecord rec = random_record(rng, false);
     const std::uint64_t dig = rng();
-    const std::string payload = journal_record_payload(rec, dig);
+    const std::string payload =
+        journal_record_payload(rec, dig, JournalFormat::kV1);
     CheckpointRecord got;
     std::uint64_t got_dig = 0;
-    ASSERT_EQ(parse_journal_record_payload(payload, got, got_dig), "")
+    ASSERT_EQ(parse_journal_record_payload(payload, JournalFormat::kV1, got,
+                                           got_dig),
+              "")
         << payload;
     expect_same_record(got, got_dig, rec, dig, payload);
     if (HasFailure()) return;
@@ -737,12 +1035,15 @@ TEST(JournalCodecTest, StrictDecoderAcceptsOnlyWhatTheReferenceAccepts) {
   std::size_t strict_accepted = 0, reference_accepted = 0;
   constexpr int kMutants = 12000;
   for (int i = 0; i < kMutants; ++i) {
-    const CheckpointRecord rec = random_record(rng);
-    const std::string canonical = journal_record_payload(rec, rng());
+    const CheckpointRecord rec = random_record(rng, false);
+    const std::string canonical =
+        journal_record_payload(rec, rng(), JournalFormat::kV1);
     const std::string m = mutate(canonical, rng);
     CheckpointRecord strict, dom;
     std::uint64_t strict_dig = 0, dom_dig = 0;
-    const bool strict_ok = parse_journal_record_payload(m, strict, strict_dig).empty();
+    const bool strict_ok =
+        parse_journal_record_payload(m, JournalFormat::kV1, strict, strict_dig)
+            .empty();
     const bool dom_ok = dom_parse_payload(m, dom, dom_dig).empty();
     strict_accepted += strict_ok;
     reference_accepted += dom_ok;
@@ -766,15 +1067,18 @@ TEST(JournalCodecTest, StrictDecoderAcceptsOnlyWhatTheReferenceAccepts) {
 }
 
 TEST_F(CheckpointTest, ReframedMutantsLoadOnlyWhenTheReferenceAccepts) {
-  // The same oracle end to end through load_checkpoint: every mutant is
-  // re-framed with a correct FNV digest, so only the record decoder can
-  // refuse it.
+  // The same oracle end to end through load_checkpoint of a version-1
+  // checkpoint: every mutant is re-framed with a correct FNV digest, so
+  // only the record decoder can refuse it.
   make_checkpoint({});
+  set_manifest_version(dir_, '1');
   const std::uint64_t dig = scenario_digest(test_scenario());
   std::mt19937_64 rng(4242);
   for (int i = 0; i < 2000; ++i) {
-    const CheckpointRecord rec = test_record(rng() % 8);
-    const std::string m = mutate(journal_record_payload(rec, dig), rng);
+    CheckpointRecord rec = test_record(rng() % 8);
+    rec.outcome.alice_cost = rec.outcome.bob_cost = 0.0;
+    const std::string m =
+        mutate(journal_record_payload(rec, dig, JournalFormat::kV1), rng);
     write_framed({m});
     const CheckpointLoadResult loaded = load_checkpoint(dir_);
     CheckpointRecord dom;
@@ -788,6 +1092,347 @@ TEST_F(CheckpointTest, ReframedMutantsLoadOnlyWhenTheReferenceAccepts) {
     ASSERT_TRUE(dom_ok) << m;
     ASSERT_EQ(loaded.records.size(), 1u);
     expect_same_record(loaded.records[0], dig, dom, dom_dig, m);
+    if (HasFailure()) return;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Version 2: fields by position, doubles as decimal counts or bit patterns.
+
+/// Doubles at the edges of the two version-2 forms.
+const double kEdgeDoubles[] = {
+    0.0,
+    -0.0,
+    1.0,
+    0.5,
+    -1.0,
+    0.1,
+    4096.5,
+    1e17,
+    0x1p53 - 1,  // the largest decimal one
+    0x1p53,
+    0x1p53 + 2,
+    std::numeric_limits<double>::denorm_min(),
+    std::numeric_limits<double>::max(),
+    std::numeric_limits<double>::lowest(),
+};
+
+/// Field positions of the doubles: max_cost, mean_cost, adversary_cost,
+/// latency, alice_cost, bob_cost.
+constexpr std::size_t kV2DoubleFields[] = {4, 5, 6, 7, 13, 14};
+
+TEST(JournalCodecTest, V2RecordsRoundTripBitExactly) {
+  std::mt19937_64 rng(1202186);
+  for (int i = 0; i < 20000; ++i) {
+    CheckpointRecord rec = random_record(rng, true);
+    if (i % 4 == 0) {
+      TrialOutcome& o = rec.outcome;
+      for (double* f : {&o.max_cost, &o.mean_cost, &o.adversary_cost,
+                        &o.latency, &o.alice_cost, &o.bob_cost}) {
+        *f = kEdgeDoubles[rng() % std::size(kEdgeDoubles)];
+      }
+    }
+    const std::uint64_t dig = rng();
+    const std::string payload =
+        journal_record_payload(rec, dig, JournalFormat::kV2);
+    ASSERT_EQ(v2_fields(payload).size(), 15u) << payload;
+    CheckpointRecord got;
+    std::uint64_t got_dig = 0;
+    ASSERT_EQ(parse_journal_record_payload(payload, JournalFormat::kV2, got,
+                                           got_dig),
+              "")
+        << payload;
+    expect_same_record(got, got_dig, rec, dig, payload);
+    EXPECT_EQ(journal_record_payload(got, got_dig, JournalFormat::kV2),
+              payload);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(JournalCodecTest, V2DoublesHaveExactlyOneForm) {
+  const auto with_max_cost = [](double d) {
+    CheckpointRecord rec;
+    rec.outcome.max_cost = d;
+    return journal_record_payload(rec, 0x0123456789abcdefull,
+                                  JournalFormat::kV2);
+  };
+  const auto max_cost_field = [&](double d) {
+    return v2_fields(with_max_cost(d))[4];
+  };
+  EXPECT_EQ(max_cost_field(0.0), "0");
+  EXPECT_EQ(max_cost_field(-0.0), "x8000000000000000");
+  EXPECT_EQ(max_cost_field(1234.0), "1234");
+  EXPECT_EQ(max_cost_field(0x1p53 - 1), "9007199254740991");
+  EXPECT_EQ(max_cost_field(0x1p53), "x4340000000000000");
+  EXPECT_EQ(max_cost_field(0x1p53 + 2), "x4340000000000001");
+  EXPECT_EQ(max_cost_field(std::numeric_limits<double>::denorm_min()),
+            "x0000000000000001");
+  EXPECT_EQ(max_cost_field(std::numeric_limits<double>::max()),
+            "x7fefffffffffffff");
+  EXPECT_EQ(max_cost_field(0.5), "x3fe0000000000000");
+  EXPECT_EQ(max_cost_field(-1.0), "xbff0000000000000");
+
+  // Every other spelling of a value is refused, and so is every
+  // non-finite value.
+  std::vector<std::string> fields = v2_fields(with_max_cost(1.0));
+  for (const char* spelling :
+       {"x0000000000000000", "x3ff0000000000000", "9007199254740992", "00",
+        "01", "+1", "-0", "-1", "1.0", "1e0", " 1", "x3FE0000000000000",
+        "X3fe0000000000000", "x3fe000000000000", "x3fe00000000000000",
+        "x7ff0000000000000", "xfff0000000000000", "x7ff8000000000000", "",
+        "x", "null"}) {
+    fields[4] = spelling;
+    CheckpointRecord got;
+    std::uint64_t dig = 0;
+    EXPECT_NE(parse_journal_record_payload(join_fields(fields),
+                                           JournalFormat::kV2, got, dig),
+              "")
+        << "max_cost spelled \"" << spelling << "\"";
+  }
+}
+
+TEST(JournalCodecTest, V2DuelFramesFitIn128Bytes) {
+  // Fig. 1 trials with no adversary at both eps points of the perfbench
+  // duel_sharded workload, at trial indices of its size: each framed
+  // version-2 record is at most 128 bytes, against ~270 in version 1.
+  for (const double eps : {0.1, 0.01}) {
+    Scenario s;
+    s.protocol = "one_to_one";
+    s.eps = eps;
+    s.trials = 50000;
+    std::size_t v1_bytes = 0, v2_bytes = 0;
+    for (std::uint64_t t = 49000; t < 50000; ++t) {
+      CheckpointRecord rec;
+      rec.trial = t;
+      rec.outcome = run_scenario_trial(s, t);
+      std::string v1, v2;
+      append_journal_frames(v1, {&rec, 1}, scenario_digest(s),
+                            JournalFormat::kV1);
+      append_journal_frames(v2, {&rec, 1}, scenario_digest(s),
+                            JournalFormat::kV2);
+      ASSERT_LE(v2.size(), 128u) << v2;
+      v1_bytes += v1.size();
+      v2_bytes += v2.size();
+    }
+    EXPECT_LT(2 * v2_bytes, v1_bytes) << "eps " << eps;
+    RecordProperty(eps == 0.1 ? "v2_bytes_per_1000_eps_0.1"
+                              : "v2_bytes_per_1000_eps_0.01",
+                   static_cast<int>(v2_bytes));
+  }
+}
+
+/// The lenient reading of a version-2 payload: fields split at any run of
+/// whitespace, numbers as strtoull/strtod read them (signs, leading zeros,
+/// fractions, exponents, hex digits in either case, 'x' forms of any
+/// double), statuses and flags as any spelling of their value.  Every
+/// payload the writer produces reads the same here, and much that it does
+/// not produce reads too.
+std::string lenient_parse_v2(std::string_view payload, CheckpointRecord& rec,
+                             std::uint64_t& scenario_digest) {
+  std::vector<std::string> f;
+  std::string cur;
+  for (const char c : std::string(payload) + " ") {
+    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
+      if (!cur.empty()) f.push_back(cur);
+      cur.clear();
+    } else {
+      cur += c;
+    }
+  }
+  if (f.size() != 15) return "want 15 fields";
+  const auto whole = [](const std::string& t, int base, std::uint64_t& out) {
+    if (t.empty()) return false;
+    errno = 0;
+    char* end = nullptr;
+    out = std::strtoull(t.c_str(), &end, base);
+    return errno == 0 && end == t.c_str() + t.size();
+  };
+  const auto count = [&](const std::string& t, std::uint64_t& out) {
+    return whole(t, 10, out) && out <= kMaxExactJsonInt;
+  };
+  const auto dbl = [&](const std::string& t, double& out) {
+    if (t[0] == 'x' || t[0] == 'X') {
+      std::uint64_t bits = 0;
+      if (!whole(t.substr(1), 16, bits)) return false;
+      out = std::bit_cast<double>(bits);
+    } else {
+      char* end = nullptr;
+      out = std::strtod(t.c_str(), &end);
+      if (end != t.c_str() + t.size()) return false;
+    }
+    return std::isfinite(out);
+  };
+  const auto flag = [&](const std::string& t, bool& out) {
+    std::uint64_t v = 0;
+    if (!count(t, v) || v > 1) return false;
+    out = v == 1;
+    return true;
+  };
+  TrialOutcome& o = rec.outcome;
+  std::string status = f[1];
+  for (char& c : status) c = static_cast<char>(std::tolower(c));
+  if (!status_from_name(status, rec.status)) return "bad status";
+  std::uint64_t attempts = 0;
+  if (!count(f[0], rec.trial) || !count(f[2], attempts) || attempts == 0 ||
+      attempts > UINT32_MAX || !whole(f[3], 16, scenario_digest) ||
+      !dbl(f[4], o.max_cost) || !dbl(f[5], o.mean_cost) ||
+      !dbl(f[6], o.adversary_cost) || !dbl(f[7], o.latency) ||
+      !flag(f[8], o.success) || !flag(f[9], o.aborted) ||
+      !count(f[10], o.dead_count) || !count(f[11], o.crashed_count) ||
+      !whole(f[12], 16, o.digest) || !dbl(f[13], o.alice_cost) ||
+      !dbl(f[14], o.bob_cost)) {
+    return "bad field";
+  }
+  rec.attempts = static_cast<std::uint32_t>(attempts);
+  return "";
+}
+
+/// One mutation of a canonical version-2 payload.  Many keep it readable
+/// to lenient_parse_v2 on purpose (whitespace, leading zeros, signs,
+/// fractions, the other form of a double, upper-case hex), so the oracle
+/// exercises the boundary between what the lenient reading accepts and
+/// what the strict reader refuses.
+std::string mutate_v2(const std::string& p, std::mt19937_64& rng) {
+  static const std::string kBytes = "0123456789abcdefABCDEFx .-+e\t\n";
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::string m = p;
+  std::vector<std::string> f = v2_fields(p);
+  std::string& field = f[pick(f.size())];
+  switch (rng() % 8) {
+    case 0:  // flip one byte to an arbitrary value
+      m[pick(m.size())] = static_cast<char>(rng() & 0xff);
+      return m;
+    case 1:  // replace one byte with a significant one
+      m[pick(m.size())] = kBytes[pick(kBytes.size())];
+      return m;
+    case 2: {  // insert whitespace
+      static const char kSpace[] = {' ', '\t', '\n', '\r'};
+      m.insert(pick(m.size() + 1), 1, kSpace[pick(4)]);
+      return m;
+    }
+    case 3: {  // swap two adjacent fields
+      const std::size_t i = pick(f.size() - 1);
+      std::swap(f[i], f[i + 1]);
+      break;
+    }
+    case 4:  // shorten a field from its end
+      field.erase(field.size() - 1 - pick(field.size()));
+      break;
+    case 5: {  // respell a number: same value or not, still a number
+      static const char* const kSuffixes[] = {".0", "e0", ".5", "0"};
+      static const char* const kPrefixes[] = {"0", "+", "-", "00"};
+      if (rng() % 2 == 0) {
+        field += kSuffixes[pick(4)];
+      } else {
+        field.insert(0, kPrefixes[pick(4)]);
+      }
+      break;
+    }
+    case 6: {  // the other form of a double, or upper-case hex digits
+      std::string& d = f[kV2DoubleFields[pick(std::size(kV2DoubleFields))]];
+      if (d[0] != 'x') {
+        d = "x" + to_hex16(std::bit_cast<std::uint64_t>(
+                      static_cast<double>(std::stoull(d))));
+      } else if (rng() % 2 == 0) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%.17g",
+                      std::bit_cast<double>(std::stoull(d.substr(1), nullptr,
+                                                        16)));
+        d = buf;
+      } else {
+        for (char& c : d) c = static_cast<char>(std::toupper(c));
+      }
+      break;
+    }
+    default:  // duplicate a field, or chop the tail
+      if (rng() % 2 == 0) {
+        f.insert(f.begin() + static_cast<std::ptrdiff_t>(pick(f.size())),
+                 f[pick(f.size())]);
+      } else {
+        m.resize(pick(m.size()));
+        return m;
+      }
+  }
+  return join_fields(f);
+}
+
+/// The strict reader's side of the oracle: when it accepts `m`, the lenient
+/// reading accepts it too with the same values, and the writer would have
+/// written exactly `m`.  Returns whether the strict reader accepted.
+bool check_v2_mutant(const std::string& m, bool& lenient_ok) {
+  CheckpointRecord strict, lenient;
+  std::uint64_t strict_dig = 0, lenient_dig = 0;
+  const bool strict_ok =
+      parse_journal_record_payload(m, JournalFormat::kV2, strict, strict_dig)
+          .empty();
+  lenient_ok = lenient_parse_v2(m, lenient, lenient_dig).empty();
+  if (!strict_ok) return false;
+  EXPECT_TRUE(lenient_ok) << "strict reader accepted what the lenient "
+                             "reading refuses: "
+                          << m;
+  if (lenient_ok) expect_same_record(strict, strict_dig, lenient, lenient_dig, m);
+  EXPECT_EQ(journal_record_payload(strict, strict_dig, JournalFormat::kV2), m)
+      << "strict reader accepted a form the writer does not produce";
+  return true;
+}
+
+TEST(JournalCodecTest, V2StrictReaderAcceptsOnlyTheWritersImage) {
+  std::mt19937_64 rng(2014);
+  std::size_t strict_accepted = 0, lenient_accepted = 0;
+  for (int i = 0; i < 20000; ++i) {
+    CheckpointRecord rec = random_record(rng, true);
+    if (i % 4 == 0) {
+      rec.outcome.mean_cost = kEdgeDoubles[rng() % std::size(kEdgeDoubles)];
+    }
+    const std::string canonical =
+        journal_record_payload(rec, rng(), JournalFormat::kV2);
+    const std::string m = mutate_v2(canonical, rng);
+    bool lenient_ok = false;
+    const bool strict_ok = check_v2_mutant(m, lenient_ok);
+    strict_accepted += strict_ok;
+    lenient_accepted += lenient_ok;
+    if (m == canonical) {
+      EXPECT_TRUE(strict_ok) << m;
+    }
+    if (HasFailure()) return;
+  }
+  // The mutations reach both sides of the boundary: some survive both
+  // readers, and the lenient reading accepts text the strict reader
+  // refuses.
+  EXPECT_GT(strict_accepted, 0u);
+  EXPECT_GT(lenient_accepted, strict_accepted);
+  RecordProperty("strict_accepted", static_cast<int>(strict_accepted));
+  RecordProperty("lenient_accepted", static_cast<int>(lenient_accepted));
+}
+
+TEST_F(CheckpointTest, V2ReframedMutantsLoadOnlyAsTheWritersImage) {
+  // The same oracle end to end through load_checkpoint: every mutant is
+  // re-framed with a correct FNV digest, so only the record decoder can
+  // refuse it.
+  make_checkpoint({});
+  const std::uint64_t dig = scenario_digest(test_scenario());
+  std::mt19937_64 rng(5353);
+  for (int i = 0; i < 2000; ++i) {
+    const CheckpointRecord rec = test_record(rng() % 8);
+    const std::string m =
+        mutate_v2(journal_record_payload(rec, dig, JournalFormat::kV2), rng);
+    if (m.find('\n') != std::string::npos) continue;  // not a frame payload
+    write_framed({m});
+    const CheckpointLoadResult loaded = load_checkpoint(dir_);
+    bool lenient_ok = false;
+    const bool strict_ok = check_v2_mutant(m, lenient_ok);
+    if (!loaded.ok) {
+      EXPECT_EQ(loaded.error.rfind("journal record 0: ", 0), 0u)
+          << loaded.error;
+      continue;
+    }
+    ASSERT_TRUE(strict_ok) << m;
+    ASSERT_EQ(loaded.records.size(), 1u);
+    EXPECT_EQ(journal_record_payload(loaded.records[0], dig,
+                                     JournalFormat::kV2),
+              m);
     if (HasFailure()) return;
   }
 }

@@ -35,13 +35,16 @@ class FrameTest : public ::testing::TestWithParam<std::string_view> {
   }
 };
 
-/// Payloads shaped like what each magic carries, plus the edge case the
+/// Payloads shaped like what each magic carries (a version-1 and a
+/// version-2 journal record, a control message), plus the edge case the
 /// grammar allows: empty.
 const std::vector<std::string> kPayloads = {
     R"({"trial":12,"status":"ok","attempts":1,"scenario_digest":)"
     R"("0123456789abcdef","outcome":{"max_cost":1234,"mean_cost":0.1}})",
     R"({"t":"assign","uid":"deadbeefcafef00d","root":"/a b/c"})",
     "",
+    "12 ok 1 0123456789abcdef 1234 x4092c40000000000 0 64 1 0 0 0 "
+    "9597999b9b1a8157 1234 1177",
 };
 
 struct ContractFailed {};
@@ -164,12 +167,14 @@ TEST_P(FrameTest, EveryUpwardLengthFlipIsCorruptWhenAFrameFollows) {
 }
 
 TEST_P(FrameTest, NoSingleByteFlipYieldsAPayloadThatWasNotWritten) {
-  // Two back-to-back frames; flip every byte to every other value and read
+  // Three back-to-back frames; flip every byte to every other value and read
   // the stream front to back, as both users do.  Need-more and corrupt are
   // both fine outcomes; an accepted payload must be the one written at
   // that place, and the flip must stop the read before its end.
-  const std::vector<std::string> written = {kPayloads[0], kPayloads[1]};
-  const std::string stream = frame(written[0]) + frame(written[1]);
+  const std::vector<std::string> written = {kPayloads[0], kPayloads[1],
+                                            kPayloads[3]};
+  const std::string stream =
+      frame(written[0]) + frame(written[1]) + frame(written[2]);
   for (std::size_t at = 0; at < stream.size(); ++at) {
     for (int v = 0; v < 256; ++v) {
       if (static_cast<char>(v) == stream[at]) continue;

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -59,8 +60,8 @@ TEST(SummaryTest, QuantileUnsortedInput) {
   EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 25.0);
 }
 
-/// summarize() sorts once and interpolates from that one sorted copy;
-/// its median/p10/p90 must equal quantile()'s bit for bit.
+/// summarize() selects its three quantiles together; its median/p10/p90
+/// must equal quantile()'s, one at a time, bit for bit.
 void expect_quantiles_match(const std::vector<double>& xs) {
   SCOPED_TRACE("n = " + std::to_string(xs.size()));
   const Summary s = summarize(xs);
@@ -82,6 +83,50 @@ TEST(SummaryTest, SummaryQuantilesEqualQuantileBitForBit) {
   expect_quantiles_match(ties);
   ties.push_back(1.0);
   expect_quantiles_match(ties);
+}
+
+/// The sort-based quantile summarize() and quantile() used before they
+/// selected: sort a copy, then interpolate between the two order
+/// statistics around q.
+double sorted_reference_quantile(std::vector<double> xs, double q) {
+  std::sort(xs.begin(), xs.end());
+  const double pos = q * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+TEST(SummaryTest, SelectionQuantilesEqualTheSortedReference) {
+  std::mt19937_64 rng(90210);
+  std::uniform_real_distribution<double> real(-1e6, 1e6);
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 9u, 10u, 11u, 12u, 19u,
+                              20u, 21u, 100u, 101u, 1000u, 4097u}) {
+    for (int rep = 0; rep < 25; ++rep) {
+      // Alternate distinct reals with heavily tied small integers.
+      const int distinct = rep % 2 == 0 ? 0 : 1 + rep % 4;
+      std::vector<double> xs(n);
+      for (double& x : xs) {
+        x = distinct == 0 ? real(rng)
+                          : static_cast<double>(rng() % distinct);
+      }
+      SCOPED_TRACE("n = " + std::to_string(n) + ", rep " +
+                   std::to_string(rep));
+      const Summary s = summarize(xs);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s.p10),
+                std::bit_cast<std::uint64_t>(sorted_reference_quantile(xs, 0.1)));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s.median),
+                std::bit_cast<std::uint64_t>(sorted_reference_quantile(xs, 0.5)));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s.p90),
+                std::bit_cast<std::uint64_t>(sorted_reference_quantile(xs, 0.9)));
+      for (const double q : {0.0, 0.25, 1.0 / 3.0, 0.75, 1.0}) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(quantile(xs, q)),
+                  std::bit_cast<std::uint64_t>(sorted_reference_quantile(xs, q)))
+            << "q = " << q;
+      }
+      if (HasFailure()) return;
+    }
+  }
 }
 
 TEST(SummaryTest, SummaryQuantilesMatchOnOneToOneLatencies) {

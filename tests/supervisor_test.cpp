@@ -64,7 +64,7 @@ TEST_F(SupervisorTest, UncheckpointedSweepMatchesPlainExecution) {
   ASSERT_EQ(sweep.records.size(), s.trials);
   for (std::uint64_t t = 0; t < s.trials; ++t) {
     EXPECT_EQ(sweep.records[t].trial, t);
-    EXPECT_EQ(sweep.records[t].status, "ok");
+    EXPECT_EQ(sweep.records[t].status, TrialStatus::kOk);
     EXPECT_EQ(sweep.records[t].outcome.digest,
               run_scenario_trial(s, t).digest);
   }
@@ -198,11 +198,11 @@ TEST_F(SupervisorTest, WatchdogQuarantinesStuckTrialWithoutStallingSweep) {
   ASSERT_TRUE(sweep.ok) << sweep.error;
   ASSERT_EQ(sweep.records.size(), s.trials);
   EXPECT_EQ(sweep.timed_out, 1u);
-  EXPECT_EQ(sweep.records[2].status, "timed_out");
+  EXPECT_EQ(sweep.records[2].status, TrialStatus::kTimedOut);
   EXPECT_TRUE(sweep.records[2].outcome.aborted);
   for (std::uint64_t t = 0; t < s.trials; ++t) {
     if (t != 2) {
-      EXPECT_EQ(sweep.records[t].status, "ok") << t;
+      EXPECT_EQ(sweep.records[t].status, TrialStatus::kOk) << t;
     }
   }
 }
@@ -223,7 +223,7 @@ TEST_F(SupervisorTest, SlotBudgetQuarantineIsDeterministic) {
   };
   const SweepResult a = run_supervised_sweep(s, opt, pool_, stuck_at_1);
   ASSERT_TRUE(a.ok) << a.error;
-  EXPECT_EQ(a.records[1].status, "timed_out");
+  EXPECT_EQ(a.records[1].status, TrialStatus::kTimedOut);
 
   fs::remove_all(dir_);
   const SweepResult b = run_supervised_sweep(s, opt, pool_, stuck_at_1);
@@ -250,7 +250,7 @@ TEST_F(SupervisorTest, RetryWithReseedRecoversFlakyTrial) {
   const SweepResult sweep = run_supervised_sweep(s, opt, pool_, flaky);
   ASSERT_TRUE(sweep.ok) << sweep.error;
   EXPECT_EQ(attempts_seen.load(), 3);
-  EXPECT_EQ(sweep.records[3].status, "ok");
+  EXPECT_EQ(sweep.records[3].status, TrialStatus::kOk);
   EXPECT_EQ(sweep.records[3].attempts, 3u);
   EXPECT_EQ(sweep.failed_trials, 0u);
 }
@@ -267,9 +267,9 @@ TEST_F(SupervisorTest, ExhaustedRetriesQuarantineAsFailed) {
   const SweepResult sweep = run_supervised_sweep(s, opt, pool_, dies);
   ASSERT_TRUE(sweep.ok) << sweep.error;
   EXPECT_EQ(sweep.failed_trials, 1u);
-  EXPECT_EQ(sweep.records[0].status, "failed");
+  EXPECT_EQ(sweep.records[0].status, TrialStatus::kFailed);
   EXPECT_EQ(sweep.records[0].attempts, 2u);
-  EXPECT_EQ(sweep.records[1].status, "ok");
+  EXPECT_EQ(sweep.records[1].status, TrialStatus::kOk);
 }
 
 struct ContractCaught : std::runtime_error {
@@ -297,7 +297,7 @@ TEST_F(SupervisorTest, ContractFailureInsideTrialIsCapturedNotFatal) {
   };
   const SweepResult sweep = run_supervised_sweep(s, {}, pool_, trips);
   ASSERT_TRUE(sweep.ok) << sweep.error;
-  EXPECT_EQ(sweep.records[1].status, "failed");
+  EXPECT_EQ(sweep.records[1].status, TrialStatus::kFailed);
   EXPECT_EQ(sweep.failed_trials, 1u);
   // Outside any supervised trial the restored handler chain fires again.
   EXPECT_THROW(RCB_REQUIRE(2 + 2 == 5), ContractCaught);

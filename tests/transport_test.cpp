@@ -527,11 +527,11 @@ TEST_F(AdoptedScanTest, AppendToAdoptedJournalIsRefused) {
 
   // A second record for trial 0 lands after the scan: the journal now
   // holds a duplicate trial, which the loader refuses as corruption.
+  const CheckpointLoadResult loaded = load_checkpoint(base);
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  ASSERT_FALSE(loaded.truncated_tail);
   CheckpointWriter w;
-  ASSERT_EQ(w.open_for_append(base, scenario_digest(spec_.points[0]),
-                              fs::file_size(fs::path(base) /
-                                            kCheckpointJournalFile)),
-            "");
+  ASSERT_EQ(w.open_for_append(base, loaded), "");
   CheckpointRecord rec;
   rec.trial = 0;
   rec.outcome = run_scenario_trial(spec_.points[0], 0);

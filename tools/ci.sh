@@ -89,10 +89,10 @@ chaos_supervisor() {
     "$sim" "${args[@]}" --checkpoint_dir="$work/ck" \
       >"$work/out.json" 2>"$work/err.txt" &
     pid=$!
-    # Strike once a handful of trials are journaled (frames are ~250 B).
+    # Strike once a handful of trials are journaled (frames are ~110 B).
     for _ in $(seq 1 400); do
       if [[ -f "$work/ck/journal.rcbj" ]] &&
-         (( $(wc -c < "$work/ck/journal.rcbj") > 1500 )); then break; fi
+         (( $(wc -c < "$work/ck/journal.rcbj") > 650 )); then break; fi
       sleep 0.02
     done
     kill "-$sig" "$pid" 2>/dev/null || true
@@ -181,7 +181,7 @@ chaos_sweep_scheduler() {
     for f in "$work/ck"/point_*/journal.rcbj; do
       if [[ -f "$f" ]]; then bytes=$(( bytes + $(wc -c < "$f") )); fi
     done
-    if (( bytes > 1500 )); then break; fi
+    if (( bytes > 650 )); then break; fi
     sleep 0.02
   done
   kill -KILL "$pid" 2>/dev/null || true
@@ -261,7 +261,7 @@ chaos_multiproc() {
     for f in "$work/co"/shard_*/try_*/journal.rcbj; do
       if [[ -f "$f" ]]; then bytes=$(( bytes + $(wc -c < "$f") )); fi
     done
-    if (( bytes > 1500 )); then break; fi
+    if (( bytes > 650 )); then break; fi
     sleep 0.02
   done
   kill -KILL "$pid" 2>/dev/null || true
@@ -385,7 +385,7 @@ chaos_net() {
   for _ in $(seq 1 400); do
     bytes=$(find "$work/co" -path '*/try_*/journal.rcbj' -exec cat {} + \
               2>/dev/null | wc -c)
-    if (( bytes > 1500 )); then break; fi
+    if (( bytes > 650 )); then break; fi
     sleep 0.02
   done
   kill -KILL "$pid" 2>/dev/null || true

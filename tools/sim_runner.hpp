@@ -189,8 +189,8 @@ inline SimAggregate aggregate_from_sweep(const SweepResult& sweep) {
     aborts += o.aborted;
     dead += static_cast<double>(o.dead_count);
     crashed += static_cast<double>(o.crashed_count);
-    timed_out += rec.status == "timed_out";
-    failed += rec.status == "failed";
+    timed_out += rec.status == TrialStatus::kTimedOut;
+    failed += rec.status == TrialStatus::kFailed;
   }
   const auto completed = static_cast<double>(sweep.records.size());
   agg.max_cost = summarize(agg.max_cost_samples);
