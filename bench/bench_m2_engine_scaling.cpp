@@ -478,26 +478,31 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
         ThreadPool::global().num_threads());
   }
 
+  // The journal and shard-merge rows below write trial-shaped records: the
+  // outcomes of a Fig. 1 duel scenario's trials (~100 B v2 frames, like a
+  // real sweep's), computed once here, outside every timed loop.
+  Scenario duel;
+  duel.protocol = "one_to_one";
+  duel.adversary = "full_duel";
+  duel.budget = 256;
+  duel.trials = full ? 16384 : 4096;
+  duel.seed = seed;
+  std::vector<CheckpointRecord> duel_records(duel.trials);
+  for (std::uint64_t t = 0; t < duel.trials; ++t) {
+    duel_records[t].trial = t;
+    duel_records[t].outcome = run_scenario_trial(duel, t);
+  }
+
   // Journal commit strategy: N records as N one-record appends (one flush
   // each) vs the 64-record batches a sweep's claiming tasks commit (encode
   // into a reused buffer with encode_frames, then one append).  Same bytes on disk either
   // way; the difference is pure flush amortisation.
   {
-    const std::uint64_t n_records = full ? 16384 : 4096;
-    Scenario s;
-    s.protocol = "one_to_one";
-    s.adversary = "full_duel";
-    s.budget = 256;
-    s.trials = n_records;
-    s.seed = seed;
+    const std::uint64_t n_records = duel.trials;
+    const Scenario& s = duel;
     const std::string dir =
         (std::filesystem::temp_directory_path() / "rcb_bench_m2_journal")
             .string();
-    const auto make_record = [](std::uint64_t trial) {
-      CheckpointRecord rec;
-      rec.trial = trial;
-      return rec;
-    };
     const auto add_journal = [&](const char* name, const Measurement& m) {
       bench::BenchEntry e;
       e.name = std::string("m2/journal/") + name;
@@ -515,7 +520,7 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
           CheckpointWriter w;
           if (!w.create(dir, s).empty()) return std::uint64_t{0};
           for (std::uint64_t t = 0; t < n_records; ++t) {
-            if (!w.append_batch({make_record(t)}).empty()) {
+            if (!w.append_batch({duel_records[t]}).empty()) {
               return std::uint64_t{0};
             }
           }
@@ -533,7 +538,7 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
           std::vector<CheckpointRecord> batch;
           std::string frames;
           for (std::uint64_t t = 0; t < n_records; ++t) {
-            batch.push_back(make_record(t));
+            batch.push_back(duel_records[t]);
             if (batch.size() < 64 && t + 1 < n_records) continue;
             frames.clear();
             w.encode_frames(frames, batch);
@@ -559,14 +564,9 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
   // sweep, so it must stay cheap relative to the trials it summarises.
   // Setup (spec + journals on disk) happens once; only the merge is timed.
   {
-    const std::uint64_t n_trials = full ? 16384 : 4096;
+    const std::uint64_t n_trials = duel.trials;
     const std::size_t n_shards = 8;
-    Scenario s;
-    s.protocol = "one_to_one";
-    s.adversary = "full_duel";
-    s.budget = 256;
-    s.trials = n_trials;
-    s.seed = seed;
+    const Scenario& s = duel;
     const std::string root =
         (std::filesystem::temp_directory_path() / "rcb_bench_m2_shards")
             .string();
@@ -577,14 +577,10 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
     bool setup_ok = write_shard_spec(root, spec).empty();
     for (std::size_t i = 0; setup_ok && i < spec.shards.size(); ++i) {
       CheckpointWriter w;
-      setup_ok = w.create(shard_dir(root, i), s).empty();
-      std::vector<CheckpointRecord> batch;
-      for (std::uint64_t t = spec.shards[i].begin;
-           setup_ok && t < spec.shards[i].end; ++t) {
-        CheckpointRecord rec;
-        rec.trial = t;
-        batch.push_back(rec);
-      }
+      setup_ok = w.create(shard_attempt_dir(root, i, 1), s).empty();
+      const std::vector<CheckpointRecord> batch(
+          duel_records.begin() + static_cast<std::ptrdiff_t>(spec.shards[i].begin),
+          duel_records.begin() + static_cast<std::ptrdiff_t>(spec.shards[i].end));
       setup_ok = setup_ok && w.append_batch(batch).empty();
       w.sync();
       w.close();

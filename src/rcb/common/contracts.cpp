@@ -80,8 +80,6 @@ ReproScope::ReproScope(std::uint64_t master_seed, std::uint64_t trial,
 
 ReproScope::~ReproScope() { t_repro_context = previous_; }
 
-const ReproContext* current_repro_context() { return t_repro_context; }
-
 ContractFailureHandler set_contract_failure_handler(ContractFailureHandler h) {
   return g_handler.exchange(h);
 }

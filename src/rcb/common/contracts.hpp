@@ -44,9 +44,6 @@ class ReproScope {
   ReproContext context_;
 };
 
-/// Innermost installed context for this thread, or nullptr.
-const ReproContext* current_repro_context();
-
 /// Formats a one-line machine-readable repro record ("{...}", without the
 /// RCB_REPRO prefix) from an explicit context.  `ctx` may be null (the
 /// failure happened outside any trial).  Used by the contract-failure path

@@ -116,7 +116,4 @@ inline bool parse_hex_u64(std::string_view text, std::uint64_t& out) {
   return true;
 }
 
-/// Natural-log helper with a guard for the eps parameters used by Fig. 1.
-double ln_inverse(double eps);
-
 }  // namespace rcb

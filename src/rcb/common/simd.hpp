@@ -31,9 +31,11 @@ Mode active_mode();
 
 /// Programmatic override (tests compare scalar vs AVX2 in one process).
 /// kAvx2 requires avx2_available().  Returns the previous override state.
+/// No program calls it (they use RCB_SIMD): it stays for the scalar-vs-AVX2
+/// pins of sampling_simd_test and the engine tests.
 void set_mode(Mode mode);
 
-/// Restores the build/env default resolution.
+/// Restores the build/env default resolution.  Test-only, as set_mode.
 void clear_mode_override();
 
 }  // namespace rcb::simd

@@ -93,7 +93,8 @@ struct BroadcastNParams {
   /// (Lemma 4), so theory() disables this.
   bool helper_reestimate = false;
 
-  /// Paper-faithful constants (use only at tiny scale in structural tests).
+  /// Paper-faithful constants (use only at tiny scale in structural tests;
+  /// broadcast_n_test is the only caller).
   static BroadcastNParams theory();
   /// Laptop-scale preset: same forms, constants calibrated so that with no
   /// jamming all nodes terminate within ~lg n + O(1) epochs.

@@ -62,7 +62,8 @@ struct OneToOneParams {
   /// to bound the damage of a permanently-jammed channel; 0 disables.
   SlotCount timeout_slots = 0;
 
-  /// Paper-faithful constants.
+  /// Paper-faithful constants.  Only one_to_one_test and property_test run
+  /// them until a bench checks Theorem 1 at the paper's own constants.
   static OneToOneParams theory(double eps);
   /// Simulation-scale constants: identical functional forms, first epoch
   /// pulled down so no-attack executions cost O(ln 1/eps) slots in practice.

@@ -36,23 +36,4 @@ void sample_bernoulli_slots(SlotCount num_slots, double p, Rng& rng,
                           [&](SlotIndex s) { out.push_back(s); });
 }
 
-std::uint64_t binomial(std::uint64_t n, double p, Rng& rng) {
-  RCB_REQUIRE(p >= 0.0 && p <= 1.0);
-  if (p <= 0.0 || n == 0) return 0;
-  if (p >= 1.0) return n;
-  std::uint64_t count = 0;
-  BernoulliSlotSampler sampler(n, p, rng);
-  while (sampler.next() != BernoulliSlotSampler::kEnd) ++count;
-  return count;
-}
-
-std::uint64_t geometric(double p, Rng& rng) {
-  RCB_REQUIRE(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 1;
-  const double u = rng.uniform_double_open();
-  const double g = std::floor(std::log(u) / std::log1p(-p));
-  if (g >= 1.8e19) return UINT64_MAX;
-  return 1 + static_cast<std::uint64_t>(g);
-}
-
 }  // namespace rcb

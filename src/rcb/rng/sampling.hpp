@@ -46,6 +46,8 @@ SkipBlockFn skip_block_fn();
 
 /// Streaming sampler over the slots {0, 1, ..., n-1} where an independent
 /// Bernoulli(p) per slot fires.  Slots are produced in increasing order.
+/// No program uses it: it stays as the one-draw-at-a-time reference that
+/// sampling_test and sampling_simd_test check the bulk sampler against.
 class BernoulliSlotSampler {
  public:
   /// Sentinel returned by next() when the phase is exhausted.
@@ -114,12 +116,5 @@ void for_each_bernoulli_slot(SlotCount num_slots, double p, Rng& rng,
 /// [0, num_slots) into `out` (cleared first, ascending order).
 void sample_bernoulli_slots(SlotCount num_slots, double p, Rng& rng,
                             std::vector<SlotIndex>& out);
-
-/// Exact Binomial(n, p) draw via geometric skipping: O(np + 1) expected time.
-std::uint64_t binomial(std::uint64_t n, double p, Rng& rng);
-
-/// Geometric(p) on {1, 2, ...}: number of Bernoulli(p) trials up to and
-/// including the first success.  p must be in (0, 1].
-std::uint64_t geometric(double p, Rng& rng);
 
 }  // namespace rcb

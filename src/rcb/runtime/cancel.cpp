@@ -13,8 +13,6 @@ CancelScope::CancelScope(CancelToken* token) : previous_(t_cancel_token) {
 
 CancelScope::~CancelScope() { t_cancel_token = previous_; }
 
-CancelToken* current_cancel_token() { return t_cancel_token; }
-
 void poll_cancellation(SlotCount upcoming_slots) {
   CancelToken* token = t_cancel_token;
   if (token == nullptr) return;

@@ -99,9 +99,6 @@ class CancelScope {
   CancelToken* previous_;
 };
 
-/// Innermost installed token for this thread, or nullptr.
-CancelToken* current_cancel_token();
-
 /// Engines call this at each repetition boundary with the phase length
 /// about to be simulated.  Charges the slots to the installed token (if
 /// any) and throws TrialCancelled once cancellation has been requested or

@@ -676,13 +676,6 @@ CheckpointLoadResult load_checkpoint(const std::string& dir) {
 
 CheckpointWriter::~CheckpointWriter() { close(); }
 
-CheckpointWriter::CheckpointWriter(CheckpointWriter&& other) noexcept
-    : scenario_digest_(other.scenario_digest_),
-      format_(other.format_),
-      file_(other.file_) {
-  other.file_ = nullptr;
-}
-
 void CheckpointWriter::close() {
   if (file_ != nullptr) {
     std::fclose(file_);

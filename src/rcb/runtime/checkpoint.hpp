@@ -98,7 +98,8 @@ std::string write_file_atomic(const std::string& path,
 /// fails that write exactly as the OS would — the bytes are not written
 /// and the writer reports the errno's message.  Thread-safe; pass nullptr
 /// to disarm.  Lets tests prove that a full disk taints the sweep instead
-/// of silently dropping records.
+/// of silently dropping records.  No program calls it: it stays as the
+/// disk-full hook of checkpoint_test and supervisor_test.
 using WriteFaultHook = std::function<int(std::size_t bytes)>;
 void set_checkpoint_write_fault(WriteFaultHook hook);
 
@@ -176,7 +177,6 @@ class CheckpointWriter {
   ~CheckpointWriter();
   CheckpointWriter(const CheckpointWriter&) = delete;
   CheckpointWriter& operator=(const CheckpointWriter&) = delete;
-  CheckpointWriter(CheckpointWriter&& other) noexcept;
 
   /// Starts a fresh version-2 checkpoint: creates `dir` (and parents),
   /// writes the manifest atomically, and truncates the journal.  Returns

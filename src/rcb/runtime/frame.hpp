@@ -4,16 +4,17 @@
 //   <magic> <payload-bytes> <fnv1a-hex16> <payload>\n
 //
 // and its limits: a canonical decimal length (no leading zero) of at most
-// kMaxFramePayload, the FNV-1a 64 of the payload in 16 lowercase hex
-// digits, and a payload that holds no '\n' (both users write JSON, which
-// escapes it).  read_frame checks each byte as soon as it is present, so it
-// reads need-more only while the bytes are a strict prefix of a valid frame
-// (a kill mid-append, a short socket read), and no single-byte flip of a
-// frame is read as a payload that was not written.  A killed writer leaves
-// a prefix of a valid length field, so a length past the cap is corruption;
-// it leaves no '\n' inside a payload, so one before the declared end is
-// corruption too (a length digit flipped upward, say, which would otherwise
-// read as need-more up to some later frame's newline).
+// kMaxFramePayload (64 KiB), the FNV-1a 64 of the payload in 16 lowercase
+// hex digits, and a payload that holds no '\n', whatever its encoding
+// (append_frame enforces both payload limits as contracts).  read_frame
+// checks each byte as soon as it is present, so it reads need-more only
+// while the bytes are a strict prefix of a valid frame (a kill mid-append,
+// a short socket read), and no single-byte flip of a frame is read as a
+// payload that was not written.  A killed writer leaves a prefix of a
+// valid length field, so a length past the cap is corruption; it leaves no
+// '\n' inside a payload, so one before the declared end is corruption too
+// (a length digit flipped upward, say, which would otherwise read as
+// need-more up to some later frame's newline).
 #pragma once
 
 #include <cstddef>

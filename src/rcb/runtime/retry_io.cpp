@@ -31,26 +31,6 @@ void set_io_fault(IoFaultHook hook) {
   g_io_fault = std::move(hook);
 }
 
-ssize_t retry_read(int fd, void* buf, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    if (const int err = injected_errno("read"); err != 0) {
-      if (err == EINTR) continue;
-      errno = err;
-      return -1;
-    }
-    const ssize_t k =
-        ::read(fd, static_cast<char*>(buf) + got, n - got);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (k == 0) break;  // EOF
-    got += static_cast<std::size_t>(k);
-  }
-  return static_cast<ssize_t>(got);
-}
-
 ssize_t retry_read_some(int fd, void* buf, std::size_t n) {
   for (;;) {
     if (const int err = injected_errno("read"); err != 0) {
@@ -62,25 +42,6 @@ ssize_t retry_read_some(int fd, void* buf, std::size_t n) {
     if (k < 0 && errno == EINTR) continue;
     return k;
   }
-}
-
-int retry_write(int fd, const void* buf, std::size_t n) {
-  std::size_t put = 0;
-  while (put < n) {
-    if (const int err = injected_errno("write"); err != 0) {
-      if (err == EINTR) continue;
-      errno = err;
-      return -1;
-    }
-    const ssize_t k =
-        ::write(fd, static_cast<const char*>(buf) + put, n - put);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    put += static_cast<std::size_t>(k);
-  }
-  return 0;
 }
 
 ssize_t retry_send_some(int fd, const void* buf, std::size_t n) {

@@ -26,24 +26,16 @@
 namespace rcb {
 
 /// Test-only fault hook: consulted before each underlying syscall with the
-/// operation name ("read", "write", "send", "fread", "fwrite", "fflush").
+/// operation name ("read", "send", "fread", "fwrite", "fflush").
 /// A nonzero return fails that call with the returned errno before any
-/// bytes move.  Thread-safe; pass nullptr to disarm.
+/// bytes move.  Thread-safe; pass nullptr to disarm.  No program calls it:
+/// it stays as the EINTR-storm hook of transport_test.
 using IoFaultHook = std::function<int(const char* op)>;
 void set_io_fault(IoFaultHook hook);
-
-/// Reads exactly `n` bytes unless EOF comes first, retrying EINTR and
-/// short reads.  Returns the bytes read (< n only at EOF) or -1 with errno
-/// set on a real error.
-ssize_t retry_read(int fd, void* buf, std::size_t n);
 
 /// One best-effort read retried only on EINTR — for non-blocking fds where
 /// EAGAIN must reach the caller.  Returns read()'s result.
 ssize_t retry_read_some(int fd, void* buf, std::size_t n);
-
-/// Writes all `n` bytes, retrying EINTR and short writes.  Returns 0 on
-/// success or -1 with errno set.
-int retry_write(int fd, const void* buf, std::size_t n);
 
 /// One best-effort send(MSG_NOSIGNAL) retried only on EINTR — for
 /// non-blocking sockets where EAGAIN must reach the caller (a dead peer

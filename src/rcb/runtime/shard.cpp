@@ -200,15 +200,12 @@ ShardSpecLoadResult load_shard_spec(const std::string& root) {
     return out;
   }
   out.spec.trial_timeout_sec = timeout->as_number();
-  // Optional (older specs lack it); the default matches the historical
-  // hard-coded 100ms beat.
-  if (const JsonValue* hb = doc.find("heartbeat_sec"); hb != nullptr) {
-    if (!hb->is_number() || !(hb->as_number() > 0)) {
-      out.error = "shard spec: \"heartbeat_sec\" must be positive";
-      return out;
-    }
-    out.spec.heartbeat_interval_sec = hb->as_number();
+  const JsonValue* hb = doc.find("heartbeat_sec");
+  if (hb == nullptr || !hb->is_number() || !(hb->as_number() > 0)) {
+    out.error = "shard spec: \"heartbeat_sec\" must be a positive number";
+    return out;
   }
+  out.spec.heartbeat_interval_sec = hb->as_number();
 
   const JsonValue* points = doc.find("points");
   if (points == nullptr || !points->is_array()) {
@@ -264,7 +261,7 @@ ShardSpecLoadResult load_shard_spec(const std::string& root) {
 
 std::string shard_attempt_dir(const std::string& root, std::size_t shard_id,
                               std::uint32_t attempt) {
-  if (attempt == 0) return shard_dir(root, shard_id);
+  RCB_REQUIRE(attempt > 0);
   return shard_dir(root, shard_id) + "/try_" + std::to_string(attempt);
 }
 
@@ -309,29 +306,29 @@ FileStamp stamp_candidate(const std::string& dir,
   return out[out.size() - 2];
 }
 
-/// Candidate dirs of shard `shard_id` in walk order: the base dir, then
-/// the given attempts.
-std::vector<std::string> shard_candidates(
-    const std::string& root, std::size_t shard_id,
-    const std::vector<std::uint32_t>& attempts) {
-  std::vector<std::string> dirs{shard_dir(root, shard_id)};
-  for (const std::uint32_t k : attempts) {
-    dirs.push_back(shard_attempt_dir(root, shard_id, k));
-  }
-  return dirs;
+/// True when shard_<i>/ itself holds a manifest or journal: a root written
+/// before every attempt journaled into its own try_<k>.
+bool holds_pre_attempt_journal(const std::string& root,
+                               std::size_t shard_id) {
+  const std::string dir = shard_dir(root, shard_id);
+  return stamp_file(dir + "/" + kCheckpointManifestFile) != FileStamp{} ||
+         stamp_file(dir + "/" + kCheckpointJournalFile) != FileStamp{};
 }
 
 /// True while nothing has touched shard `shard_id`'s candidates since
 /// `scan` read them: same try_<k> list, same stamp on every manifest and
-/// journal.
+/// journal, and still no journal in shard_<i>/ itself.
 bool scan_is_fresh(const std::string& root, std::size_t shard_id,
                    const ShardScan& scan) {
   const std::vector<std::uint32_t> attempts =
       list_shard_attempts(root, shard_id);
-  if (attempts != scan.attempts) return false;
+  if (attempts != scan.attempts ||
+      holds_pre_attempt_journal(root, shard_id)) {
+    return false;
+  }
   std::vector<FileStamp> stamps;
-  for (const std::string& dir : shard_candidates(root, shard_id, attempts)) {
-    stamp_candidate(dir, stamps);
+  for (const std::uint32_t k : attempts) {
+    stamp_candidate(shard_attempt_dir(root, shard_id, k), stamps);
   }
   return stamps == scan.stamps;
 }
@@ -393,9 +390,17 @@ std::uint32_t next_shard_attempt(const std::string& root,
 ShardScan scan_shard(const std::string& root, const ShardSpec& spec,
                      std::size_t shard_id) {
   RCB_REQUIRE(shard_id < spec.shards.size());
+  if (holds_pre_attempt_journal(root, shard_id)) {
+    const std::string id = std::to_string(shard_id);
+    ShardScan refused;
+    refused.state = ShardScanState::kCorrupt;
+    refused.error = "shard " + id + ": journal in shard_" + id +
+                    "/ predates per-attempt dirs; re-run the sweep";
+    return refused;
+  }
 
-  // Candidate order: the base dir, then attempts ascending — determinism
-  // matters because the first complete candidate is the one adopted.
+  // Candidate order: attempts ascending — determinism matters because the
+  // first complete candidate is the one adopted.
   std::vector<std::uint32_t> attempts = list_shard_attempts(root, shard_id);
   std::vector<FileStamp> stamps;
   std::vector<ShardScan> partial;
@@ -442,8 +447,9 @@ ShardScan scan_shard(const std::string& root, const ShardSpec& spec,
     return std::nullopt;
   };
 
-  for (const std::string& dir : shard_candidates(root, shard_id, attempts)) {
-    if (std::optional<ShardScan> refused = consider(dir)) {
+  for (const std::uint32_t k : attempts) {
+    if (std::optional<ShardScan> refused =
+            consider(shard_attempt_dir(root, shard_id, k))) {
       return std::move(*refused);
     }
   }
@@ -461,7 +467,6 @@ ShardScan scan_shard(const std::string& root, const ShardSpec& spec,
     scan = std::move(partial[best]);
   } else {
     scan.state = ShardScanState::kMissing;
-    scan.dir = shard_dir(root, shard_id);
   }
   scan.attempts = std::move(attempts);
   scan.stamps = std::move(stamps);

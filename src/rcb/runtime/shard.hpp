@@ -22,13 +22,14 @@
 //                        a revoked worker that is partitioned, or not yet
 //                        dead, keeps appending to its *own* attempt dir, so
 //                        it can never corrupt the replacement's journal
-//   <root>/shard_<i>/    itself holds a journal only in roots written
-//                        before every attempt got a try_<k> dir; scan and
-//                        merge still adopt it, and a resume carries it
-//                        forward into a fresh try_<k>
 //
-// scan_shard considers every candidate (the base dir plus each try_<k>):
-// any corrupt candidate refuses the shard; multiple *complete* candidates
+// Roots written before every attempt got a try_<k> dir journaled a shard's
+// first attempt in shard_<i>/ itself.  They are not resumed or merged:
+// scan_shard, and with it prepare_shard_attempt and the merge, refuses a
+// shard whose shard_<i>/ holds a manifest or journal of its own.
+//
+// scan_shard considers every try_<k> candidate: any corrupt candidate
+// refuses the shard; multiple *complete* candidates
 // — two workers both finished the shard across a partition — must agree on
 // their aggregate digest, in which case one is adopted and the rest are
 // ignored (deduped, never merged twice); divergent complete candidates
@@ -117,8 +118,7 @@ std::string validate_shard_spec(const ShardSpec& spec);
 std::string shard_dir(const std::string& root, std::size_t shard_id);
 
 /// Per-assignment-attempt checkpoint dir ("<shard dir>/try_<attempt>");
-/// attempt 0 names the base shard dir itself, where journals of roots
-/// from before per-attempt dirs live.
+/// attempts count from 1.
 std::string shard_attempt_dir(const std::string& root, std::size_t shard_id,
                               std::uint32_t attempt);
 
@@ -183,18 +183,19 @@ struct ShardScan {
   std::vector<CheckpointRecord> records;
   /// Freshness evidence for merge_shard_journals' adoption (unset for
   /// kCorrupt): the sorted try_<k> numbers the scan walked, and the
-  /// manifest + journal stamps of every candidate in walk order (base dir
-  /// first), each taken before the scan read that candidate.
+  /// manifest + journal stamps of every candidate in walk order, each taken
+  /// before the scan read that candidate.
   std::vector<std::uint32_t> attempts;
   std::vector<FileStamp> stamps;
 };
 
-/// Classifies shard `shard_id`'s checkpoint dirs — the base dir plus every
-/// try_<k> attempt dir — against the spec.  Corrupt means the PR 3
-/// taxonomy refused a journal, a manifest scenario does not match the
-/// spec's point scenario, a record lies outside the shard's assigned range
-/// (the journal belongs to a different shard assignment), or two complete
-/// candidates disagree on their aggregate digest; a truncated tail alone
+/// Classifies shard `shard_id`'s try_<k> attempt dirs against the spec.
+/// Corrupt means shard_<i>/ itself holds a manifest or journal (a root
+/// from before per-attempt dirs), the PR 3 taxonomy refused a journal, a
+/// manifest scenario does not match the spec's point scenario, a record
+/// lies outside the shard's assigned range (the journal belongs to a
+/// different shard assignment), or two complete candidates disagree on
+/// their aggregate digest; a truncated tail alone
 /// is recoverable and scans as kPartial/kComplete.  Multiple complete
 /// candidates with identical digests dedupe to one (duplicate completions
 /// after a partition are adopted once, never merged twice).

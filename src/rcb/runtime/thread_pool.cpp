@@ -213,15 +213,4 @@ void parallel_for_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
   pool.help_until(latch);
 }
 
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t chunk_hint) {
-  parallel_for_chunks(
-      pool, begin, end,
-      [&fn](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) fn(i);
-      },
-      chunk_hint);
-}
-
 }  // namespace rcb

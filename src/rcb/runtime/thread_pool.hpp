@@ -12,10 +12,10 @@
 // rest of the pool while work remains anywhere.  External submissions are
 // distributed round-robin across the deques.
 //
-// parallel_for / parallel_for_chunks block until their chunks finish, but
-// the calling thread *helps*: it executes pool tasks while it waits.
-// That makes nested parallelism safe — a chunk may itself call
-// parallel_for on the same pool without deadlocking — and keeps the
+// parallel_for_chunks blocks until its chunks finish, but the calling
+// thread *helps*: it executes pool tasks while it waits.  That makes
+// nested parallelism safe — a chunk may itself call
+// parallel_for_chunks on the same pool without deadlocking — and keeps the
 // caller productive instead of parked.  (wait_idle() does not help; do
 // not call it from inside a pool task.)
 //
@@ -133,7 +133,8 @@ class ThreadPool {
   void submit(Task task);
 
   /// Blocks until every submitted task has finished executing.  Unlike
-  /// parallel_for, the caller does not help; do not call from a pool task.
+  /// parallel_for_chunks, the caller does not help; do not call from a pool
+  /// task.
   void wait_idle();
 
   std::size_t num_threads() const { return workers_.size(); }
@@ -201,19 +202,13 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Runs fn(i) for i in [begin, end) across the pool, blocking until done.
-/// Iterations are distributed in contiguous chunks.  `chunk_hint` overrides
-/// the chunk size (0 = auto: ~4 chunks per worker); use it to trade
-/// scheduling overhead against load balance for very cheap or very uneven
-/// iterations.  The calling thread helps execute chunks, so nested calls
-/// on the same pool are safe.
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t chunk_hint = 0);
-
-/// Chunk-granular variant: runs fn(lo, hi) once per contiguous chunk of
-/// [begin, end), blocking until done.  Lets callers keep per-chunk state
-/// (local accumulators, scratch buffers) without per-iteration overhead.
+/// Runs fn(lo, hi) once per contiguous chunk of [begin, end) across the
+/// pool, blocking until done, so callers keep per-chunk state (local
+/// accumulators, scratch buffers) without per-iteration overhead.
+/// `chunk_hint` overrides the chunk size (0 = auto: ~4 chunks per worker);
+/// use it to trade scheduling overhead against load balance for very cheap
+/// or very uneven iterations.  The calling thread helps execute chunks, so
+/// nested calls on the same pool are safe.
 void parallel_for_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& fn,
                          std::size_t chunk_hint = 0);

@@ -159,14 +159,6 @@ NetFaultConfig NetFaultConfig::chaos(std::uint64_t seed, double rate) {
   return cfg;
 }
 
-const char* net_fault_action_name(NetFaultAction a) {
-  // In NetFaultAction order.
-  static constexpr const char* kNames[] = {"deliver",   "drop",    "delay",
-                                           "duplicate", "reorder", "close"};
-  const auto i = static_cast<std::size_t>(a);
-  return i < std::size(kNames) ? kNames[i] : "?";
-}
-
 NetFaultAction NetFaultPlan::next(CtrlType type) {
   if (!cfg_.any_active()) return NetFaultAction::kDeliver;
   // Decision k for message type t is a pure function of (seed, k, t): mix

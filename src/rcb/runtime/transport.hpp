@@ -146,8 +146,6 @@ enum class NetFaultAction {
   kClose,
 };
 
-const char* net_fault_action_name(NetFaultAction a);
-
 /// Seeded fault decision stream: the k-th call for a given (seed, type)
 /// history always returns the same action, so a chaos run is reproducible
 /// in its *choices* (timing still varies; digest identity must hold for

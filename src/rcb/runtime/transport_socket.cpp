@@ -700,7 +700,7 @@ void worker_handle(WorkerShared& sh, const CtrlMessage& msg) {
   switch (msg.type) {
     case CtrlType::kAssign:
       if (sh.state == WState::kIdle && msg.shard != kNoShard &&
-          !msg.root.empty()) {
+          msg.attempt != 0 && !msg.root.empty()) {
         sh.state = WState::kAssigned;
         sh.root = msg.root;
         sh.shard = static_cast<std::size_t>(msg.shard);
@@ -709,7 +709,9 @@ void worker_handle(WorkerShared& sh, const CtrlMessage& msg) {
         sh.abandon = false;
         sh.cv.notify_all();
       }
-      // Duplicate assigns while busy are stale retransmits: ignored.
+      // Duplicate assigns while busy are stale retransmits, and an assign
+      // with no shard, attempt (they count from 1) or root is malformed:
+      // both are ignored.
       return;
     case CtrlType::kAck:
       // Terminal report acknowledged: the coordinator took custody.

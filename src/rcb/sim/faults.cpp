@@ -61,14 +61,6 @@ FaultPlan::FaultPlan(const FaultConfig& config)
               config.cca_missed_detection <= 1.0);
 }
 
-void FaultPlan::reset() {
-  origin_ = 0;
-  phase_slots_ = 0;
-  phase_index_ = 0;
-  skewed_.clear();
-  timelines_.clear();
-}
-
 void FaultPlan::begin_phase(std::uint32_t node_count, SlotCount num_slots) {
   if (!active_) return;
   origin_ += phase_slots_;

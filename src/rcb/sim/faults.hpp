@@ -33,8 +33,8 @@
 // (loss, corruption, CCA degradation) draw from the engine's main Rng, so
 // they are deterministic per run but consume the stream in engine-specific
 // order.  A FaultPlan is stateful (it tracks the global slot origin across
-// phases); use one plan per execution, or call reset() between runs, and
-// never share a plan across threads.
+// phases); use one plan per execution, and never share a plan across
+// threads.
 #pragma once
 
 #include <cstdint>
@@ -82,10 +82,6 @@ class FaultPlan {
 
   bool active() const { return active_; }
   const FaultConfig& config() const { return config_; }
-
-  /// Restores the plan to its just-constructed state (global clock to 0,
-  /// timelines cleared) so one plan can serve repeated identical runs.
-  void reset();
 
   // -- phase lifecycle (called by the engines) ------------------------------
 

@@ -9,11 +9,6 @@ namespace rcb {
 
 JamSchedule JamSchedule::none() { return JamSchedule(Kind::kNone, 0); }
 
-JamSchedule JamSchedule::all(SlotCount num_slots) {
-  JamSchedule js(Kind::kAll, num_slots);
-  return js;
-}
-
 JamSchedule JamSchedule::suffix(SlotCount num_slots, SlotIndex start) {
   RCB_REQUIRE(start <= num_slots);
   JamSchedule js(Kind::kSuffix, num_slots);
@@ -46,29 +41,10 @@ SlotCount JamSchedule::jammed_count() const {
   switch (kind_) {
     case Kind::kNone:
       return 0;
-    case Kind::kAll:
-      return num_slots_;
     case Kind::kSuffix:
       return num_slots_ - suffix_start_;
     case Kind::kSlots:
       return slots_.size();
-  }
-  return 0;
-}
-
-SlotCount JamSchedule::jammed_before(SlotIndex end) const {
-  const SlotIndex e = std::min<SlotIndex>(end, num_slots_);
-  switch (kind_) {
-    case Kind::kNone:
-      return 0;
-    case Kind::kAll:
-      return e;
-    case Kind::kSuffix:
-      return e > suffix_start_ ? e - suffix_start_ : 0;
-    case Kind::kSlots: {
-      const auto it = std::lower_bound(slots_.begin(), slots_.end(), e);
-      return static_cast<SlotCount>(it - slots_.begin());
-    }
   }
   return 0;
 }

@@ -2,8 +2,9 @@
 //
 // Lemma 1 of the paper shows that, within one phase, an adaptive adversary
 // is WLOG one that leaves a prefix unjammed and jams a contiguous suffix.
-// The suffix form is therefore first-class here; explicit slot lists and
-// full/none schedules cover the other strategies (random, burst, ...).
+// The suffix form is therefore first-class here (the suffix from slot 0
+// jams the whole phase); explicit slot lists and the empty schedule cover
+// the other strategies (random, burst, ...).
 #pragma once
 
 #include <vector>
@@ -19,9 +20,6 @@ class JamSchedule {
   /// No jamming at all.
   static JamSchedule none();
 
-  /// Every slot jammed.
-  static JamSchedule all(SlotCount num_slots);
-
   /// Jams slots [start, num_slots) — the canonical adaptive form (Lemma 1).
   static JamSchedule suffix(SlotCount num_slots, SlotIndex start);
 
@@ -34,9 +32,8 @@ class JamSchedule {
   static JamSchedule slots(SlotCount num_slots, std::vector<SlotIndex> slots);
 
   /// True if `slot` is jammed.  Inline, since the engines ask it once per
-  /// listen: kNone holds no slots and kAll is the suffix from slot 0, so
-  /// one interval test settles every kind but an explicit slot list, whose
-  /// binary search stays out of line.
+  /// listen: kNone holds no slots, so one interval test settles every kind
+  /// but an explicit slot list, whose binary search stays out of line.
   bool is_jammed(SlotIndex slot) const {
     if (kind_ == Kind::kSlots) return is_listed(slot);
     return slot >= suffix_start_ && slot < num_slots_;
@@ -46,14 +43,10 @@ class JamSchedule {
   /// it runs to completion).
   SlotCount jammed_count() const;
 
-  /// Number of jammed slots among [0, end) — used to charge the adversary
-  /// only for slots that actually elapsed before every party halted.
-  SlotCount jammed_before(SlotIndex end) const;
-
   SlotCount num_slots() const { return num_slots_; }
 
  private:
-  enum class Kind { kNone, kAll, kSuffix, kSlots };
+  enum class Kind { kNone, kSuffix, kSlots };
 
   JamSchedule(Kind kind, SlotCount num_slots) : kind_(kind), num_slots_(num_slots) {}
 

@@ -11,10 +11,4 @@ void Trace::record(SlotIndex slot, std::uint32_t senders,
   events_.push_back(TraceEvent{phase_, slot, senders, listeners, jammed});
 }
 
-void Trace::clear() {
-  events_.clear();
-  truncated_ = false;
-  phase_ = 0;
-}
-
 }  // namespace rcb

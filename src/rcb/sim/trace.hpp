@@ -36,7 +36,6 @@ class Trace {
 
   const std::vector<TraceEvent>& events() const { return events_; }
   bool truncated() const { return truncated_; }
-  void clear();
 
  private:
   std::size_t capacity_;

@@ -100,11 +100,4 @@ Summary summarize(std::span<const double> samples) {
   return s;
 }
 
-double fraction_true(std::span<const bool> flags) {
-  if (flags.empty()) return 0.0;
-  std::size_t count = 0;
-  for (bool f : flags) count += f ? 1 : 0;
-  return static_cast<double>(count) / static_cast<double>(flags.size());
-}
-
 }  // namespace rcb

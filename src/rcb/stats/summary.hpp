@@ -30,7 +30,4 @@ Summary summarize(std::span<const double> samples);
 /// Linear-interpolated quantile of a sample, q in [0, 1].
 double quantile(std::span<const double> samples, double q);
 
-/// Fraction of samples satisfying a predicate-like boolean vector.
-double fraction_true(std::span<const bool> flags);
-
 }  // namespace rcb

@@ -70,8 +70,8 @@ TEST(CcaEngineTest, MissedDetectionHidesJamming) {
   std::vector<NodeAction> actions = {NodeAction{0.0, Payload::kNoise, 1.0}};
   Rng rng(6);
   const CcaModel cca{0.0, 0.5};
-  const auto r = run_repetition(4000, actions, JamSchedule::all(4000), rng,
-                                nullptr, cca);
+  const auto r = run_repetition(4000, actions, JamSchedule::suffix(4000, 0),
+                                rng, nullptr, cca);
   const auto& obs = r.obs[0];
   EXPECT_NEAR(static_cast<double>(obs.clear), 2000.0, 200.0);
 }

@@ -418,19 +418,6 @@ TEST_F(CheckpointTest, AppendBatchBytesMatchPerRecordAppends) {
   EXPECT_EQ(read_file(journal_path()), per_record);
 }
 
-TEST_F(CheckpointTest, WriterIsMovable) {
-  CheckpointWriter a;
-  ASSERT_EQ(a.create(dir_, test_scenario()), "");
-  CheckpointWriter b = std::move(a);
-  EXPECT_FALSE(a.active());  // NOLINT(bugprone-use-after-move): tested
-  ASSERT_TRUE(b.active());
-  ASSERT_EQ(b.append_batch({test_record(0)}), "");
-  b.close();
-  const CheckpointLoadResult loaded = load_checkpoint(dir_);
-  ASSERT_TRUE(loaded.ok) << loaded.error;
-  ASSERT_EQ(loaded.records.size(), 1u);
-}
-
 TEST_F(CheckpointTest, StaleManifestTmpFromCrashWindowIsCleanedUp) {
   // A crash between the temp-file write and the rename leaves
   // "manifest.json.tmp" next to the manifest.  It must not survive
@@ -714,9 +701,9 @@ TEST_F(CheckpointTest, EverySingleByteFlipOfAV2JournalIsCaught) {
 
 TEST_F(CheckpointTest, ShardedResumeOverV1JournalsKeepsDigests) {
   // A sharded root written before version 2: shard 0 complete, shard 1
-  // half done.  Resuming carries shard 1's journal into a try_<k> by byte
-  // copy and finishes it in version 1; the merge gives the digest of a run
-  // that never journaled.
+  // half done, each in its try_1.  Resuming carries shard 1's journal into
+  // try_2 by byte copy and finishes it in version 1; the merge gives the
+  // digest of a run that never journaled.
   Scenario s = test_scenario();
   s.trials = 24;
   ThreadPool pool(2);
@@ -739,10 +726,11 @@ TEST_F(CheckpointTest, ShardedResumeOverV1JournalsKeepsDigests) {
       rec.trial = t;
       rec.outcome = run_scenario_trial(s, t);
     }
-    write_v1_checkpoint(shard_dir(root, i), s, recs);
+    write_v1_checkpoint(shard_attempt_dir(root, i, 1), s, recs);
   }
 
   const std::uint32_t attempt = next_shard_attempt(root, 1);
+  ASSERT_EQ(attempt, 2u);
   ASSERT_EQ(prepare_shard_attempt(root, spec, 1, attempt), "");
   const std::string try_dir = shard_attempt_dir(root, 1, attempt);
   const SweepResult finished = run_shard_attempt(spec, 1, try_dir, {}, pool);

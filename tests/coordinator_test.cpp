@@ -213,10 +213,12 @@ TEST(ShardSpecTest, RoundTripsThroughDisk) {
   spec.trial_timeout_sec = 1.5;
   spec.trial_slot_budget = 100000;
   spec.max_retries = 2;
+  spec.heartbeat_interval_sec = 0.25;
   ASSERT_EQ(write_shard_spec(root, spec), "");
   const ShardSpecLoadResult loaded = load_shard_spec(root);
   ASSERT_TRUE(loaded.ok) << loaded.error;
   EXPECT_EQ(loaded.spec.worker_threads, spec.worker_threads);
+  EXPECT_EQ(loaded.spec.heartbeat_interval_sec, spec.heartbeat_interval_sec);
   EXPECT_EQ(loaded.spec.trial_timeout_sec, spec.trial_timeout_sec);
   EXPECT_EQ(loaded.spec.trial_slot_budget, spec.trial_slot_budget);
   EXPECT_EQ(loaded.spec.max_retries, spec.max_retries);
@@ -259,6 +261,29 @@ TEST(ShardSpecTest, RefusesIntegersNoDoubleHoldsExactly) {
               "shard spec: \"end\" must be a non-negative integer no larger "
               "than 2^53");
   }
+  fs::remove_all(root);
+}
+
+TEST(ShardSpecTest, RefusesASpecWithoutHeartbeat) {
+  // write_shard_spec always writes the beat, so a spec without one is
+  // refused rather than given a default.
+  const std::string root = make_test_dir("rcb_shard_spec");
+  ASSERT_EQ(write_shard_spec(root, make_spec({fast_scenario(7, 9)}, 1)), "");
+  const std::string path = shard_spec_path(root);
+  std::string text;
+  {
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const std::size_t at = text.find("\"heartbeat_sec\":");
+  ASSERT_NE(at, std::string::npos) << text;
+  text.erase(at, text.find(',', at) + 1 - at);
+  std::ofstream(path, std::ios::trunc) << text;
+  const ShardSpecLoadResult loaded = load_shard_spec(root);
+  EXPECT_FALSE(loaded.ok);
+  EXPECT_EQ(loaded.error,
+            "shard spec: \"heartbeat_sec\" must be a positive number");
   fs::remove_all(root);
 }
 
@@ -500,21 +525,21 @@ TEST_F(CoordinatorTest, GracefulShutdownReportsInterruptedAndResumes) {
   EXPECT_EQ(second.points[0].aggregate_digest, reference);
 }
 
-TEST_F(CoordinatorTest, ResumesRootsInThePreTryLayout) {
-  // Before every attempt got its own try_<k>, spawned workers journaled in
-  // shard_<i>/ itself, next to a lease file.  A root left that way — one
-  // shard complete, one partial — resumes to the reference digest.
+TEST_F(CoordinatorTest, ResumeAdoptsCompleteTriesAndContinuesPartialOnes) {
+  // A root whose first attempts stopped with one shard complete in its
+  // try_1 and one half done in its try_1 resumes to the reference digest.
   const std::vector<Scenario> scenarios{fast_scenario(59, 12)};
   const std::uint64_t reference = reference_digests(scenarios)[0];
   const ShardSpec spec = make_spec(scenarios, 2);
   ASSERT_EQ(spec.shards.size(), 2u);
   ASSERT_EQ(write_shard_spec(root_, spec), "");
   ThreadPool pool(2);
-  ASSERT_TRUE(run_shard_attempt(spec, 0, shard_dir(root_, 0), {}, pool).ok);
+  ASSERT_TRUE(
+      run_shard_attempt(spec, 0, shard_attempt_dir(root_, 0, 1), {}, pool).ok);
   ShardSpec half = spec;  // shard 1 journals only its first half
   half.shards[1].end = (half.shards[1].begin + half.shards[1].end) / 2;
-  ASSERT_TRUE(run_shard_attempt(half, 1, shard_dir(root_, 1), {}, pool).ok);
-  std::ofstream(shard_dir(root_, 1) + "/lease") << "1\n";
+  ASSERT_TRUE(
+      run_shard_attempt(half, 1, shard_attempt_dir(root_, 1, 1), {}, pool).ok);
 
   CoordinatorOptions resume = options(2);
   resume.resume = true;
@@ -522,9 +547,9 @@ TEST_F(CoordinatorTest, ResumesRootsInThePreTryLayout) {
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_EQ(res.points[0].aggregate_digest, reference);
   EXPECT_EQ(res.points[0].records.size(), scenarios[0].trials);
-  // Shard 0 was adopted where it lay; shard 1 went on in a fresh try_1.
-  EXPECT_FALSE(fs::exists(shard_attempt_dir(root_, 0, 1)));
-  EXPECT_TRUE(fs::exists(shard_attempt_dir(root_, 1, 1) + "/" +
+  // Shard 0 was adopted where it lay; shard 1 went on in a fresh try_2.
+  EXPECT_FALSE(fs::exists(shard_attempt_dir(root_, 0, 2)));
+  EXPECT_TRUE(fs::exists(shard_attempt_dir(root_, 1, 2) + "/" +
                          kCheckpointJournalFile));
 }
 

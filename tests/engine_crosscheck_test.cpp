@@ -110,7 +110,7 @@ JamSchedule random_schedule(SlotCount slots, std::uint64_t kind, Rng& gen) {
     case 0:
       return JamSchedule::none();
     case 1:
-      return JamSchedule::all(slots);
+      return JamSchedule::suffix(slots, 0);
     case 2:
       return JamSchedule::suffix(slots, gen.uniform_u64(slots + 1));
     default: {

@@ -163,27 +163,6 @@ TEST(FaultPlanTest, BrownoutScalesEligibleNodesAfterOnset) {
   EXPECT_EQ(off.battery_factor(3, 50000), 1.0);
 }
 
-TEST(FaultPlanTest, ResetRestoresInitialState) {
-  FaultConfig cfg;
-  cfg.seed = 13;
-  cfg.crash_rate = 0.01;
-  cfg.clock_skew_rate = 0.3;
-  FaultPlan plan(cfg);
-  plan.begin_phase(8, 256);
-  std::vector<bool> first_skew;
-  for (NodeId u = 0; u < 8; ++u) first_skew.push_back(plan.node_skewed(u));
-  const bool first_down = plan.node_down(2, 100);
-  plan.begin_phase(8, 256);
-
-  plan.reset();
-  EXPECT_EQ(plan.phase_origin(), 0u);
-  plan.begin_phase(8, 256);
-  for (NodeId u = 0; u < 8; ++u) {
-    EXPECT_EQ(plan.node_skewed(u), first_skew[u]);
-  }
-  EXPECT_EQ(plan.node_down(2, 100), first_down);
-}
-
 // ---------------------------------------------------------------------------
 // Engine integration.
 

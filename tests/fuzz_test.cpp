@@ -33,7 +33,7 @@ TEST(JamScheduleFuzzTest, MatchesBitsetReference) {
         schedule = JamSchedule::none();
         break;
       case 1:
-        schedule = JamSchedule::all(slots);
+        schedule = JamSchedule::suffix(slots, 0);
         for (SlotIndex s = 0; s < slots; ++s) reference.insert(s);
         break;
       case 2: {
@@ -59,15 +59,6 @@ TEST(JamScheduleFuzzTest, MatchesBitsetReference) {
     for (SlotIndex s = 0; s < slots; ++s) {
       ASSERT_EQ(schedule.is_jammed(s), reference.count(s) > 0)
           << "iter " << iter << " slot " << s;
-    }
-    // jammed_before at random cut points.
-    for (int k = 0; k < 5; ++k) {
-      const SlotIndex cut = rng.uniform_u64(slots + 2);
-      const auto expected = static_cast<SlotCount>(std::count_if(
-          reference.begin(), reference.end(),
-          [cut](SlotIndex s) { return s < cut; }));
-      ASSERT_EQ(schedule.jammed_before(cut), expected)
-          << "iter " << iter << " cut " << cut;
     }
   }
 }

@@ -55,16 +55,6 @@ TEST(MathUtilTest, ToSlotCount) {
   EXPECT_EQ(to_slot_count(1e30), UINT64_MAX);
 }
 
-TEST(MathUtilTest, LnInverse) {
-  EXPECT_NEAR(ln_inverse(0.01), std::log(100.0), 1e-12);
-  EXPECT_NEAR(ln_inverse(0.5), std::log(2.0), 1e-12);
-}
-
-TEST(MathUtilDeathTest, LnInverseDomainRejected) {
-  EXPECT_DEATH(ln_inverse(0.0), "precondition");
-  EXPECT_DEATH(ln_inverse(1.0), "precondition");
-}
-
 TEST(MathUtilTest, GoldenRatioIdentity) {
   // phi^2 = phi + 1, and phi - 1 = 1/phi (the Theorem 5 exponent).
   EXPECT_NEAR(kGoldenRatio * kGoldenRatio, kGoldenRatio + 1.0, 1e-12);

@@ -84,7 +84,7 @@ TEST(RepetitionEngineTest, JammedSlotsHeardAsNoiseEvenWithMessage) {
 
 TEST(RepetitionEngineTest, JammedSilenceIsNoiseNotClear) {
   auto r = run(100, {NodeAction{0.0, Payload::kNoise, 1.0}},
-               JamSchedule::all(100));
+               JamSchedule::suffix(100, 0));
   EXPECT_EQ(r.obs[0].noise, 100u);
   EXPECT_EQ(r.obs[0].clear, 0u);
 }
@@ -154,7 +154,7 @@ TEST(RepetitionEngineTest, LUniformJamsOnlyTargetPartition) {
   };
   std::vector<std::uint32_t> partition = {0, 0, 1};
   std::vector<JamSchedule> schedules = {JamSchedule::none(),
-                                        JamSchedule::all(60)};
+                                        JamSchedule::suffix(60, 0)};
   Rng rng(5);
   auto r = run_repetition_luniform(60, actions, partition, schedules, rng);
   EXPECT_EQ(r.obs[1].messages, 60u);

@@ -397,15 +397,30 @@ TEST(ReplayTest, ForcedContractFailureEmitsReplayableRecord) {
 }
 
 TEST(ReplayTest, NestedReproScopesRestoreOuterContext) {
-  ReproScope outer(1, 2, "{}");
-  ASSERT_NE(current_repro_context(), nullptr);
-  EXPECT_EQ(current_repro_context()->master_seed, 1u);
+  // The record of a contract failure names the innermost scope, and the
+  // outer one again once the inner scope has closed.
+  HandlerGuard guard;
+  const auto failure_record = [] {
+    try {
+      RCB_REQUIRE(1 + 1 == 3);
+    } catch (const ContractCaught& caught) {
+      return repro_record_from_json(caught.record_json);
+    }
+    return ReproParseResult{};
+  };
+  ReproScope outer(1, 2, "");
+  EXPECT_EQ(failure_record().record.master_seed, 1u);
   {
-    ReproScope inner(3, 4, "{}");
-    EXPECT_EQ(current_repro_context()->master_seed, 3u);
-    EXPECT_EQ(current_repro_context()->trial, 4u);
+    ReproScope inner(3, 4, "");
+    const ReproParseResult parsed = failure_record();
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    EXPECT_EQ(parsed.record.master_seed, 3u);
+    EXPECT_EQ(parsed.record.trial, 4u);
   }
-  EXPECT_EQ(current_repro_context()->master_seed, 1u);
+  const ReproParseResult parsed = failure_record();
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  EXPECT_EQ(parsed.record.master_seed, 1u);
+  EXPECT_EQ(parsed.record.trial, 2u);
 }
 
 TEST(ReplayDeathTest, UnhandledContractFailurePrintsReproLine) {

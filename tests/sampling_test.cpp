@@ -136,21 +136,11 @@ TEST(BernoulliSlotSamplerTest, PositionsAreUniform) {
   EXPECT_NEAR(pos_sum / static_cast<double>(count), (n - 1) / 2.0, 100.0);
 }
 
-TEST(BinomialTest, EdgeCases) {
-  Rng rng(7);
-  EXPECT_EQ(binomial(0, 0.5, rng), 0u);
-  EXPECT_EQ(binomial(100, 0.0, rng), 0u);
-  EXPECT_EQ(binomial(100, 1.0, rng), 100u);
-}
-
-TEST(BinomialTest, MeanMatches) {
-  Rng rng(8);
-  double sum = 0.0;
-  const int trials = 20000;
-  for (int t = 0; t < trials; ++t) {
-    sum += static_cast<double>(binomial(1000, 0.02, rng));
-  }
-  EXPECT_NEAR(sum / trials, 20.0, 0.3);
+/// Trials up to and including the sampler's first firing slot: the
+/// geometric skip it draws, Geometric(p) on {1, 2, ...}.
+std::uint64_t first_firing_trial(double p, Rng& rng) {
+  BernoulliSlotSampler sampler(SlotCount{1} << 40, p, rng);
+  return sampler.next() + 1;
 }
 
 TEST(GeometricTest, MeanIsOneOverP) {
@@ -159,7 +149,7 @@ TEST(GeometricTest, MeanIsOneOverP) {
     double sum = 0.0;
     const int trials = 40000;
     for (int t = 0; t < trials; ++t) {
-      sum += static_cast<double>(geometric(p, rng));
+      sum += static_cast<double>(first_firing_trial(p, rng));
     }
     EXPECT_NEAR(sum / trials, 1.0 / p, 0.05 / p) << "p=" << p;
   }
@@ -167,12 +157,19 @@ TEST(GeometricTest, MeanIsOneOverP) {
 
 TEST(GeometricTest, UnitProbabilityIsAlwaysOne) {
   Rng rng(10);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(geometric(1.0, rng), 1u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(first_firing_trial(1.0, rng), 1u);
 }
 
 TEST(GeometricTest, SupportsStartsAtOne) {
+  // A firing on slot 0 is one trial; the skip never lands before it.
   Rng rng(11);
-  for (int i = 0; i < 10000; ++i) ASSERT_GE(geometric(0.9, rng), 1u);
+  std::uint64_t ones = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const std::uint64_t k = first_firing_trial(0.9, rng);
+    ASSERT_GE(k, 1u);
+    ones += k == 1 ? 1 : 0;
+  }
+  EXPECT_NEAR(static_cast<double>(ones) / 10000.0, 0.9, 0.02);
 }
 
 }  // namespace

@@ -149,12 +149,6 @@ TEST(SummaryTest, SummaryQuantilesMatchOnOneToOneLatencies) {
   expect_quantiles_match(latency);
 }
 
-TEST(SummaryTest, FractionTrue) {
-  EXPECT_DOUBLE_EQ(fraction_true({}), 0.0);
-  const bool raw[] = {true, false, true, true};
-  EXPECT_DOUBLE_EQ(fraction_true(std::span<const bool>(raw, 4)), 0.75);
-}
-
 TEST(RegressionTest, ExactLineRecovered) {
   const std::vector<double> xs = {1, 2, 3, 4, 5};
   std::vector<double> ys;

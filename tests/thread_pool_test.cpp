@@ -49,24 +49,36 @@ TEST(ThreadPoolTest, DestructorDrains) {
   EXPECT_EQ(counter.load(), 50);
 }
 
+/// Runs fn(i) for every i of [begin, end) through parallel_for_chunks.
+void for_each_index(ThreadPool& pool, std::size_t begin, std::size_t end,
+                    const std::function<void(std::size_t)>& fn,
+                    std::size_t chunk_hint = 0) {
+  parallel_for_chunks(
+      pool, begin, end,
+      [&fn](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) fn(i);
+      },
+      chunk_hint);
+}
+
 TEST(ParallelForTest, CoversExactRange) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, 0, 1000, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for_each_index(pool, 0, 1000, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelForTest, EmptyRangeIsNoop) {
   ThreadPool pool(2);
-  parallel_for(pool, 5, 5, [](std::size_t) { FAIL(); });
+  parallel_for_chunks(pool, 5, 5, [](std::size_t, std::size_t) { FAIL(); });
   SUCCEED();
 }
 
 TEST(ParallelForTest, SubRange) {
   ThreadPool pool(3);
   std::atomic<long> sum{0};
-  parallel_for(pool, 10, 20,
-               [&](std::size_t i) { sum.fetch_add(static_cast<long>(i)); });
+  for_each_index(pool, 10, 20,
+                 [&](std::size_t i) { sum.fetch_add(static_cast<long>(i)); });
   EXPECT_EQ(sum.load(), 145);  // 10 + ... + 19
 }
 
@@ -117,7 +129,7 @@ TEST(ThreadPoolTest, ChunkHintDoesNotChangeParallelForSemantics) {
   for (std::size_t hint : {std::size_t{0}, std::size_t{1}, std::size_t{7},
                            std::size_t{1000}}) {
     std::atomic<long> sum{0};
-    parallel_for(
+    for_each_index(
         pool, 0, 50, [&](std::size_t i) { sum.fetch_add(static_cast<long>(i)); },
         hint);
     EXPECT_EQ(sum.load(), 1225) << "hint=" << hint;  // 0 + ... + 49
@@ -136,8 +148,8 @@ TEST(MonteCarloTest, ChunkHintPreservesTrialOrderAndValues) {
 
 TEST(ThreadPoolTest, GlobalPoolIsUsable) {
   std::atomic<int> counter{0};
-  parallel_for(ThreadPool::global(), 0, 10,
-               [&](std::size_t) { counter.fetch_add(1); });
+  for_each_index(ThreadPool::global(), 0, 10,
+                 [&](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 10);
 }
 
@@ -213,14 +225,14 @@ TEST(ThreadPoolTest, WorkStealingStressManyTinyTasks) {
 }
 
 TEST(ThreadPoolTest, NestedParallelForChunksCompletes) {
-  // A chunk may itself run parallel_for on the same pool: the blocked
-  // caller helps execute tasks, so nesting cannot deadlock even on a
-  // single-threaded pool.
+  // A chunk may itself run parallel_for_chunks on the same pool: the
+  // blocked caller helps execute tasks, so nesting cannot deadlock even on
+  // a single-threaded pool.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ThreadPool pool(threads);
     std::vector<std::atomic<int>> hits(64 * 64);
-    parallel_for(pool, 0, 64, [&](std::size_t outer) {
-      parallel_for(
+    for_each_index(pool, 0, 64, [&](std::size_t outer) {
+      for_each_index(
           pool, 0, 64,
           [&](std::size_t inner) { hits[outer * 64 + inner].fetch_add(1); },
           8);

@@ -31,21 +31,6 @@ TEST(TraceTest, CapacityBoundsMemory) {
   EXPECT_EQ(trace.events()[2].slot, 2u);
 }
 
-TEST(TraceTest, ClearResetsEverything) {
-  Trace trace(2);
-  trace.begin_phase(9);
-  trace.record(0, 1, 1, false);
-  trace.record(1, 1, 1, false);
-  trace.record(2, 1, 1, false);
-  ASSERT_TRUE(trace.truncated());
-  trace.clear();
-  EXPECT_TRUE(trace.events().empty());
-  EXPECT_FALSE(trace.truncated());
-  trace.record(7, 1, 0, true);
-  ASSERT_EQ(trace.events().size(), 1u);
-  EXPECT_EQ(trace.events()[0].phase, 0u);  // phase reset too
-}
-
 TEST(TraceTest, ZeroCapacityTruncatesImmediately) {
   Trace trace(0);
   trace.record(0, 1, 1, false);

@@ -3,19 +3,22 @@
 // control-frame codec round-trips and corruption refusal, deterministic
 // fault-plan draws, lease-policy validation, host:port parsing, the
 // control socket a spawned worker inherits on fd 3, EINTR-storm
-// regression for journal appends and fd transfers, and the duplicate-
+// regression for journal appends and socket transfers, and the duplicate-
 // completion dedupe / divergence refusal that scan_shard (and therefore
-// merge_shard_journals) applies to partitioned shard attempts, and the
-// freshness rule under which the merge adopts a coordinator's scan.
+// merge_shard_journals) applies to partitioned shard attempts, the
+// freshness rule under which the merge adopts a coordinator's scan, and
+// the refusal of a journal left in a shard dir itself.
 #include "rcb/runtime/transport.hpp"
 
 #include <errno.h>
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -287,19 +290,30 @@ class EintrStormTest : public ::testing::Test {
 };
 
 TEST_F(EintrStormTest, RetryWriteAndReadSurviveStorm) {
+  // The control connections' send and read helpers: an EINTR before every
+  // other call is retried inside the helper and never reaches the caller.
   int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   std::string payload(8192, 'x');
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<char>('a' + i % 26);
   }
-  arm_alternating("write");
-  ASSERT_EQ(retry_write(fds[1], payload.data(), payload.size()), 0);
+  arm_alternating("send");
+  for (std::size_t put = 0; put < payload.size();) {
+    const ssize_t k =
+        retry_send_some(fds[1], payload.data() + put, payload.size() - put);
+    ASSERT_GT(k, 0) << std::strerror(errno);
+    put += static_cast<std::size_t>(k);
+  }
   set_io_fault(nullptr);
   arm_alternating("read");
   std::string got(payload.size(), '\0');
-  ASSERT_EQ(retry_read(fds[0], got.data(), got.size()),
-            static_cast<ssize_t>(payload.size()));
+  for (std::size_t have = 0; have < got.size();) {
+    const ssize_t k =
+        retry_read_some(fds[0], got.data() + have, got.size() - have);
+    ASSERT_GT(k, 0) << std::strerror(errno);
+    have += static_cast<std::size_t>(k);
+  }
   EXPECT_EQ(got, payload);
   close(fds[0]);
   close(fds[1]);
@@ -382,11 +396,11 @@ class DuplicateCompletionTest : public ::testing::Test {
 };
 
 TEST_F(DuplicateCompletionTest, IdenticalDigestsDedupeAndMerge) {
-  // Both the revoked worker (base dir) and its replacement (try_1) finished
+  // Both the revoked worker (try_1) and its replacement (try_2) finished
   // the shard: same assigned work, same digest.
-  complete_attempt(shard_attempt_dir(root_, 0, 0));
-  ASSERT_EQ(prepare_shard_attempt(root_, spec_, 0, 1), "");
   complete_attempt(shard_attempt_dir(root_, 0, 1));
+  ASSERT_EQ(prepare_shard_attempt(root_, spec_, 0, 2), "");
+  complete_attempt(shard_attempt_dir(root_, 0, 2));
 
   const ShardScan scan = scan_shard(root_, spec_, 0);
   ASSERT_EQ(scan.state, ShardScanState::kComplete) << scan.error;
@@ -399,12 +413,10 @@ TEST_F(DuplicateCompletionTest, IdenticalDigestsDedupeAndMerge) {
 }
 
 TEST_F(DuplicateCompletionTest, DivergentDigestsRefuseLoudly) {
-  complete_attempt(shard_attempt_dir(root_, 0, 0));
+  complete_attempt(shard_attempt_dir(root_, 0, 1));
   // The second completion journals different outcomes for the same trials:
   // one of the two journals is fabricated, and no tie-break is safe.
-  const std::string try1 = shard_attempt_dir(root_, 0, 1);
-  ASSERT_EQ(fs::create_directories(try1) ? "" : "", "");
-  complete_attempt(try1, /*reseed=*/1);
+  complete_attempt(shard_attempt_dir(root_, 0, 2), /*reseed=*/1);
 
   const ShardScan scan = scan_shard(root_, spec_, 0);
   ASSERT_EQ(scan.state, ShardScanState::kCorrupt);
@@ -418,26 +430,27 @@ TEST_F(DuplicateCompletionTest, DivergentDigestsRefuseLoudly) {
 }
 
 TEST_F(DuplicateCompletionTest, PartialAttemptSeedsTheNextOne) {
-  // A half-finished base attempt: the next attempt dir starts from its
+  // A half-finished first attempt: the next attempt dir starts from its
   // journal (copied, not moved) instead of redoing the shard.
   ShardSpec half = spec_;
   half.shards = {{0, 0, 3}};  // pretend only 3 trials were assigned...
+  ASSERT_EQ(next_shard_attempt(root_, 0), 1u);
   const SweepResult res =
-      run_shard_attempt(half, 0, shard_attempt_dir(root_, 0, 0), {}, pool_);
+      run_shard_attempt(half, 0, shard_attempt_dir(root_, 0, 1), {}, pool_);
   ASSERT_TRUE(res.ok) << res.error;
 
-  ASSERT_EQ(next_shard_attempt(root_, 0), 1u);
-  ASSERT_EQ(prepare_shard_attempt(root_, spec_, 0, 1), "");
+  ASSERT_EQ(next_shard_attempt(root_, 0), 2u);
+  ASSERT_EQ(prepare_shard_attempt(root_, spec_, 0, 2), "");
   const CheckpointLoadResult seeded =
-      load_checkpoint(shard_attempt_dir(root_, 0, 1));
+      load_checkpoint(shard_attempt_dir(root_, 0, 2));
   ASSERT_TRUE(seeded.ok) << seeded.error;
   EXPECT_EQ(seeded.records.size(), 3u);  // predecessor progress adopted
   // The source journal is untouched (a partitioned writer may still own it).
   const CheckpointLoadResult source =
-      load_checkpoint(shard_attempt_dir(root_, 0, 0));
+      load_checkpoint(shard_attempt_dir(root_, 0, 1));
   ASSERT_TRUE(source.ok) << source.error;
   EXPECT_EQ(source.records.size(), 3u);
-  EXPECT_EQ(next_shard_attempt(root_, 0), 2u);
+  EXPECT_EQ(next_shard_attempt(root_, 0), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -487,8 +500,8 @@ TEST_F(AdoptedScanTest, WarmMergeEqualsColdMerge) {
     if (trial == 4) throw std::runtime_error("injected");
     return run_scenario_trial(s, trial);
   };
-  const std::string base = shard_attempt_dir(root_, 0, 0);
-  ASSERT_TRUE(run_shard_attempt(spec_, 0, base, runner, pool_).ok);
+  const std::string first = shard_attempt_dir(root_, 0, 1);
+  ASSERT_TRUE(run_shard_attempt(spec_, 0, first, runner, pool_).ok);
   const ShardMergeResult cold = merge_shard_journals(root_, spec_);
   ASSERT_TRUE(cold.ok) << cold.error;
   EXPECT_EQ(cold.points[0].timed_out, 1u);
@@ -498,8 +511,8 @@ TEST_F(AdoptedScanTest, WarmMergeEqualsColdMerge) {
   // The shard is redone by another attempt after the scan was kept: the
   // stale scan must not stand in for what is now on disk.
   const std::vector<ShardScan> stale = adopt();
-  fs::remove_all(base);
-  complete_attempt(shard_attempt_dir(root_, 0, 1), /*reseed=*/1);
+  fs::remove_all(first);
+  complete_attempt(shard_attempt_dir(root_, 0, 2), /*reseed=*/1);
   const ShardMergeResult redone = merge_shard_journals(root_, spec_);
   ASSERT_TRUE(redone.ok) << redone.error;
   EXPECT_NE(redone.points[0].aggregate_digest,
@@ -508,9 +521,9 @@ TEST_F(AdoptedScanTest, WarmMergeEqualsColdMerge) {
 }
 
 TEST_F(AdoptedScanTest, DivergentTryCompletedAfterAdoptionIsRefused) {
-  complete_attempt(shard_attempt_dir(root_, 0, 0));
+  complete_attempt(shard_attempt_dir(root_, 0, 1));
   std::vector<ShardScan> adopted = adopt();
-  complete_attempt(shard_attempt_dir(root_, 0, 1), /*reseed=*/1);
+  complete_attempt(shard_attempt_dir(root_, 0, 2), /*reseed=*/1);
 
   const ShardMergeResult merged =
       merge_shard_journals(root_, spec_, std::move(adopted));
@@ -521,17 +534,17 @@ TEST_F(AdoptedScanTest, DivergentTryCompletedAfterAdoptionIsRefused) {
 }
 
 TEST_F(AdoptedScanTest, AppendToAdoptedJournalIsRefused) {
-  const std::string base = shard_attempt_dir(root_, 0, 0);
-  complete_attempt(base);
+  const std::string first = shard_attempt_dir(root_, 0, 1);
+  complete_attempt(first);
   std::vector<ShardScan> adopted = adopt();
 
   // A second record for trial 0 lands after the scan: the journal now
   // holds a duplicate trial, which the loader refuses as corruption.
-  const CheckpointLoadResult loaded = load_checkpoint(base);
+  const CheckpointLoadResult loaded = load_checkpoint(first);
   ASSERT_TRUE(loaded.ok) << loaded.error;
   ASSERT_FALSE(loaded.truncated_tail);
   CheckpointWriter w;
-  ASSERT_EQ(w.open_for_append(base, loaded), "");
+  ASSERT_EQ(w.open_for_append(first, loaded), "");
   CheckpointRecord rec;
   rec.trial = 0;
   rec.outcome = run_scenario_trial(spec_.points[0], 0);
@@ -546,16 +559,48 @@ TEST_F(AdoptedScanTest, AppendToAdoptedJournalIsRefused) {
 }
 
 TEST_F(AdoptedScanTest, DeletedJournalReportsTheShardIncomplete) {
-  const std::string base = shard_attempt_dir(root_, 0, 0);
-  complete_attempt(base);
+  const std::string first = shard_attempt_dir(root_, 0, 1);
+  complete_attempt(first);
   std::vector<ShardScan> adopted = adopt();
-  ASSERT_TRUE(fs::remove(fs::path(base) / kCheckpointJournalFile));
+  ASSERT_TRUE(fs::remove(fs::path(first) / kCheckpointJournalFile));
 
   const ShardMergeResult merged =
       merge_shard_journals(root_, spec_, std::move(adopted));
   ASSERT_FALSE(merged.ok);
   EXPECT_NE(merged.error.find("incomplete"), std::string::npos)
       << merged.error;
+}
+
+TEST_F(AdoptedScanTest, JournalInTheShardDirItselfIsRefused) {
+  // Before every attempt got a try_<k> dir, a shard's first attempt
+  // journaled in shard_<i>/ itself.  Such a journal is neither resumed nor
+  // merged, even next to a complete try_1 whose scan was already kept.
+  const std::string first = shard_attempt_dir(root_, 0, 1);
+  complete_attempt(first);
+  std::vector<ShardScan> adopted = adopt();
+  for (const char* name : {kCheckpointManifestFile, kCheckpointJournalFile}) {
+    fs::copy_file(fs::path(first) / name, fs::path(shard_dir(root_, 0)) / name);
+  }
+  const std::string refusal =
+      "shard 0: journal in shard_0/ predates per-attempt dirs; re-run the "
+      "sweep";
+
+  const ShardScan scan = scan_shard(root_, spec_, 0);
+  EXPECT_EQ(scan.state, ShardScanState::kCorrupt);
+  EXPECT_EQ(scan.error, refusal);
+  EXPECT_EQ(prepare_shard_attempt(root_, spec_, 0, 2), refusal);
+  const auto expect_refused = [&](const ShardMergeResult& merged) {
+    EXPECT_FALSE(merged.ok);
+    EXPECT_EQ(merged.error, refusal);
+    EXPECT_TRUE(merged.points.empty());
+  };
+  expect_refused(merge_shard_journals(root_, spec_));
+  expect_refused(merge_shard_journals(root_, spec_, std::move(adopted)));
+
+  // The journal alone, without its manifest, is refused the same way.
+  ASSERT_TRUE(fs::remove(fs::path(shard_dir(root_, 0)) /
+                         kCheckpointManifestFile));
+  EXPECT_EQ(scan_shard(root_, spec_, 0).error, refusal);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 # then take a quick perf reading and diff it against the committed baseline.
 #
 #   tools/ci.sh            # all configs + quick bench + quick fuzz
-#   tools/ci.sh plain      # header lint, then RelWithDebInfo (+ quick bench
-#                          #   + quick fuzz + perfbench pinned digests)
+#   tools/ci.sh plain      # header and symbol_reachability lints, then
+#                          #   RelWithDebInfo (+ quick bench + quick fuzz
+#                          #   + perfbench pinned digests)
 #   tools/ci.sh sanitize   # ASan+UBSan only (no bench — numbers meaningless)
 #   tools/ci.sh tsan       # ThreadSanitizer, concurrency test binaries only
 #   tools/ci.sh chaos_net  # control-plane chaos only (needs build/)
@@ -455,6 +456,112 @@ header_reachability() {
   return "$unreached"
 }
 
+# Symbol reachability: every out-of-line rcb:: function (an nm text symbol,
+# global or local) that librcb.a defines must be linked into a program — a
+# tool, an example, a bench or rcb_perfbench — or be on reach_allow with its
+# reason.  The programs are built apart from build/, at -O0 -fno-inline with
+# one section per function and linked with --gc-sections, so a function is
+# in a program exactly when a call path from that program reaches it.  An
+# entry matches a function's demangled name up to its parameter list; one
+# ending in "::" matches a whole class.
+reach_allow=(
+  # disk-full hook of checkpoint_test and supervisor_test
+  "rcb::set_checkpoint_write_fault"
+  # EINTR-storm hook of transport_test
+  "rcb::set_io_fault"
+  # scalar-vs-AVX2 pins of sampling_simd_test and the engine tests
+  "rcb::simd::set_mode"
+  "rcb::simd::clear_mode_override"
+  # one-draw-at-a-time reference the sampling tests check the bulk sampler by
+  "rcb::BernoulliSlotSampler::"
+  # paper constants, run by one_to_one_test, property_test, broadcast_n_test
+  "rcb::OneToOneParams::theory"
+  "rcb::BroadcastNParams::theory"
+)
+
+# rcb:: functions among the text symbols of the given files, demangled.
+rcb_functions() {
+  nm -C --defined-only "$@" | sed -nE 's/^[0-9a-f]+ [Tt] (rcb::.*)$/\1/p' |
+    sort -u
+}
+
+# symbol_reachability <source tree> <build dir>: prints every unreached
+# function outside the allowlist and every allowlist entry that matches
+# nothing, and fails if there is either.
+symbol_reachability() {
+  local src="$1" dir="$2"
+  local flags=(-DCMAKE_BUILD_TYPE=None
+               "-DCMAKE_CXX_FLAGS=-O0 -fno-inline -ffunction-sections -fdata-sections"
+               "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
+  local sub name targets=() binaries=()
+  for sub in tools examples bench; do
+    for name in $(sed -nE \
+        's/^ *(add_executable|rcb_add_example|rcb_add_bench)\(([A-Za-z0-9_]+).*/\2/p' \
+        "$src/$sub/CMakeLists.txt"); do
+      targets+=("$name")
+      binaries+=("$dir/$sub/$name")
+    done
+  done
+  binaries+=("$dir/perfbench/rcb_perfbench")
+  mkdir -p "$dir"
+  { cmake -S "$src" -B "$dir" "${flags[@]}" &&
+    cmake --build "$dir" -j "$jobs" --target rcb "${targets[@]}" &&
+    cmake -S "$src/perfbench" -B "$dir/perfbench" "${flags[@]}" &&
+    cmake --build "$dir/perfbench" -j "$jobs" --target rcb_perfbench
+  } >"$dir/build.log" 2>&1 ||
+    { tail -n 30 "$dir/build.log"
+      echo "reach: build failed (log: $dir/build.log)"; return 1; }
+
+  local unreached fn entry matched bad=0
+  local -A used=()
+  unreached=$(comm -23 <(rcb_functions "$dir/src/librcb.a") \
+                       <(rcb_functions "${binaries[@]}") |
+    sed -E 's/operator\(\)/operator<call>/; s/\(.*//; s/operator<call>/operator()/' |
+    sort -u)
+  while IFS= read -r fn; do
+    [[ -n "$fn" ]] || continue
+    matched=""
+    for entry in "${reach_allow[@]}"; do
+      if [[ "$fn" == "$entry" || ( "$entry" == *:: && "$fn" == "$entry"* ) ]]
+      then matched="$entry"; break; fi
+    done
+    if [[ -n "$matched" ]]; then
+      used["$matched"]=1
+    else
+      echo "reach: $fn is linked into no program"; bad=1
+    fi
+  done <<<"$unreached"
+  for entry in "${reach_allow[@]}"; do
+    [[ -n "${used[$entry]:-}" ]] ||
+      { echo "reach: allowlist entry $entry matches no unreached function"
+        bad=1; }
+  done
+  echo "reach: ${#binaries[@]} programs; ${#used[@]} allowlist entries in use"
+  return "$bad"
+}
+
+# Self-check of symbol_reachability, like rcb_fuzz --canary: a scratch copy
+# of the sources with one unused out-of-line rcb:: function added to a file
+# every program links must fail the stage, naming that function and no
+# other.  (The unmodified tree passing is the stage's own run just before.)
+reach_canary() {
+  local work="$repo/build/reach-canary" rc=0
+  rm -rf "$work"; mkdir -p "$work/tree"
+  (cd "$repo" && cp -r CMakeLists.txt src tools bench examples perfbench \
+     tests "$work/tree/")
+  printf '\nnamespace rcb {\nint reach_canary_unused(int x) { return x + 1; }\n}  // namespace rcb\n' \
+    >>"$work/tree/src/rcb/common/contracts.cpp"
+  symbol_reachability "$work/tree" "$work/build" >"$work/out.txt" || rc=$?
+  cat "$work/out.txt"
+  [[ "$rc" -ne 0 ]] ||
+    { echo "reach canary: the stage passed with an unused function"; return 1; }
+  [[ "$(grep -c 'is linked into no program' "$work/out.txt")" == 1 ]] &&
+    grep -q '^reach: rcb::reach_canary_unused is linked into no program$' \
+      "$work/out.txt" ||
+    { echo "reach canary: the failure does not name just the canary"; return 1; }
+  echo "reach canary: the unused function was caught"
+}
+
 # perfbench pins: build the end-to-end benchmark from this checkout into
 # build/perfbench and run every workload untraced for its minimum three
 # sweeps.  rcb_perfbench exits non-zero when any check fails (a pinned
@@ -475,6 +582,12 @@ perfbench_pins() {
 if [[ "$what" == "all" || "$what" == "plain" ]]; then
   echo "=== [plain] lint: header reachability ==="
   header_reachability
+  echo "=== [plain] lint: symbol_reachability ==="
+  reach_start=$SECONDS
+  symbol_reachability "$repo" "$repo/build/reach"
+  echo "=== [plain] lint: symbol_reachability self-check ==="
+  reach_canary
+  echo "symbol_reachability: $((SECONDS - reach_start)) s with its self-check"
   run_config plain "$repo/build" -DRCB_WERROR=ON
   echo "=== [plain] chaos: supervisor kill/resume ==="
   chaos_supervisor
