@@ -112,14 +112,13 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
   const std::size_t n = spec.shards.size();
   std::vector<ShardTracker> track(n);
   std::size_t done = 0;
-  // The kComplete scan of every done shard, handed to the merge so it does
-  // not decode the journals a second time.
-  std::vector<ShardScan> adopted(n);
+  // Every shard that scans kComplete is placed at once, so the coordinator
+  // holds each record once and decodes each journal once.
+  ShardMerge merge(spec);
   const auto mark_done = [&](std::size_t shard, ShardScan scan) {
-    scan.records.shrink_to_fit();
-    adopted[shard] = std::move(scan);
     track[shard].state = ShardRunState::kDone;
     ++done;
+    return merge.place(shard, std::move(scan));
   };
 
   // Adopt whatever previous coordinators / workers left behind.  Complete
@@ -134,7 +133,10 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
         return out;
       }
       if (scan.state == ShardScanState::kComplete) {
-        mark_done(i, std::move(scan));
+        if (std::string err = mark_done(i, std::move(scan)); !err.empty()) {
+          out.error = std::move(err);
+          return out;
+        }
       }
       // Attempts start past anything on disk: a partitioned worker of a
       // previous coordinator may still be appending to try_<k>.
@@ -246,7 +248,10 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
         return fail(scan.error);
       }
       if (scan.state == ShardScanState::kComplete) {
-        mark_done(shard, std::move(scan));
+        if (std::string err = mark_done(shard, std::move(scan));
+            !err.empty()) {
+          return fail(std::move(err));
+        }
         continue;
       }
       if (ev->kind == TransportEvent::Kind::kShardExited &&
@@ -296,8 +301,7 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
 
   transport.shutdown(true);
 
-  ShardMergeResult merged =
-      merge_shard_journals(opt.root, spec, std::move(adopted));
+  ShardMergeResult merged = std::move(merge).finish(opt.root);
   if (!merged.ok) {
     out.error = merged.error;
     out.shards_completed = done;

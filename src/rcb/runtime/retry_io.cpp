@@ -1,8 +1,10 @@
 #include "rcb/runtime/retry_io.hpp"
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <mutex>
@@ -120,13 +122,24 @@ int retry_fflush(std::FILE* f) {
 }
 
 std::string read_stream_fully(std::FILE* f, std::string& out) {
-  char buf[1 << 16];
-  std::size_t got;
+  // Read straight into `out`, reserved to what fstat says is left (plus the
+  // byte that lets the first short read prove EOF), and keep reading past
+  // it so a file that grows meanwhile still reads fully.
+  struct stat st;
+  const long at = std::ftell(f);
+  if (::fstat(::fileno(f), &st) == 0 && S_ISREG(st.st_mode) && at >= 0 &&
+      st.st_size > at) {
+    out.reserve(out.size() + static_cast<std::size_t>(st.st_size - at) + 1);
+  }
+  std::size_t want, got;
   do {
-    got = retry_fread(f, buf, sizeof buf);
+    const std::size_t have = out.size();
+    want = std::max<std::size_t>(out.capacity() - have, 1 << 16);
+    out.resize(have + want);
+    got = retry_fread(f, out.data() + have, want);
+    out.resize(have + got);
     if (std::ferror(f) != 0) return std::strerror(errno);
-    out.append(buf, got);
-  } while (got == sizeof buf);
+  } while (got == want);
   return "";
 }
 

@@ -333,8 +333,19 @@ bool scan_is_fresh(const std::string& root, std::size_t shard_id,
   return stamps == scan.stamps;
 }
 
-/// Classifies one candidate checkpoint dir of shard `shard_id` (the PR 6
-/// single-dir scan, verbatim), after appending its stamps to `stamps`.
+/// aggregate_digest of a complete candidate's records in trial order, so
+/// two attempts that ran the same work agree whatever order their threads
+/// journaled it in.  Sorts `records` by trial.
+std::uint64_t trial_order_digest(std::vector<CheckpointRecord>& records) {
+  std::sort(records.begin(), records.end(),
+            [](const CheckpointRecord& a, const CheckpointRecord& b) {
+              return a.trial < b.trial;
+            });
+  return aggregate_digest(records);
+}
+
+/// Classifies one candidate checkpoint dir of shard `shard_id`, after
+/// appending its stamps to `stamps`.
 ShardScan scan_shard_candidate(const std::string& dir, const ShardSpec& spec,
                                std::size_t shard_id,
                                std::vector<FileStamp>& stamps) {
@@ -369,10 +380,13 @@ ShardScan scan_shard_candidate(const std::string& dir, const ShardSpec& spec,
       return scan;
     }
   }
-  scan.records = std::move(loaded.records);
-  scan.state = scan.records.size() == a.end - a.begin
-                   ? ShardScanState::kComplete
-                   : ShardScanState::kPartial;
+  scan.journaled = loaded.records.size();
+  if (scan.journaled == a.end - a.begin) {
+    scan.state = ShardScanState::kComplete;
+    scan.records = std::move(loaded.records);
+  } else {
+    scan.state = ShardScanState::kPartial;  // its records are freed here
+  }
   return scan;
 }
 
@@ -406,7 +420,6 @@ ShardScan scan_shard(const std::string& root, const ShardSpec& spec,
   std::vector<ShardScan> partial;
   ShardScan complete;
   bool have_complete = false;
-  std::uint64_t complete_digest = 0;
 
   // Refusal (kCorrupt) short-circuits the candidate walk.
   const auto consider =
@@ -421,12 +434,15 @@ ShardScan scan_shard(const std::string& root, const ShardSpec& spec,
         partial.push_back(std::move(scan));
         return std::nullopt;
       case ShardScanState::kComplete: {
-        const std::uint64_t digest = aggregate_digest(scan.records);
         if (!have_complete) {
           complete = std::move(scan);
-          complete_digest = digest;
           have_complete = true;
-        } else if (digest != complete_digest) {
+          return std::nullopt;
+        }
+        const std::uint64_t complete_digest =
+            trial_order_digest(complete.records);
+        const std::uint64_t digest = trial_order_digest(scan.records);
+        if (digest != complete_digest) {
           // Two finished journals for identical assigned work that
           // disagree: one of them fabricates results.  Refuse; never pick.
           ShardScan divergent;
@@ -462,7 +478,7 @@ ShardScan scan_shard(const std::string& root, const ShardSpec& spec,
     // attempt on ties, for determinism — `partial` is in candidate order).
     std::size_t best = 0;
     for (std::size_t i = 1; i < partial.size(); ++i) {
-      if (partial[i].records.size() > partial[best].records.size()) best = i;
+      if (partial[i].journaled > partial[best].journaled) best = i;
     }
     scan = std::move(partial[best]);
   } else {
@@ -484,7 +500,7 @@ std::string prepare_shard_attempt(const std::string& root,
   const ShardScan scan = scan_shard(root, spec, shard_id);
   if (scan.state == ShardScanState::kCorrupt) return scan.error;
   if (scan.state == ShardScanState::kMissing || scan.dir == dir ||
-      scan.records.empty()) {
+      scan.journaled == 0) {
     return "";  // nothing to carry forward
   }
   // Byte-copy the predecessor's manifest + journal.  The source may still
@@ -504,82 +520,96 @@ std::string prepare_shard_attempt(const std::string& root,
   return "";
 }
 
-ShardMergeResult merge_shard_journals(const std::string& root,
-                                      const ShardSpec& spec) {
-  return merge_shard_journals(root, spec, {});
+ShardMerge::ShardMerge(ShardSpec spec)
+    : spec_(std::move(spec)),
+      points_(spec_.points.size()),
+      placed_(spec_.shards.size()) {
+  RCB_REQUIRE(validate_shard_spec(spec_).empty());
+  // Reserved, not resized: a point's records are touched only as the shards
+  // that own them are placed, so a sweep does not pay for them up front.
+  for (std::size_t p = 0; p < points_.size(); ++p) {
+    points_[p].records.reserve(spec_.points[p].trials);
+  }
 }
 
-ShardMergeResult merge_shard_journals(const std::string& root,
-                                      const ShardSpec& spec,
-                                      std::vector<ShardScan> adopted) {
+std::string ShardMerge::place(std::size_t shard_id, ShardScan scan) {
+  RCB_REQUIRE(shard_id < spec_.shards.size());
+  RCB_REQUIRE(scan.state == ShardScanState::kComplete);
+  const ShardAssignment& a = spec_.shards[shard_id];
+  RCB_REQUIRE(scan.records.size() == a.end - a.begin);
+  // Each record goes to its trial index, so a complete merge is already in
+  // trial order and finalize_sweep_result does not sort it.
+  std::vector<CheckpointRecord>& records = points_[a.point].records;
+  records.resize(std::max<std::size_t>(records.size(), a.end));
+  std::vector<bool> seen(a.end - a.begin, false);
+  for (CheckpointRecord& rec : scan.records) {
+    // scan_shard refuses out-of-range records and load_checkpoint repeated
+    // trials, but the merge is the last line of defence against
+    // double-counting, so it re-checks instead of trusting them.  With
+    // every record in range and none repeated, the shard's range is full.
+    if (rec.trial < a.begin || rec.trial >= a.end ||
+        seen[rec.trial - a.begin]) {
+      return "trial " + std::to_string(rec.trial) + " of point " +
+             std::to_string(a.point) +
+             " appears in more than one shard journal; refusing to "
+             "double-count";
+    }
+    seen[rec.trial - a.begin] = true;
+    records[rec.trial] = std::move(rec);
+  }
+  // Only the freshness evidence outlives this call: the records' buffer is
+  // freed with `scan`.
+  ShardScan& evidence = placed_[shard_id];
+  evidence.state = ShardScanState::kComplete;
+  evidence.attempts = std::move(scan.attempts);
+  evidence.stamps = std::move(scan.stamps);
+  return "";
+}
+
+ShardMergeResult ShardMerge::finish(const std::string& root) && {
   ShardMergeResult out;
-  if (const std::string err = validate_shard_spec(spec); !err.empty()) {
-    out.error = err;
-    return out;
-  }
-  // Each record goes to its trial index, so a complete merge is already
-  // in trial order and finalize_sweep_result does not sort it.  A point's
-  // records grow to the end of each shard as it is merged, so memory is
-  // touched as the shards' own records are freed, not all up front.
-  out.points.resize(spec.points.size());
-  std::vector<std::vector<bool>> seen(spec.points.size());
-  for (std::size_t p = 0; p < spec.points.size(); ++p) {
-    seen[p].assign(spec.points[p].trials, false);
-    out.points[p].records.reserve(spec.points[p].trials);
-  }
-
-  for (std::size_t i = 0; i < spec.shards.size(); ++i) {
-    const bool adopt = i < adopted.size() &&
-                       adopted[i].state == ShardScanState::kComplete &&
-                       scan_is_fresh(root, i, adopted[i]);
-    // A local: the shard's records are freed at the end of this iteration.
-    ShardScan scan =
-        adopt ? std::move(adopted[i]) : scan_shard(root, spec, i);
-    switch (scan.state) {
-      case ShardScanState::kCorrupt:
-        out.points.clear();
-        out.error = scan.error;
-        return out;
-      case ShardScanState::kMissing:
-      case ShardScanState::kPartial: {
-        const ShardAssignment& a = spec.shards[i];
-        out.points.clear();
-        out.error = "shard " + std::to_string(i) + " is incomplete: " +
-                    std::to_string(scan.records.size()) + " of " +
-                    std::to_string(a.end - a.begin) + " trials journaled";
-        return out;
-      }
-      case ShardScanState::kComplete:
-        break;
+  for (std::size_t i = 0; i < spec_.shards.size(); ++i) {
+    if (placed_[i].state == ShardScanState::kComplete &&
+        scan_is_fresh(root, i, placed_[i])) {
+      continue;
     }
-    const std::size_t p = spec.shards[i].point;
-    std::vector<CheckpointRecord>& records = out.points[p].records;
-    records.resize(std::max<std::size_t>(records.size(), spec.shards[i].end));
-    for (CheckpointRecord& rec : scan.records) {
-      // Cross-journal duplicates cannot happen under a tiled plan with
-      // in-range records, but the merge is the last line of defence against
-      // double-counting, so it re-checks instead of trusting the plan.
-      if (seen[p][rec.trial]) {
-        out.points.clear();
-        out.error = "trial " + std::to_string(rec.trial) + " of point " +
-                    std::to_string(p) +
-                    " appears in more than one shard journal; refusing to "
-                    "double-count";
-        return out;
-      }
-      seen[p][rec.trial] = true;
-      records[rec.trial] = std::move(rec);
+    ShardScan scan = scan_shard(root, spec_, i);
+    if (scan.state == ShardScanState::kCorrupt) {
+      out.error = scan.error;
+      return out;
+    }
+    if (scan.state != ShardScanState::kComplete) {
+      const ShardAssignment& a = spec_.shards[i];
+      out.error = "shard " + std::to_string(i) + " is incomplete: " +
+                  std::to_string(scan.journaled) + " of " +
+                  std::to_string(a.end - a.begin) + " trials journaled";
+      return out;
+    }
+    if (std::string err = place(i, std::move(scan)); !err.empty()) {
+      out.error = std::move(err);
+      return out;
     }
   }
 
-  for (std::size_t p = 0; p < out.points.size(); ++p) {
-    SweepResult& res = out.points[p];
-    res.scenario = spec.points[p];
+  for (std::size_t p = 0; p < points_.size(); ++p) {
+    SweepResult& res = points_[p];
+    res.scenario = spec_.points[p];
     res.resumed = res.records.size();
     finalize_sweep_result(res);
   }
+  out.points = std::move(points_);
   out.ok = true;
   return out;
+}
+
+ShardMergeResult merge_shard_journals(const std::string& root,
+                                      const ShardSpec& spec) {
+  if (std::string err = validate_shard_spec(spec); !err.empty()) {
+    ShardMergeResult out;
+    out.error = std::move(err);
+    return out;
+  }
+  return ShardMerge(spec).finish(root);
 }
 
 }  // namespace rcb

@@ -47,18 +47,20 @@
 // scenario-digest mismatch, or a missing trial — silently double-counting
 // or dropping trials would fabricate experiment results.
 //
-// A coordinator decodes each shard journal once: the kComplete scans it
-// took to mark shards done are handed to the merge, which *adopts* a scan
-// instead of re-decoding the shard while the scan is still fresh — the
-// shard's try_<k> list is the one the scan walked, and every candidate's
-// manifest and journal carry the stamp stat() gave before the scan read
-// them.  Every writer changes a stamp (journals grow by append or shrink
-// by open_for_append's truncate; manifests are replaced by rename; a new
-// attempt adds a try_<k>), so anything that happened after the scan sends
-// the shard back through scan_shard and its refusals.  The one change a
-// stamp misses is a same-size in-place rewrite within one timestamp tick
-// by a process outside the sweep; the next cold load (a resume, or the
-// two-argument merge) still catches it.
+// A coordinator decodes each shard journal once and holds each record once.
+// It builds one ShardMerge when the sweep starts and places every shard
+// that scans kComplete at once: the records move into their point's result
+// array at their trial index, and only the scan's freshness evidence stays
+// — the try_<k> list the scan walked and the stamp stat() gave every
+// candidate's manifest and journal before the scan read them.  finish()
+// re-scans a shard only if it was never placed or is no longer fresh.
+// Every writer changes a stamp (journals grow by append or shrink by
+// open_for_append's truncate; manifests are replaced by rename; a new
+// attempt adds a try_<k>), so anything that happened after the placement
+// sends the shard back through scan_shard and its refusals.  The one change
+// a stamp misses is a same-size in-place rewrite within one timestamp tick
+// by a process outside the sweep; the next cold load (a resume, or
+// merge_shard_journals) still catches it.
 #pragma once
 
 #include <cstdint>
@@ -180,11 +182,15 @@ struct ShardScan {
   ShardScanState state = ShardScanState::kMissing;
   std::string error;  ///< set for kCorrupt
   std::string dir;    ///< adopted candidate dir (kComplete / kPartial)
+  /// Records the adopted candidate journaled (kComplete / kPartial).
+  std::uint64_t journaled = 0;
+  /// The adopted candidate's records in journal order; kComplete only (a
+  /// partial candidate is resumed from disk, so its count is enough).
   std::vector<CheckpointRecord> records;
-  /// Freshness evidence for merge_shard_journals' adoption (unset for
-  /// kCorrupt): the sorted try_<k> numbers the scan walked, and the
-  /// manifest + journal stamps of every candidate in walk order, each taken
-  /// before the scan read that candidate.
+  /// Freshness evidence for ShardMerge (unset for kCorrupt): the sorted
+  /// try_<k> numbers the scan walked, and the manifest + journal stamps of
+  /// every candidate in walk order, each taken before the scan read that
+  /// candidate.
   std::vector<std::uint32_t> attempts;
   std::vector<FileStamp> stamps;
 };
@@ -195,10 +201,11 @@ struct ShardScan {
 /// manifest scenario does not match the spec's point scenario, a record
 /// lies outside the shard's assigned range (the journal belongs to a
 /// different shard assignment), or two complete candidates disagree on
-/// their aggregate digest; a truncated tail alone
+/// their aggregate digest in trial order; a truncated tail alone
 /// is recoverable and scans as kPartial/kComplete.  Multiple complete
 /// candidates with identical digests dedupe to one (duplicate completions
-/// after a partition are adopted once, never merged twice).
+/// after a partition are adopted once, never merged twice), whatever order
+/// their workers' threads journaled the trials in.
 ShardScan scan_shard(const std::string& root, const ShardSpec& spec,
                      std::size_t shard_id);
 
@@ -210,20 +217,42 @@ struct ShardMergeResult {
   std::vector<SweepResult> points;
 };
 
-/// Folds every shard journal under `root` into per-point results.  Fails —
-/// refusing the whole merge — on any corrupt shard, duplicate trial across
-/// journals, or missing trial; on success each point's aggregate_digest is
-/// bit-identical to the single-process reference.  Decodes every shard.
+/// Folds the shard journals under a sweep root into per-point results,
+/// holding each record once.  Each point's result array is reserved to its
+/// trial count up front but grows (and so touches memory) only as shards
+/// are placed.  finish() refuses the whole merge on any corrupt shard,
+/// duplicate trial across journals, or missing trial; on success each
+/// point's aggregate_digest is bit-identical to the single-process
+/// reference.
+class ShardMerge {
+ public:
+  /// `spec` must pass validate_shard_spec; it is copied.
+  explicit ShardMerge(ShardSpec spec);
+
+  /// Moves the records of `scan` — a kComplete scan_shard result for shard
+  /// `shard_id` — to their trial slots and keeps its freshness evidence,
+  /// replacing whatever an earlier placement of that shard left.  Returns ""
+  /// or the refusal of a record that lies outside the shard or repeats a
+  /// trial: another journal owns that trial, so keeping it would
+  /// double-count.
+  std::string place(std::size_t shard_id, ShardScan scan);
+
+  /// Re-scans every shard that was never placed or whose placement is no
+  /// longer fresh under `root` (see the header comment), places it, and
+  /// finalizes each point.  Consumes the merge.
+  ShardMergeResult finish(const std::string& root) &&;
+
+ private:
+  ShardSpec spec_;
+  std::vector<SweepResult> points_;
+  /// Per shard, kComplete and the freshness evidence of the scan it was
+  /// placed from (no records); kMissing until placed.
+  std::vector<ShardScan> placed_;
+};
+
+/// A cold merge: ShardMerge(spec).finish(root), after validating `spec`.
+/// Decodes every shard.
 ShardMergeResult merge_shard_journals(const std::string& root,
                                       const ShardSpec& spec);
-
-/// The same merge, adopting `adopted[i]` — a kComplete scan_shard result
-/// for shard i of this spec — instead of re-decoding shard i while that
-/// scan is still fresh (see the header comment); a stale, missing or
-/// non-complete entry re-runs scan_shard.  Each shard's records are freed
-/// as soon as they are moved into their point's result.
-ShardMergeResult merge_shard_journals(const std::string& root,
-                                      const ShardSpec& spec,
-                                      std::vector<ShardScan> adopted);
 
 }  // namespace rcb

@@ -451,10 +451,14 @@ void finalize_point(PointState& st, SweepResult& result) {
     result.error = "checkpoint journal failed: " + st.journal_error;
     return;
   }
-  result.records = std::move(st.resumed);
-  result.records.insert(result.records.end(),
-                        std::make_move_iterator(st.fresh.begin()),
-                        std::make_move_iterator(st.fresh.end()));
+  if (st.resumed.empty()) {
+    result.records = std::move(st.fresh);  // nothing to join: no copy
+  } else {
+    result.records = std::move(st.resumed);
+    result.records.insert(result.records.end(),
+                          std::make_move_iterator(st.fresh.begin()),
+                          std::make_move_iterator(st.fresh.end()));
+  }
   result.interrupted = result.records.size() < (st.end - st.begin);
   finalize_sweep_result(result);
 }

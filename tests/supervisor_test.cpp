@@ -150,6 +150,35 @@ TEST_F(SupervisorTest, InterruptedSweepResumesToIdenticalAggregate) {
   EXPECT_EQ(resumed.aggregate_digest, reference.aggregate_digest);
 }
 
+TEST_F(SupervisorTest, FreshJournaledSweepRecordsEqualResumedOnes) {
+  // A fresh sweep hands its records over whole; resuming the finished
+  // journal loads every one of them instead.  Both must agree.
+  const Scenario s = fast_scenario(12);
+  SupervisorOptions opt;
+  opt.checkpoint_dir = dir_;
+  const SweepResult fresh = run_supervised_sweep(s, opt, pool_);
+  ASSERT_TRUE(fresh.ok) << fresh.error;
+  EXPECT_EQ(fresh.resumed, 0u);
+  EXPECT_EQ(fresh.executed, s.trials);
+
+  opt.resume = true;
+  const SweepResult resumed = run_supervised_sweep(s, opt, pool_);
+  ASSERT_TRUE(resumed.ok) << resumed.error;
+  EXPECT_EQ(resumed.resumed, s.trials);
+  EXPECT_EQ(resumed.executed, 0u);
+  ASSERT_EQ(fresh.records.size(), s.trials);
+  ASSERT_EQ(resumed.records.size(), s.trials);
+  for (std::uint64_t t = 0; t < s.trials; ++t) {
+    EXPECT_EQ(fresh.records[t].trial, t);
+    EXPECT_EQ(resumed.records[t].trial, t);
+    EXPECT_EQ(fresh.records[t].status, resumed.records[t].status);
+    EXPECT_EQ(fresh.records[t].attempts, resumed.records[t].attempts);
+    EXPECT_EQ(fresh.records[t].outcome.digest,
+              resumed.records[t].outcome.digest);
+  }
+  EXPECT_EQ(fresh.aggregate_digest, resumed.aggregate_digest);
+}
+
 TEST_F(SupervisorTest, ResumeIgnoresConflictingScenarioFlags) {
   const Scenario s = fast_scenario(6);
   SupervisorOptions opt;

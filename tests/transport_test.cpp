@@ -5,9 +5,9 @@
 // control socket a spawned worker inherits on fd 3, EINTR-storm
 // regression for journal appends and socket transfers, and the duplicate-
 // completion dedupe / divergence refusal that scan_shard (and therefore
-// merge_shard_journals) applies to partitioned shard attempts, the
-// freshness rule under which the merge adopts a coordinator's scan, and
-// the refusal of a journal left in a shard dir itself.
+// the merge) applies to partitioned shard attempts, the freshness rule
+// under which a ShardMerge keeps a shard the coordinator placed, and the
+// refusal of a journal left in a shard dir itself.
 #include "rcb/runtime/transport.hpp"
 
 #include <errno.h>
@@ -352,6 +352,38 @@ TEST_F(EintrStormTest, JournalAppendsSurviveStorm) {
   fs::remove_all(dir);
 }
 
+TEST_F(EintrStormTest, ReadFileFullyRoundTripsAndSeesGrowth) {
+  const std::string dir = make_test_dir("rcb_read_fully");
+  const std::string path = dir + "/blob";
+  std::string bytes(300 * 1024, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(i * 131 % 251);
+  }
+  std::ofstream(path, std::ios::binary) << bytes;
+
+  arm_alternating("fread");
+  std::string got;
+  ASSERT_EQ(read_file_fully(path, got), "");
+  EXPECT_EQ(got, bytes);
+
+  // The file grows after read_file_fully sized its buffer from fstat (just
+  // before the first fread): the appended bytes are read too.
+  const std::string tail(70 * 1024, 't');
+  auto appended = std::make_shared<bool>(false);
+  set_io_fault([&path, &tail, appended](const char* op) {
+    if (!*appended && std::strcmp(op, "fread") == 0) {
+      *appended = true;
+      std::ofstream(path, std::ios::binary | std::ios::app) << tail;
+    }
+    return 0;
+  });
+  ASSERT_EQ(read_file_fully(path, got), "");
+  EXPECT_TRUE(*appended);
+  EXPECT_EQ(got, bytes + tail);
+  set_io_fault(nullptr);
+  fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Duplicate completions after a partition: scan_shard (and so the merge)
 // dedupes identical digests and refuses divergent ones.
@@ -412,6 +444,39 @@ TEST_F(DuplicateCompletionTest, IdenticalDigestsDedupeAndMerge) {
   EXPECT_EQ(merged.points[0].records.size(), 6u);
 }
 
+TEST_F(DuplicateCompletionTest, TwoThreadCompletionsCompareInTrialOrder) {
+  // Two attempts that ran the same shard on two threads each journal it in
+  // their own completion order.  They did identical work, so the scan must
+  // dedupe them, not refuse them as divergent.
+  spec_.points[0].trials = 4000;
+  spec_.shards = {{0, 0, 4000}};
+  ASSERT_EQ(write_shard_spec(root_, spec_), "");
+  ThreadPool two{2};
+  std::vector<std::vector<std::uint64_t>> orders;
+  std::vector<std::uint64_t> digests;
+  for (const std::uint32_t k : {1u, 2u}) {
+    const std::string dir = shard_attempt_dir(root_, 0, k);
+    const SweepResult res = run_shard_attempt(spec_, 0, dir, {}, two);
+    ASSERT_TRUE(res.ok) << res.error;
+    digests.push_back(res.aggregate_digest);
+    const CheckpointLoadResult loaded = load_checkpoint(dir);
+    ASSERT_TRUE(loaded.ok) << loaded.error;
+    std::vector<std::uint64_t>& order = orders.emplace_back();
+    for (const CheckpointRecord& rec : loaded.records) {
+      order.push_back(rec.trial);
+    }
+  }
+  ASSERT_EQ(digests[0], digests[1]);
+  // The case under test: the journals hold the trials in different orders.
+  ASSERT_NE(orders[0], orders[1]);
+
+  const ShardScan scan = scan_shard(root_, spec_, 0);
+  ASSERT_EQ(scan.state, ShardScanState::kComplete) << scan.error;
+  const ShardMergeResult merged = merge_shard_journals(root_, spec_);
+  ASSERT_TRUE(merged.ok) << merged.error;
+  EXPECT_EQ(merged.points[0].aggregate_digest, digests[0]);
+}
+
 TEST_F(DuplicateCompletionTest, DivergentDigestsRefuseLoudly) {
   complete_attempt(shard_attempt_dir(root_, 0, 1));
   // The second completion journals different outcomes for the same trials:
@@ -454,18 +519,24 @@ TEST_F(DuplicateCompletionTest, PartialAttemptSeedsTheNextOne) {
 }
 
 // ---------------------------------------------------------------------------
-// Adopted scans: the merge reuses a coordinator's kComplete scan only while
-// the shard's candidates are exactly as the scan read them; any later
+// Placed shards: a ShardMerge keeps a shard the coordinator placed only
+// while the shard's candidates are exactly as its scan read them; any later
 // change goes back through scan_shard and its refusals.
 
 class AdoptedScanTest : public DuplicateCompletionTest {
  protected:
-  /// The scan a coordinator keeps when it marks shard 0 done.
-  std::vector<ShardScan> adopt() {
-    std::vector<ShardScan> adopted{scan_shard(root_, spec_, 0)};
-    EXPECT_EQ(adopted[0].state, ShardScanState::kComplete)
-        << adopted[0].error;
-    return adopted;
+  /// Places shard `shard_id`'s kComplete scan, as a coordinator does when
+  /// it marks the shard done.
+  void place(ShardMerge& merge, std::size_t shard_id) {
+    ShardScan scan = scan_shard(root_, spec_, shard_id);
+    ASSERT_EQ(scan.state, ShardScanState::kComplete) << scan.error;
+    ASSERT_EQ(merge.place(shard_id, std::move(scan)), "");
+  }
+  /// A coordinator's merge once shard 0 is done.
+  ShardMerge adopt() {
+    ShardMerge merge(spec_);
+    place(merge, 0);
+    return merge;
   }
 };
 
@@ -506,27 +577,61 @@ TEST_F(AdoptedScanTest, WarmMergeEqualsColdMerge) {
   ASSERT_TRUE(cold.ok) << cold.error;
   EXPECT_EQ(cold.points[0].timed_out, 1u);
   EXPECT_EQ(cold.points[0].failed_trials, 1u);
-  expect_same_merge(merge_shard_journals(root_, spec_, adopt()), cold);
+  expect_same_merge(adopt().finish(root_), cold);
 
-  // The shard is redone by another attempt after the scan was kept: the
-  // stale scan must not stand in for what is now on disk.
-  const std::vector<ShardScan> stale = adopt();
+  // The shard is redone by another attempt after it was placed: the stale
+  // placement must not stand in for what is now on disk.
+  ShardMerge stale = adopt();
   fs::remove_all(first);
   complete_attempt(shard_attempt_dir(root_, 0, 2), /*reseed=*/1);
   const ShardMergeResult redone = merge_shard_journals(root_, spec_);
   ASSERT_TRUE(redone.ok) << redone.error;
   EXPECT_NE(redone.points[0].aggregate_digest,
             cold.points[0].aggregate_digest);
-  expect_same_merge(merge_shard_journals(root_, spec_, stale), redone);
+  expect_same_merge(std::move(stale).finish(root_), redone);
+}
+
+TEST_F(AdoptedScanTest, ManyTwoThreadShardsMergeWarmAsCold) {
+  // Two points of three shards each, every shard run on two threads.  The
+  // warm merge places shards out of order, then finish() re-scans one that
+  // a second attempt touched after its placement and scans one it never
+  // saw; records and digests must equal the cold merge's.
+  Scenario a = spec_.points[0];
+  a.trials = 900;
+  Scenario b = a;
+  b.seed = 12;
+  b.trials = 700;
+  spec_.points = {a, b};
+  spec_.shards = make_shard_plan({a.trials, b.trials}, 5);
+  ASSERT_EQ(spec_.shards.size(), 6u);
+  ASSERT_EQ(write_shard_spec(root_, spec_), "");
+  ThreadPool two{2};
+  for (std::size_t i = 0; i < spec_.shards.size(); ++i) {
+    ASSERT_TRUE(
+        run_shard_attempt(spec_, i, shard_attempt_dir(root_, i, 1), {}, two)
+            .ok);
+  }
+  const ShardMergeResult cold = merge_shard_journals(root_, spec_);
+  ASSERT_TRUE(cold.ok) << cold.error;
+  for (std::size_t p = 0; p < spec_.points.size(); ++p) {
+    EXPECT_EQ(cold.points[p].aggregate_digest,
+              run_supervised_sweep(spec_.points[p], {}, two).aggregate_digest);
+  }
+
+  ShardMerge warm(spec_);
+  for (std::size_t i = spec_.shards.size() - 1; i-- > 0;) place(warm, i);
+  ASSERT_TRUE(
+      run_shard_attempt(spec_, 0, shard_attempt_dir(root_, 0, 2), {}, two)
+          .ok);
+  expect_same_merge(std::move(warm).finish(root_), cold);
 }
 
 TEST_F(AdoptedScanTest, DivergentTryCompletedAfterAdoptionIsRefused) {
   complete_attempt(shard_attempt_dir(root_, 0, 1));
-  std::vector<ShardScan> adopted = adopt();
+  ShardMerge adopted = adopt();
   complete_attempt(shard_attempt_dir(root_, 0, 2), /*reseed=*/1);
 
-  const ShardMergeResult merged =
-      merge_shard_journals(root_, spec_, std::move(adopted));
+  const ShardMergeResult merged = std::move(adopted).finish(root_);
   ASSERT_FALSE(merged.ok);
   EXPECT_NE(merged.error.find("divergent"), std::string::npos)
       << merged.error;
@@ -536,7 +641,7 @@ TEST_F(AdoptedScanTest, DivergentTryCompletedAfterAdoptionIsRefused) {
 TEST_F(AdoptedScanTest, AppendToAdoptedJournalIsRefused) {
   const std::string first = shard_attempt_dir(root_, 0, 1);
   complete_attempt(first);
-  std::vector<ShardScan> adopted = adopt();
+  ShardMerge adopted = adopt();
 
   // A second record for trial 0 lands after the scan: the journal now
   // holds a duplicate trial, which the loader refuses as corruption.
@@ -551,8 +656,7 @@ TEST_F(AdoptedScanTest, AppendToAdoptedJournalIsRefused) {
   ASSERT_EQ(w.append_batch({rec}), "");
   w.close();
 
-  const ShardMergeResult merged =
-      merge_shard_journals(root_, spec_, std::move(adopted));
+  const ShardMergeResult merged = std::move(adopted).finish(root_);
   ASSERT_FALSE(merged.ok);
   EXPECT_NE(merged.error.find("shard 0"), std::string::npos) << merged.error;
   EXPECT_TRUE(merged.points.empty());
@@ -561,11 +665,10 @@ TEST_F(AdoptedScanTest, AppendToAdoptedJournalIsRefused) {
 TEST_F(AdoptedScanTest, DeletedJournalReportsTheShardIncomplete) {
   const std::string first = shard_attempt_dir(root_, 0, 1);
   complete_attempt(first);
-  std::vector<ShardScan> adopted = adopt();
+  ShardMerge adopted = adopt();
   ASSERT_TRUE(fs::remove(fs::path(first) / kCheckpointJournalFile));
 
-  const ShardMergeResult merged =
-      merge_shard_journals(root_, spec_, std::move(adopted));
+  const ShardMergeResult merged = std::move(adopted).finish(root_);
   ASSERT_FALSE(merged.ok);
   EXPECT_NE(merged.error.find("incomplete"), std::string::npos)
       << merged.error;
@@ -577,7 +680,7 @@ TEST_F(AdoptedScanTest, JournalInTheShardDirItselfIsRefused) {
   // merged, even next to a complete try_1 whose scan was already kept.
   const std::string first = shard_attempt_dir(root_, 0, 1);
   complete_attempt(first);
-  std::vector<ShardScan> adopted = adopt();
+  ShardMerge adopted = adopt();
   for (const char* name : {kCheckpointManifestFile, kCheckpointJournalFile}) {
     fs::copy_file(fs::path(first) / name, fs::path(shard_dir(root_, 0)) / name);
   }
@@ -595,7 +698,7 @@ TEST_F(AdoptedScanTest, JournalInTheShardDirItselfIsRefused) {
     EXPECT_TRUE(merged.points.empty());
   };
   expect_refused(merge_shard_journals(root_, spec_));
-  expect_refused(merge_shard_journals(root_, spec_, std::move(adopted)));
+  expect_refused(std::move(adopted).finish(root_));
 
   // The journal alone, without its manifest, is refused the same way.
   ASSERT_TRUE(fs::remove(fs::path(shard_dir(root_, 0)) /
