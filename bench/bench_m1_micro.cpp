@@ -335,36 +335,32 @@ void BM_ScenarioTrial(benchmark::State& state) {
 }
 BENCHMARK(BM_ScenarioTrial)->Name("BM_ScenarioTrial/one_to_one");
 
-/// One journal record in each layout: the payload of a real trial's
-/// outcome, encoded (journal_record_payload) or decoded (the strict
-/// reader).
-void BM_JournalRecordCodec(benchmark::State& state, JournalFormat format,
-                           bool decode) {
+/// One journal record: the payload of a real trial's outcome, encoded
+/// (journal_record_payload) or decoded (the strict reader).
+void BM_JournalRecordCodec(benchmark::State& state, bool decode) {
   const Scenario s = codec_scenario(1);
   CheckpointRecord rec;
   rec.trial = 12345;
   rec.outcome = run_scenario_trial(s, rec.trial);
   const std::uint64_t dig = scenario_digest(s);
-  const std::string payload = journal_record_payload(rec, dig, format);
+  const std::string payload = journal_record_payload(rec, dig);
   CheckpointRecord out;
   std::uint64_t out_dig = 0;
   for (auto _ : state) {
     if (decode) {
       const std::string err =
-          parse_journal_record_payload(payload, format, out, out_dig);
+          parse_journal_record_payload(payload, out, out_dig);
       benchmark::DoNotOptimize(err.data());
       benchmark::DoNotOptimize(out.outcome.digest);
     } else {
-      const std::string encoded = journal_record_payload(rec, dig, format);
+      const std::string encoded = journal_record_payload(rec, dig);
       benchmark::DoNotOptimize(encoded.data());
     }
   }
   state.counters["payload_bytes"] = static_cast<double>(payload.size());
 }
-BENCHMARK_CAPTURE(BM_JournalRecordCodec, v1_encode, JournalFormat::kV1, false);
-BENCHMARK_CAPTURE(BM_JournalRecordCodec, v1_decode, JournalFormat::kV1, true);
-BENCHMARK_CAPTURE(BM_JournalRecordCodec, v2_encode, JournalFormat::kV2, false);
-BENCHMARK_CAPTURE(BM_JournalRecordCodec, v2_decode, JournalFormat::kV2, true);
+BENCHMARK_CAPTURE(BM_JournalRecordCodec, v2_encode, false);
+BENCHMARK_CAPTURE(BM_JournalRecordCodec, v2_decode, true);
 
 /// Console reporter that additionally captures per-iteration runs so main()
 /// can convert them into the bench_util.hpp JSON schema.

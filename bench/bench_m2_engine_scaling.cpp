@@ -14,10 +14,6 @@
 // Emits BENCH_m2.json (bench_util.hpp schema) for tools/bench_compare.
 // Default grid runs in tens of seconds; --full expands to n=4096 and
 // slots=2^22 for the event-driven engines.
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -31,7 +27,6 @@
 #include "rcb/runtime/coordinator.hpp"
 #include "rcb/runtime/shard.hpp"
 #include "rcb/runtime/supervisor.hpp"
-#include "rcb/runtime/transport_socket.hpp"
 #include "rcb/adversary/budget.hpp"
 #include "rcb/adversary/mc_strategies.hpp"
 #include "rcb/sim/channel_plan.hpp"
@@ -612,12 +607,10 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
         static_cast<unsigned long long>(n_trials), m.events_per_sec);
   }
 
-  // Worker dispatch overhead through the two connection origins of the
-  // worker transport: a sweep of trivially small shards (one cheap trial
-  // each) makes the per-shard dispatch cost the dominant term — the
-  // assign/complete/ack round trips over a spawned worker's socketpair vs
-  // over an attached worker's loopback TCP connection, plus starting the
-  // two workers.
+  // Worker dispatch overhead of the worker transport: a sweep of trivially
+  // small shards (one cheap trial each) makes the per-shard dispatch cost
+  // the dominant term — the assign/complete/ack round trips over each
+  // spawned worker's socketpair, plus starting the two workers.
   {
     const std::size_t n_shards = 8;
     Scenario s;
@@ -634,71 +627,35 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
     const std::string root =
         (std::filesystem::temp_directory_path() / "rcb_bench_m2_dispatch")
             .string();
-    const auto run_dispatch = [&](bool attached) -> std::uint64_t {
+    const auto run_dispatch = [&]() -> std::uint64_t {
       std::filesystem::remove_all(root);
       CoordinatorOptions opt;
       opt.root = root;
+      opt.workers = 2;
       opt.lease_timeout_sec = 5.0;
       opt.worker_argv = [&root](std::size_t index) {
         return std::vector<std::string>{"/proc/self/exe",
                                         "--rcb_dispatch_worker", root,
                                         std::to_string(index)};
       };
-      std::vector<pid_t> pids;
-      if (attached) {
-        // Two --attach workers started once the listener is bound, from
-        // the coordinator's thread (PR_SET_PDEATHSIG follows it).
-        opt.workers = 0;
-        opt.listen = "127.0.0.1:0";
-        opt.on_listen = [&pids](std::uint16_t port) {
-          for (int i = 0; i < 2; ++i) {
-            pid_t pid = -1;
-            int conn = -1;
-            if (spawn_worker_process(
-                    {"/proc/self/exe", "--rcb_dispatch_attach",
-                     "127.0.0.1:" + std::to_string(port)},
-                    pid, conn)
-                    .empty()) {
-              close(conn);
-              pids.push_back(pid);
-            }
-          }
-        };
-      } else {
-        opt.workers = 2;
-      }
       const CoordinatorResult r = run_shard_coordinator(spec, opt);
-      for (const pid_t pid : pids) {
-        if (!r.ok) kill(pid, SIGKILL);
-        int status = 0;
-        waitpid(pid, &status, 0);
-      }
       return r.ok ? static_cast<std::uint64_t>(spec.shards.size()) : 0;
     };
-    const auto add_dispatch = [&](const char* name, const Measurement& m) {
-      bench::BenchEntry e;
-      e.name = std::string("m2/shard/dispatch/") + name;
-      e.config = {{"shards", static_cast<double>(n_shards)}, {"workers", 2}};
-      e.wall_ms = m.wall_ms;
-      e.events_per_sec = m.events_per_sec;  // shard dispatches per second
-      report.add(std::move(e));
-      table.add_row({"shard", std::string("dispatch_") + name, Table::num(2),
-                     Table::num(n_shards), Table::num(m.reps),
-                     Table::num(m.wall_ms, 3), Table::num(0),
-                     Table::num(m.events_per_sec)});
-    };
-    const Measurement spawned =
-        measure([&](int) { return run_dispatch(false); }, 0.2, 4, 0);
-    add_dispatch("spawned", spawned);
-    const Measurement attached =
-        measure([&](int) { return run_dispatch(true); }, 0.2, 4, 0);
-    add_dispatch("attached", attached);
+    const Measurement m =
+        measure([&](int) { return run_dispatch(); }, 0.2, 4, 0);
+    bench::BenchEntry e;
+    e.name = "m2/shard/dispatch/spawned";
+    e.config = {{"shards", static_cast<double>(n_shards)}, {"workers", 2}};
+    e.wall_ms = m.wall_ms;
+    e.events_per_sec = m.events_per_sec;  // shard dispatches per second
+    report.add(std::move(e));
+    table.add_row({"shard", "dispatch_spawned", Table::num(2),
+                   Table::num(n_shards), Table::num(m.reps),
+                   Table::num(m.wall_ms, 3), Table::num(0),
+                   Table::num(m.events_per_sec)});
     std::filesystem::remove_all(root);
-    std::printf(
-        "worker dispatch: spawned %.3f ms vs attached over loopback TCP "
-        "%.3f ms for %zu shards / 2 workers (%.2fx)\n",
-        spawned.wall_ms, attached.wall_ms, n_shards,
-        attached.wall_ms / spawned.wall_ms);
+    std::printf("worker dispatch: %.3f ms for %zu shards / 2 workers\n",
+                m.wall_ms, n_shards);
   }
 
   table.print(std::cout);
@@ -724,17 +681,11 @@ void run_bench(bool full, const std::string& out_path, std::uint64_t seed) {
 }  // namespace rcb
 
 int main(int argc, char** argv) {
-  // Internal worker re-entry modes: the dispatch bench's coordinators
-  // spawn this binary as their own workers, or start it as attached ones.
+  // Internal worker re-entry mode: the dispatch bench's coordinators spawn
+  // this binary as their own workers.
   if (argc == 4 && std::string(argv[1]) == "--rcb_dispatch_worker") {
     return rcb::run_shard_worker(argv[2],
                                  static_cast<std::size_t>(std::atoi(argv[3])));
-  }
-  if (argc == 3 && std::string(argv[1]) == "--rcb_dispatch_attach") {
-    rcb::AttachWorkerOptions opt;
-    if (!rcb::parse_host_port(argv[2], opt.host, opt.port).empty()) return 2;
-    opt.give_up_sec = 20.0;
-    return rcb::run_attached_worker(opt);
   }
   rcb::FlagSet flags(
       "bench_m2_engine_scaling: channel-engine throughput sweep; emits "

@@ -78,14 +78,14 @@ bool sync_directory(const std::string& dir) {
 #endif
 }
 
-/// True when `v` is written in version 2 as a decimal count: an integer
+/// True when `v` is written as a decimal count: an integer
 /// in [0, 2^53) that is not -0.0.
 bool has_decimal_form(double v) {
   return !std::signbit(v) && v < 0x1p53 &&
          static_cast<double>(static_cast<std::uint64_t>(v)) == v;
 }
 
-/// One-pass cursor over the exact bytes a record encoder writes.  Each
+/// One-pass cursor over the exact bytes the record encoder writes.  Each
 /// method consumes one token or fails; nothing is skipped, reordered or
 /// repaired.
 class PayloadCursor {
@@ -126,30 +126,7 @@ class PayloadCursor {
     return true;
   }
 
-  /// A finite JSON number (RFC 8259 grammar).  from_chars rounds
-  /// correctly, so it reads the value strtod would, and every "%.17g"
-  /// text back to the double it was printed from.
-  bool json_number(double& out) {
-    const char* first = text_.data() + pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    if (!int_digits()) return false;
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (digits() == 0) return false;
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (digits() == 0) return false;
-    }
-    const char* last = text_.data() + pos_;
-    const auto r = std::from_chars(first, last, out);
-    return r.ec == std::errc() && r.ptr == last && std::isfinite(out);
-  }
-
-  /// A version-2 double: the decimal count of an integer in [0, 2^53), or
+  /// A double: the decimal count of an integer in [0, 2^53), or
   /// 'x' and the bits of a finite double that has no such form.
   bool exact_double(double& out) {
     if (lit('x')) {
@@ -164,19 +141,7 @@ class PayloadCursor {
     return true;
   }
 
-  bool json_flag(bool& out) {
-    if (lit("true")) {
-      out = true;
-      return true;
-    }
-    if (lit("false")) {
-      out = false;
-      return true;
-    }
-    return false;
-  }
-
-  /// A version-2 flag: 0 or 1.
+  /// A flag: 0 or 1.
   bool bit(bool& out) {
     if (pos_ == text_.size() || (text_[pos_] != '0' && text_[pos_] != '1')) {
       return false;
@@ -204,37 +169,19 @@ class PayloadCursor {
     return true;
   }
 
-  /// A status name, in double quotes when `quoted` (version 1).
-  bool status(TrialStatus& out, bool quoted) {
-    if (quoted && !lit('"')) return false;
-    bool found = false;
+  /// A status name.
+  bool status(TrialStatus& out) {
     for (const TrialStatus s :
          {TrialStatus::kOk, TrialStatus::kTimedOut, TrialStatus::kFailed}) {
       if (lit(trial_status_name(s))) {
         out = s;
-        found = true;
-        break;
+        return true;
       }
     }
-    return found && (!quoted || lit('"'));
+    return false;
   }
 
  private:
-  std::size_t digits() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      ++pos_;
-    }
-    return pos_ - start;
-  }
-
-  /// "0" or a digit run that does not start with '0'.
-  bool int_digits() {
-    const std::size_t start = pos_;
-    const std::size_t n = digits();
-    return n == 1 || (n > 1 && text_[start] != '0');
-  }
-
   std::string_view text_;
   std::size_t pos_ = 0;
 };
@@ -304,66 +251,11 @@ std::string write_file_atomic(const std::string& path,
 
 namespace {
 
-/// A version-1 payload is ~250-320 bytes, a version-2 one under 120 for a
-/// typical trial: no regrowth while writing one.
+/// A payload is under 120 bytes for a typical trial and at most
+/// append_payload's 315-byte bound: no regrowth while writing one.
 constexpr std::size_t kRecordPayloadReserve = 384;
 
-void append_count(std::string& out, std::uint64_t v) {
-  char buf[20];
-  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-}
-
-/// "%.17g" (to_chars, general, precision 17): round-trips every finite
-/// double.  JSON has no inf/nan, so a non-finite double is null.
-void append_json_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[32];  // the longest "%.17g" text is 24 chars
-  out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
-                                std::chars_format::general, 17)
-                      .ptr);
-}
-
-void append_quoted_hex16(std::string& out, std::uint64_t v) {
-  out += '"';
-  append_hex16(out, v);
-  out += '"';
-}
-
-/// The version-1 payload, byte for byte in the order its reader reads it.
-void append_payload_v1(std::string& out, const CheckpointRecord& rec,
-                       std::uint64_t scenario_digest) {
-  const TrialOutcome& o = rec.outcome;
-  out += "{\"trial\":";
-  append_count(out, rec.trial);
-  out += ",\"status\":\"";
-  out += trial_status_name(rec.status);
-  out += "\",\"attempts\":";
-  append_count(out, rec.attempts);
-  out += ",\"scenario_digest\":";
-  append_quoted_hex16(out, scenario_digest);
-  out += ",\"outcome\":{\"max_cost\":";
-  append_json_number(out, o.max_cost);
-  out += ",\"mean_cost\":";
-  append_json_number(out, o.mean_cost);
-  out += ",\"adversary_cost\":";
-  append_json_number(out, o.adversary_cost);
-  out += ",\"latency\":";
-  append_json_number(out, o.latency);
-  out += o.success ? ",\"success\":true" : ",\"success\":false";
-  out += o.aborted ? ",\"aborted\":true" : ",\"aborted\":false";
-  out += ",\"dead_count\":";
-  append_count(out, o.dead_count);
-  out += ",\"crashed_count\":";
-  append_count(out, o.crashed_count);
-  out += ",\"digest\":";
-  append_quoted_hex16(out, o.digest);
-  out += "}}";
-}
-
-/// Version-2 field writers: each appends one field and the space after it.
+/// Field writers: each appends one field and the space after it.
 char* put_count(char* p, std::uint64_t v) {
   p = std::to_chars(p, p + 20, v).ptr;
   *p = ' ';
@@ -388,9 +280,9 @@ char* put_double(char* p, double v) {
   return put_hex16(p + 1, std::bit_cast<std::uint64_t>(v));
 }
 
-/// The version-2 payload, written in place into `out`.
-void append_payload_v2(std::string& out, const CheckpointRecord& rec,
-                       std::uint64_t scenario_digest) {
+/// The payload, written in place into `out`.
+void append_payload(std::string& out, const CheckpointRecord& rec,
+                    std::uint64_t scenario_digest) {
   // Each field is at most 20 digits, or 17 bytes, plus its space.
   constexpr std::size_t kPayloadBound = 15 * 21;
   const TrialOutcome& o = rec.outcome;
@@ -416,75 +308,11 @@ void append_payload_v2(std::string& out, const CheckpointRecord& rec,
   out.resize(static_cast<std::size_t>(p - out.data()) - 1);  // last space
 }
 
-void append_payload(std::string& out, const CheckpointRecord& rec,
-                    std::uint64_t scenario_digest, JournalFormat format) {
-  if (format == JournalFormat::kV1) {
-    append_payload_v1(out, rec, scenario_digest);
-  } else {
-    append_payload_v2(out, rec, scenario_digest);
-  }
-}
+}  // namespace
 
-std::string parse_payload_v1(std::string_view payload, CheckpointRecord& rec,
-                             std::uint64_t& scenario_digest) {
-  PayloadCursor c(payload);
-  const auto bad = [&](const char* field) {
-    return std::string("bad ") + field + " field at byte " +
-           std::to_string(c.pos());
-  };
-  std::uint64_t attempts = 0;
-  TrialOutcome& o = rec.outcome;
-  if (!c.lit("{\"trial\":") || !c.count(rec.trial)) return bad("trial");
-  if (!c.lit(",\"status\":") || !c.status(rec.status, true)) {
-    return bad("status") + " (want \"ok\", \"timed_out\" or \"failed\")";
-  }
-  if (!c.lit(",\"attempts\":") || !c.count(attempts) || attempts == 0 ||
-      attempts > UINT32_MAX) {
-    return bad("attempts");
-  }
-  rec.attempts = static_cast<std::uint32_t>(attempts);
-  if (!c.lit(",\"scenario_digest\":\"") || !c.hex16(scenario_digest) ||
-      !c.lit('"')) {
-    return bad("scenario_digest");
-  }
-  if (!c.lit(",\"outcome\":{\"max_cost\":") || !c.json_number(o.max_cost)) {
-    return bad("max_cost");
-  }
-  if (!c.lit(",\"mean_cost\":") || !c.json_number(o.mean_cost)) {
-    return bad("mean_cost");
-  }
-  if (!c.lit(",\"adversary_cost\":") || !c.json_number(o.adversary_cost)) {
-    return bad("adversary_cost");
-  }
-  if (!c.lit(",\"latency\":") || !c.json_number(o.latency)) {
-    return bad("latency");
-  }
-  if (!c.lit(",\"success\":") || !c.json_flag(o.success)) {
-    return bad("success");
-  }
-  if (!c.lit(",\"aborted\":") || !c.json_flag(o.aborted)) {
-    return bad("aborted");
-  }
-  if (!c.lit(",\"dead_count\":") || !c.count(o.dead_count)) {
-    return bad("dead_count");
-  }
-  if (!c.lit(",\"crashed_count\":") || !c.count(o.crashed_count)) {
-    return bad("crashed_count");
-  }
-  if (!c.lit(",\"digest\":\"") || !c.hex16(o.digest) || !c.lit('"')) {
-    return bad("digest");
-  }
-  if (!c.lit("}}") || !c.at_end()) {
-    return "payload does not end after the outcome object (byte " +
-           std::to_string(c.pos()) + ")";
-  }
-  o.alice_cost = 0.0;
-  o.bob_cost = 0.0;
-  return "";
-}
-
-std::string parse_payload_v2(std::string_view payload, CheckpointRecord& rec,
-                             std::uint64_t& scenario_digest) {
+std::string parse_journal_record_payload(std::string_view payload,
+                                         CheckpointRecord& rec,
+                                         std::uint64_t& scenario_digest) {
   PayloadCursor c(payload);
   const auto bad = [&](const char* field) {
     return std::string("bad ") + field + " field at byte " +
@@ -493,7 +321,7 @@ std::string parse_payload_v2(std::string_view payload, CheckpointRecord& rec,
   std::uint64_t attempts = 0;
   TrialOutcome& o = rec.outcome;
   if (!c.count(rec.trial)) return bad("trial");
-  if (!c.lit(' ') || !c.status(rec.status, false)) {
+  if (!c.lit(' ') || !c.status(rec.status)) {
     return bad("status") + " (want ok, timed_out or failed)";
   }
   if (!c.lit(' ') || !c.count(attempts) || attempts == 0 ||
@@ -524,37 +352,24 @@ std::string parse_payload_v2(std::string_view payload, CheckpointRecord& rec,
   return "";
 }
 
-}  // namespace
-
 void append_journal_frames(std::string& out,
                            std::span<const CheckpointRecord> recs,
-                           std::uint64_t scenario_digest,
-                           JournalFormat format) {
+                           std::uint64_t scenario_digest) {
   std::string payload;
   payload.reserve(kRecordPayloadReserve);
   for (const CheckpointRecord& rec : recs) {
     payload.clear();
-    append_payload(payload, rec, scenario_digest, format);
+    append_payload(payload, rec, scenario_digest);
     append_frame(out, kJournalFrameMagic, payload);
   }
 }
 
 std::string journal_record_payload(const CheckpointRecord& rec,
-                                   std::uint64_t scenario_digest,
-                                   JournalFormat format) {
+                                   std::uint64_t scenario_digest) {
   std::string out;
   out.reserve(kRecordPayloadReserve);
-  append_payload(out, rec, scenario_digest, format);
+  append_payload(out, rec, scenario_digest);
   return out;
-}
-
-std::string parse_journal_record_payload(std::string_view payload,
-                                         JournalFormat format,
-                                         CheckpointRecord& rec,
-                                         std::uint64_t& scenario_digest) {
-  return format == JournalFormat::kV1
-             ? parse_payload_v1(payload, rec, scenario_digest)
-             : parse_payload_v2(payload, rec, scenario_digest);
 }
 
 CheckpointLoadResult load_checkpoint(const std::string& dir) {
@@ -571,14 +386,15 @@ CheckpointLoadResult load_checkpoint(const std::string& dir) {
     return r;
   }
   const JsonValue* marker = parsed.value.find("rcb_checkpoint");
-  if (marker == nullptr || !marker->is_number() ||
-      (marker->as_number() != 1.0 && marker->as_number() != 2.0)) {
-    r.error =
-        "not an rcb checkpoint manifest (missing rcb_checkpoint:1 or 2)";
+  if (marker != nullptr && marker->is_number() && marker->as_number() == 1.0) {
+    r.error = "checkpoint predates journal v2; re-run the sweep";
     return r;
   }
-  r.format = marker->as_number() == 1.0 ? JournalFormat::kV1
-                                        : JournalFormat::kV2;
+  if (marker == nullptr || !marker->is_number() ||
+      marker->as_number() != 2.0) {
+    r.error = "not an rcb checkpoint manifest (missing rcb_checkpoint:2)";
+    return r;
+  }
   const JsonValue* digest_field = parsed.value.find("scenario_digest");
   if (digest_field == nullptr || !digest_field->is_string() ||
       !parse_hex_u64(digest_field->as_string(), r.scenario_digest)) {
@@ -644,8 +460,8 @@ CheckpointLoadResult load_checkpoint(const std::string& dir) {
     }
     CheckpointRecord rec;
     std::uint64_t rec_digest = 0;
-    if (const std::string perr = parse_journal_record_payload(
-            frame.payload, r.format, rec, rec_digest);
+    if (const std::string perr =
+            parse_journal_record_payload(frame.payload, rec, rec_digest);
         !perr.empty()) {
       return corrupt(perr);
     }
@@ -699,7 +515,6 @@ std::string CheckpointWriter::create(const std::string& dir,
   }
 
   scenario_digest_ = scenario_digest(s);
-  format_ = JournalFormat::kV2;
   const std::string journal_path = dir + "/" + kCheckpointJournalFile;
   file_ = std::fopen(journal_path.c_str(), "wb");
   if (file_ == nullptr) {
@@ -712,7 +527,6 @@ std::string CheckpointWriter::open_for_append(
     const std::string& dir, const CheckpointLoadResult& loaded) {
   close();
   scenario_digest_ = loaded.scenario_digest;
-  format_ = loaded.format;
   // A crash between the manifest temp-write and its rename leaves a stale
   // "manifest.json.tmp" next to the (old or absent) manifest.  It carries
   // no information the real manifest lacks, and left alone it would linger
@@ -752,7 +566,7 @@ std::string CheckpointWriter::append_frames(std::string_view frames) {
 
 void CheckpointWriter::encode_frames(
     std::string& out, std::span<const CheckpointRecord> recs) const {
-  append_journal_frames(out, recs, scenario_digest_, format_);
+  append_journal_frames(out, recs, scenario_digest_);
 }
 
 std::string CheckpointWriter::append_batch(

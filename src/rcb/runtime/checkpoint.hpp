@@ -30,14 +30,13 @@
 // loses at most that much per task; a point reports ok only after its
 // journal is fsynced (supervisor.hpp, "Durability").
 //
-// The manifest's "rcb_checkpoint" names the record layout of its journal
-// (JournalFormat).  New checkpoints are version 2; a version-1 checkpoint
-// still loads, and a writer resuming it appends version-1 records, so a
-// journal never mixes layouts.  Each layout has one encoder
-// (append_journal_frames; journal_record_payload gives one record's
-// payload) and one strict reader (parse_journal_record_payload).
-//
-// Version 2 is fifteen fields separated by single spaces, no key names:
+// The manifest's "rcb_checkpoint" is 2, the only record layout: the
+// loader refuses any other value, so a checkpoint written with the older
+// JSON-per-record layout (version 1) is refused with "checkpoint predates
+// journal v2; re-run the sweep" before its journal is read.  The layout
+// has one encoder (append_journal_frames; journal_record_payload gives one
+// record's payload) and one strict reader (parse_journal_record_payload).
+// A record is fifteen fields separated by single spaces, no key names:
 //
 //   <trial> ok|timed_out|failed <attempts> <scenario_digest> <max_cost>
 //   <mean_cost> <adversary_cost> <latency> <success> <aborted>
@@ -50,23 +49,10 @@
 // is 'x' followed by the 16 hex digits of its bit pattern.  A non-finite
 // double is written as its bits too, and refused by the reader.
 //
-// Version 1 is one JSON object per record:
-//
-//   {"trial":N,"status":"ok|timed_out|failed","attempts":N,
-//    "scenario_digest":"<hex16>","outcome":{"max_cost":D,"mean_cost":D,
-//    "adversary_cost":D,"latency":D,"success":B,"aborted":B,
-//    "dead_count":N,"crashed_count":N,"digest":"<hex16>"}}
-//
-// on one line, keys in exactly this order, no whitespace.  Counts N are
-// as in version 2; doubles D are printed as by printf "%.17g"
-// (std::to_chars, general, precision 17; a non-finite double is null,
-// which the reader refuses).  Version 1 has no per-party costs: they load
-// as 0.
-//
-// Both layouts round-trip every record bit for bit, so an aggregate
+// The layout round-trips every record bit for bit, so an aggregate
 // recomputed from the journal is bit-identical to the uninterrupted run —
-// the property the supervisor's kill/resume tests pin.  Each reader
-// accepts nothing but its layout: a payload that the writer would not
+// the property the supervisor's kill/resume tests pin.  The reader
+// accepts nothing but the layout: a payload that the writer would not
 // have produced (reordered fields, extra whitespace, a leading zero, an
 // unknown status, an 'x' form for a double that has a decimal one) is
 // corruption, refused like a flipped byte, never repaired.
@@ -103,10 +89,6 @@ std::string write_file_atomic(const std::string& path,
 using WriteFaultHook = std::function<int(std::size_t bytes)>;
 void set_checkpoint_write_fault(WriteFaultHook hook);
 
-/// The record layout of a journal, named by its manifest's
-/// "rcb_checkpoint".  CheckpointWriter::create writes kV2.
-enum class JournalFormat { kV1 = 1, kV2 = 2 };
-
 /// How the supervisor got a trial's outcome.
 enum class TrialStatus : std::uint8_t {
   kOk,        ///< the trial runner returned it
@@ -130,7 +112,6 @@ struct CheckpointLoadResult {
   std::string error;
   Scenario scenario;                   ///< from the manifest
   std::uint64_t scenario_digest = 0;   ///< digest of the manifest scenario
-  JournalFormat format = JournalFormat::kV2;  ///< from the manifest
   std::vector<CheckpointRecord> records;  ///< journal order
   /// True when the journal ended in a partial frame (killed mid-append).
   /// Recoverable: `records` holds everything up to the last good frame and
@@ -140,31 +121,27 @@ struct CheckpointLoadResult {
 };
 
 /// Appends `recs` to `out` as consecutive RCBJ frames around their
-/// payloads in `format` (the layouts above), stamped with
-/// `scenario_digest`.  The bytes do not depend on how records are grouped
-/// into calls.
+/// payloads (the layout above), stamped with `scenario_digest`.  The bytes
+/// do not depend on how records are grouped into calls.
 void append_journal_frames(std::string& out,
                            std::span<const CheckpointRecord> recs,
-                           std::uint64_t scenario_digest,
-                           JournalFormat format);
+                           std::uint64_t scenario_digest);
 
-/// The payload of one record in `format`, unframed (tests and benchmarks).
+/// The payload of one record, unframed (tests and benchmarks).
 std::string journal_record_payload(const CheckpointRecord& rec,
-                                   std::uint64_t scenario_digest,
-                                   JournalFormat format);
+                                   std::uint64_t scenario_digest);
 
-/// Decodes a payload in `format` into `rec` and the stamped
-/// `scenario_digest`, in one pass.  Returns "" or a description of the
-/// first deviation from the layout (with its byte offset).
+/// Decodes a payload into `rec` and the stamped `scenario_digest`, in one
+/// pass.  Returns "" or a description of the first deviation from the
+/// layout (with its byte offset).
 std::string parse_journal_record_payload(std::string_view payload,
-                                         JournalFormat format,
                                          CheckpointRecord& rec,
                                          std::uint64_t& scenario_digest);
 
 /// Reads and verifies a checkpoint directory.  ok=false means the
-/// checkpoint is unusable (missing/corrupt manifest, corrupt record,
-/// duplicate trial, scenario-digest mismatch); a truncated tail alone is
-/// reported but still ok.
+/// checkpoint is unusable (missing/corrupt manifest, a version-1
+/// manifest, corrupt record, duplicate trial, scenario-digest mismatch); a
+/// truncated tail alone is reported but still ok.
 CheckpointLoadResult load_checkpoint(const std::string& dir);
 
 /// Appends framed trial records to a checkpoint journal.  Not thread-safe;
@@ -178,7 +155,7 @@ class CheckpointWriter {
   CheckpointWriter(const CheckpointWriter&) = delete;
   CheckpointWriter& operator=(const CheckpointWriter&) = delete;
 
-  /// Starts a fresh version-2 checkpoint: creates `dir` (and parents),
+  /// Starts a fresh checkpoint: creates `dir` (and parents),
   /// writes the manifest atomically, and truncates the journal.  Returns
   /// "" or an error description.
   std::string create(const std::string& dir, const Scenario& s);
@@ -186,12 +163,11 @@ class CheckpointWriter {
   /// Resumes the checkpoint in `dir` that load_checkpoint read as
   /// `loaded`: truncates the journal to loaded.journal_valid_bytes
   /// (dropping a partial tail) and opens it for append.  Records appended
-  /// here are stamped with loaded.scenario_digest and written in
-  /// loaded.format, the layout the journal already holds.
+  /// here are stamped with loaded.scenario_digest.
   std::string open_for_append(const std::string& dir,
                               const CheckpointLoadResult& loaded);
 
-  /// Appends `recs` to `out` as this journal's frames (its format, its
+  /// Appends `recs` to `out` as this journal's frames (stamped with its
   /// scenario digest), ready for append_frames.
   void encode_frames(std::string& out,
                      std::span<const CheckpointRecord> recs) const;
@@ -213,7 +189,6 @@ class CheckpointWriter {
 
  private:
   std::uint64_t scenario_digest_ = 0;
-  JournalFormat format_ = JournalFormat::kV2;
   std::FILE* file_ = nullptr;
 };
 

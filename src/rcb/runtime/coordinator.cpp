@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 
 #include "rcb/common/contracts.hpp"
@@ -65,8 +64,13 @@ SweepResult run_shard_attempt(const ShardSpec& spec, std::size_t shard_id,
 CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
                                         const CoordinatorOptions& opt) {
   CoordinatorResult out;
-  if (opt.workers == 0 && opt.listen.empty()) {
-    out.error = "coordinator needs at least one worker or a listener";
+  if (opt.workers == 0) {
+    out.error = "coordinator needs at least one worker";
+    return out;
+  }
+  if (const std::string err = validate_net_faults(opt.net_faults);
+      !err.empty()) {
+    out.error = err;
     return out;
   }
 
@@ -138,17 +142,13 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
           return out;
         }
       }
-      // Attempts start past anything on disk: a partitioned worker of a
+      // Attempts start past anything on disk: a straggling worker of a
       // previous coordinator may still be appending to try_<k>.
       track[i].attempt_id = next_shard_attempt(opt.root, i) - 1;
     }
   }
 
   SocketTransport transport(opt, spec.heartbeat_interval_sec);
-  if (const std::string err = transport.start(); !err.empty()) {
-    out.error = err;
-    return out;
-  }
 
   const auto backoff = [&opt](std::uint32_t attempts) {
     const double sec = opt.backoff_base_sec *
@@ -174,8 +174,6 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
     return true;
   };
 
-  bool parked = false;
-  Clock::time_point fleet_empty_since = Clock::now();
   std::vector<TransportEvent> events;
   std::vector<const TransportEvent*> exited;
 
@@ -222,8 +220,8 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
       }
       if (next == n) break;
       // Every attempt journals into a fresh try_<k> dir (seeded with the
-      // best partial journal), so a previous holder that is partitioned or
-      // not yet dead can never share a file with the replacement.
+      // best partial journal), so a previous holder that is not yet dead
+      // can never share a file with the replacement.
       const std::uint32_t attempt = ++track[next].attempt_id;
       if (const std::string err =
               prepare_shard_attempt(opt.root, spec, next, attempt);
@@ -277,22 +275,6 @@ CoordinatorResult run_shard_coordinator(const ShardSpec& spec_in,
         done >= opt.simulate_crash_after_shards) {
       return fail("coordinator crash (simulated after " +
                   std::to_string(done) + " shards)");
-    }
-
-    // Graceful degradation: an empty attached fleet parks the sweep instead
-    // of failing it — work resumes the moment a worker (re-)attaches.
-    if (transport.fleet_size() == 0) {
-      if (!parked &&
-          std::chrono::duration<double>(Clock::now() - fleet_empty_since)
-                  .count() > 2.0) {
-        std::fprintf(stderr,
-                     "coordinator: worker fleet is empty; parking until a "
-                     "worker attaches\n");
-        parked = true;
-      }
-    } else {
-      parked = false;
-      fleet_empty_since = Clock::now();
     }
 
     // Wake on the next frame; the cap keeps backoff and lease deadlines.

@@ -455,7 +455,7 @@ ShardScan scan_shard(const std::string& root, const ShardSpec& spec,
               "); refusing to choose";
           return divergent;
         }
-        // Identical digest: a duplicate completion after a partition —
+        // Identical digest: a duplicate completion of a revoked attempt —
         // deduped, the extra candidate is simply ignored.
         return std::nullopt;
       }
@@ -504,8 +504,8 @@ std::string prepare_shard_attempt(const std::string& root,
     return "";  // nothing to carry forward
   }
   // Byte-copy the predecessor's manifest + journal.  The source may still
-  // be appended to by a partitioned worker; a copy sheared mid-record is a
-  // truncated tail, which resume recovers from.
+  // be appended to by a revoked worker not yet dead; a copy sheared
+  // mid-record is a truncated tail, which resume recovers from.
   for (const char* name : {kCheckpointManifestFile, kCheckpointJournalFile}) {
     const std::string src = scan.dir + "/" + name;
     std::string bytes;

@@ -19,9 +19,9 @@
 //                        one standard checkpoint dir (manifest.json +
 //                        journal.rcbj) per assignment attempt k of shard i,
 //                        seeded with the best journal its predecessors left:
-//                        a revoked worker that is partitioned, or not yet
-//                        dead, keeps appending to its *own* attempt dir, so
-//                        it can never corrupt the replacement's journal
+//                        a revoked worker that is not yet dead keeps
+//                        appending to its *own* attempt dir, so it can
+//                        never corrupt the replacement's journal
 //
 // Roots written before every attempt got a try_<k> dir journaled a shard's
 // first attempt in shard_<i>/ itself.  They are not resumed or merged:
@@ -29,9 +29,9 @@
 // shard whose shard_<i>/ holds a manifest or journal of its own.
 //
 // scan_shard considers every try_<k> candidate: any corrupt candidate
-// refuses the shard; multiple *complete* candidates
-// — two workers both finished the shard across a partition — must agree on
-// their aggregate digest, in which case one is adopted and the rest are
+// refuses the shard; multiple *complete* candidates — a revoked worker and
+// its replacement both finished the shard — must agree on their aggregate
+// digest, in which case one is adopted and the rest are
 // ignored (deduped, never merged twice); divergent complete candidates
 // refuse loudly, because a digest disagreement on identical assigned work
 // means one journal is fabricated.  Otherwise the partial candidate with
@@ -103,9 +103,8 @@ struct ShardSpec {
   std::uint32_t max_retries = 0;
   /// Worker liveness beat period: the status-frame cadence of every
   /// worker.  Part of the spec (not a coordinator runtime knob) so every
-  /// worker of a sweep — including ones attached from other machines —
-  /// beats at the same rate the coordinator's lease timeout was validated
-  /// against.
+  /// worker of a sweep beats at the same rate the coordinator's lease
+  /// timeout was validated against.
   double heartbeat_interval_sec = 0.1;
   std::vector<Scenario> points;
   std::vector<ShardAssignment> shards;
@@ -125,7 +124,7 @@ std::string shard_attempt_dir(const std::string& root, std::size_t shard_id,
                               std::uint32_t attempt);
 
 /// First attempt number with no existing try_ dir (1 + the highest on
-/// disk).  A resumed coordinator starts here so a partitioned worker still
+/// disk).  A resumed coordinator starts here so a straggling worker still
 /// appending to try_<k> can never share a journal with the replacement.
 std::uint32_t next_shard_attempt(const std::string& root,
                                  std::size_t shard_id);
@@ -134,9 +133,10 @@ std::uint32_t next_shard_attempt(const std::string& root,
 /// byte copy of the best resumable candidate's manifest + journal (if any),
 /// so the new attempt resumes its predecessor's progress instead of
 /// redoing the shard.  Copying (not renaming) is deliberate: the source
-/// may still be appended to by a partitioned worker, and a copy sheared
-/// mid-record is just a truncated tail — recoverable by the PR 3 taxonomy
-/// — while the source inode stays the old worker's own.  Returns "" or an
+/// may still be appended to by a revoked worker not yet dead, and a copy
+/// sheared mid-record is just a truncated tail — recoverable under the
+/// checkpoint corruption taxonomy — while the source inode stays the old
+/// worker's own.  Returns "" or an
 /// error description.
 std::string prepare_shard_attempt(const std::string& root,
                                   const ShardSpec& spec, std::size_t shard_id,
@@ -204,7 +204,7 @@ struct ShardScan {
 /// their aggregate digest in trial order; a truncated tail alone
 /// is recoverable and scans as kPartial/kComplete.  Multiple complete
 /// candidates with identical digests dedupe to one (duplicate completions
-/// after a partition are adopted once, never merged twice), whatever order
+/// of a revoked attempt are adopted once, never merged twice), whatever order
 /// their workers' threads journaled the trials in.
 ShardScan scan_shard(const std::string& root, const ShardSpec& spec,
                      std::size_t shard_id);

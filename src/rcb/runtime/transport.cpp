@@ -184,7 +184,7 @@ NetFaultAction NetFaultPlan::next(CtrlType type) {
 }
 
 // ---------------------------------------------------------------------------
-// Lease policy validation.
+// Policy validation.
 
 std::string validate_lease_config(double lease_timeout_sec,
                                   double heartbeat_interval_sec) {
@@ -199,6 +199,25 @@ std::string validate_lease_config(double lease_timeout_sec,
                   "interval (%.3gs): one delayed beat would revoke a "
                   "healthy worker",
                   lease_timeout_sec, heartbeat_interval_sec);
+    return buf;
+  }
+  return "";
+}
+
+std::string validate_net_faults(const NetFaultConfig& cfg) {
+  const double rates[] = {cfg.drop_rate, cfg.delay_rate, cfg.duplicate_rate,
+                          cfg.reorder_rate, cfg.close_rate};
+  double sum = 0.0;
+  for (const double r : rates) {
+    if (!(r >= 0.0)) return "net fault rates must be >= 0";
+    sum += r;
+  }
+  if (sum > 1.0) {
+    char buf[160];
+    std::snprintf(buf, sizeof buf,
+                  "net fault rates sum to %.4g, past 1: the later fault "
+                  "channels could never fire",
+                  sum);
     return buf;
   }
   return "";

@@ -5,13 +5,9 @@
 //
 // The coordinator owns the *shard* state machine — pending/running/done,
 // bounded retries, backoff, merge — and delegates the *worker* lifecycle to
-// one transport (runtime/transport_socket.hpp).  Every worker speaks the
-// same frames, whatever the origin of its connection:
-//
-//   spawned   the coordinator fork/execs its own workers, each inheriting
-//             one end of a socketpair as fd kWorkerControlFd;
-//   attached  workers on any host (the same binary, --attach=host:port)
-//             dial the coordinator's TCP listener.
+// one transport (runtime/transport_socket.hpp): the coordinator
+// fork/execs its own workers, each inheriting one end of a socketpair as fd
+// kWorkerControlFd, and speaks these frames with them.
 //
 // Control protocol
 //
@@ -21,9 +17,8 @@
 //   RCBC <payload-bytes> <fnv1a-hex16> <payload-json>\n
 //
 // A frame that fails its checksum or deviates from the grammar poisons the
-// connection (an attached peer reconnects and state reconciles, a spawned
-// one is replaced); a frame cut short by a partition reads as need-more
-// and waits for more bytes.  Messages are *idempotent
+// connection (the worker is replaced); a frame cut short reads as
+// need-more and waits for more bytes.  Messages are *idempotent
 // status reconciliation*, not RPCs: workers retransmit their state with
 // every heartbeat tick, and the coordinator re-issues directives whenever
 // a worker's claimed state disagrees with its own — so any individual
@@ -33,11 +28,11 @@
 //
 //   worker -> coordinator           coordinator -> worker
 //   ---------------------           ---------------------
-//   hello      (re)attach           assign    run (shard, attempt) at root
+//   hello      first status         assign    run (shard, attempt) at root
 //   heartbeat  idle liveness        ack       progress noted
 //   progress   running (shard,      abandon   your lease was revoked; stop
 //              attempt, bytes)                work on this shard, discard
-//   complete   (shard, attempt,     shutdown  sweep over; detach
+//   complete   (shard, attempt,     shutdown  sweep over; exit
 //              digest) — resent
 //              until acknowledged
 //   failed     (shard, attempt,
@@ -48,7 +43,7 @@
 // NetFaultPlan draws a seeded, reproducible action per control message —
 // deliver, drop, delay, duplicate, reorder, or close — in the spirit of
 // the sim/faults device-fault layer.  The coordinator applies it to every
-// frame in both directions, on spawned and attached connections alike.
+// frame in both directions.
 // The chaos tests prove the merged sweep digest is bit-identical under any
 // schedule of these faults.
 #pragma once
@@ -85,7 +80,7 @@ const char* ctrl_type_name(CtrlType type);
 
 struct CtrlMessage {
   CtrlType type = CtrlType::kHeartbeat;
-  std::uint64_t uid = 0;      ///< stable worker identity across reconnects
+  std::uint64_t uid = 0;      ///< worker identity (derived from its pid)
   std::uint64_t pid = 0;      ///< worker pid (coordinator may SIGKILL it)
   std::uint64_t shard = kNoShard;  ///< shard the message is about
   std::uint64_t attempt = 0;
@@ -132,8 +127,9 @@ struct NetFaultConfig {
   bool any_active() const;
 
   /// Uniform chaos preset: every fault channel at `rate` except close at
-  /// rate/5 (a closed connection costs a reconnect round-trip, so it is
-  /// rarer, like crashes vs losses in sim/faults).
+  /// rate/5 (a closed connection costs a worker respawn, so it is rarer,
+  /// like crashes vs losses in sim/faults).  validate_net_faults accepts
+  /// it for rate in [0, 1/4.2].
   static NetFaultConfig chaos(std::uint64_t seed, double rate);
 };
 
@@ -165,7 +161,7 @@ class NetFaultPlan {
 };
 
 // ---------------------------------------------------------------------------
-// Lease policy validation (shared by the CLI tools and the coordinator).
+// Policy validation (shared by the CLI tools and the coordinator).
 
 /// "" when (lease timeout, heartbeat interval) is a sane pair.  A lease
 /// timeout not comfortably above the heartbeat period would revoke healthy
@@ -175,6 +171,10 @@ class NetFaultPlan {
 std::string validate_lease_config(double lease_timeout_sec,
                                   double heartbeat_interval_sec);
 
+/// "" when every fault rate of `cfg` is at least 0 and they sum to at most
+/// 1.  NetFaultPlan takes the channels from one uniform draw in order, so
+/// past a sum of 1 the later channels (close first) could never fire.
+std::string validate_net_faults(const NetFaultConfig& cfg);
 
 // ---------------------------------------------------------------------------
 // What the transport reports to the coordinator.
@@ -194,7 +194,7 @@ struct TransportEvent {
   std::uint64_t shard = 0;
   std::uint64_t attempt = 0;
   std::uint64_t digest = 0;
-  int exit_code = -1;  ///< spawned worker's exit code (-1: signal or none)
+  int exit_code = -1;  ///< worker's exit code (-1: signal or none)
   std::string detail;
 };
 

@@ -1,15 +1,11 @@
 #include "rcb/runtime/transport_socket.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #ifdef __GLIBC__
 #include <malloc.h>
 #endif
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -18,7 +14,6 @@
 #include <cerrno>
 #include <condition_variable>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <optional>
@@ -33,58 +28,13 @@ namespace rcb {
 
 using Clock = std::chrono::steady_clock;
 
-std::string parse_host_port(const std::string& text, std::string& host,
-                            std::uint16_t& port) {
-  const std::size_t colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == text.size()) {
-    return "expected host:port, got \"" + text + "\"";
-  }
-  const std::string h = text.substr(0, colon);
-  in_addr addr{};
-  if (inet_pton(AF_INET, h.c_str(), &addr) != 1) {
-    return "host must be a numeric IPv4 address, got \"" + h + "\"";
-  }
-  char* end = nullptr;
-  const unsigned long p = std::strtoul(text.c_str() + colon + 1, &end, 10);
-  if (end == nullptr || *end != '\0' || p > 65535) {
-    return "port must be 0..65535, got \"" + text.substr(colon + 1) + "\"";
-  }
-  host = h;
-  port = static_cast<std::uint16_t>(p);
-  return "";
-}
-
 namespace {
 
-/// Non-blocking and close-on-exec; TCP also without Nagle delay (the
-/// option is refused, harmlessly, on a socketpair).
-void set_nonblocking_nodelay(int fd) {
+/// Non-blocking and close-on-exec.
+void set_nonblocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
   if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
   fcntl(fd, F_SETFD, FD_CLOEXEC);
-  int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-}
-
-std::uint64_t monotonic_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          Clock::now().time_since_epoch())
-          .count());
-}
-
-/// Stable worker identity across reconnects, unique across restarts: a
-/// restarted worker must *not* inherit its predecessor's claims.
-std::uint64_t make_worker_uid() {
-  char host[256] = {0};
-  gethostname(host, sizeof host - 1);
-  std::string seed = host;
-  seed += '|';
-  seed += std::to_string(static_cast<long>(getpid()));
-  seed += '|';
-  seed += std::to_string(monotonic_ns());
-  return fnv1a64(seed);
 }
 
 /// Uid of the spawned worker `pid`.  Both ends derive it from the pid, so
@@ -113,42 +63,6 @@ SocketTransport::SocketTransport(const CoordinatorOptions& opt,
 
 SocketTransport::~SocketTransport() { shutdown(false); }
 
-std::string SocketTransport::start() {
-  if (opt_.listen.empty()) return "";
-  std::string host;
-  std::uint16_t port = 0;
-  if (std::string err = parse_host_port(opt_.listen, host, port);
-      !err.empty()) {
-    return "listen address: " + err;
-  }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return std::string("socket failed: ") + std::strerror(errno);
-  }
-  int one = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  inet_pton(AF_INET, host.c_str(), &addr.sin_addr);  // parsed above
-  if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    return "bind " + opt_.listen + " failed: " + std::strerror(errno);
-  }
-  if (listen(listen_fd_, 64) != 0) {
-    return std::string("listen failed: ") + std::strerror(errno);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port = ntohs(bound.sin_port);
-  }
-  set_nonblocking_nodelay(listen_fd_);
-  if (opt_.on_listen) opt_.on_listen(port);
-  return "";
-}
-
 bool SocketTransport::can_assign() { return find_idle_conn() != nullptr; }
 
 void SocketTransport::assign(std::size_t shard, std::uint32_t attempt) {
@@ -159,7 +73,6 @@ void SocketTransport::assign(std::size_t shard, std::uint32_t attempt) {
 }
 
 void SocketTransport::poll(std::vector<TransportEvent>& out) {
-  accept_new();
   pump_reads();
   deliver_delayed();
   check_leases();
@@ -183,8 +96,7 @@ void SocketTransport::flush() {
 
 void SocketTransport::wait(std::chrono::milliseconds timeout) {
   std::vector<pollfd> fds;
-  fds.reserve(conns_.size() + 1);
-  if (listen_fd_ >= 0) fds.push_back({listen_fd_, POLLIN, 0});
+  fds.reserve(conns_.size());
   for (const auto& c : conns_) {
     if (c->dead) continue;
     const short events = c->outbuf.empty() ? POLLIN : (POLLIN | POLLOUT);
@@ -193,16 +105,8 @@ void SocketTransport::wait(std::chrono::milliseconds timeout) {
   ::poll(fds.data(), fds.size(), static_cast<int>(timeout.count()));
 }
 
-std::size_t SocketTransport::fleet_size() const {
-  std::size_t n = 0;
-  for (const auto& c : conns_) {
-    if (c->uid != 0 && !c->dead) ++n;
-  }
-  return n;
-}
-
 void SocketTransport::shutdown(bool graceful) {
-  if (listen_fd_ < 0 && conns_.empty() && spawned_.empty()) return;
+  if (conns_.empty() && spawned_.empty()) return;
   if (graceful) {
     CtrlMessage m;
     m.type = CtrlType::kShutdown;
@@ -217,7 +121,7 @@ void SocketTransport::shutdown(bool graceful) {
       if (s.pid > 0) kill(s.pid, SIGKILL);
     }
   }
-  // The close is what ends a spawned worker: it drains and exits on EOF.
+  // The close is what ends a worker: it drains and exits on EOF.
   for (auto& c : conns_) {
     if (!c->dead) close(c->fd);
   }
@@ -229,8 +133,6 @@ void SocketTransport::shutdown(bool graceful) {
     }
   }
   spawned_.clear();
-  if (listen_fd_ >= 0) close(listen_fd_);
-  listen_fd_ = -1;
 }
 
 bool SocketTransport::uid_busy(std::uint64_t uid) const {
@@ -242,7 +144,7 @@ bool SocketTransport::uid_busy(std::uint64_t uid) const {
 
 SocketTransport::Conn* SocketTransport::find_idle_conn() {
   for (auto& c : conns_) {
-    if (c->uid != 0 && !c->dead && c->claim_shard == kNoShard &&
+    if (!c->dead && c->claim_shard == kNoShard &&
         !uid_busy(c->uid)) {
       return c.get();
     }
@@ -255,21 +157,6 @@ SocketTransport::Conn* SocketTransport::find_conn(std::uint64_t uid) {
     if (c->uid == uid && !c->dead) return c.get();
   }
   return nullptr;
-}
-
-void SocketTransport::accept_new() {
-  if (listen_fd_ < 0) return;
-  for (;;) {
-    const int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // EAGAIN or a transient error; retry next poll
-    }
-    set_nonblocking_nodelay(fd);
-    auto c = std::make_unique<Conn>();
-    c->fd = fd;
-    conns_.push_back(std::move(c));
-  }
 }
 
 int SocketTransport::copies_after_faults(Conn& c, const CtrlMessage& m,
@@ -324,9 +211,8 @@ void SocketTransport::close_conn(Conn& c) {
   if (c.dead) return;
   close(c.fd);
   c.dead = true;
-  // held_ survives on purpose: a TCP reset is not a partition, so for an
-  // attached worker the lease clock decides when the holder is really
-  // gone.  A spawned worker dies with its connection (maintain_spawned).
+  // held_ survives: maintain_spawned reaps the worker, which never outlives
+  // its connection, and revokes its shard.
 }
 
 void SocketTransport::pump_reads() {
@@ -388,16 +274,7 @@ void SocketTransport::deliver_delayed() {
 void SocketTransport::handle_msg(Conn* conn, const CtrlMessage& msg) {
   if (msg.uid == 0) return;
   const Clock::time_point now = Clock::now();
-  if (conn != nullptr) {
-    // A reconnect supersedes any half-open previous connection.
-    for (auto& other : conns_) {
-      if (other.get() != conn && other->uid == msg.uid && !other->dead) {
-        close_conn(*other);
-      }
-    }
-    conn->uid = msg.uid;
-    conn->claim_shard = msg.shard;
-  }
+  if (conn != nullptr) conn->claim_shard = msg.shard;
   for (auto& [shard, h] : held_) {
     if (h.uid == msg.uid) h.last_seen = now;  // any frame proves liveness
   }
@@ -423,10 +300,9 @@ void SocketTransport::handle_msg(Conn* conn, const CtrlMessage& msg) {
       CtrlMessage reply;
       reply.shard = msg.shard;
       reply.attempt = msg.attempt;
-      // A claim we do not hold is stale: the shard was reassigned, revoked,
-      // or belongs to a coordinator lifetime that crashed.  The worker must
-      // stop; its attempt dir stays on disk for the scan to dedupe or
-      // ignore.
+      // A claim we do not hold is stale: the shard was reassigned or
+      // revoked.  The worker must stop; its attempt dir stays on disk for
+      // the scan to dedupe or ignore.
       reply.type = it != held_.end() && it->second.uid == msg.uid &&
                            it->second.attempt == msg.attempt
                        ? CtrlType::kAck
@@ -445,7 +321,7 @@ void SocketTransport::handle_msg(Conn* conn, const CtrlMessage& msg) {
       reply.shard = msg.shard;
       reply.attempt = msg.attempt;
       if (it != held_.end() && !ours) {
-        // Reassigned while this worker was partitioned: its report is
+        // Reassigned after this worker's lease ran out: its report is
         // stale even if its journal is fine — the scan will dedupe.
         reply.type = CtrlType::kAbandon;
         send_to_uid(msg.uid, reply);
@@ -468,9 +344,9 @@ void SocketTransport::handle_msg(Conn* conn, const CtrlMessage& msg) {
       ev.digest = msg.digest;
       ev.detail = msg.error;
       events_.push_back(std::move(ev));
-      // Ack (retransmitted on every repeat report — even an unheld one,
-      // e.g. after a coordinator resume — so the worker can go idle; the
-      // duplicate event is idempotent, the journal scan decides).  The ack
+      // Ack (retransmitted on every repeat report — even an unheld one —
+      // so the worker can go idle; the duplicate event is idempotent, the
+      // journal scan decides).  The ack
       // makes the worker idle, so its next assign can ride in the same
       // flush.
       reply.type = CtrlType::kAck;
@@ -504,9 +380,8 @@ void SocketTransport::revoke(std::size_t shard, const std::string& reason,
   if (it == held_.end()) return;
   const Held h = it->second;
   held_.erase(it);
-  // SIGKILL-equivalent: sever the connection, and SIGKILL a spawned holder
-  // (maintain_spawned reaps and replaces it).  A merely-partitioned
-  // attached worker survives — and is told to abandon when it returns.
+  // Sever the connection and SIGKILL the holder (maintain_spawned reaps
+  // and replaces it).
   if (Conn* c = find_conn(h.uid)) close_conn(*c);
   for (Spawned& s : spawned_) {
     if (s.pid > 0 && s.uid == h.uid) kill(s.pid, SIGKILL);
@@ -605,8 +480,7 @@ struct WorkerShared {
   std::string error;
   bool abandon = false;  ///< coordinator revoked the current assignment
   /// >= 0 once the worker must exit, with its exit code: 0 on a shutdown
-  /// directive, 1 when a spawned worker's connection closed, 3 when an
-  /// attached one gave up reconnecting, 130 on SIGINT/SIGTERM.
+  /// directive, 1 when its connection closed, 130 on SIGINT/SIGTERM.
   int exit_code = -1;
   /// Self-pipe that wakes the comms thread out of poll(): the trial side
   /// writes a byte when an attempt ends and when the worker exits.
@@ -632,28 +506,6 @@ bool exit_due(WorkerShared& sh) {
   return sh.exit_code >= 0;
 }
 
-int connect_once(const std::string& host, std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    close(fd);
-    return -1;
-  }
-  int rc;
-  do {
-    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    close(fd);
-    return -1;
-  }
-  set_nonblocking_nodelay(fd);
-  return fd;
-}
-
 /// Builds the status frame for the worker's current state.
 CtrlMessage status_frame(const WorkerShared& sh, std::uint64_t uid,
                          CtrlType type_hint) {
@@ -662,7 +514,7 @@ CtrlMessage status_frame(const WorkerShared& sh, std::uint64_t uid,
   m.pid = static_cast<std::uint64_t>(getpid());
   switch (sh.state) {
     case WState::kIdle:
-      m.type = type_hint;  // kHello on (re)connect, kHeartbeat after
+      m.type = type_hint;  // kHello first, kHeartbeat after
       break;
     case WState::kAssigned:
     case WState::kRunning: {
@@ -750,10 +602,10 @@ void worker_handle(WorkerShared& sh, const CtrlMessage& msg) {
   }
 }
 
-/// Serves one connection until it breaks (false) or the worker exits
+/// Serves the connection until it breaks (false) or the worker exits
 /// (true).  Blocks in poll() on the socket and the wake pipe: directives
-/// are applied as they arrive, and a status frame goes out on connect,
-/// every heartbeat, and the moment the trial side signals.
+/// are applied as they arrive, and a status frame goes out at once, every
+/// heartbeat, and the moment the trial side signals.
 bool serve_connection(int fd, WorkerShared& sh, std::uint64_t uid) {
   CtrlFrameDecoder dec;
   std::string outbuf;
@@ -761,8 +613,8 @@ bool serve_connection(int fd, WorkerShared& sh, std::uint64_t uid) {
   Clock::time_point next_beat = Clock::now();
   bool woken = false;
   for (;;) {
-    // Read before the first status frame, so a spawned worker's hello
-    // already claims the assign queued at its spawn.
+    // Read before the first status frame, so the worker's hello already
+    // claims the assign queued at its spawn.
     char buf[4096];
     bool broken = false;
     for (;;) {
@@ -818,44 +670,9 @@ bool serve_connection(int fd, WorkerShared& sh, std::uint64_t uid) {
   }
 }
 
-/// Comms thread of an attached worker: (re)connects with exponential
-/// backoff and serves each connection until the worker exits.
-void attach_comms(const AttachWorkerOptions& opt, WorkerShared& sh,
-                  std::uint64_t uid) {
-  double backoff = opt.reconnect_base_sec;
-  Clock::time_point detached_since = Clock::now();
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(sh.mutex);
-      if (exit_due(sh)) return;
-    }
-    const int fd = connect_once(opt.host, opt.port);
-    if (fd >= 0) {
-      backoff = opt.reconnect_base_sec;
-      const bool exiting = serve_connection(fd, sh, uid);
-      close(fd);
-      if (exiting) return;
-      detached_since = Clock::now();
-      continue;
-    }
-    if (opt.give_up_sec > 0 &&
-        std::chrono::duration<double>(Clock::now() - detached_since)
-                .count() > opt.give_up_sec) {
-      std::lock_guard<std::mutex> lock(sh.mutex);
-      if (sh.exit_code < 0) sh.exit_code = 3;
-      sh.cv.notify_all();
-      return;
-    }
-    pollfd wake{sh.wake[0], POLLIN, 0};
-    ::poll(&wake, 1,
-           static_cast<int>(std::min(backoff, opt.reconnect_max_sec) * 1000));
-    backoff = std::min(backoff * 2.0, opt.reconnect_max_sec);
-  }
-}
-
-/// Comms thread of a spawned worker: serves the inherited connection, and
-/// ends the worker when it closes — the coordinator closed it or died.
-void spawned_comms(WorkerShared& sh) {
+/// Comms thread of a worker: serves the inherited connection, and ends the
+/// worker when it closes — the coordinator closed it or died.
+void worker_comms(WorkerShared& sh) {
   if (serve_connection(kWorkerControlFd, sh, spawned_worker_uid(getpid()))) {
     return;
   }
@@ -865,10 +682,10 @@ void spawned_comms(WorkerShared& sh) {
   sh.cv.notify_all();
 }
 
-/// The trial side of either worker kind: runs each assigned attempt into
-/// its try_<k> dir and hands the result to the comms thread, which
-/// retransmits it until the coordinator acks (-> idle) or abandons.
-/// Returns the exit code.
+/// The trial side of a worker: runs each assigned attempt into its
+/// try_<k> dir and hands the result to the comms thread, which retransmits
+/// it until the coordinator acks (-> idle) or abandons.  Returns the exit
+/// code.
 int serve_assignments(WorkerShared& sh, const TrialRunner& runner) {
   std::optional<ThreadPool> pool;
   for (;;) {
@@ -924,36 +741,7 @@ int serve_assignments(WorkerShared& sh, const TrialRunner& runner) {
   }
 }
 
-/// Runs the trial side until exit, then stops the comms thread.
-int run_worker(WorkerShared& sh, const TrialRunner& runner,
-               std::thread& comms) {
-#ifdef __GLIBC__
-  // A worker runs attempt after attempt in one process.  glibc raises its
-  // mmap threshold to the size of every large block freed, which moves the
-  // next attempt's record buffers onto the heap, where fragmentation keeps
-  // them resident: RSS would grow with each shard served.  Pinning the
-  // threshold at its default keeps them mapped, and returned when freed.
-  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
-#endif
-  const int code = serve_assignments(sh, runner);
-  {
-    std::lock_guard<std::mutex> lock(sh.mutex);
-    if (sh.exit_code < 0) sh.exit_code = code;
-  }
-  wake_comms(sh);
-  comms.join();
-  return code;
-}
-
 }  // namespace
-
-int run_attached_worker(const AttachWorkerOptions& opt) {
-  install_sweep_signal_handlers();
-  const std::uint64_t uid = make_worker_uid();
-  WorkerShared sh;
-  std::thread comms([&] { attach_comms(opt, sh, uid); });
-  return run_worker(sh, opt.runner, comms);
-}
 
 int run_shard_worker(const std::string& root, std::size_t worker_index,
                      const TrialRunner& runner) {
@@ -965,11 +753,27 @@ int run_shard_worker(const std::string& root, std::size_t worker_index,
                  worker_index, root.c_str(), kWorkerControlFd);
     return 2;
   }
-  set_nonblocking_nodelay(kWorkerControlFd);
+  set_nonblocking(kWorkerControlFd);
   install_sweep_signal_handlers();
+#ifdef __GLIBC__
+  // A worker runs attempt after attempt in one process.  glibc raises its
+  // mmap threshold to the size of every large block freed, which moves the
+  // next attempt's record buffers onto the heap, where fragmentation keeps
+  // them resident: RSS would grow with each shard served.  Pinning the
+  // threshold at its default keeps them mapped, and returned when freed.
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+#endif
   WorkerShared sh;
-  std::thread comms([&] { spawned_comms(sh); });
-  return run_worker(sh, runner, comms);
+  std::thread comms([&] { worker_comms(sh); });
+  // Runs the trial side until exit, then stops the comms thread.
+  const int code = serve_assignments(sh, runner);
+  {
+    std::lock_guard<std::mutex> lock(sh.mutex);
+    if (sh.exit_code < 0) sh.exit_code = code;
+  }
+  wake_comms(sh);
+  comms.join();
+  return code;
 }
 
 int run_shard_worker(const std::string& root, std::size_t worker_index) {

@@ -1,49 +1,33 @@
 // The worker transport: the coordinator side of the framed control protocol
 // of runtime/transport.hpp, and the worker loop that answers it.
 //
-// One protocol, two connection origins:
-//
-//   spawned   the coordinator keeps `workers` processes of its own binary
-//             alive ({/proc/self/exe, --shard_worker=<root>,
-//             --shard_id=<worker index>}, re-entering run_shard_worker),
-//             each inheriting one end of a socketpair as fd
-//             kWorkerControlFd.  Its first assign is queued at spawn, so a
-//             new worker starts on a shard without a hello round trip.  EOF
-//             on the coordinator's end means the worker died: it is reaped,
-//             its shard revoked at once, and a replacement spawned with
-//             backoff.  A spawned worker exits when its connection closes,
-//             and PR_SET_PDEATHSIG takes it down with the coordinator.
-//   attached  with CoordinatorOptions::listen set, workers on any host —
-//             the same binary, re-entered via --attach=host:port — dial a
-//             TCP listener.  They reconnect with exponential backoff and
-//             keep their uid, so a TCP reset costs nothing: shard
-//             bookkeeping is keyed on uid, not connection, and state
-//             reconciles on the next beat.
+// The coordinator keeps `workers` processes of its own binary alive
+// ({/proc/self/exe, --shard_worker=<root>, --shard_id=<worker index>},
+// re-entering run_shard_worker), each inheriting one end of a socketpair as
+// fd kWorkerControlFd.  Its first assign is queued at spawn, so a new
+// worker starts on a shard without a hello round trip.  EOF on the
+// coordinator's end means the worker died: it is reaped, its shard revoked
+// at once, and a replacement spawned with backoff.  A worker exits when its
+// connection closes, and PR_SET_PDEATHSIG takes it down with the
+// coordinator.
 //
 // The socket carries *control only* (assignment, status, acks); the data
 // plane stays the shared-filesystem journals of runtime/shard.hpp, one
 // fresh try_<attempt> checkpoint dir per assignment.
 //
-// Liveness and partitions.  Every worker beat (heartbeat_interval from the
-// shard spec) retransmits the worker's full state, and a finished attempt
-// is reported the moment it ends.  Both sides block in poll() on their
-// sockets, so a frame is acted on when it arrives, not on the next tick.
-// The coordinator treats silence from a shard's holder past the lease
-// timeout as a wedge or a partition and revokes: the connection is
-// dropped, a spawned holder is SIGKILLed, and the shard is reassigned under
-// a fresh attempt dir seeded with the best partial journal.  A revoked
-// attached worker that was merely partitioned keeps appending to its *own*
-// attempt dir — harmless — and is told to abandon the moment it reconnects
-// and reports the stale claim.  Duplicate completions (both the revoked and
-// the replacement worker finished) are resolved at scan time by digest
-// equality, adopted once, never merged twice; divergent digests refuse the
-// sweep loudly.  After a coordinator crash + resume, reconnecting workers
-// with in-flight claims are told to abandon — the resumed coordinator
-// re-adopts journals from disk, the only source of truth it trusts.
-//
-// Fleet.  With workers == 0 and a listener the coordinator owns no
-// processes and parks — warns and idles rather than failing — whenever no
-// worker is attached.
+// Liveness.  Every worker beat (heartbeat_interval from the shard spec)
+// retransmits the worker's full state, and a finished attempt is reported
+// the moment it ends.  Both sides block in poll() on their sockets, so a
+// frame is acted on when it arrives, not on the next tick.  The
+// coordinator treats silence from a shard's holder past the lease timeout
+// as a wedge (a SIGSTOPped worker, say) and revokes: the connection is
+// closed, the holder SIGKILLed, and the shard reassigned under a fresh
+// attempt dir seeded with the best partial journal.  Duplicate completions
+// (a revoked worker's attempt that finished anyway, and its replacement's)
+// are resolved at scan time by digest equality, adopted once, never merged
+// twice; divergent digests refuse the sweep loudly.  After a coordinator
+// crash + resume the resumed coordinator re-adopts journals from disk, the
+// only source of truth it trusts.
 #pragma once
 
 #include <sys/types.h>
@@ -60,28 +44,20 @@
 
 namespace rcb {
 
-/// Parses "host:port" (numeric IPv4 host).  Returns "" or a one-line
-/// error.  Port 0 is accepted (ephemeral; coordinator listeners only).
-std::string parse_host_port(const std::string& text, std::string& host,
-                            std::uint16_t& port);
-
 /// Coordinator side of the control plane.  Not thread-safe; the
 /// coordinator drives it from one thread, which must outlive the spawned
 /// workers (PR_SET_PDEATHSIG follows the spawning thread).
 class SocketTransport {
  public:
-  /// Uses opt's root, workers, listen, on_listen, lease_timeout_sec,
-  /// backoff_base_sec (respawn backoff), net_faults, worker_argv and
-  /// on_worker_spawn.  `heartbeat_interval_sec` is the spec's worker beat,
-  /// forwarded in assign frames.
+  /// Uses opt's root, workers, lease_timeout_sec, backoff_base_sec
+  /// (respawn backoff), net_faults, worker_argv and on_worker_spawn.
+  /// `heartbeat_interval_sec` is the spec's worker beat, forwarded in
+  /// assign frames.
   SocketTransport(const CoordinatorOptions& opt,
                   double heartbeat_interval_sec);
   ~SocketTransport();
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
-
-  /// Opens the TCP listener when opt.listen is set.  "" or an error.
-  std::string start();
 
   /// True when an idle worker can take an assign() right now.
   bool can_assign();
@@ -90,24 +66,18 @@ class SocketTransport {
   /// only after can_assign()).
   void assign(std::size_t shard, std::uint32_t attempt);
 
-  /// Accepts connections, reads and reconciles frames, revokes expired
-  /// leases, reaps and respawns spawned workers, and appends what changed
-  /// for the coordinator.
+  /// Reads and reconciles frames, revokes expired leases, reaps and
+  /// respawns workers, and appends what changed for the coordinator.
   void poll(std::vector<TransportEvent>& out);
 
   /// Sends every queued frame that the kernel takes without blocking.
   void flush();
 
-  /// Blocks until a connection or the listener has work, or `timeout`.
+  /// Blocks until a connection has work, or `timeout`.
   void wait(std::chrono::milliseconds timeout);
 
-  /// Live workers right now (running + idle); 0 means the fleet is empty
-  /// and the coordinator parks until someone (re-)attaches.
-  std::size_t fleet_size() const;
-
-  /// Stops every worker: graceful sends shutdown frames and lets spawned
-  /// workers drain and exit, otherwise spawned workers are SIGKILLed.
-  /// Idempotent.
+  /// Stops every worker: graceful sends shutdown frames and lets workers
+  /// drain and exit, otherwise they are SIGKILLed.  Idempotent.
   void shutdown(bool graceful);
 
  private:
@@ -115,7 +85,7 @@ class SocketTransport {
 
   struct Conn {
     int fd = -1;
-    std::uint64_t uid = 0;  ///< 0 until the first frame identifies the peer
+    std::uint64_t uid = 0;  ///< the spawned worker's uid
     std::uint64_t claim_shard = kNoShard;  ///< worker's last reported shard
     CtrlFrameDecoder dec;
     std::string outbuf;
@@ -128,7 +98,7 @@ class SocketTransport {
     Clock::time_point last_seen;  ///< any frame from uid refreshes this
   };
 
-  /// One slot of the spawned fleet; pid <= 0 while awaiting a respawn.
+  /// One worker slot; pid <= 0 while awaiting a respawn.
   struct Spawned {
     pid_t pid = -1;
     std::uint64_t uid = 0;
@@ -146,7 +116,6 @@ class SocketTransport {
   bool uid_busy(std::uint64_t uid) const;
   Conn* find_idle_conn();
   Conn* find_conn(std::uint64_t uid);
-  void accept_new();
   void send_to_conn(Conn& c, const CtrlMessage& m);
   void send_to_uid(std::uint64_t uid, const CtrlMessage& m);
   void send_assign(std::uint64_t uid, std::size_t shard,
@@ -166,33 +135,11 @@ class SocketTransport {
   const CoordinatorOptions opt_;
   const std::uint64_t heartbeat_ms_;
   NetFaultPlan plan_;
-  int listen_fd_ = -1;
   std::vector<std::unique_ptr<Conn>> conns_;
   std::map<std::size_t, Held> held_;
   std::vector<Spawned> spawned_;
   std::vector<Delayed> delayed_;
   std::vector<TransportEvent> events_;
 };
-
-struct AttachWorkerOptions {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-  /// Test-only trial runner override (empty: the real protocol runner).
-  TrialRunner runner;
-  /// Reconnect backoff: first retry after base, doubling to at most max.
-  double reconnect_base_sec = 0.05;
-  double reconnect_max_sec = 2.0;
-  /// Give up (exit 3) after this long without a coordinator (0: park and
-  /// retry forever — a worker outliving a crashed coordinator re-attaches
-  /// to the resumed one).
-  double give_up_sec = 0.0;
-};
-
-/// Worker-mode entry point (the target of --attach): connects to the
-/// coordinator with reconnect backoff, runs assigned shard attempts into
-/// their try_<k> dirs, retransmits completions until acknowledged, and
-/// abandons work when directed.  Blocks until a shutdown directive (exit
-/// 0), SIGINT/SIGTERM (130), or the give-up deadline (3).
-int run_attached_worker(const AttachWorkerOptions& opt);
 
 }  // namespace rcb

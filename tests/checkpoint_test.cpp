@@ -1,7 +1,7 @@
 // Tests for the crash-safe checkpoint journal (runtime/checkpoint.hpp):
-// round-trip fidelity of both record layouts, the truncation-vs-corruption
-// decision tree, resume-after-truncation, and version-1 journals that load
-// and resume as version 1.
+// round-trip fidelity of the record layout, the truncation-vs-corruption
+// decision tree, resume-after-truncation, and the refusal of version-1
+// checkpoints by load, resume and sharded resume.
 #include "rcb/runtime/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <random>
 #include <string>
 #include <utility>
@@ -181,24 +182,9 @@ void set_manifest_version(const std::string& dir, char version) {
   std::ofstream(path, std::ios::binary | std::ios::trunc) << m;
 }
 
-/// A version-1 checkpoint of `s` in `dir` holding `recs`, written the way
-/// a writer resuming a version-1 journal appends.
-void write_v1_checkpoint(const std::string& dir, const Scenario& s,
-                         const std::vector<CheckpointRecord>& recs) {
-  CheckpointWriter writer;
-  ASSERT_EQ(writer.create(dir, s), "");
-  writer.close();
-  set_manifest_version(dir, '1');
-  const CheckpointLoadResult loaded = load_checkpoint(dir);
-  ASSERT_TRUE(loaded.ok) << loaded.error;
-  ASSERT_EQ(loaded.format, JournalFormat::kV1);
-  ASSERT_EQ(writer.open_for_append(dir, loaded), "");
-  ASSERT_EQ(writer.append_batch(recs), "");
-}
-
 /// Fails the test unless every frame of `journal` is complete and its
-/// payload reads in `format`.  Returns the number of frames.
-std::size_t expect_frames_in(std::string_view journal, JournalFormat format) {
+/// payload reads.  Returns the number of frames.
+std::size_t expect_frames_in(std::string_view journal) {
   std::size_t frames = 0;
   while (!journal.empty()) {
     const FrameRead r = read_frame(journal, kJournalFrameMagic);
@@ -206,7 +192,7 @@ std::size_t expect_frames_in(std::string_view journal, JournalFormat format) {
     if (r.status != FrameRead::Status::kFrame) break;
     CheckpointRecord rec;
     std::uint64_t dig = 0;
-    EXPECT_EQ(parse_journal_record_payload(r.payload, format, rec, dig), "")
+    EXPECT_EQ(parse_journal_record_payload(r.payload, rec, dig), "")
         << r.payload;
     journal.remove_prefix(r.consumed);
     ++frames;
@@ -515,93 +501,69 @@ TEST_F(CheckpointTest, AsyncJournalWriterSurfacesWriteErrors) {
 }
 
 // ---------------------------------------------------------------------------
-// The record codec: one canonical layout, one writer, one strict reader.
+// Version-1 checkpoints: refused, never read, never written to.
 
-/// A checkpoint written by the journal writer that preceded the string-sink
-/// JsonWriter (ostringstream + snprintf("%.17g")): 20 records in completion
-/// order over a 24-trial broadcast scenario with faults, including
-/// synthetic timed_out/failed outcomes, a retried trial and one record of
-/// edge doubles (DBL_MAX, the smallest subnormal, 1e17) and a 2^53 count.
+/// A checkpoint in the version-1 layout (one JSON object per record): 20
+/// records over a 24-trial broadcast scenario with faults.  Every path
+/// into a checkpoint refuses it.
 const fs::path kFixtureDir = fs::path(RCB_CORPUS_DIR) / "journal_v1";
+constexpr char kPredatesV2[] =
+    "checkpoint predates journal v2; re-run the sweep";
+
+/// Every regular file under `root`, by path, with its bytes.
+std::map<std::string, std::string> snapshot_tree(const fs::path& root) {
+  std::map<std::string, std::string> files;
+  for (const fs::directory_entry& e : fs::recursive_directory_iterator(root)) {
+    if (!e.is_regular_file()) continue;
+    std::ifstream in(e.path(), std::ios::binary);
+    files[e.path().string()].assign(std::istreambuf_iterator<char>(in),
+                                    std::istreambuf_iterator<char>());
+  }
+  return files;
+}
+
+/// Copies the fixture's two files into `dir` (created if needed).
+void copy_fixture(const fs::path& dir) {
+  fs::create_directories(dir);
+  for (const char* f : {kCheckpointManifestFile, kCheckpointJournalFile}) {
+    fs::copy_file(kFixtureDir / f, dir / f);
+  }
+}
 
 TEST_F(CheckpointTest, FixtureJournalReEncodesByteIdentically) {
-  const CheckpointLoadResult fixture = load_checkpoint(kFixtureDir.string());
-  ASSERT_TRUE(fixture.ok) << fixture.error;
-  EXPECT_EQ(fixture.format, JournalFormat::kV1);
-  EXPECT_FALSE(fixture.truncated_tail);
-  ASSERT_EQ(fixture.records.size(), 20u);
-  const std::string fixture_manifest =
-      read_file((kFixtureDir / kCheckpointManifestFile).string());
-  const std::string fixture_journal =
-      read_file((kFixtureDir / kCheckpointJournalFile).string());
-
-  // A new checkpoint of the fixture's scenario differs from the fixture's
-  // manifest in the version digit alone.
-  CheckpointWriter writer;
-  ASSERT_EQ(writer.create(dir_, fixture.scenario), "");
-  writer.close();
-  set_manifest_version(dir_, '1');
-  EXPECT_EQ(read_file(manifest_path()), fixture_manifest);
-
-  // The writer reaches the version-1 encoder only by resuming a version-1
-  // checkpoint: a copy of the fixture manifest with an empty journal.
-  write_file(manifest_path(), fixture_manifest);
-  fs::remove(journal_path());
-  const CheckpointLoadResult empty = load_checkpoint(dir_);
-  ASSERT_TRUE(empty.ok) << empty.error;
-  ASSERT_EQ(empty.format, JournalFormat::kV1);
-  ASSERT_TRUE(empty.records.empty());
-  ASSERT_EQ(writer.open_for_append(dir_, empty), "");
-  ASSERT_EQ(writer.append_batch(fixture.records), "");
-  writer.close();
-  EXPECT_EQ(read_file(manifest_path()), fixture_manifest);
-  EXPECT_EQ(read_file(journal_path()), fixture_journal);
+  // load_checkpoint refuses the version-1 manifest before it reads the
+  // journal, with the one error that names the cause.
+  copy_fixture(dir_);
+  const auto before = snapshot_tree(dir_);
+  const CheckpointLoadResult loaded = load_checkpoint(dir_);
+  EXPECT_FALSE(loaded.ok);
+  EXPECT_EQ(loaded.error, kPredatesV2);
+  EXPECT_TRUE(loaded.records.empty());
+  EXPECT_EQ(snapshot_tree(dir_), before);
 }
 
 TEST_F(CheckpointTest, FixtureCheckpointResumes) {
-  fs::create_directories(dir_);
-  for (const char* f : {kCheckpointManifestFile, kCheckpointJournalFile}) {
-    fs::copy_file(kFixtureDir / f, fs::path(dir_) / f);
-  }
-  const std::string manifest = read_file(manifest_path());
-  const std::string before = read_file(journal_path());
+  // A supervised in-process --resume of the fixture is refused the same
+  // way, and neither truncates nor appends to its journal.
+  copy_fixture(dir_);
+  const auto before = snapshot_tree(dir_);
   SupervisorOptions opt;
   opt.checkpoint_dir = dir_;
   opt.resume = true;
   ThreadPool pool(2);
   const SweepResult sweep = run_supervised_sweep(Scenario{}, opt, pool);
-  ASSERT_TRUE(sweep.ok) << sweep.error;
-  EXPECT_EQ(sweep.resumed, 20u);
-  EXPECT_EQ(sweep.executed, 4u);
-  EXPECT_EQ(sweep.timed_out, 2u);
-  EXPECT_EQ(sweep.failed_trials, 2u);
-  ASSERT_EQ(sweep.records.size(), 24u);
-  for (const std::uint64_t t : {18, 19, 20, 22}) {
-    EXPECT_EQ(sweep.records[t].outcome.digest,
-              run_scenario_trial(sweep.scenario, t).digest);
-  }
-  // The resumed run appends version-1 frames; the journaled prefix and the
-  // manifest stay untouched.
-  const std::string after = read_file(journal_path());
-  EXPECT_EQ(after.substr(0, before.size()), before);
-  EXPECT_EQ(expect_frames_in(std::string_view(after).substr(before.size()),
-                             JournalFormat::kV1),
-            4u);
-  EXPECT_EQ(read_file(manifest_path()), manifest);
-  const CheckpointLoadResult reloaded = load_checkpoint(dir_);
-  ASSERT_TRUE(reloaded.ok) << reloaded.error;
-  EXPECT_EQ(reloaded.format, JournalFormat::kV1);
-  EXPECT_EQ(reloaded.records.size(), 24u);
+  EXPECT_FALSE(sweep.ok);
+  EXPECT_NE(sweep.error.find(kPredatesV2), std::string::npos) << sweep.error;
+  EXPECT_EQ(sweep.executed, 0u);
+  EXPECT_EQ(snapshot_tree(dir_), before);
 }
 
 TEST_F(CheckpointTest, NewCheckpointsAreV2) {
   make_checkpoint({0, 3, 5});
   EXPECT_EQ(read_file(manifest_path()).rfind("{\"rcb_checkpoint\":2,", 0), 0u);
-  EXPECT_EQ(expect_frames_in(read_file(journal_path()), JournalFormat::kV2),
-            3u);
+  EXPECT_EQ(expect_frames_in(read_file(journal_path())), 3u);
   const CheckpointLoadResult loaded = load_checkpoint(dir_);
   ASSERT_TRUE(loaded.ok) << loaded.error;
-  EXPECT_EQ(loaded.format, JournalFormat::kV2);
 }
 
 TEST_F(CheckpointTest, UnknownManifestVersionIsRefused) {
@@ -700,134 +662,62 @@ TEST_F(CheckpointTest, EverySingleByteFlipOfAV2JournalIsCaught) {
 }
 
 TEST_F(CheckpointTest, ShardedResumeOverV1JournalsKeepsDigests) {
-  // A sharded root written before version 2: shard 0 complete, shard 1
-  // half done, each in its try_1.  Resuming carries shard 1's journal into
-  // try_2 by byte copy and finishes it in version 1; the merge gives the
-  // digest of a run that never journaled.
-  Scenario s = test_scenario();
-  s.trials = 24;
-  ThreadPool pool(2);
-  const SweepResult reference =
-      run_supervised_sweep(s, SupervisorOptions{}, pool);
-  ASSERT_TRUE(reference.ok) << reference.error;
-
+  // A sharded root whose only shard holds the version-1 fixture in its
+  // try_1: scan_shard, a coordinator resume and the cold merge all refuse
+  // it, naming the cause, and none of them touches the root.
+  // The fixture's scenario: the manifest's last member, up to its final
+  // closing brace.
+  const std::string manifest =
+      read_file((kFixtureDir / kCheckpointManifestFile).string());
+  const std::size_t at = manifest.find("\"scenario\":") + 11;
+  const ScenarioParseResult fixture = scenario_from_json(
+      std::string_view(manifest).substr(at, manifest.rfind('}') - at));
+  ASSERT_TRUE(fixture.ok) << fixture.error;
   ShardSpec spec;
-  spec.worker_threads = 2;
-  spec.points = {s};
-  spec.shards = make_shard_plan({s.trials}, 2);
-  ASSERT_EQ(spec.shards.size(), 2u);
+  spec.worker_threads = 1;
+  spec.points = {fixture.scenario};
+  spec.shards = make_shard_plan({fixture.scenario.trials}, 1);
+  ASSERT_EQ(spec.shards.size(), 1u);
   const std::string root = dir_ + "/root";
   ASSERT_EQ(write_shard_spec(root, spec), "");
-  for (std::size_t i = 0; i < spec.shards.size(); ++i) {
-    const ShardAssignment& a = spec.shards[i];
-    std::vector<CheckpointRecord> recs;
-    for (std::uint64_t t = a.begin; t < (i == 0 ? a.end : a.begin + 5); ++t) {
-      CheckpointRecord& rec = recs.emplace_back();
-      rec.trial = t;
-      rec.outcome = run_scenario_trial(s, t);
-    }
-    write_v1_checkpoint(shard_attempt_dir(root, i, 1), s, recs);
-  }
+  copy_fixture(shard_attempt_dir(root, 0, 1));
+  const auto before = snapshot_tree(root);
+  const std::string want = std::string("shard 0: ") + kPredatesV2;
 
-  const std::uint32_t attempt = next_shard_attempt(root, 1);
-  ASSERT_EQ(attempt, 2u);
-  ASSERT_EQ(prepare_shard_attempt(root, spec, 1, attempt), "");
-  const std::string try_dir = shard_attempt_dir(root, 1, attempt);
-  const SweepResult finished = run_shard_attempt(spec, 1, try_dir, {}, pool);
-  ASSERT_TRUE(finished.ok) << finished.error;
-  EXPECT_EQ(finished.resumed, 5u);
-  const CheckpointLoadResult carried = load_checkpoint(try_dir);
-  ASSERT_TRUE(carried.ok) << carried.error;
-  EXPECT_EQ(carried.format, JournalFormat::kV1);
-  EXPECT_EQ(expect_frames_in(
-                read_file(try_dir + "/" + kCheckpointJournalFile),
-                JournalFormat::kV1),
-            spec.shards[1].end - spec.shards[1].begin);
+  const ShardScan scan = scan_shard(root, spec, 0);
+  EXPECT_EQ(scan.state, ShardScanState::kCorrupt);
+  EXPECT_EQ(scan.error, want);
+
+  CoordinatorOptions opt;
+  opt.root = root;
+  opt.resume = true;
+  opt.worker_argv = [](std::size_t) {
+    return std::vector<std::string>{"/bin/false"};  // never reached
+  };
+  const CoordinatorResult res = run_shard_coordinator(spec, opt);
+  EXPECT_FALSE(res.ok);
+  EXPECT_EQ(res.error, want);
 
   const ShardMergeResult merged = merge_shard_journals(root, spec);
-  ASSERT_TRUE(merged.ok) << merged.error;
-  ASSERT_EQ(merged.points.size(), 1u);
-  EXPECT_EQ(merged.points[0].aggregate_digest, reference.aggregate_digest);
-  EXPECT_EQ(merged.points[0].records.size(), s.trials);
+  EXPECT_FALSE(merged.ok);
+  EXPECT_NE(merged.error.find(kPredatesV2), std::string::npos)
+      << merged.error;
+  EXPECT_EQ(snapshot_tree(root), before);
 }
 
 TEST_F(CheckpointTest, UnknownStatusIsCorruption) {
   make_checkpoint({});
   const std::uint64_t dig = scenario_digest(test_scenario());
-  std::vector<std::string> fields = v2_fields(
-      journal_record_payload(test_record(1), dig, JournalFormat::kV2));
+  std::vector<std::string> fields =
+      v2_fields(journal_record_payload(test_record(1), dig));
   fields[1] = "bogus";
-  write_framed({journal_record_payload(test_record(0), dig, JournalFormat::kV2),
+  write_framed({journal_record_payload(test_record(0), dig),
                 join_fields(fields)});
   const CheckpointLoadResult loaded = load_checkpoint(dir_);
   EXPECT_FALSE(loaded.ok);
   EXPECT_NE(loaded.error.find("journal record 1: bad status field"),
             std::string::npos)
       << loaded.error;
-}
-
-/// The generic-JSON decode the strict reader replaced: any valid JSON
-/// object with the right member types is accepted, whatever its key order,
-/// spacing, number spelling or status.  Kept as the oracle's reference.
-std::string dom_parse_payload(std::string_view payload, CheckpointRecord& rec,
-                              std::uint64_t& rec_scenario_digest) {
-  const JsonParseResult parsed = json_parse(payload);
-  if (!parsed.ok) return "payload is not valid JSON: " + parsed.error;
-  if (!parsed.value.is_object()) return "payload is not a JSON object";
-  const JsonValue& v = parsed.value;
-  auto exact = [](const JsonValue* f, std::uint64_t& out) {
-    return f != nullptr && f->is_number() &&
-           json_exact_u64(f->as_number(), out);
-  };
-  if (!exact(v.find("trial"), rec.trial)) return "bad trial field";
-  const JsonValue* status = v.find("status");
-  if (status == nullptr || !status->is_string() ||
-      !status_from_name(status->as_string(), rec.status)) {
-    return "bad status field";
-  }
-  std::uint64_t attempts = 0;
-  if (!exact(v.find("attempts"), attempts) || attempts == 0 ||
-      attempts > UINT32_MAX) {
-    return "bad attempts field";
-  }
-  rec.attempts = static_cast<std::uint32_t>(attempts);
-  const JsonValue* sd = v.find("scenario_digest");
-  if (sd == nullptr || !sd->is_string() ||
-      !parse_hex_u64(sd->as_string(), rec_scenario_digest)) {
-    return "bad scenario_digest field";
-  }
-  const JsonValue* ov = v.find("outcome");
-  if (ov == nullptr || !ov->is_object()) return "bad outcome field";
-  TrialOutcome& o = rec.outcome;
-  auto num = [&](const char* key, double& out) {
-    const JsonValue* f = ov->find(key);
-    if (f == nullptr || !f->is_number()) return false;
-    out = f->as_number();
-    return true;
-  };
-  auto flag = [&](const char* key, bool& out) {
-    const JsonValue* f = ov->find(key);
-    if (f == nullptr || !f->is_bool()) return false;
-    out = f->as_bool();
-    return true;
-  };
-  if (!num("max_cost", o.max_cost) || !num("mean_cost", o.mean_cost) ||
-      !num("adversary_cost", o.adversary_cost) || !num("latency", o.latency)) {
-    return "bad outcome numeric field";
-  }
-  if (!flag("success", o.success) || !flag("aborted", o.aborted)) {
-    return "bad outcome flag field";
-  }
-  if (!exact(ov->find("dead_count"), o.dead_count) ||
-      !exact(ov->find("crashed_count"), o.crashed_count)) {
-    return "bad outcome count field";
-  }
-  const JsonValue* dig = ov->find("digest");
-  if (dig == nullptr || !dig->is_string() ||
-      !parse_hex_u64(dig->as_string(), o.digest)) {
-    return "bad outcome digest field";
-  }
-  return "";
 }
 
 /// Field-wise equality with doubles compared by bit pattern.
@@ -869,9 +759,8 @@ double random_finite(std::mt19937_64& rng) {
   }
 }
 
-/// A random record; version 1 has no per-party costs, so they stay 0
-/// unless `per_party`.
-CheckpointRecord random_record(std::mt19937_64& rng, bool per_party) {
+/// A random record.
+CheckpointRecord random_record(std::mt19937_64& rng) {
   static const TrialStatus kStatuses[] = {
       TrialStatus::kOk, TrialStatus::kTimedOut, TrialStatus::kFailed};
   CheckpointRecord rec;
@@ -891,203 +780,18 @@ CheckpointRecord random_record(std::mt19937_64& rng, bool per_party) {
   o.dead_count = rng() % 3 == 0 ? kMaxExactJsonInt : rng() % 64;
   o.crashed_count = rng() % 64;
   o.digest = rng();
-  if (per_party) {
-    o.alice_cost = small ? static_cast<double>(rng() % 100000)
-                         : random_finite(rng);
-    o.bob_cost = rng() % 2 == 0 ? static_cast<double>(rng() % 100000) / 2.0
-                                : random_finite(rng);
-  }
+  o.alice_cost = small ? static_cast<double>(rng() % 100000)
+                       : random_finite(rng);
+  o.bob_cost = rng() % 2 == 0 ? static_cast<double>(rng() % 100000) / 2.0
+                              : random_finite(rng);
   return rec;
 }
 
-/// One mutation of a canonical payload.  Several keep the document valid
-/// JSON on purpose (whitespace, key order, number spelling, escapes), so
-/// the oracle exercises the boundary between what the reference accepts
-/// and what the strict reader refuses.
-std::string mutate(const std::string& p, std::mt19937_64& rng) {
-  static const std::string kBytes = "0123456789.eE+-\" ,:{}[] \t\nabcdefu";
-  std::string m = p;
-  const auto pick = [&](std::size_t n) {
-    return static_cast<std::size_t>(rng() % n);
-  };
-  // Positions where a number token starts (after ':' and not a quote).
-  std::vector<std::size_t> numbers;
-  for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-    if (p[i] == ':' && p[i + 1] != '"' && p[i + 1] != '{') {
-      numbers.push_back(i + 1);
-    }
-  }
-  const auto number_end = [&](std::size_t at) {
-    while (at < m.size() && m[at] != ',' && m[at] != '}') ++at;
-    return at;
-  };
-  switch (rng() % 9) {
-    case 0:  // flip one byte to an arbitrary value
-      m[pick(m.size())] = static_cast<char>(rng() & 0xff);
-      break;
-    case 1:  // replace one byte with a JSON-significant one
-      m[pick(m.size())] = kBytes[pick(kBytes.size())];
-      break;
-    case 2: {  // insert whitespace
-      static const char kSpace[] = {' ', '\t', '\n', '\r'};
-      m.insert(pick(m.size() + 1), 1, kSpace[pick(4)]);
-      break;
-    }
-    case 3: {  // swap two adjacent members (top level or inside outcome)
-      std::vector<std::size_t> commas;
-      for (std::size_t i = 0; i < m.size(); ++i) {
-        if (m[i] == ',' && m[i + 1] == '"') commas.push_back(i);
-      }
-      const std::size_t c = commas[pick(commas.size())];
-      std::size_t begin = m.rfind(',', c - 1);
-      const std::size_t brace = m.rfind('{', c - 1);
-      if (begin == std::string::npos || brace > begin) begin = brace;
-      std::size_t end = c + 1;
-      int depth = 0;
-      while (end < m.size() &&
-             !(depth == 0 && (m[end] == ',' || m[end] == '}'))) {
-        if (m[end] == '{') ++depth;
-        if (m[end] == '}') --depth;
-        ++end;
-      }
-      const std::string first = m.substr(begin + 1, c - begin - 1);
-      const std::string second = m.substr(c + 1, end - c - 1);
-      m = m.substr(0, begin + 1) + second + "," + first + m.substr(end);
-      break;
-    }
-    case 4: {  // truncate a number token
-      const std::size_t at = numbers[pick(numbers.size())];
-      const std::size_t end = number_end(at);
-      const std::size_t cut = 1 + pick(end - at);
-      m.erase(end - cut, cut);
-      break;
-    }
-    case 5: {  // respell a number: same value or not, still JSON
-      static const char* const kSpellings[] = {".0", "e0", "E+00", "0", ".5",
-                                               "e-400", "e400", "e-320"};
-      const std::size_t at = numbers[pick(numbers.size())];
-      m.insert(number_end(at), kSpellings[pick(8)]);
-      break;
-    }
-    case 6: {  // leading zero or sign on a number
-      static const char* const kPrefixes[] = {"0", "-", "-0", "00"};
-      m.insert(numbers[pick(numbers.size())], kPrefixes[pick(4)]);
-      break;
-    }
-    case 7: {  // escape or upper-case one character inside a string value
-      std::vector<std::size_t> quoted;
-      for (std::size_t i = 0; i + 1 < m.size(); ++i) {
-        if (m[i] == ':' && m[i + 1] == '"') quoted.push_back(i + 2);
-      }
-      const std::size_t at = quoted[pick(quoted.size())];
-      if (rng() % 2 == 0) {
-        char esc[7];
-        std::snprintf(esc, sizeof esc, "\\u%04x",
-                      static_cast<unsigned char>(m[at]));
-        m.replace(at, 1, esc);
-      } else {
-        m[at] = static_cast<char>(std::toupper(static_cast<unsigned char>(m[at])));
-      }
-      break;
-    }
-    default:  // duplicate a member, or chop the tail
-      if (rng() % 2 == 0) {
-        m.insert(1, "\"trial\":0,");
-      } else {
-        m.resize(pick(m.size()));
-      }
-  }
-  return m;
-}
-
-TEST(JournalCodecTest, CanonicalPayloadsDecodeBitExactly) {
-  std::mt19937_64 rng(20140623);
-  for (int i = 0; i < 20000; ++i) {
-    const CheckpointRecord rec = random_record(rng, false);
-    const std::uint64_t dig = rng();
-    const std::string payload =
-        journal_record_payload(rec, dig, JournalFormat::kV1);
-    CheckpointRecord got;
-    std::uint64_t got_dig = 0;
-    ASSERT_EQ(parse_journal_record_payload(payload, JournalFormat::kV1, got,
-                                           got_dig),
-              "")
-        << payload;
-    expect_same_record(got, got_dig, rec, dig, payload);
-    if (HasFailure()) return;
-  }
-}
-
-TEST(JournalCodecTest, StrictDecoderAcceptsOnlyWhatTheReferenceAccepts) {
-  std::mt19937_64 rng(1202);
-  std::size_t strict_accepted = 0, reference_accepted = 0;
-  constexpr int kMutants = 12000;
-  for (int i = 0; i < kMutants; ++i) {
-    const CheckpointRecord rec = random_record(rng, false);
-    const std::string canonical =
-        journal_record_payload(rec, rng(), JournalFormat::kV1);
-    const std::string m = mutate(canonical, rng);
-    CheckpointRecord strict, dom;
-    std::uint64_t strict_dig = 0, dom_dig = 0;
-    const bool strict_ok =
-        parse_journal_record_payload(m, JournalFormat::kV1, strict, strict_dig)
-            .empty();
-    const bool dom_ok = dom_parse_payload(m, dom, dom_dig).empty();
-    strict_accepted += strict_ok;
-    reference_accepted += dom_ok;
-    if (m == canonical) {
-      EXPECT_TRUE(strict_ok) << m;
-    }
-    if (!strict_ok) continue;
-    ASSERT_TRUE(dom_ok) << "strict decoder accepted what the reference "
-                           "refuses: "
-                        << m;
-    expect_same_record(strict, strict_dig, dom, dom_dig, m);
-    if (HasFailure()) return;
-  }
-  // The mutations must reach both sides of the boundary: some survive
-  // both decoders, and the reference accepts non-canonical text the
-  // strict decoder refuses.
-  EXPECT_GT(strict_accepted, 0u);
-  EXPECT_GT(reference_accepted, strict_accepted);
-  RecordProperty("strict_accepted", static_cast<int>(strict_accepted));
-  RecordProperty("reference_accepted", static_cast<int>(reference_accepted));
-}
-
-TEST_F(CheckpointTest, ReframedMutantsLoadOnlyWhenTheReferenceAccepts) {
-  // The same oracle end to end through load_checkpoint of a version-1
-  // checkpoint: every mutant is re-framed with a correct FNV digest, so
-  // only the record decoder can refuse it.
-  make_checkpoint({});
-  set_manifest_version(dir_, '1');
-  const std::uint64_t dig = scenario_digest(test_scenario());
-  std::mt19937_64 rng(4242);
-  for (int i = 0; i < 2000; ++i) {
-    CheckpointRecord rec = test_record(rng() % 8);
-    rec.outcome.alice_cost = rec.outcome.bob_cost = 0.0;
-    const std::string m =
-        mutate(journal_record_payload(rec, dig, JournalFormat::kV1), rng);
-    write_framed({m});
-    const CheckpointLoadResult loaded = load_checkpoint(dir_);
-    CheckpointRecord dom;
-    std::uint64_t dom_dig = 0;
-    const bool dom_ok = dom_parse_payload(m, dom, dom_dig).empty();
-    if (!loaded.ok) {
-      EXPECT_EQ(loaded.error.rfind("journal record 0: ", 0), 0u)
-          << loaded.error;
-      continue;
-    }
-    ASSERT_TRUE(dom_ok) << m;
-    ASSERT_EQ(loaded.records.size(), 1u);
-    expect_same_record(loaded.records[0], dig, dom, dom_dig, m);
-    if (HasFailure()) return;
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Version 2: fields by position, doubles as decimal counts or bit patterns.
+// The record codec: fields by position, doubles as decimal counts or bit
+// patterns; one writer, one strict reader.
 
-/// Doubles at the edges of the two version-2 forms.
+/// Doubles at the edges of the two double forms.
 const double kEdgeDoubles[] = {
     0.0,
     -0.0,
@@ -1112,7 +816,7 @@ constexpr std::size_t kV2DoubleFields[] = {4, 5, 6, 7, 13, 14};
 TEST(JournalCodecTest, V2RecordsRoundTripBitExactly) {
   std::mt19937_64 rng(1202186);
   for (int i = 0; i < 20000; ++i) {
-    CheckpointRecord rec = random_record(rng, true);
+    CheckpointRecord rec = random_record(rng);
     if (i % 4 == 0) {
       TrialOutcome& o = rec.outcome;
       for (double* f : {&o.max_cost, &o.mean_cost, &o.adversary_cost,
@@ -1122,16 +826,14 @@ TEST(JournalCodecTest, V2RecordsRoundTripBitExactly) {
     }
     const std::uint64_t dig = rng();
     const std::string payload =
-        journal_record_payload(rec, dig, JournalFormat::kV2);
+        journal_record_payload(rec, dig);
     ASSERT_EQ(v2_fields(payload).size(), 15u) << payload;
     CheckpointRecord got;
     std::uint64_t got_dig = 0;
-    ASSERT_EQ(parse_journal_record_payload(payload, JournalFormat::kV2, got,
-                                           got_dig),
-              "")
+    ASSERT_EQ(parse_journal_record_payload(payload, got, got_dig), "")
         << payload;
     expect_same_record(got, got_dig, rec, dig, payload);
-    EXPECT_EQ(journal_record_payload(got, got_dig, JournalFormat::kV2),
+    EXPECT_EQ(journal_record_payload(got, got_dig),
               payload);
     if (HasFailure()) return;
   }
@@ -1141,8 +843,7 @@ TEST(JournalCodecTest, V2DoublesHaveExactlyOneForm) {
   const auto with_max_cost = [](double d) {
     CheckpointRecord rec;
     rec.outcome.max_cost = d;
-    return journal_record_payload(rec, 0x0123456789abcdefull,
-                                  JournalFormat::kV2);
+    return journal_record_payload(rec, 0x0123456789abcdefull);
   };
   const auto max_cost_field = [&](double d) {
     return v2_fields(with_max_cost(d))[4];
@@ -1172,37 +873,30 @@ TEST(JournalCodecTest, V2DoublesHaveExactlyOneForm) {
     fields[4] = spelling;
     CheckpointRecord got;
     std::uint64_t dig = 0;
-    EXPECT_NE(parse_journal_record_payload(join_fields(fields),
-                                           JournalFormat::kV2, got, dig),
-              "")
+    EXPECT_NE(parse_journal_record_payload(join_fields(fields), got, dig), "")
         << "max_cost spelled \"" << spelling << "\"";
   }
 }
 
 TEST(JournalCodecTest, V2DuelFramesFitIn128Bytes) {
   // Fig. 1 trials with no adversary at both eps points of the perfbench
-  // duel_sharded workload, at trial indices of its size: each framed
-  // version-2 record is at most 128 bytes, against ~270 in version 1.
+  // duel_sharded workload, at trial indices of its size: each framed record
+  // is at most 128 bytes.
   for (const double eps : {0.1, 0.01}) {
     Scenario s;
     s.protocol = "one_to_one";
     s.eps = eps;
     s.trials = 50000;
-    std::size_t v1_bytes = 0, v2_bytes = 0;
+    std::size_t v2_bytes = 0;
     for (std::uint64_t t = 49000; t < 50000; ++t) {
       CheckpointRecord rec;
       rec.trial = t;
       rec.outcome = run_scenario_trial(s, t);
-      std::string v1, v2;
-      append_journal_frames(v1, {&rec, 1}, scenario_digest(s),
-                            JournalFormat::kV1);
-      append_journal_frames(v2, {&rec, 1}, scenario_digest(s),
-                            JournalFormat::kV2);
+      std::string v2;
+      append_journal_frames(v2, {&rec, 1}, scenario_digest(s));
       ASSERT_LE(v2.size(), 128u) << v2;
-      v1_bytes += v1.size();
       v2_bytes += v2.size();
     }
-    EXPECT_LT(2 * v2_bytes, v1_bytes) << "eps " << eps;
     RecordProperty(eps == 0.1 ? "v2_bytes_per_1000_eps_0.1"
                               : "v2_bytes_per_1000_eps_0.01",
                    static_cast<int>(v2_bytes));
@@ -1353,15 +1047,14 @@ bool check_v2_mutant(const std::string& m, bool& lenient_ok) {
   CheckpointRecord strict, lenient;
   std::uint64_t strict_dig = 0, lenient_dig = 0;
   const bool strict_ok =
-      parse_journal_record_payload(m, JournalFormat::kV2, strict, strict_dig)
-          .empty();
+      parse_journal_record_payload(m, strict, strict_dig).empty();
   lenient_ok = lenient_parse_v2(m, lenient, lenient_dig).empty();
   if (!strict_ok) return false;
   EXPECT_TRUE(lenient_ok) << "strict reader accepted what the lenient "
                              "reading refuses: "
                           << m;
   if (lenient_ok) expect_same_record(strict, strict_dig, lenient, lenient_dig, m);
-  EXPECT_EQ(journal_record_payload(strict, strict_dig, JournalFormat::kV2), m)
+  EXPECT_EQ(journal_record_payload(strict, strict_dig), m)
       << "strict reader accepted a form the writer does not produce";
   return true;
 }
@@ -1370,12 +1063,12 @@ TEST(JournalCodecTest, V2StrictReaderAcceptsOnlyTheWritersImage) {
   std::mt19937_64 rng(2014);
   std::size_t strict_accepted = 0, lenient_accepted = 0;
   for (int i = 0; i < 20000; ++i) {
-    CheckpointRecord rec = random_record(rng, true);
+    CheckpointRecord rec = random_record(rng);
     if (i % 4 == 0) {
       rec.outcome.mean_cost = kEdgeDoubles[rng() % std::size(kEdgeDoubles)];
     }
     const std::string canonical =
-        journal_record_payload(rec, rng(), JournalFormat::kV2);
+        journal_record_payload(rec, rng());
     const std::string m = mutate_v2(canonical, rng);
     bool lenient_ok = false;
     const bool strict_ok = check_v2_mutant(m, lenient_ok);
@@ -1405,7 +1098,7 @@ TEST_F(CheckpointTest, V2ReframedMutantsLoadOnlyAsTheWritersImage) {
   for (int i = 0; i < 2000; ++i) {
     const CheckpointRecord rec = test_record(rng() % 8);
     const std::string m =
-        mutate_v2(journal_record_payload(rec, dig, JournalFormat::kV2), rng);
+        mutate_v2(journal_record_payload(rec, dig), rng);
     if (m.find('\n') != std::string::npos) continue;  // not a frame payload
     write_framed({m});
     const CheckpointLoadResult loaded = load_checkpoint(dir_);
@@ -1418,9 +1111,7 @@ TEST_F(CheckpointTest, V2ReframedMutantsLoadOnlyAsTheWritersImage) {
     }
     ASSERT_TRUE(strict_ok) << m;
     ASSERT_EQ(loaded.records.size(), 1u);
-    EXPECT_EQ(journal_record_payload(loaded.records[0], dig,
-                                     JournalFormat::kV2),
-              m);
+    EXPECT_EQ(journal_record_payload(loaded.records[0], dig), m);
     if (HasFailure()) return;
   }
 }

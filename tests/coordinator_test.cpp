@@ -8,9 +8,7 @@
 //
 // This binary has a custom main: the coordinator re-enters the test
 // executable itself as a spawned worker via the --rcb_shard_worker argv
-// prefix, and the attached-worker tests start it as --rcb_attach_worker
-// against the coordinator's listener, so both connection origins under
-// test run the real worker loop.
+// prefix, so the workers under test run the real worker loop.
 #include "rcb/runtime/coordinator.hpp"
 
 #include <fcntl.h>
@@ -31,7 +29,6 @@
 
 #include "rcb/runtime/shard.hpp"
 #include "rcb/runtime/supervisor.hpp"
-#include "rcb/runtime/transport_socket.hpp"
 #include "test_dir.hpp"
 
 namespace {
@@ -91,7 +88,6 @@ class CoordinatorTest : public ::testing::Test {
     root_ = make_test_dir("rcb_coord_test");
   }
   void TearDown() override {
-    reap_attached(/*kill_first=*/true);
     reset_sweep_shutdown();
     fs::remove_all(root_);
   }
@@ -121,51 +117,6 @@ class CoordinatorTest : public ::testing::Test {
     return opt;
   }
 
-  /// Attached-worker options: a loopback listener, and `attached` workers
-  /// (this test binary as --rcb_attach_worker) started the moment it is
-  /// bound, from the coordinator's own thread so PR_SET_PDEATHSIG holds;
-  /// slow_ms and first_action as for options().  Reap them with
-  /// reap_attached() once the coordinator returns.
-  CoordinatorOptions attached_options(std::size_t attached, int slow_ms = 0,
-                                      const std::string& first_action = "") {
-    CoordinatorOptions opt = options(0);
-    opt.listen = "127.0.0.1:0";
-    opt.lease_timeout_sec = 0.4;
-    opt.on_listen = [this, attached, slow_ms,
-                     first_action](std::uint16_t port) {
-      port_->store(port);
-      for (std::size_t i = 0; i < attached; ++i) {
-        std::vector<std::string> argv{g_self_exe, "--rcb_attach_worker",
-                                      "127.0.0.1:" + std::to_string(port),
-                                      std::to_string(slow_ms)};
-        if (i == 0 && !first_action.empty()) argv.push_back(first_action);
-        pid_t pid = -1;
-        int conn = -1;
-        EXPECT_EQ(spawn_worker_process(argv, pid, conn), "");
-        if (conn >= 0) close(conn);  // attached workers ignore fd 3
-        if (pid > 0) attached_pids_.push_back(pid);
-      }
-    };
-    return opt;
-  }
-
-  /// Waits for every attached worker; a sweep that failed may have left
-  /// them parked, so `kill_first` puts them down instead of waiting out
-  /// their give-up deadline.  Returns how many exited 0.
-  int reap_attached(bool kill_first) {
-    int clean = 0;
-    for (const pid_t pid : attached_pids_) {
-      if (kill_first) kill(pid, SIGKILL);
-      int status = -1;
-      if (waitpid(pid, &status, 0) == pid && WIFEXITED(status) &&
-          WEXITSTATUS(status) == 0) {
-        ++clean;
-      }
-    }
-    attached_pids_.clear();
-    return clean;
-  }
-
   /// Spec tuned for the multi-process tests: fast status beats keep the
   /// protocol (and the lease clock) snappy.
   static ShardSpec fast_spec(const std::vector<Scenario>& scenarios,
@@ -176,9 +127,6 @@ class CoordinatorTest : public ::testing::Test {
   }
 
   std::string root_;
-  std::shared_ptr<std::atomic<int>> port_ =
-      std::make_shared<std::atomic<int>>(0);
-  std::vector<pid_t> attached_pids_;
 };
 
 // ---------------------------------------------------------------------------
@@ -421,25 +369,42 @@ TEST_F(CoordinatorTest, SpawnedConnectionCloseFaultKeepsTheDigest) {
                                         fast_scenario(45, 6)};
   const std::vector<std::uint64_t> reference = reference_digests(scenarios);
 
-  // The coordinator's first fault draw is for the first assign frame; pick
-  // a seed whose first draw closes that connection, so the fault surely
-  // fires on a spawned worker.
-  NetFaultConfig faults;
-  faults.close_rate = 0.1;
-  for (faults.seed = 1;; ++faults.seed) {
-    NetFaultPlan plan(faults);
+  // First input: close faults only.  The coordinator's first fault draw is
+  // for the first assign frame; pick a seed whose first draw closes that
+  // connection, so the fault surely fires.
+  NetFaultConfig close_only;
+  close_only.close_rate = 0.1;
+  for (close_only.seed = 1;; ++close_only.seed) {
+    NetFaultPlan plan(close_only);
     if (plan.next(CtrlType::kAssign) == NetFaultAction::kClose) break;
   }
-  std::atomic<int> spawns{0};
-  CoordinatorOptions opt = options(2);
-  opt.net_faults = faults;
-  opt.on_worker_spawn = [&spawns](std::size_t, pid_t) { ++spawns; };
-  const CoordinatorResult res =
-      run_shard_coordinator(fast_spec(scenarios, 4), opt);
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_GT(spawns.load(), 2);  // the closed worker was replaced
-  for (std::size_t p = 0; p < scenarios.size(); ++p) {
-    EXPECT_EQ(res.points[p].aggregate_digest, reference[p]) << "point " << p;
+  // Second input: the full chaos preset (drop, delay, duplicate, reorder
+  // and close) in both directions, with a lease short enough that a lost
+  // frame can also cost a revocation.
+  struct Input {
+    const char* name;
+    NetFaultConfig faults;
+    double lease_timeout_sec;
+    int min_spawns;  // 3: the closed worker was replaced
+  };
+  for (const Input& in :
+       {Input{"close only", close_only, 10.0, 3},
+        Input{"chaos", NetFaultConfig::chaos(31337, 0.1), 1.0, 2}}) {
+    SCOPED_TRACE(in.name);
+    fs::remove_all(root_);
+    std::atomic<int> spawns{0};
+    CoordinatorOptions opt = options(2);
+    opt.net_faults = in.faults;
+    opt.lease_timeout_sec = in.lease_timeout_sec;
+    opt.on_worker_spawn = [&spawns](std::size_t, pid_t) { ++spawns; };
+    const CoordinatorResult res =
+        run_shard_coordinator(fast_spec(scenarios, 4), opt);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_GE(spawns.load(), in.min_spawns);
+    for (std::size_t p = 0; p < scenarios.size(); ++p) {
+      EXPECT_EQ(res.points[p].aggregate_digest, reference[p]) << "point " << p;
+      EXPECT_EQ(res.points[p].records.size(), scenarios[p].trials);
+    }
   }
 }
 
@@ -582,163 +547,6 @@ TEST_F(CoordinatorTest, ShardWorkerWithoutControlSocketExits2) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Attached workers (--attach over TCP; the same control frames and worker
-// loop as the spawned fleet, the data plane stays the shared journals).
-
-TEST_F(CoordinatorTest, SocketMatchesSingleProcessDigestAcrossWorkerCounts) {
-  const std::vector<Scenario> scenarios{fast_scenario(81, 11),
-                                        fast_scenario(82, 5)};
-  const std::vector<std::uint64_t> reference = reference_digests(scenarios);
-
-  for (const std::size_t attached : {1u, 2u}) {
-    fs::remove_all(root_);
-    const CoordinatorResult res = run_shard_coordinator(
-        fast_spec(scenarios, attached * 2), attached_options(attached));
-    // The shutdown directive sent at sweep end makes every worker exit 0.
-    EXPECT_EQ(reap_attached(/*kill_first=*/!res.ok),
-              static_cast<int>(attached));
-    ASSERT_TRUE(res.ok) << res.error;
-    ASSERT_EQ(res.points.size(), scenarios.size());
-    for (std::size_t p = 0; p < scenarios.size(); ++p) {
-      EXPECT_EQ(res.points[p].aggregate_digest, reference[p])
-          << "attached=" << attached << " point=" << p;
-      EXPECT_EQ(res.points[p].records.size(), scenarios[p].trials);
-    }
-  }
-}
-
-TEST_F(CoordinatorTest, SocketDigestStableUnderControlPlaneChaos) {
-  const std::vector<Scenario> scenarios{fast_scenario(83, 10),
-                                        fast_scenario(84, 6)};
-  const std::vector<std::uint64_t> reference = reference_digests(scenarios);
-
-  // One spawned and one attached worker: the faults hit frames of both
-  // connection origins.
-  CoordinatorOptions opt = attached_options(1);
-  opt.workers = 1;
-  opt.lease_timeout_sec = 1.0;
-  opt.net_faults = NetFaultConfig::chaos(31337, 0.1);
-  const CoordinatorResult res =
-      run_shard_coordinator(fast_spec(scenarios, 4), opt);
-  // A close fault may have cut the attached worker off as the sweep ended:
-  // it then misses the shutdown directive and keeps reconnecting.
-  reap_attached(/*kill_first=*/true);
-  ASSERT_TRUE(res.ok) << res.error;
-  for (std::size_t p = 0; p < scenarios.size(); ++p) {
-    EXPECT_EQ(res.points[p].aggregate_digest, reference[p]) << "point " << p;
-    EXPECT_EQ(res.points[p].records.size(), scenarios[p].trials);
-  }
-}
-
-TEST_F(CoordinatorTest, SocketReassignsShardAfterWorkerSigkill) {
-  const std::vector<Scenario> scenarios{fast_scenario(85, 16)};
-  const std::uint64_t reference = reference_digests(scenarios)[0];
-
-  // One attached worker SIGKILLs itself mid-shard.  Its claim survives the
-  // TCP close until its lease runs out; the survivor then takes the shard
-  // over.
-  const CoordinatorResult res = run_shard_coordinator(
-      fast_spec(scenarios, 2), attached_options(2, /*slow_ms=*/5, "kill@3"));
-  reap_attached(/*kill_first=*/!res.ok);
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_GE(res.worker_restarts, 1u);
-  EXPECT_EQ(res.points[0].aggregate_digest, reference);
-  EXPECT_EQ(res.points[0].records.size(), scenarios[0].trials);
-}
-
-TEST_F(CoordinatorTest, SocketRevokesWedgedWorkerOnLeaseExpiry) {
-  const std::vector<Scenario> scenarios{fast_scenario(87, 12)};
-  const std::uint64_t reference = reference_digests(scenarios)[0];
-
-  // One attached worker SIGSTOPs itself mid-shard: heartbeats stop, the
-  // lease expires, and the coordinator severs it and reassigns the shard
-  // to the other worker under a fresh attempt dir seeded with the partial
-  // journal.  An attached worker is not the coordinator's to kill, so the
-  // test puts it down afterwards.
-  const CoordinatorResult res = run_shard_coordinator(
-      fast_spec(scenarios, 2), attached_options(2, /*slow_ms=*/5, "stop@3"));
-  reap_attached(/*kill_first=*/true);
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_GE(res.worker_restarts, 1u);
-  EXPECT_EQ(res.points[0].aggregate_digest, reference);
-}
-
-TEST_F(CoordinatorTest, SocketResumesAfterCoordinatorCrash) {
-  const std::vector<Scenario> scenarios{fast_scenario(89, 12),
-                                        fast_scenario(90, 6)};
-  const std::vector<std::uint64_t> reference = reference_digests(scenarios);
-  const ShardSpec spec = fast_spec(scenarios, 4);
-
-  CoordinatorOptions crash = attached_options(2);
-  crash.simulate_crash_after_shards = 1;
-  const CoordinatorResult first = run_shard_coordinator(spec, crash);
-  // The crashed coordinator's workers would wait for it on its old port.
-  reap_attached(/*kill_first=*/true);
-  ASSERT_FALSE(first.ok);
-  ASSERT_GE(first.shards_completed, 1u);
-
-  CoordinatorOptions resume = attached_options(2);
-  resume.resume = true;
-  const CoordinatorResult second = run_shard_coordinator(spec, resume);
-  reap_attached(/*kill_first=*/!second.ok);
-  ASSERT_TRUE(second.ok) << second.error;
-  EXPECT_EQ(second.shards_completed, spec.shards.size());
-  for (std::size_t p = 0; p < scenarios.size(); ++p) {
-    EXPECT_EQ(second.points[p].aggregate_digest, reference[p]);
-  }
-}
-
-TEST_F(CoordinatorTest, SocketParksUntilExternalWorkerAttaches) {
-  const std::vector<Scenario> scenarios{fast_scenario(91, 8)};
-  const std::uint64_t reference = reference_digests(scenarios)[0];
-
-  // workers=0 + a listener: the coordinator owns no fleet and parks; an
-  // external worker attaching late picks up the whole sweep.
-  CoordinatorOptions opt = attached_options(0);
-  std::atomic<pid_t> external{-1};
-  std::atomic<bool> reaped{false};
-  // PR_SET_PDEATHSIG fires when the spawning *thread* dies, not the
-  // process, so the attacher must outlive the worker it spawned — it parks
-  // until the main thread has reaped the worker.
-  std::thread attacher([this, &external, &reaped] {
-    while (port_->load() == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    pid_t pid = -1;
-    int conn = -1;
-    const std::string err = spawn_worker_process(
-        {g_self_exe, "--rcb_attach_worker",
-         "127.0.0.1:" + std::to_string(port_->load())},
-        pid, conn);
-    EXPECT_EQ(err, "");
-    if (conn >= 0) close(conn);
-    external.store(pid);
-    while (!reaped.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  });
-  const CoordinatorResult res =
-      run_shard_coordinator(fast_spec(scenarios, 2), opt);
-  // The shutdown directive sent at sweep end makes the worker exit 0.
-  const pid_t pid = external.load();
-  int status = -1;
-  pid_t waited = -1;
-  if (pid > 0) {
-    if (!res.ok) kill(pid, SIGKILL);  // don't hang the test on a dead sweep
-    waited = waitpid(pid, &status, 0);
-  }
-  reaped.store(true);
-  attacher.join();
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_EQ(res.points[0].aggregate_digest, reference);
-  ASSERT_GT(pid, 0);
-  EXPECT_EQ(waited, pid);
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-      << "status " << status;
-}
-
 TEST_F(CoordinatorTest, RejectsLeaseTighterThanTwoHeartbeats) {
   const std::vector<Scenario> scenarios{fast_scenario(93, 4)};
   ShardSpec spec = make_spec(scenarios, 1);
@@ -749,6 +557,24 @@ TEST_F(CoordinatorTest, RejectsLeaseTighterThanTwoHeartbeats) {
   ASSERT_FALSE(res.ok);
   EXPECT_NE(res.error.find("must exceed 2x"), std::string::npos)
       << res.error;
+}
+
+TEST_F(CoordinatorTest, RejectsNetFaultRatesPastOne) {
+  // Refused before anything is written or spawned: no sweep.json appears.
+  const std::vector<Scenario> scenarios{fast_scenario(95, 4)};
+  CoordinatorOptions opt = options(1);
+  opt.net_faults = NetFaultConfig::chaos(7, 0.3);
+  const CoordinatorResult res =
+      run_shard_coordinator(make_spec(scenarios, 1), opt);
+  ASSERT_FALSE(res.ok);
+  EXPECT_NE(res.error.find("net fault rates sum to"), std::string::npos)
+      << res.error;
+  EXPECT_FALSE(fs::exists(shard_spec_path(root_)));
+
+  opt.net_faults = NetFaultConfig{};
+  opt.workers = 0;
+  EXPECT_EQ(run_shard_coordinator(make_spec(scenarios, 1), opt).error,
+            "coordinator needs at least one worker");
 }
 
 // ---------------------------------------------------------------------------
@@ -847,17 +673,6 @@ int main(int argc, char** argv) {
     return rcb::run_shard_worker(
         argv[2], static_cast<std::size_t>(std::atoi(argv[3])),
         test_runner(std::atoi(argv[4]), argc == 6 ? argv[5] : ""));
-  }
-  // Attached-worker mode:
-  // "<exe> --rcb_attach_worker <host:port> [slow_ms [action]]".
-  if (argc >= 3 && argc <= 5 &&
-      std::string(argv[1]) == "--rcb_attach_worker") {
-    rcb::AttachWorkerOptions opt;
-    if (!rcb::parse_host_port(argv[2], opt.host, opt.port).empty()) return 2;
-    opt.give_up_sec = 30.0;  // orphaned by a dead test: exit, don't linger
-    opt.runner = test_runner(argc >= 4 ? std::atoi(argv[3]) : 0,
-                             argc == 5 ? argv[4] : "");
-    return rcb::run_attached_worker(opt);
   }
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();

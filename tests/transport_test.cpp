@@ -1,13 +1,13 @@
 // Tests for the worker-transport layer (runtime/transport.hpp +
 // runtime/transport_socket.hpp) and the retry_io hardening underneath it:
 // control-frame codec round-trips and corruption refusal, deterministic
-// fault-plan draws, lease-policy validation, host:port parsing, the
-// control socket a spawned worker inherits on fd 3, EINTR-storm
-// regression for journal appends and socket transfers, and the duplicate-
-// completion dedupe / divergence refusal that scan_shard (and therefore
-// the merge) applies to partitioned shard attempts, the freshness rule
-// under which a ShardMerge keeps a shard the coordinator placed, and the
-// refusal of a journal left in a shard dir itself.
+// fault-plan draws, lease and fault-rate validation, the control socket a
+// spawned worker inherits on fd 3, EINTR-storm regression for journal
+// appends and socket transfers, and the duplicate-completion dedupe /
+// divergence refusal that scan_shard (and therefore the merge) applies to
+// revoked shard attempts, the freshness rule under which a ShardMerge
+// keeps a shard the coordinator placed, and the refusal of a journal left
+// in a shard dir itself.
 #include "rcb/runtime/transport.hpp"
 
 #include <errno.h>
@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -30,7 +31,6 @@
 #include "rcb/runtime/coordinator.hpp"
 #include "rcb/runtime/retry_io.hpp"
 #include "rcb/runtime/shard.hpp"
-#include "rcb/runtime/transport_socket.hpp"
 #include "test_dir.hpp"
 
 namespace rcb {
@@ -213,7 +213,7 @@ TEST(NetFaultPlanTest, ChaosPresetActuallyInjectsFaults) {
 }
 
 // ---------------------------------------------------------------------------
-// Lease policy + address parsing (the CLI validation seams).
+// Lease and fault-rate policy (the CLI validation seams).
 
 TEST(LeaseConfigTest, AcceptsSanePairsRejectsTightOnes) {
   EXPECT_EQ(validate_lease_config(10.0, 0.1), "");
@@ -225,19 +225,22 @@ TEST(LeaseConfigTest, AcceptsSanePairsRejectsTightOnes) {
   EXPECT_NE(validate_lease_config(1.0, 0.0), "");  // heartbeat must be > 0
 }
 
-TEST(ParseHostPortTest, ParsesAndRejects) {
-  std::string host;
-  std::uint16_t port = 1;
-  EXPECT_EQ(parse_host_port("127.0.0.1:8080", host, port), "");
-  EXPECT_EQ(host, "127.0.0.1");
-  EXPECT_EQ(port, 8080);
-  EXPECT_EQ(parse_host_port("0.0.0.0:0", host, port), "");
-  EXPECT_EQ(port, 0);
-  EXPECT_NE(parse_host_port("127.0.0.1", host, port), "");     // no colon
-  EXPECT_NE(parse_host_port("localhost:80", host, port), "");  // not numeric
-  EXPECT_NE(parse_host_port("127.0.0.1:99999", host, port), "");
-  EXPECT_NE(parse_host_port("127.0.0.1:x", host, port), "");
-  EXPECT_NE(parse_host_port(":80", host, port), "");
+TEST(NetFaultConfigTest, ChaosRatesMustSumToAtMostOne) {
+  // chaos(seed, r) sums to 4.2 r: the preset is valid up to r = 1/4.2.
+  EXPECT_EQ(validate_net_faults(NetFaultConfig{}), "");
+  EXPECT_EQ(validate_net_faults(NetFaultConfig::chaos(7, 0.0)), "");
+  EXPECT_EQ(validate_net_faults(NetFaultConfig::chaos(7, 0.238)), "");
+  for (const double rate : {0.239, 1.0}) {
+    const std::string err =
+        validate_net_faults(NetFaultConfig::chaos(7, rate));
+    EXPECT_NE(err.find("net fault rates sum to"), std::string::npos)
+        << rate << ": " << err;
+  }
+  const std::string err = validate_net_faults(NetFaultConfig::chaos(7, -0.01));
+  EXPECT_NE(err.find(">= 0"), std::string::npos) << err;
+  NetFaultConfig nan_rate;
+  nan_rate.drop_rate = std::nan("");
+  EXPECT_NE(validate_net_faults(nan_rate), "");
 }
 
 // ---------------------------------------------------------------------------

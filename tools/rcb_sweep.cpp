@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "rcb/cli/flags.hpp"
-#include "rcb/runtime/transport_socket.hpp"
+#include "rcb/runtime/coordinator.hpp"
 #include "rcb/stats/regression.hpp"
 #include "rcb/stats/table.hpp"
 #include "sim_runner.hpp"
@@ -53,30 +53,22 @@ int run_tool(int argc, const char* const* argv) {
   flags.add_int("workers", 0,
                 "run the sweep across this many spawned worker *processes* "
                 "over sharded trial ranges, with crash detection and shard "
-                "reassignment (0 = in-process, or with --listen only "
-                "attached workers; requires --checkpoint_dir or --resume)",
+                "reassignment (0 = in-process; requires --checkpoint_dir "
+                "or --resume)",
                 0, 1024);
   flags.add_string("shard_worker", "",
                    "internal: run as a spawned worker of the sweep root at "
                    "this path (started by the --workers coordinator)");
   flags.add_int("shard_id", 0, "internal: worker index for --shard_worker",
                 0);
-  flags.add_string("attach", "",
-                   "run as an attached sweep worker: connect to the "
-                   "coordinator at host:port, run assigned shards, "
-                   "reconnect with backoff if the coordinator restarts");
-  flags.add_string("listen", "",
-                   "also serve workers that --attach over TCP at this "
-                   "address (numeric IPv4; port 0 = ephemeral, printed to "
-                   "stderr)");
   flags.add_int("lease_timeout", 10000,
                 "revoke and reassign a worker's shard after this many ms "
                 "of silence (0 = no watchdog; must exceed 2x "
                 "--heartbeat_interval)",
                 0, 3600000);
   flags.add_int("heartbeat_interval", 100,
-                "worker status-frame period in ms, for spawned and attached "
-                "workers alike (finished shards are reported at once)",
+                "worker status-frame period in ms (finished shards are "
+                "reported at once)",
                 1, 60000);
   flags.add_int("net_fault_seed", 0,
                 "seed for deterministic control-plane fault injection "
@@ -84,7 +76,8 @@ int run_tool(int argc, const char* const* argv) {
                 0);
   flags.add_double("net_fault_rate", 0.02,
                    "per-frame fault probability when --net_fault_seed is "
-                   "set (drop/delay/duplicate/reorder, close at rate/5)");
+                   "set (drop/delay/duplicate/reorder, close at rate/5; "
+                   "the five must sum to <= 1, so rate <= 1/4.2)");
   flags.add_bool("print_digests", false,
                  "print '# digest point_<i> <hex16>' per point (chaos "
                  "harness: digests are bit-identical across thread counts "
@@ -99,23 +92,6 @@ int run_tool(int argc, const char* const* argv) {
       !worker_root.empty()) {
     return run_shard_worker(worker_root,
                             static_cast<std::size_t>(flags.get_int("shard_id")));
-  }
-
-  // Attached-worker mode: connect to a coordinator and serve shard
-  // assignments until told to shut down (every other flag is ignored; the
-  // coordinator's on-disk shard spec is authoritative).
-  if (const std::string attach = flags.get_string("attach"); !attach.empty()) {
-    AttachWorkerOptions aopt;
-    if (const std::string err = parse_host_port(attach, aopt.host, aopt.port);
-        !err.empty()) {
-      std::fprintf(stderr, "--attach: %s\n", err.c_str());
-      return 1;
-    }
-    if (aopt.port == 0) {
-      std::fprintf(stderr, "--attach: port 0 is not a coordinator address\n");
-      return 1;
-    }
-    return run_attached_worker(aopt);
   }
 
   const std::string sweep = flags.get_string("sweep");
@@ -146,9 +122,8 @@ int run_tool(int argc, const char* const* argv) {
   }
 
   const auto workers = static_cast<std::size_t>(flags.get_int("workers"));
-  const std::string listen = flags.get_string("listen");
   std::vector<tools::SimAggregate> aggs;
-  if (workers > 0 || !listen.empty()) {
+  if (workers > 0) {
     // Multi-process mode: shard the (point, trial) space across worker
     // processes with crash detection + reassignment; the merged per-point
     // digests are bit-identical to the in-process path below.
@@ -166,20 +141,6 @@ int run_tool(int argc, const char* const* argv) {
         !err.empty()) {
       std::fprintf(stderr, "%s\n", err.c_str());
       return 1;
-    }
-    if (!listen.empty()) {
-      std::string host;
-      std::uint16_t ignored = 0;
-      if (const std::string err = parse_host_port(listen, host, ignored);
-          !err.empty()) {
-        std::fprintf(stderr, "--listen: %s\n", err.c_str());
-        return 1;
-      }
-      topt.listen = listen;
-      topt.on_listen = [](std::uint16_t port) {
-        std::fprintf(stderr, "# listening on port %u (attach workers with "
-                     "--attach=<host>:%u)\n", port, port);
-      };
     }
     if (const auto seed =
             static_cast<std::uint64_t>(flags.get_int("net_fault_seed"));

@@ -244,18 +244,12 @@ inline std::vector<SimAggregate> run_sweep_points(
   return aggs;
 }
 
-/// Control-plane knobs for run_sweep_sharded; the defaults spawn the
-/// workers and open no listener.
+/// Control-plane knobs for run_sweep_sharded.
 struct ShardedTransportOptions {
-  /// TCP listener for --attach workers ("host:port", port 0 = ephemeral);
-  /// empty: none.
-  std::string listen;
   double lease_timeout_sec = 10.0;
   double heartbeat_interval_sec = 0.1;
   /// Seeded control-plane chaos (tests/CI; 0 seed = off).
   NetFaultConfig net_faults;
-  /// Forwarded to CoordinatorOptions::on_listen.
-  std::function<void(std::uint16_t port)> on_listen;
 };
 
 /// Result of a multi-process sharded sweep (rcb_sweep --workers=N).
@@ -270,9 +264,8 @@ struct ShardedSweepOutcome {
 
 /// Multi-process sharded sweep: partitions every (point, trial) range into
 /// shards (runtime/shard.hpp), runs them on `workers` spawned worker
-/// processes (plus any that attach to `transport.listen`) via the
-/// coordinator (runtime/coordinator.hpp), and merges the shard journals
-/// into per-point aggregates.  The merged aggregate_digest
+/// processes via the coordinator (runtime/coordinator.hpp), and merges the
+/// shard journals into per-point aggregates.  The merged aggregate_digest
 /// per point is bit-identical to run_sweep_points with the same cfgs —
 /// regardless of worker count, worker crashes, or coordinator restarts.
 /// `root` holds sweep.json and the shard_<i>/ checkpoint dirs;
@@ -306,10 +299,8 @@ inline ShardedSweepOutcome run_sweep_sharded(
   copt.root = root;
   copt.workers = workers;
   copt.resume = sup.resume;
-  copt.listen = transport.listen;
   copt.lease_timeout_sec = transport.lease_timeout_sec;
   copt.net_faults = transport.net_faults;
-  copt.on_listen = transport.on_listen;
   const CoordinatorResult res = run_shard_coordinator(spec, copt);
 
   ShardedSweepOutcome out;
